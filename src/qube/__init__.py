@@ -25,9 +25,9 @@ from .cycles import (
     chromatic_vector,
     color,
     dimension_profile,
+    dimension_profiles,
     gray_cycle,
     matching_obstruction,
-    normalize,
     permute_dims,
     validate_cycle,
 )

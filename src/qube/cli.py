@@ -9,8 +9,9 @@ Machine-readable JSON goes to stdout (corpora as one JSON object per
 line); human-readable summaries go to stderr.  Exit status: 0 when the
 requested property holds / the command succeeds, 1 when a counterexample
 or violation was found, 2 on usage or input errors.  The environment
-variable ``QUBE_THREADS`` caps the worker count for exhaustive ``verify``
-sweeps (default 1).
+variable ``QUBE_THREADS`` sets the worker count for exhaustive ``verify``
+sweeps (default 1, capped at the CPU count; anything but a positive
+integer is a usage error).
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .cycles import (
+from .cycles import (  # noqa: F401 -- check_balance stays a public name of qube.cli
     CycleError,
     HamiltonianCycle,
     check_balance,
     check_chromatic_conditions,
-    check_segment_sums,
     chromatic_vector,
-    dimension_profile,
-    validate_cycle,
+    dimension_profiles,
 )
 from .enumeration import (
     PruneConfig,
@@ -49,21 +48,19 @@ from .graphs import (
     is_independent,
     parse_bipartite,
 )
-from .hypercube import dim_edge_project, dimension_graph, gray_code
-from .independence import brute_force_equi, equi_independence, equi_reduction
+from .hypercube import gray_code, isomorphism_violations
+from .independence import (
+    brute_force_equi,
+    equi_independence,
+    equi_reduction,
+    table1_rows,
+)
 from .squares import (
-    ALPHA_EQUI_HYPERCUBE,
-    EquiValueUnavailable,
     check_threshold_implication,
     find_squares,
     has_square,
+    pigeonhole_report,
 )
-
-# Reference column of reduced-graph vertex counts as printed alongside the
-# known balanced-independence numbers.  The n=6 entry is inconsistent with
-# the pair construction itself (|class0| * |class1| - edges = 832); the
-# table1 report computes the true value and flags the difference.
-REFERENCE_REDUCED_VERTICES = {3: 4, 4: 32, 5: 176, 6: 882, 7: 3648}
 
 VERIFY_PROPERTIES = (
     "balance",
@@ -75,98 +72,6 @@ VERIFY_PROPERTIES = (
 )
 
 SQUARE_FREE_FILE = "square_free_counterexamples_n{n}.jsonl"
-
-
-# ---------------------------------------------------------------------------
-# pure report helpers (importable without running the CLI)
-
-
-@dataclass(frozen=True)
-class PigeonholeReport:
-    """The counting argument for dimension n: if n times the balanced-
-    independence number of the (n-1)-cube is still below the cycle length
-    2**n, every Hamiltonian cycle must use some dimension often enough to
-    force an inscribed square."""
-
-    n: int
-    threshold: int
-    product: int
-    order: int
-
-    @property
-    def forced(self) -> bool:
-        return self.product < self.order
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "threshold": self.threshold,
-            "product": self.product,
-            "order": self.order,
-            "forced": self.forced,
-        }
-
-
-def pigeonhole_report(n: int, table: dict[int, int] | None = None) -> PigeonholeReport:
-    if n < 2:
-        raise ValueError("the counting argument needs n >= 2")
-    table = ALPHA_EQUI_HYPERCUBE if table is None else table
-    try:
-        alpha = table[n - 1]
-    except KeyError:
-        raise EquiValueUnavailable(
-            f"no stored balanced-independence number for dimension {n - 1}"
-        ) from None
-    return PigeonholeReport(n, alpha, n * alpha, 1 << n)
-
-
-def table1_rows(
-    max_n: int, method: str = "direct", alpha_max_n: int | None = None
-) -> list[dict]:
-    """Reproduce the reference table: balanced-independence numbers and
-    reduced-graph sizes for the n-cube, n = 3..max_n.
-
-    Reduced-graph sizes are always computed (they are cheap).  The
-    balanced-independence solve is run only for rows with n <= alpha_max_n
-    (default: every row); capping it keeps large-n reports fast, since the
-    exact solve grows steeply with n.  Skipped rows carry ``None`` in the
-    solver-derived fields but still show the bundled reference value.
-    """
-    if not 3 <= max_n <= 8:
-        raise ValueError("table rows cover 3 <= n <= 8")
-    if alpha_max_n is None:
-        alpha_max_n = max_n
-    rows = []
-    for n in range(3, max_n + 1):
-        b = hypercube_bipartite(n)
-        red = equi_reduction(b)
-        ref_alpha = ALPHA_EQUI_HYPERCUBE.get(n)
-        if n <= alpha_max_n:
-            alpha, witness = equi_independence(b, method=method)
-            if not (is_independent(b.graph, witness) and is_balanced(b, witness)):
-                raise AssertionError(f"solver returned an invalid witness for n={n}")
-            matches = ref_alpha is None or ref_alpha == alpha
-            attained = alpha == 1 << (n - 2)
-        else:
-            alpha = witness = matches = attained = None
-        v_red = red.graph.vertex_count
-        ref_v = REFERENCE_REDUCED_VERTICES.get(n)
-        rows.append(
-            {
-                "n": n,
-                "alpha_equi": alpha,
-                "witness": witness,
-                "reduced_vertices": v_red,
-                "reduced_edges": red.graph.edge_count,
-                "reference_reduced_vertices": ref_v,
-                "reduced_vertices_mismatch": ref_v is not None and ref_v != v_red,
-                "reference_alpha": ref_alpha,
-                "alpha_matches_reference": matches,
-                "lower_bound": 1 << (n - 2),
-                "lower_bound_attained": attained,
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +108,9 @@ def _emit(doc: dict, out) -> None:
 def _cycle_violations(prop: str, cyc: HamiltonianCycle, mode: str) -> list[dict]:
     """Violation records for one cycle; empty list when the property holds."""
     if prop == "balance":
-        return [{"dim": i} for i in range(cyc.n) if not check_balance(cyc, i)]
+        return [{"dim": p.dim} for p in dimension_profiles(cyc) if not p.balanced]
     if prop == "segments":
-        return [{"dim": i} for i in range(cyc.n) if not check_segment_sums(cyc, i)]
+        return [{"dim": p.dim} for p in dimension_profiles(cyc) if not p.segment_sums_ok]
     if prop == "chromatic":
         report = check_chromatic_conditions(chromatic_vector(cyc), cyc.n)
         return [{"failed": report.failures()}] if not report.ok else []
@@ -246,38 +151,6 @@ def _exhaustive_worker(task: tuple) -> tuple[int, int, tuple | None, list[dict]]
     return _verify_chunk(prop, mode, enumerate_cycles(n, prefix=prefix))
 
 
-def _isomorphism_violations(n: int) -> tuple[int, list[dict]]:
-    """Check, for every dimension i, that projecting the graph of i-edges
-    is an adjacency-preserving bijection onto the (n-1)-cube."""
-    half = 1 << (n - 1)
-    cube_edges = {
-        (u, u ^ (1 << j)) for u in range(half) for j in range(n - 1) if u < u ^ (1 << j)
-    }
-    out = []
-    for i in range(n):
-        dg = dimension_graph(n, i)
-        projections = [dim_edge_project(e) for e in dg.vertices]
-        if sorted(projections) != list(range(half)):
-            out.append({"dim": i, "reason": "projection is not a bijection"})
-            continue
-        mapped = {
-            tuple(sorted((dim_edge_project(a), dim_edge_project(b))))
-            for a, b in dg.edges
-        }
-        if mapped != cube_edges:
-            missing = sorted(cube_edges - mapped)[:3]
-            extra = sorted(mapped - cube_edges)[:3]
-            out.append(
-                {
-                    "dim": i,
-                    "reason": "edge sets differ",
-                    "missing": missing,
-                    "extra": extra,
-                }
-            )
-    return n, out
-
-
 @dataclass
 class VerifyReport:
     property_name: str
@@ -301,14 +174,10 @@ class VerifyReport:
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("QUBE_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        t = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(t, os.cpu_count() or 1))
+    raw = os.environ.get("QUBE_THREADS") or "1"
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError(f"QUBE_THREADS must be a positive integer, got {raw!r}")
+    return min(int(raw), os.cpu_count() or 1)
 
 
 def _persist_square_free(n: int, cycles: list[dict]) -> str | None:
@@ -329,7 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     start = time.perf_counter()
 
     if prop == "isomorphism":
-        checked, violations = _isomorphism_violations(n)
+        checked, violations = isomorphism_violations(n)
         report = VerifyReport(
             prop,
             n,
@@ -431,7 +300,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return 0
 
     if args.prefixes_in is not None:
-        prefixes = read_prefixes(open(args.prefixes_in, "r", encoding="utf-8").read())
+        with open(args.prefixes_in, "r", encoding="utf-8") as f:
+            prefixes = read_prefixes(f.read())
         if args.prefix_index is not None:
             if not 0 <= args.prefix_index < len(prefixes):
                 raise ValueError(f"--prefix-index out of range 0..{len(prefixes) - 1}")
@@ -462,29 +332,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     for cyc in read_cycles(args.infile):
-        counts = chromatic_vector(cyc)
-        dims = [args.dim] if args.dim is not None else list(range(cyc.n))
-        profiles = []
-        for i in dims:
-            p = dimension_profile(cyc, i)
-            profiles.append(
-                {
-                    "dim": i,
-                    "index_list": list(p.index_list),
-                    "start_vertices": list(p.start_vertices),
-                    "edge_list": [list(e.endpoints()) for e in p.edge_list],
-                    "segments": list(p.segments),
-                    "parity_list": list(p.parity_list),
-                    "balanced": 2 * sum(p.parity_list) == len(p.parity_list),
-                    "segment_sums_ok": check_segment_sums(cyc, i),
-                }
-            )
+        profiles = dimension_profiles(cyc)
+        counts = [len(p.index_list) for p in profiles]
+        if args.dim is not None:
+            if not 0 <= args.dim < cyc.n:
+                raise ValueError(f"dimension index {args.dim} out of range for n={cyc.n}")
+            profiles = [profiles[args.dim]]
         _emit(
             {
                 "n": cyc.n,
-                "chromatic_vector": list(counts),
+                "chromatic_vector": counts,
                 "chromatic_ok": check_chromatic_conditions(counts, cyc.n).ok,
-                "profiles": profiles,
+                "profiles": [p.to_dict() for p in profiles],
             },
             sys.stdout,
         )

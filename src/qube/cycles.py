@@ -138,12 +138,18 @@ def color(h: HamiltonianCycle) -> list[int]:
     return [edge_dim(seq[k], seq[(k + 1) % size]) for k in range(size)]
 
 
+def positions_by_dim(h: HamiltonianCycle) -> list[list[int]]:
+    """Start positions of the cycle's edges, bucketed by dimension, in
+    increasing order: one colour pass serves every dimension."""
+    buckets: list[list[int]] = [[] for _ in range(h.n)]
+    for k, d in enumerate(color(h)):
+        buckets[d].append(k)
+    return buckets
+
+
 def chromatic_vector(h: HamiltonianCycle) -> tuple[int, ...]:
     """How many cycle edges run along each dimension."""
-    counts = [0] * h.n
-    for d in color(h):
-        counts[d] += 1
-    return tuple(counts)
+    return tuple(len(positions) for positions in positions_by_dim(h))
 
 
 @dataclass(frozen=True)
@@ -221,24 +227,6 @@ def permute_dims(h: HamiltonianCycle, perm: Sequence[int]) -> HamiltonianCycle:
     return HamiltonianCycle(h.n, tuple(remap(v) for v in h.seq))
 
 
-def normalize(h: HamiltonianCycle, i: int) -> HamiltonianCycle:
-    """Rotate (and, if it were ever necessary, reverse) the cycle so that
-    the edge starting at position 0 runs along dimension i out of a vertex
-    with bit i clear.
-
-    The earliest qualifying start position wins, trying the forward
-    orientation first; for valid cycles the forward orientation always
-    contains a qualifying position, so the result is deterministic.
-    """
-    if not 0 <= i < h.n:
-        raise ValueError(f"dimension index {i} out of range for n={h.n}")
-    for cand in (h, h.reversed_cycle()):
-        for k, d in enumerate(color(cand)):
-            if d == i and not cand.seq[k] >> i & 1:
-                return cand.rotated(k)
-    raise DimensionUnused(f"no edge of dimension {i} in the cycle")
-
-
 @dataclass(frozen=True)
 class DimensionProfile:
     """Everything about one dimension of a cycle, after normalization.
@@ -257,22 +245,47 @@ class DimensionProfile:
     parity_list: tuple[int, ...]
     parity_direct: tuple[int, ...]
 
+    @property
+    def balanced(self) -> bool:
+        """The i-edges split evenly between the two classes."""
+        return 2 * sum(self.parity_list) == len(self.parity_list)
 
-def dimension_profile(h: HamiltonianCycle, i: int) -> DimensionProfile:
-    """Collect the positions, start vertices, edges, gap lengths and edge
-    classes of dimension i, with respect to the normalized rotation."""
-    norm = normalize(h, i)
-    seq = norm.seq
-    size = len(seq)
-    idx = [k for k, d in enumerate(color(norm)) if d == i]
-    starts = [seq[k] for k in idx]
-    edges = [DimEdge.from_endpoints(seq[k], seq[(k + 1) % size]) for k in idx]
-    gaps = [idx[k + 1] - idx[k] for k in range(len(idx) - 1)]
-    gaps.append(size - idx[-1])
-    bits = [parity_excluding(seq[0], i)]
-    for k in range(1, len(idx)):
-        bits.append((bits[-1] + idx[k] - idx[k - 1] + 1) % 2)
-    direct = [parity_excluding(seq[k], i) for k in idx]
+    @property
+    def segment_sums_ok(self) -> bool:
+        """The even- and odd-position gap lengths each sum to 2**(n-1)."""
+        half = 1 << (self.normalized.n - 1)
+        return sum(self.segments[0::2]) == half == sum(self.segments[1::2])
+
+    def to_dict(self) -> dict:
+        return {
+            "dim": self.dim,
+            "index_list": list(self.index_list),
+            "start_vertices": list(self.start_vertices),
+            "edge_list": [list(e.endpoints()) for e in self.edge_list],
+            "segments": list(self.segments),
+            "parity_list": list(self.parity_list),
+            "balanced": self.balanced,
+            "segment_sums_ok": self.segment_sums_ok,
+        }
+
+
+def _profile(h: HamiltonianCycle, i: int, positions: list[int]) -> DimensionProfile:
+    """Dimension i's profile from its edge start positions.  The normalized
+    rotation starts at the earliest i-edge leaving a vertex with bit i
+    clear; valid cycles alternate the direction of their i-edges."""
+    size = len(h)
+    shift = next((k for k in positions if not h.seq[k] >> i & 1), None)
+    if shift is None:
+        raise DimensionUnused(f"no i-edge leaves a vertex with bit i clear (i={i})")
+    norm = h.rotated(shift)
+    idx = sorted((k - shift) % size for k in positions)
+    starts = [norm.seq[k] for k in idx]
+    edges = [DimEdge(v & ~(1 << i), i) for v in starts]
+    gaps = [b - a for a, b in zip(idx, idx[1:] + [size])]
+    bits = [parity_excluding(starts[0], i)]
+    for gap in gaps[:-1]:
+        bits.append((bits[-1] + gap + 1) % 2)
+    direct = [parity_excluding(v, i) for v in starts]
     return DimensionProfile(
         dim=i,
         normalized=norm,
@@ -285,20 +298,27 @@ def dimension_profile(h: HamiltonianCycle, i: int) -> DimensionProfile:
     )
 
 
+def dimension_profiles(h: HamiltonianCycle) -> list[DimensionProfile]:
+    """Every dimension's profile, in dimension order, from one colour pass."""
+    return [_profile(h, i, pos) for i, pos in enumerate(positions_by_dim(h))]
+
+
+def dimension_profile(h: HamiltonianCycle, i: int) -> DimensionProfile:
+    """Collect the positions, start vertices, edges, gap lengths and edge
+    classes of dimension i, with respect to the normalized rotation."""
+    if not 0 <= i < h.n:
+        raise ValueError(f"dimension index {i} out of range for n={h.n}")
+    return _profile(h, i, positions_by_dim(h)[i])
+
+
 def check_balance(h: HamiltonianCycle, i: int) -> bool:
-    """True when the i-edges of the cycle split evenly between the two
-    classes.  A False return is a counterexample to the balance law, not
-    an error."""
-    bits = dimension_profile(h, i).parity_list
-    return 2 * sum(bits) == len(bits)
+    """:attr:`DimensionProfile.balanced` for dimension i."""
+    return dimension_profile(h, i).balanced
 
 
 def check_segment_sums(h: HamiltonianCycle, i: int) -> bool:
-    """True when the even-position and odd-position gap lengths of
-    dimension i each sum to half the cycle length."""
-    segs = dimension_profile(h, i).segments
-    half = 1 << (h.n - 1)
-    return sum(segs[0::2]) == half and sum(segs[1::2]) == half
+    """:attr:`DimensionProfile.segment_sums_ok` for dimension i."""
+    return dimension_profile(h, i).segment_sums_ok
 
 
 class NotAMatching(ValueError):

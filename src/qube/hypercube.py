@@ -169,3 +169,34 @@ def dimension_graph(n: int, i: int) -> DimensionGraph:
             f = DimEdge(e.base ^ (1 << j), i)
             edges.add((e, f) if e < f else (f, e))
     return DimensionGraph(n, i, vertices, frozenset(edges))
+
+
+def isomorphism_violations(n: int) -> tuple[int, list[dict]]:
+    """Check, for every dimension i, that projecting the graph of i-edges
+    is an adjacency-preserving bijection onto the (n-1)-cube; return the
+    number of dimension graphs checked and one record per failure."""
+    half = 1 << (n - 1)
+    cube_edges = {
+        (u, u ^ (1 << j)) for u in range(half) for j in range(n - 1) if u < u ^ (1 << j)
+    }
+    out = []
+    for i in range(n):
+        dg = dimension_graph(n, i)
+        projections = [dim_edge_project(e) for e in dg.vertices]
+        if sorted(projections) != list(range(half)):
+            out.append({"dim": i, "reason": "projection is not a bijection"})
+            continue
+        mapped = {
+            tuple(sorted((dim_edge_project(a), dim_edge_project(b))))
+            for a, b in dg.edges
+        }
+        if mapped != cube_edges:
+            out.append(
+                {
+                    "dim": i,
+                    "reason": "edge sets differ",
+                    "missing": sorted(cube_edges - mapped)[:3],
+                    "extra": sorted(mapped - cube_edges)[:3],
+                }
+            )
+    return n, out

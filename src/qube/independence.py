@@ -17,16 +17,31 @@ routes that must agree:
   min(chosen, compatible) reached.
 
 ``brute_force_equi`` is an exhaustive subset scan kept as an oracle for
-small graphs.
+small graphs.  ``table1_rows`` reproduces the reference table of
+balanced-independence numbers and pair-graph sizes for the n-cube.
 """
 
 from __future__ import annotations
 
-from .graphs import BipartiteGraph, ReducedGraph, UndirectedGraph
+from .graphs import (
+    BipartiteGraph,
+    ReducedGraph,
+    UndirectedGraph,
+    hypercube_bipartite,
+    is_balanced,
+    is_independent,
+)
 from .hypercube import check_dimension, parity
+from .squares import ALPHA_EQUI_HYPERCUBE
 
 MAX_SOLVER_VERTICES = 5000
 BRUTE_FORCE_LIMIT = 20
+
+# Reference column of reduced-graph vertex counts as printed alongside the
+# known balanced-independence numbers.  The n=6 entry is inconsistent with
+# the pair construction itself (|class0| * |class1| - edges = 832); the
+# table1 report computes the true value and flags the difference.
+REFERENCE_REDUCED_VERTICES = {3: 4, 4: 32, 5: 176, 6: 882, 7: 3648}
 
 
 class SizeLimitExceeded(ValueError):
@@ -135,9 +150,7 @@ def max_independent_set(g: UndirectedGraph) -> tuple[int, list[int]]:
         raise SizeLimitExceeded(f"{n} vertices exceeds the solver cap {MAX_SOLVER_VERTICES}")
     if n == 0:
         return 0, []
-    full = (1 << n) - 1
-    comp = [full & ~g.adj[v] & ~(1 << v) for v in range(n)]
-    return _max_clique(comp)
+    return _max_clique(g.complement().adj)
 
 
 def equi_reduction(b: BipartiteGraph) -> ReducedGraph:
@@ -313,3 +326,52 @@ def lower_bound_set(n: int) -> list[int]:
         for v in range(1 << n)
         if (v & 3) in (0, 3) and parity(v) == (v & 1)
     ]
+
+
+def table1_rows(
+    max_n: int, method: str = "direct", alpha_max_n: int | None = None
+) -> list[dict]:
+    """Reproduce the reference table: balanced-independence numbers and
+    reduced-graph sizes for the n-cube, n = 3..max_n.
+
+    Reduced-graph sizes are always computed (they are cheap).  The
+    balanced-independence solve is run only for rows with n <= alpha_max_n
+    (default: every row); capping it keeps large-n reports fast, since the
+    exact solve grows steeply with n.  Skipped rows carry ``None`` in the
+    solver-derived fields but still show the bundled reference value.
+    """
+    if not 3 <= max_n <= 8:
+        raise ValueError("table rows cover 3 <= n <= 8")
+    if alpha_max_n is None:
+        alpha_max_n = max_n
+    rows = []
+    for n in range(3, max_n + 1):
+        b = hypercube_bipartite(n)
+        red = equi_reduction(b)
+        ref_alpha = ALPHA_EQUI_HYPERCUBE.get(n)
+        if n <= alpha_max_n:
+            alpha, witness = equi_independence(b, method=method)
+            if not (is_independent(b.graph, witness) and is_balanced(b, witness)):
+                raise AssertionError(f"solver returned an invalid witness for n={n}")
+            matches = ref_alpha is None or ref_alpha == alpha
+            attained = alpha == 1 << (n - 2)
+        else:
+            alpha = witness = matches = attained = None
+        v_red = red.graph.vertex_count
+        ref_v = REFERENCE_REDUCED_VERTICES.get(n)
+        rows.append(
+            {
+                "n": n,
+                "alpha_equi": alpha,
+                "witness": witness,
+                "reduced_vertices": v_red,
+                "reduced_edges": red.graph.edge_count,
+                "reference_reduced_vertices": ref_v,
+                "reduced_vertices_mismatch": ref_v is not None and ref_v != v_red,
+                "reference_alpha": ref_alpha,
+                "alpha_matches_reference": matches,
+                "lower_bound": 1 << (n - 2),
+                "lower_bound_attained": attained,
+            }
+        )
+    return rows

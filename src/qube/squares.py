@@ -12,13 +12,17 @@ rotation or orientation of the cycle.
 Detection is one hash-map pass per dimension over the projected rim
 candidates: two i-edges are rims of a common square exactly when their
 projections into the (n-1)-cube are adjacent there.  O(n * 2**n) per cycle.
+
+Above a per-dimension usage threshold a square with that rim dimension is
+forced (``rim_threshold``); ``pigeonhole_report`` is the counting argument
+that forces one in every Hamiltonian cycle of small cubes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import HamiltonianCycle, chromatic_vector, color
+from .cycles import HamiltonianCycle, chromatic_vector, positions_by_dim
 from .hypercube import drop_entry
 
 
@@ -70,13 +74,10 @@ def find_squares(h: HamiltonianCycle) -> list[InscribedSquare]:
     then rim start positions."""
     seq = h.seq
     n = h.n
-    by_dim: list[list[int]] = [[] for _ in range(n)]
-    for k, d in enumerate(color(h)):
-        by_dim[d].append(k)
     out: list[InscribedSquare] = []
-    for i in range(n):
+    for i, positions in enumerate(positions_by_dim(h)):
         proj_index: dict[int, int] = {}
-        for k in by_dim[i]:
+        for k in positions:
             proj_index[drop_entry(seq[k], i)] = k
         for p, k in proj_index.items():
             for j in range(n - 1):
@@ -163,3 +164,37 @@ def check_threshold_implication(
     rim_dims = {s.rim_dim for s in find_squares(h)}
     violations = tuple(i for i in obligated if i not in rim_dims)
     return ThresholdReport(mode, thr, obligated, violations)
+
+
+@dataclass(frozen=True)
+class PigeonholeReport:
+    """The counting argument for dimension n: if n times the balanced-
+    independence number of the (n-1)-cube is still below the cycle length
+    2**n, every Hamiltonian cycle must use some dimension often enough to
+    force an inscribed square."""
+
+    n: int
+    threshold: int
+    product: int
+    order: int
+
+    @property
+    def forced(self) -> bool:
+        return self.product < self.order
+
+    def to_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "threshold": self.threshold,
+            "product": self.product,
+            "order": self.order,
+            "forced": self.forced,
+        }
+
+
+def pigeonhole_report(n: int) -> PigeonholeReport:
+    """The counting argument at dimension n, with the ``equi`` rim
+    threshold (the stored balanced-independence number of the next cube
+    down)."""
+    alpha = rim_threshold(n, "equi")
+    return PigeonholeReport(n, alpha, n * alpha, 1 << n)

@@ -1,8 +1,8 @@
 """Shared corpora and reporting for the test suite.
 
 The expensive shared artifacts (exhaustive cycle lists for the 3- and
-4-cube, fixed-seed samples for the 5- and 6-cube, and one fused analysis
-sweep over all of them) are session-scoped fixtures, so the acceptance
+4-cube, fixed-seed samples for the 5- and 6-cube, and one analysis sweep
+over all of them) are session-scoped fixtures, so the acceptance
 tests that quote "the same corpus" really do share one corpus and one
 pass over it.
 """
@@ -17,11 +17,9 @@ from hypothesis import HealthCheck, settings
 
 from qube.cycles import (
     HamiltonianCycle,
-    check_balance,
     check_chromatic_conditions,
-    check_segment_sums,
     chromatic_vector,
-    dimension_profile,
+    dimension_profiles,
 )
 from qube.enumeration import enumerate_cycles, sample_cycles
 from qube.squares import has_square
@@ -67,7 +65,7 @@ def q6_samples() -> list[HamiltonianCycle]:
 
 @dataclass
 class SweepTally:
-    """Violation bookkeeping for one corpus, one fused pass."""
+    """Violation bookkeeping for one corpus, one pass."""
 
     label: str
     checked: int = 0
@@ -79,43 +77,26 @@ class SweepTally:
     square_free: list = field(default_factory=list)
 
 
-def _sweep(label: str, cycles: list[HamiltonianCycle], fused: bool) -> SweepTally:
-    """One pass computing every per-cycle acceptance check.
-
-    ``fused`` evaluates balance / recurrence agreement / segment sums off a
-    single dimension profile per (cycle, dimension); the non-fused route
-
-    calls the public checkers directly (each builds its own profile) and is
-    used for the small exhaustive corpora as a second road to the same
-    facts.
-    """
+def _sweep(label: str, cycles: list[HamiltonianCycle]) -> SweepTally:
+    """One pass computing every per-cycle acceptance check; balance,
+    recurrence agreement and segment sums all read off one profile per
+    (cycle, dimension)."""
     tally = SweepTally(label)
     start = time.perf_counter()
     for cyc in cycles:
         tally.checked += 1
-        n = cyc.n
-        report = check_chromatic_conditions(chromatic_vector(cyc), n)
+        report = check_chromatic_conditions(chromatic_vector(cyc), cyc.n)
         if not report.ok:
             tally.chromatic_failures.append((cyc.seq, report.failures()))
         if not has_square(cyc):
             tally.square_free.append(cyc.to_dict())
-        for i in range(n):
-            prof = dimension_profile(cyc, i)
-            bits = prof.parity_list
+        for prof in dimension_profiles(cyc):
             if prof.parity_list != prof.parity_direct:
-                tally.recurrence_mismatches.append((cyc.seq, i))
-            if fused:
-                balanced = 2 * sum(bits) == len(bits)
-                segs = prof.segments
-                half = 1 << (n - 1)
-                seg_ok = sum(segs[0::2]) == half and sum(segs[1::2]) == half
-            else:
-                balanced = check_balance(cyc, i)
-                seg_ok = check_segment_sums(cyc, i)
-            if not balanced:
-                tally.balance_violations.append((cyc.seq, i))
-            if not seg_ok:
-                tally.segment_violations.append((cyc.seq, i))
+                tally.recurrence_mismatches.append((cyc.seq, prof.dim))
+            if not prof.balanced:
+                tally.balance_violations.append((cyc.seq, prof.dim))
+            if not prof.segment_sums_ok:
+                tally.segment_violations.append((cyc.seq, prof.dim))
     tally.seconds = time.perf_counter() - start
     return tally
 
@@ -123,8 +104,8 @@ def _sweep(label: str, cycles: list[HamiltonianCycle], fused: bool) -> SweepTall
 @pytest.fixture(scope="session")
 def corpus_sweeps(q3_cycles, q4_cycles, q5_samples, q6_samples) -> dict[str, SweepTally]:
     return {
-        "Q3 exhaustive": _sweep("Q3 exhaustive", q3_cycles, fused=False),
-        "Q4 exhaustive": _sweep("Q4 exhaustive", q4_cycles, fused=False),
-        "n=5 sample": _sweep("n=5 sample", q5_samples, fused=True),
-        "n=6 sample": _sweep("n=6 sample", q6_samples, fused=True),
+        "Q3 exhaustive": _sweep("Q3 exhaustive", q3_cycles),
+        "Q4 exhaustive": _sweep("Q4 exhaustive", q4_cycles),
+        "n=5 sample": _sweep("n=5 sample", q5_samples),
+        "n=6 sample": _sweep("n=6 sample", q6_samples),
     }

@@ -2,11 +2,12 @@
 files, worker parallelism, and the counterexample persistence path."""
 
 import json
+import warnings
 
 import pytest
 
 from qube.cli import main
-from qube.cycles import gray_cycle, validate_cycle
+from qube.cycles import DimensionProfile, gray_cycle, validate_cycle
 from qube.enumeration import enumerate_cycles
 from qube.graphs import (
     UndirectedGraph,
@@ -112,6 +113,20 @@ class TestEnumerate:
         assert code == 2
         assert "--split-depth" in err
 
+    def test_prefixes_in_closes_its_file(self, capsys, tmp_path):
+        pre = tmp_path / "prefixes.txt"
+        run(capsys, "enumerate", "--n", "3", "--split-depth", "2",
+            "--prefixes-out", str(pre))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run(
+                capsys, "enumerate", "--n", "3", "--prefixes-in", str(pre),
+                "--count-only",
+            )
+        assert code == 0
+        assert json.loads(out) == {"n": 3, "count": 6}
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
 
 class TestAnalyze:
     def test_full_profile_document(self, capsys, tmp_path):
@@ -191,6 +206,17 @@ class TestVerify:
         doc = json.loads(out)
         assert code == 0
         assert doc["checked"] == 1344
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_invalid_thread_count_is_a_usage_error(self, capsys, monkeypatch, value):
+        # validated before any worker pool is created
+        monkeypatch.setenv("QUBE_THREADS", value)
+        code, out, err = run(
+            capsys, "verify", "--n", "3", "--property", "balance", "--exhaustive"
+        )
+        assert code == 2
+        assert out == ""
+        assert "QUBE_THREADS" in err
 
     def test_parallel_workers_match_sequential(self, capsys, monkeypatch):
         code, out, _ = run(
@@ -281,7 +307,7 @@ class TestVerify:
         assert "square-free counterexamples written" in err
 
     def test_forced_balance_violation_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr("qube.cli.check_balance", lambda cyc, i: False)
+        monkeypatch.setattr(DimensionProfile, "balanced", property(lambda p: False))
         code, out, _ = run(
             capsys, "verify", "--n", "3", "--property", "balance", "--exhaustive"
         )

@@ -20,13 +20,13 @@ from qube.cycles import (
     chromatic_vector,
     color,
     dimension_profile,
+    dimension_profiles,
     gray_cycle,
     matching_obstruction,
-    normalize,
     permute_dims,
     validate_cycle,
 )
-from qube.hypercube import DimEdge, edge_dim, parity_excluding
+from qube.hypercube import DimEdge, edge_class, edge_dim, parity_excluding
 
 rng = random.Random(31)
 
@@ -167,41 +167,44 @@ class TestPermuteDims:
 class TestNormalize:
     def test_already_normalized(self):
         h = gray_cycle(3)
-        assert normalize(h, 0) == h
+        assert dimension_profile(h, 0).normalized == h
 
     def test_hand_checked_rotation(self):
-        assert normalize(gray_cycle(3), 2).seq == (2, 6, 7, 5, 4, 0, 1, 3)
+        norm = dimension_profile(gray_cycle(3), 2).normalized
+        assert norm.seq == (2, 6, 7, 5, 4, 0, 1, 3)
 
     def test_reversed_input_still_normalizes(self):
         h = gray_cycle(3).reversed_cycle()
-        norm = normalize(h, 0)
+        norm = dimension_profile(h, 0).normalized
         assert edge_dim(norm.seq[0], norm.seq[1]) == 0
         assert norm.seq[0] >> 0 & 1 == 0
 
     def test_first_edge_contract_across_corpus(self, q3_cycles):
         for h in q3_cycles:
-            for i in range(3):
-                norm = normalize(h, i)
+            for p in dimension_profiles(h):
+                norm = p.normalized
                 assert norm.edge_set() == h.edge_set()
-                assert edge_dim(norm.seq[0], norm.seq[1]) == i
-                assert norm.seq[0] >> i & 1 == 0
+                assert edge_dim(norm.seq[0], norm.seq[1]) == p.dim
+                assert norm.seq[0] >> p.dim & 1 == 0
 
     def test_earliest_qualifying_rotation_wins(self):
         # dimension 0 of the reflected code qualifies at indexes 0,2,4,6;
         # index 0 must win, so the cycle comes back unchanged
         h = gray_cycle(3)
-        assert normalize(h, 0).seq == h.seq
+        assert dimension_profile(h, 0).normalized.seq == h.seq
 
     def test_dimension_out_of_range(self):
         with pytest.raises(ValueError):
-            normalize(gray_cycle(2), 2)
+            dimension_profile(gray_cycle(2), 2)
 
     def test_unused_dimension_reported(self):
         # an invalid "cycle" built directly, bypassing validation: it never
         # moves along dimension 1
         fake = HamiltonianCycle(2, (0, 1, 0, 1))
         with pytest.raises(DimensionUnused):
-            normalize(fake, 1)
+            dimension_profile(fake, 1)
+        with pytest.raises(DimensionUnused):
+            dimension_profiles(fake)
 
 
 class TestDimensionProfile:
@@ -243,6 +246,15 @@ class TestDimensionProfile:
                 direct = tuple(parity_excluding(seq[k], i) for k in p.index_list)
                 assert p.parity_list == direct == p.parity_direct
 
+    def test_all_dimensions_at_once_match_one_at_a_time(self, q4_cycles):
+        for h in q4_cycles[:60]:
+            for image in (h, h.rotated(5), h.reversed_cycle().rotated(9)):
+                profiles = dimension_profiles(image)
+                assert profiles == [dimension_profile(image, i) for i in range(4)]
+                assert [len(p.index_list) for p in profiles] == list(
+                    chromatic_vector(image)
+                )
+
 
 class TestBalanceAndSegments:
     def test_hand_checked(self):
@@ -251,17 +263,24 @@ class TestBalanceAndSegments:
         assert check_segment_sums(gray_cycle(3), 2) is True
 
     def test_balance_matches_profile_definition(self, q3_cycles):
+        # balance read off the parity recurrence against the edge classes
         for h in q3_cycles:
-            for i in range(3):
-                bits = dimension_profile(h, i).parity_list
-                assert check_balance(h, i) == (2 * sum(bits) == len(bits))
+            for p in dimension_profiles(h):
+                classes = [edge_class(e) for e in p.edge_list]
+                assert p.balanced == (classes.count(0) == classes.count(1))
+                assert check_balance(h, p.dim) == p.balanced
 
     def test_segment_sums_match_profile_definition(self, q3_cycles):
+        # gap m is the run of vertices after the m-th i-edge: bit i set for
+        # even m, clear for odd m, so each parity of gaps covers half the cube
         for h in q3_cycles:
-            for i in range(3):
-                segs = dimension_profile(h, i).segments
-                expected = sum(segs[0::2]) == 4 == sum(segs[1::2])
-                assert check_segment_sums(h, i) == expected
+            for p in dimension_profiles(h):
+                seq = p.normalized.seq + p.normalized.seq[:1]
+                for m, (k, gap) in enumerate(zip(p.index_list, p.segments)):
+                    side = {v >> p.dim & 1 for v in seq[k + 1 : k + gap + 1]}
+                    assert side == {1 - m % 2}
+                assert p.segment_sums_ok
+                assert check_segment_sums(h, p.dim)
 
 
 class TestMatchingObstruction:
