@@ -16,7 +16,6 @@ from .cycles import (
     DuplicateVertex,
     HamiltonianCycle,
     NonAdjacentStep,
-    NotAMatching,
     NotClosed,
     WrongLength,
     check_balance,
@@ -27,7 +26,6 @@ from .cycles import (
     dimension_profile,
     dimension_profiles,
     gray_cycle,
-    matching_obstruction,
     permute_dims,
     validate_cycle,
 )
@@ -56,9 +54,7 @@ from .graphs import (
 from .hypercube import (
     MAX_DIM,
     DimEdge,
-    DimensionGraph,
     dim_edge_project,
-    dimension_graph,
     drop_entry,
     edge_class,
     edge_dim,

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .hypercube import (
     DimEdge,
     check_dimension,
-    edge_class,
     edge_dim,
     gray_code,
     parity_excluding,
@@ -319,50 +318,3 @@ def check_balance(h: HamiltonianCycle, i: int) -> bool:
 def check_segment_sums(h: HamiltonianCycle, i: int) -> bool:
     """:attr:`DimensionProfile.segment_sums_ok` for dimension i."""
     return dimension_profile(h, i).segment_sums_ok
-
-
-class NotAMatching(ValueError):
-    """The given edges are not pairwise vertex-disjoint."""
-
-
-@dataclass(frozen=True)
-class MatchingReport:
-    """Per-dimension class tallies of a partial matching, plus the frozen
-    dimensions whose class imbalance rules out extension to a Hamiltonian
-    cycle that uses no further edge of any frozen dimension."""
-
-    n: int
-    class_counts: tuple[tuple[int, int], ...]
-    frozen_dims: tuple[int, ...]
-    blocked_dims: tuple[int, ...]
-
-    @property
-    def no_extension(self) -> bool:
-        return bool(self.blocked_dims)
-
-
-def matching_obstruction(
-    n: int, matching: Iterable[DimEdge], frozen: Iterable[int] = ()
-) -> MatchingReport:
-    """Tally the matching's edges per dimension and class, and report the
-    frozen dimensions whose tallies differ (these block any Hamiltonian
-    extension, because a full cycle needs every dimension balanced)."""
-    check_dimension(n)
-    edges = list(matching)
-    covered: set[int] = set()
-    for e in edges:
-        if e.dim >= n or e.other >= (1 << n):
-            raise ValueError(f"edge {e} does not fit in the {n}-cube")
-        for v in e.endpoints():
-            if v in covered:
-                raise NotAMatching(f"vertex {v} is covered twice")
-            covered.add(v)
-    counts = [[0, 0] for _ in range(n)]
-    for e in edges:
-        counts[e.dim][edge_class(e)] += 1
-    frozen_t = tuple(sorted(set(frozen)))
-    for i in frozen_t:
-        if not 0 <= i < n:
-            raise ValueError(f"frozen dimension {i} out of range for n={n}")
-    blocked = tuple(i for i in frozen_t if counts[i][0] != counts[i][1])
-    return MatchingReport(n, tuple((a, b) for a, b in counts), frozen_t, blocked)

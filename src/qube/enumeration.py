@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .cycles import HamiltonianCycle
-from .hypercube import check_dimension, edge_dim, parity_excluding
+from .hypercube import check_dimension, check_vertex, edge_dim, parity_excluding
 
 MAX_SAMPLE_DIM = 16
 MAX_CONSECUTIVE_FAILURES = 200
@@ -172,6 +172,7 @@ def enumerate_cycles(
         if not steps or steps[0] != 0:
             raise ValueError("prefix must start at vertex 0")
         for v in steps[1:]:
+            check_vertex(v, n)
             if st.visited >> v & 1:
                 raise ValueError(f"prefix revisits vertex {v}")
             st.push(v)

@@ -156,26 +156,31 @@ def max_independent_set(g: UndirectedGraph) -> tuple[int, list[int]]:
 def equi_reduction(b: BipartiteGraph) -> ReducedGraph:
     """Build the pair graph: vertices are cross-class non-edges (v0, v1);
     two pairs conflict (are adjacent) when they share a coordinate or when
-    either cross combination is an edge of the original graph."""
+    either cross combination is an edge of the original graph.
+
+    Each original vertex w gets the mask of pairs that have w as a
+    coordinate; OR-ing in its neighbours' masks gives the pairs that
+    conflict through w, so a pair's row is the union over its two
+    coordinates, less the pair itself.
+    """
     adj = b.graph.adj
     pairs = [
         (u, v) for u in b.class0 for v in b.class1 if not adj[u] >> v & 1
     ]
-    count = len(pairs)
-    rows = [0] * count
-    for k in range(count):
-        u0, u1 = pairs[k]
-        row_u0 = adj[u0]
-        row_u1 = adj[u1]
-        acc = rows[k]
-        for m in range(k + 1, count):
-            v0, v1 = pairs[m]
-            if u0 == v0 or u1 == v1 or row_u0 >> v1 & 1 or row_u1 >> v0 & 1:
-                acc |= 1 << m
-                rows[m] |= 1 << k
-        rows[k] = acc
-    rg = UndirectedGraph(count)
-    rg.adj = rows
+    touching = [0] * b.vertex_count
+    for k, (u, v) in enumerate(pairs):
+        touching[u] |= 1 << k
+        touching[v] |= 1 << k
+    conflict = touching.copy()
+    for w, row in enumerate(adj):
+        while row:
+            low = row & -row
+            conflict[w] |= touching[low.bit_length() - 1]
+            row ^= low
+    rg = UndirectedGraph(len(pairs))
+    rg.adj = [
+        (conflict[u] | conflict[v]) & ~(1 << k) for k, (u, v) in enumerate(pairs)
+    ]
     return ReducedGraph(rg, tuple(pairs))
 
 

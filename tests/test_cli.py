@@ -105,6 +105,16 @@ class TestEnumerate:
         assert code == 2
         assert "out of range" in err
 
+    def test_prefix_vertex_outside_the_cube(self, capsys, tmp_path):
+        pre = tmp_path / "prefixes.txt"
+        pre.write_text("0 16\n")
+        code, out, err = run(
+            capsys, "enumerate", "--n", "4", "--prefixes-in", str(pre)
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: vertex 16 out of range for dimension 4" in err
+
     def test_prefixes_out_requires_depth(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "enumerate", "--n", "3",
@@ -263,6 +273,12 @@ class TestVerify:
         assert doc["checked"] == 5  # one dimension graph per dimension
         assert doc["violations"] == 0
 
+    def test_isomorphism_dimension_out_of_range(self, capsys):
+        code, out, err = run(capsys, "verify", "--n", "0", "--property", "isomorphism")
+        assert code == 2
+        assert out == ""
+        assert "error: dimension must be an integer in 1..24, got 0" in err
+
     def test_sample_requires_seed(self, capsys):
         code, _, err = run(
             capsys, "verify", "--n", "4", "--property", "balance", "--sample", "5"
@@ -339,6 +355,14 @@ class TestEquiind:
         doc = json.loads(out)
         assert code == 0
         assert doc["size"] == 4 == brute_force_equi(b)
+
+    def test_reduction_beyond_the_solver_cap(self, capsys):
+        code, out, err = run(
+            capsys, "equiind", "--hypercube", "8", "--method", "reduction"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: 15360 vertices exceeds the solver cap 5000" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "equiind", "--graph", "missing.bip")

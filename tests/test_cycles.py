@@ -11,7 +11,6 @@ from qube.cycles import (
     HamiltonianCycle,
     InvalidVertex,
     NonAdjacentStep,
-    NotAMatching,
     NotClosed,
     WrongLength,
     check_balance,
@@ -22,7 +21,6 @@ from qube.cycles import (
     dimension_profile,
     dimension_profiles,
     gray_cycle,
-    matching_obstruction,
     permute_dims,
     validate_cycle,
 )
@@ -282,36 +280,3 @@ class TestBalanceAndSegments:
                 assert p.segment_sums_ok
                 assert check_segment_sums(h, p.dim)
 
-
-class TestMatchingObstruction:
-    def test_balanced_partial_matching_is_unobstructed(self):
-        report = matching_obstruction(
-            3, [DimEdge(0, 0), DimEdge(2, 0)], frozen=[0]
-        )
-        assert report.class_counts[0] == (1, 1)
-        assert report.blocked_dims == ()
-        assert not report.no_extension
-
-    def test_imbalanced_frozen_dimension_blocks(self):
-        report = matching_obstruction(
-            3, [DimEdge(0, 0), DimEdge(6, 0)], frozen=[0]
-        )
-        assert report.class_counts[0] == (2, 0)
-        assert report.blocked_dims == (0,)
-        assert report.no_extension
-
-    def test_imbalance_without_freezing_is_not_blocking(self):
-        report = matching_obstruction(3, [DimEdge(0, 0), DimEdge(6, 0)])
-        assert report.blocked_dims == ()
-
-    def test_not_a_matching(self):
-        with pytest.raises(NotAMatching):
-            matching_obstruction(3, [DimEdge(0, 0), DimEdge(1, 1)])
-
-    def test_edge_outside_cube(self):
-        with pytest.raises(ValueError):
-            matching_obstruction(2, [DimEdge(4, 0)])
-
-    def test_frozen_dimension_out_of_range(self):
-        with pytest.raises(ValueError):
-            matching_obstruction(2, [DimEdge(0, 0)], frozen=[5])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qube import hypercube
 from qube.cycles import validate_cycle
 from qube.hypercube import (
     MAX_DIM,
@@ -14,12 +15,12 @@ from qube.hypercube import (
     check_dimension,
     check_vertex,
     dim_edge_project,
-    dimension_graph,
     drop_entry,
     edge_class,
     edge_dim,
     gray_code,
     insert_entry,
+    isomorphism_violations,
     neighbors,
     parity,
     parity_excluding,
@@ -222,44 +223,62 @@ class TestProjectionAndClass:
         assert edge_class(DimEdge(6, 0)) == 0  # {6,7}: weight 2 remains
 
 
+def i_edges(n: int, i: int) -> list[DimEdge]:
+    return [DimEdge(b, i) for b in range(1 << n) if not b >> i & 1]
+
+
+def translates(e: DimEdge, n: int) -> list[DimEdge]:
+    """The i-edges adjacent to e in the dimension graph: its translates
+    along every other dimension."""
+    return [DimEdge(e.base ^ (1 << j), e.dim) for j in range(n) if j != e.dim]
+
+
 class TestDimensionGraph:
     def test_two_cube(self):
-        dg = dimension_graph(2, 0)
-        assert set(dg.vertices) == {DimEdge(0, 0), DimEdge(2, 0)}
-        assert len(dg.edges) == 1
-        assert dg.adjacent(DimEdge(0, 0), DimEdge(2, 0))
+        assert i_edges(2, 0) == [DimEdge(0, 0), DimEdge(2, 0)]
+        assert translates(DimEdge(0, 0), 2) == [DimEdge(2, 0)]
+        assert [dim_edge_project(e) for e in i_edges(2, 0)] == [0, 1]
+        assert isomorphism_violations(2) == (2, [])
 
     def test_three_cube_hand_checked_edges(self):
-        dg = dimension_graph(3, 0)
+        # the four adjacencies among 0-edges of the 3-cube, and their images
         expected = {
-            frozenset({DimEdge(0, 0), DimEdge(2, 0)}),
-            frozenset({DimEdge(0, 0), DimEdge(4, 0)}),
-            frozenset({DimEdge(2, 0), DimEdge(6, 0)}),
-            frozenset({DimEdge(4, 0), DimEdge(6, 0)}),
+            (DimEdge(0, 0), DimEdge(2, 0)): (0, 1),
+            (DimEdge(0, 0), DimEdge(4, 0)): (0, 2),
+            (DimEdge(2, 0), DimEdge(6, 0)): (1, 3),
+            (DimEdge(4, 0), DimEdge(6, 0)): (2, 3),
         }
-        assert {frozenset(pair) for pair in dg.edges} == expected
+        found = {
+            (a, b) for a in i_edges(3, 0) for b in translates(a, 3) if a < b
+        }
+        assert found == set(expected)
+        for (a, b), image in expected.items():
+            assert (dim_edge_project(a), dim_edge_project(b)) == image
 
     @pytest.mark.parametrize("n,i", [(2, 0), (3, 1), (4, 0), (4, 3), (5, 2)])
     def test_order_and_regularity(self, n, i):
-        dg = dimension_graph(n, i)
-        assert len(dg.vertices) == 1 << (n - 1)
-        assert all(dg.degree(e) == n - 1 for e in dg.vertices)
+        edges = i_edges(n, i)
+        assert len(edges) == 1 << (n - 1)
+        for e in edges:
+            images = {dim_edge_project(f) for f in translates(e, n)}
+            assert images == set(neighbors(dim_edge_project(e), n - 1))
+        assert isomorphism_violations(n) == (n, [])
 
     @pytest.mark.parametrize("n,i", [(3, 0), (4, 2)])
     def test_classes_split_evenly(self, n, i):
-        dg = dimension_graph(n, i)
-        classes = [edge_class(e) for e in dg.vertices]
+        classes = [edge_class(e) for e in i_edges(n, i)]
         assert classes.count(0) == classes.count(1) == 1 << (n - 2)
-        # every adjacency crosses the two classes
-        for a, b in dg.edges:
-            assert edge_class(a) != edge_class(b)
+        # every translate along another dimension flips the class
+        for e in i_edges(n, i):
+            for f in translates(e, n):
+                assert edge_class(e) != edge_class(f)
 
     def test_projection_is_isomorphism_small_oracle(self):
         # independent route for the 3-cube: rebuild the image graph by hand
-        dg = dimension_graph(3, 1)
         mapped = {
             frozenset({dim_edge_project(a), dim_edge_project(b)})
-            for a, b in dg.edges
+            for a in i_edges(3, 1)
+            for b in translates(a, 3)
         }
         square = {  # the 2-cube's four edges
             frozenset({0, 1}),
@@ -268,12 +287,32 @@ class TestDimensionGraph:
             frozenset({2, 3}),
         }
         assert mapped == square
-        assert sorted(dim_edge_project(e) for e in dg.vertices) == [0, 1, 2, 3]
+        assert sorted(dim_edge_project(e) for e in i_edges(3, 0)) == [0, 1, 2, 3]
 
     def test_errors(self):
+        with pytest.raises(ValueError, match="dimension graphs need n >= 2"):
+            isomorphism_violations(1)
+        for n in (0, MAX_DIM + 1):
+            with pytest.raises(ValueError, match="dimension must be an integer"):
+                isomorphism_violations(n)
         with pytest.raises(ValueError):
-            dimension_graph(1, 0)
-        with pytest.raises(ValueError):
-            dimension_graph(3, 3)
-        with pytest.raises(ValueError):
-            dimension_graph(3, -1)
+            DimEdge(0, -1)
+
+    def test_wrong_projection_is_reported(self, monkeypatch):
+        def shuffled(v, i):  # a bijection that breaks adjacency
+            w = drop_entry(v, i)
+            return w ^ (w >> 1)
+
+        monkeypatch.setattr(hypercube, "drop_entry", shuffled)
+        checked, violations = isomorphism_violations(3)
+        assert checked == 3
+        assert [v["dim"] for v in violations] == [0, 1, 2]
+        assert violations[0]["reason"] == "translates do not project to neighbours"
+        assert violations[0]["translates"][0] == [0, 2]
+
+        monkeypatch.setattr(hypercube, "drop_entry", lambda v, i: v >> 1)
+        _, violations = isomorphism_violations(3)
+        assert violations == [
+            {"dim": 1, "reason": "projection is not a bijection"},
+            {"dim": 2, "reason": "projection is not a bijection"},
+        ]

@@ -148,6 +148,43 @@ class TestEquiReduction:
         b = BipartiteGraph(g, [0, 1], [2, 3])
         assert equi_reduction(b).graph.vertex_count == 0
 
+    def test_rows_follow_the_conflict_rule(self):
+        # reference: compare every pair with every other pair
+        rng = random.Random(77)
+        graphs = [hypercube_bipartite(n) for n in range(1, 7)]
+        for _ in range(60):
+            size = rng.randint(0, 16)
+            side = [rng.randrange(2) for _ in range(size)]
+            p = rng.random()
+            g = UndirectedGraph(size)
+            for u, v in itertools.combinations(range(size), 2):
+                if side[u] != side[v] and rng.random() < p:
+                    g.add_edge(u, v)
+            graphs.append(
+                BipartiteGraph(
+                    g,
+                    [v for v in range(size) if side[v] == 0],
+                    [v for v in range(size) if side[v] == 1],
+                )
+            )
+        assert any(b.class0 != tuple(range(len(b.class0))) for b in graphs)
+        for b in graphs:
+            adj = b.graph.adj
+            pairs = [
+                (u, v) for u in b.class0 for v in b.class1 if not adj[u] >> v & 1
+            ]
+            red = equi_reduction(b)
+            assert red.pair_labels == tuple(pairs)
+            assert red.graph.vertex_count == len(pairs)
+            for k, (u0, u1) in enumerate(pairs):
+                row = 0
+                for m, (v0, v1) in enumerate(pairs):
+                    if m != k and (
+                        u0 == v0 or u1 == v1 or adj[u0] >> v1 & 1 or adj[u1] >> v0 & 1
+                    ):
+                        row |= 1 << m
+                assert red.graph.adj[k] == row, (b.class0, k)
+
 
 class TestEquiIndependence:
     def test_hypercubes_both_methods(self):
