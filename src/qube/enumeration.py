@@ -12,6 +12,18 @@ work): *balance feasibility* abandons a partial path when some dimension's
 class imbalance already exceeds the edges that could still restore it, and
 *dimension liveness* abandons it when some dimension has no used and no
 addable edge left.
+
+The search is one iterative loop over an explicit stack.  A neighbour
+table built per call gives, for each vertex, its neighbours in dimension
+order together with each edge's *slot* ``2*i + class``, and the used and
+addable edge counts are two flat lists indexed by slot.  A step touches
+at most one slot per dimension, and the node it extends passed every
+prune, so only the slots the step changed are re-checked; the full check
+over all dimensions runs once, after a prefix has been pushed.  The
+stack keeps, for each depth, the candidate steps not yet tried and the
+slot of the edge into that path vertex, so the path depth 2^n meets no
+recursion limit.  The table has n·2^n entries (about 125 MB at n = 16),
+so enumeration supports 2 <= n <= 16, the sampler's range.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .cycles import HamiltonianCycle
-from .hypercube import check_dimension, check_vertex, edge_dim, parity_excluding
+from .hypercube import check_dimension, check_vertex, edge_dim
 
 MAX_SAMPLE_DIM = 16
 MAX_CONSECUTIVE_FAILURES = 200
@@ -53,102 +65,25 @@ def canonical_form(h: HamiltonianCycle) -> HamiltonianCycle:
     return rot if first < last else rot.reversed_cycle()
 
 
-class _SearchState:
-    """Backtracking state: the partial path from vertex 0, the visited
-    set, and per-dimension tallies of used and still-addable edges split
-    by class.
-
-    An edge is *addable* while it is unused and neither endpoint is strict
-    interior of the path (interior = visited, but not vertex 0 and not the
-    current path end; those two can still take one more edge each).
-    """
-
-    __slots__ = ("n", "size", "path", "visited", "used", "addable")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.size = 1 << n
-        self.path: list[int] = [0]
-        self.visited = 1
-        self.used = [[0, 0] for _ in range(n)]
-        per_class = 1 << (n - 2)
-        self.addable = [[per_class, per_class] for _ in range(n)]
-
-    def push(self, v: int) -> None:
-        path = self.path
-        u = path[-1]
-        d = edge_dim(u, v)
-        self.used[d][parity_excluding(u, d)] += 1
-        self.addable[d][parity_excluding(u, d)] -= 1
-        if u != 0:
-            # u becomes interior: its remaining unused edges whose other
-            # endpoint is still open leave the addable pool
-            pred = path[-2]
-            visited = self.visited
-            for i in range(self.n):
-                w = u ^ (1 << i)
-                if w == v or w == pred:
-                    continue
-                if w == 0 or not visited >> w & 1:
-                    self.addable[i][parity_excluding(u, i)] -= 1
-        path.append(v)
-        self.visited |= 1 << v
-
-    def pop(self) -> None:
-        path = self.path
-        v = path.pop()
-        u = path[-1]
-        if u != 0:
-            pred = path[-2]
-            visited = self.visited
-            for i in range(self.n):
-                w = u ^ (1 << i)
-                if w == v or w == pred:
-                    continue
-                if w == 0 or not visited >> w & 1:
-                    self.addable[i][parity_excluding(u, i)] += 1
-        self.visited &= ~(1 << v)
-        d = edge_dim(u, v)
-        self.used[d][parity_excluding(u, d)] -= 1
-        self.addable[d][parity_excluding(u, d)] += 1
+def _neighbour_table(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """For each vertex u, its ``(u ^ 1 << i, 2*i + c)`` pairs in increasing i,
+    where c is the class of the i-edge at u (``parity_excluding(u, i)``, in
+    closed form); ``2*i + c`` is the edge's slot in the tally lists."""
+    return [
+        tuple((u ^ 1 << i, 2 * i + ((u.bit_count() ^ u >> i) & 1)) for i in range(n))
+        for u in range(1 << n)
+    ]
 
 
-def _prunes_ok(st: _SearchState, cfg: PruneConfig) -> bool:
-    if cfg.balance_feasibility:
-        for i in range(st.n):
-            z, o = st.used[i]
-            add = st.addable[i]
-            if z > o and add[1] < z - o:
-                return False
-            if o > z and add[0] < o - z:
-                return False
-    if cfg.dimension_liveness:
-        for i in range(st.n):
-            if not (st.used[i][0] or st.used[i][1] or st.addable[i][0] or st.addable[i][1]):
-                return False
+def _prunes_hold(n: int, cfg: PruneConfig, used: list[int], addable: list[int]) -> bool:
+    """Both prunes checked over every dimension."""
+    for s in range(0, 2 * n, 2):
+        z, o, add0, add1 = used[s], used[s + 1], addable[s], addable[s + 1]
+        if cfg.balance_feasibility and (z - o > add1 or o - z > add0):
+            return False
+        if cfg.dimension_liveness and not (z or o or add0 or add1):
+            return False
     return True
-
-
-def _extend(st: _SearchState, cfg: PruneConfig) -> Iterator[HamiltonianCycle]:
-    path = st.path
-    if len(path) == st.size:
-        last = path[-1]
-        if last.bit_count() == 1:  # closing edge to vertex 0 exists
-            first_dim = (path[0] ^ path[1]).bit_length() - 1
-            if first_dim < last.bit_length() - 1:
-                yield HamiltonianCycle(st.n, tuple(path))
-        return
-    u = path[-1]
-    visited = st.visited
-    for i in range(st.n):
-        v = u ^ (1 << i)
-        if visited >> v & 1:
-            continue
-        st.push(v)
-        if _prunes_ok(st, cfg):
-            yield from _extend(st, cfg)
-        st.pop()
-        visited = st.visited
 
 
 def enumerate_cycles(
@@ -163,22 +98,98 @@ def enumerate_cycles(
     path from vertex 0 (see :func:`path_prefixes`).
     """
     check_dimension(n)
-    if n < 2:
-        raise ValueError("enumeration needs n >= 2")
+    if not 2 <= n <= MAX_SAMPLE_DIM:
+        raise ValueError(f"enumeration supports 2 <= n <= {MAX_SAMPLE_DIM}")
     cfg = PruneConfig() if prunes is None else prunes
-    st = _SearchState(n)
+    balance, liveness = cfg.balance_feasibility, cfg.dimension_liveness
+    table = _neighbour_table(n)
+    # moves[k]: the table entry of the prefix step from depth k to k + 1
+    moves: list[tuple[int, int]] = []
     if prefix is not None:
         steps = list(prefix)
         if not steps or steps[0] != 0:
             raise ValueError("prefix must start at vertex 0")
-        for v in steps[1:]:
+        visited = {0}
+        for u, v in zip(steps, steps[1:]):
             check_vertex(v, n)
-            if st.visited >> v & 1:
+            if v in visited:
                 raise ValueError(f"prefix revisits vertex {v}")
-            st.push(v)
-        if not _prunes_ok(st, cfg):
-            return
-    yield from _extend(st, cfg)
+            moves.append(table[u][edge_dim(u, v)])
+            visited.add(v)
+
+    size = 1 << n
+    base = len(moves)
+    # used[s] / addable[s]: edges of slot s on the path / still addable.  An
+    # edge is addable while it is unused and neither endpoint is strict
+    # interior of the path (visited, but not vertex 0 and not the path end).
+    used = [0] * (2 * n)
+    addable = [1 << (n - 2)] * (2 * n)
+    path = [0] * size
+    into = [0] * size  # into[k]: slot of the edge from path[k - 1] to path[k]
+    seen = bytearray(size)
+    seen[0] = 1
+    # tries[k] yields the candidate steps from path[k] not yet tried: the
+    # forced prefix step within the prefix, the neighbours in order beyond.
+    tries: list[Iterator[tuple[int, int]] | None] = [None] * size
+    tries[0] = iter(moves[:1]) if moves else iter(table[0])
+    k = 0
+    while True:
+        for v, s in tries[k]:
+            if not seen[v]:
+                break
+        else:
+            if k == 0:
+                return
+            v, s = path[k], into[k]
+            k -= 1
+            u = path[k]
+            seen[v] = 0
+            used[s] -= 1
+            addable[s] += 1
+            if u:
+                pred = path[k - 1]
+                for w, t in table[u]:
+                    if w != v and w != pred and (not w or not seen[w]):
+                        addable[t] += 1
+            continue
+
+        u = path[k]
+        used[s] += 1
+        addable[s] -= 1
+        # The node before this push passed both prunes, and a push changes
+        # the tallies of each dimension at most once (u has one edge per
+        # dimension), so re-checking just what it changed gives the same
+        # verdict as a check over every dimension.  The pushed edge can only
+        # break its dimension's balance the one way; a retired edge can only
+        # lower its own class's addable count.
+        ok = not balance or used[s] - used[s ^ 1] <= addable[s ^ 1]
+        if u:
+            # u becomes interior: its unused edges to open vertices retire
+            pred = path[k - 1]
+            for w, t in table[u]:
+                if w != v and w != pred and (not w or not seen[w]):
+                    left = addable[t] - 1
+                    addable[t] = left
+                    if balance and used[t ^ 1] - used[t] > left:
+                        ok = False
+                    if liveness and not (left or addable[t ^ 1] or used[t] or used[t ^ 1]):
+                        ok = False
+        k += 1
+        path[k] = v
+        into[k] = s
+        seen[v] = 1
+        if k < base:
+            tries[k] = iter(moves[k : k + 1])
+            continue
+        if k == base:
+            ok = _prunes_hold(n, cfg, used, addable)
+        if ok and k == size - 1:
+            # a full path closes to vertex 0 when v is a unit vector, and is
+            # canonical when its first dimension is below its last
+            if v & (v - 1) == 0 and path[1] < v:
+                yield HamiltonianCycle(n, tuple(path))
+            ok = False
+        tries[k] = iter(table[v]) if ok else iter(())
 
 
 def count_cycles(n: int, prunes: PruneConfig | None = None) -> int:

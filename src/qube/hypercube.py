@@ -52,8 +52,14 @@ def insert_entry(v: int, i: int, bit: int = 0) -> int:
 
 
 def parity_excluding(v: int, i: int) -> int:
-    """Parity of the Hamming weight of v with entry i suppressed."""
-    return parity(drop_entry(v, i))
+    """Parity of the Hamming weight of v with entry i suppressed.
+
+    Equal to ``parity(drop_entry(v, i))``: suppressing entry i removes bit i
+    from the weight, so the parity is the weight's low bit XOR bit i.
+    """
+    if i < 0:
+        raise ValueError(f"entry index must be nonnegative, got {i}")
+    return (v.bit_count() ^ (v >> i)) & 1
 
 
 def neighbors(v: int, n: int) -> list[int]:

@@ -105,6 +105,13 @@ class TestEnumerate:
         assert code == 2
         assert "out of range" in err
 
+    def test_dimension_beyond_the_enumeration_cap(self, capsys, tmp_path):
+        target = tmp_path / "q17.jsonl"
+        code, out, err = run(capsys, "enumerate", "--n", "17", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert "error: enumeration supports 2 <= n <= 16" in err
+
     def test_prefix_vertex_outside_the_cube(self, capsys, tmp_path):
         pre = tmp_path / "prefixes.txt"
         pre.write_text("0 16\n")

@@ -1,5 +1,6 @@
 """Exhaustive cycle enumeration, work splitting, and randomized sampling."""
 
+import hashlib
 import itertools
 import random
 
@@ -18,6 +19,10 @@ from qube.enumeration import (
     write_prefixes,
 )
 from qube.hypercube import edge_dim
+
+ALL_PRUNE_CONFIGS = [
+    PruneConfig(balance, liveness) for balance in (True, False) for liveness in (True, False)
+]
 
 
 def brute_force_cycle_edge_sets(n: int) -> set[frozenset[frozenset[int]]]:
@@ -95,11 +100,24 @@ class TestEnumerate:
         other = [h.seq for h in enumerate_cycles(3, PruneConfig(False, True))]
         assert half == plain and other == plain
 
+    @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
+    def test_q4_stream_is_the_same_under_every_prune_config(self, cfg, q4_cycles):
+        assert [h.seq for h in enumerate_cycles(4, cfg)] == [h.seq for h in q4_cycles]
+
     def test_dimension_bounds(self):
         with pytest.raises(ValueError):
             list(enumerate_cycles(1))
         with pytest.raises(ValueError):
             list(enumerate_cycles(0))
+        with pytest.raises(ValueError, match="2 <= n <= 16"):
+            next(enumerate_cycles(17))
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_first_cycle_of_a_large_cube(self, n):
+        # the search keeps its own stack, so the path depth 2^n is no limit
+        h = next(enumerate_cycles(n))
+        validate_cycle(h.n, h.seq)
+        assert canonical_form(h) == h
 
 
 class TestPrefixSplitting:
@@ -124,6 +142,14 @@ class TestPrefixSplitting:
         ]
         assert merged == [h.seq for h in q4_cycles]
 
+    def test_deeper_split_at_n4_without_prunes(self, q4_cycles):
+        merged = [
+            h.seq
+            for p in path_prefixes(4, 3)
+            for h in enumerate_cycles(4, PruneConfig.none(), prefix=p)
+        ]
+        assert merged == [h.seq for h in q4_cycles]
+
     def test_prefix_validation(self):
         with pytest.raises(ValueError):
             list(enumerate_cycles(3, prefix=[1, 0]))
@@ -134,10 +160,74 @@ class TestPrefixSplitting:
         with pytest.raises(ValueError):
             path_prefixes(3, 8)
 
+    def test_non_adjacent_step_names_both_vertices(self):
+        with pytest.raises(ValueError, match="0 and 3 are not hypercube-adjacent"):
+            list(enumerate_cycles(3, prefix=[0, 3]))
+
+    @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
+    def test_full_length_prefix(self, cfg, q3_cycles):
+        for h in q3_cycles:
+            assert list(enumerate_cycles(3, cfg, prefix=h.seq)) == [h]
+            # the same cycle walked the other way round is not canonical
+            backwards = (0,) + h.seq[:0:-1]
+            assert list(enumerate_cycles(3, cfg, prefix=backwards)) == []
+
+    @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
+    def test_prefix_that_fails_a_prune_at_once(self, cfg):
+        # Both 0-edges of the path, {0,1} and {7,6}, are class 0.  Of the two
+        # class-1 0-edges, {2,3} touches the interior vertex 3, so only {4,5}
+        # could still restore the balance: balance feasibility rejects the
+        # prefix before any search, and it has no completion either way.
+        assert list(enumerate_cycles(3, cfg, prefix=[0, 1, 3, 7, 6])) == []
+
     def test_checkpoint_roundtrip(self):
         prefixes = path_prefixes(4, 2)
         assert read_prefixes(write_prefixes(prefixes)) == prefixes
         assert read_prefixes("0 1\n\n0 2\n") == [[0, 1], [0, 2]]
+
+
+def random_simple_path(n: int, depth: int, rng: random.Random) -> list[int]:
+    """A simple path of ``depth`` edges from vertex 0, each step to a random
+    unvisited neighbour; a walk that gets stuck starts over."""
+    while True:
+        path, visited = [0], 1
+        while len(path) <= depth:
+            u = path[-1]
+            free = [u ^ 1 << i for i in range(n) if not visited >> (u ^ 1 << i) & 1]
+            if not free:
+                break
+            v = rng.choice(free)
+            path.append(v)
+            visited |= 1 << v
+        else:
+            return path
+
+
+# Completion count and sha256 of the emitted seqs (one space-separated line
+# per cycle) for each of the eight depth-13 Q5 prefixes drawn from
+# random.Random(Q5_GOLDEN_SEED).  Recorded with the recursive search.
+Q5_GOLDEN_SEED = 20261018
+Q5_GOLDEN = [
+    (18, "552c0965d4155149325b5a07b1852496e8a997546711fd21ba32d844ef40b52d"),
+    (59, "2acdccf005a7a28725080bd44ccb3ab5c3c9883440dcbd383f76aae91e0c2724"),
+    (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (11, "5d17dad0ead4be87fd09829c4b0335759bb9b13f1e5734bbefca10afc70e6ca3"),
+    (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (56, "4f6a7e64d9fc87781dc43c9e88940e817dd24e483eee32362d733b487146abcb"),
+]
+
+
+class TestQ5Golden:
+    @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
+    def test_prefix_completions_match_the_recorded_stream(self, cfg):
+        rng = random.Random(Q5_GOLDEN_SEED)
+        for count, digest in Q5_GOLDEN:
+            prefix = random_simple_path(5, 13, rng)
+            seqs = [h.seq for h in enumerate_cycles(5, cfg, prefix=prefix)]
+            text = "".join(" ".join(map(str, seq)) + "\n" for seq in seqs)
+            assert (len(seqs), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
 
 
 class TestSampling:

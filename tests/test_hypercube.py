@@ -90,6 +90,10 @@ class TestParityExcluding:
             i = rng.randrange(12)
             assert parity_excluding(v, i) == parity(drop_entry(v, i))
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            parity_excluding(5, -1)
+
     def test_both_endpoints_of_an_edge_agree(self):
         # suppressing the differing entry makes the endpoints identical
         for _ in range(100):
