@@ -35,6 +35,7 @@ from .cycles import (  # noqa: F401 -- check_balance stays a public name of qube
 )
 from .enumeration import (
     PruneConfig,
+    check_search_args,
     enumerate_cycles,
     path_prefixes,
     read_prefixes,
@@ -306,11 +307,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             if not 0 <= args.prefix_index < len(prefixes):
                 raise ValueError(f"--prefix-index out of range 0..{len(prefixes) - 1}")
             prefixes = [prefixes[args.prefix_index]]
-        stream: Iterator[HamiltonianCycle] = (
-            cyc for p in prefixes for cyc in enumerate_cycles(args.n, cfg, prefix=p)
-        )
     else:
-        stream = enumerate_cycles(args.n, cfg)
+        prefixes = [None]
+    # the searches are generators that check their arguments only when
+    # first resumed, so check them all before --out truncates its file
+    for p in prefixes:
+        check_search_args(args.n, p)
+    stream: Iterator[HamiltonianCycle] = (
+        cyc for p in prefixes for cyc in enumerate_cycles(args.n, cfg, prefix=p)
+    )
 
     if args.count_only:
         count = sum(1 for _ in stream)

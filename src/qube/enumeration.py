@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterator, Sequence
 
 from .cycles import HamiltonianCycle
@@ -86,6 +87,28 @@ def _prunes_hold(n: int, cfg: PruneConfig, used: list[int], addable: list[int]) 
     return True
 
 
+def check_search_args(n: int, prefix: Sequence[int] | None = None) -> None:
+    """Raise ValueError unless :func:`enumerate_cycles` accepts ``n`` and
+    ``prefix``, a simple path from vertex 0.  The generator runs these
+    checks itself, but only at its first ``next()``; a caller that must
+    fail before any side effect, such as opening an output file, calls
+    this first."""
+    check_dimension(n)
+    if not 2 <= n <= MAX_SAMPLE_DIM:
+        raise ValueError(f"enumeration supports 2 <= n <= {MAX_SAMPLE_DIM}")
+    if prefix is None:
+        return
+    if not prefix or prefix[0] != 0:
+        raise ValueError("prefix must start at vertex 0")
+    visited = {0}
+    for u, v in zip(prefix, prefix[1:]):
+        check_vertex(v, n)
+        if v in visited:
+            raise ValueError(f"prefix revisits vertex {v}")
+        edge_dim(u, v)
+        visited.add(v)
+
+
 def enumerate_cycles(
     n: int,
     prunes: PruneConfig | None = None,
@@ -97,25 +120,13 @@ def enumerate_cycles(
     ``prefix`` restricts the search to completions of the given simple
     path from vertex 0 (see :func:`path_prefixes`).
     """
-    check_dimension(n)
-    if not 2 <= n <= MAX_SAMPLE_DIM:
-        raise ValueError(f"enumeration supports 2 <= n <= {MAX_SAMPLE_DIM}")
+    steps = [0] if prefix is None else list(prefix)
+    check_search_args(n, steps)
     cfg = PruneConfig() if prunes is None else prunes
     balance, liveness = cfg.balance_feasibility, cfg.dimension_liveness
     table = _neighbour_table(n)
     # moves[k]: the table entry of the prefix step from depth k to k + 1
-    moves: list[tuple[int, int]] = []
-    if prefix is not None:
-        steps = list(prefix)
-        if not steps or steps[0] != 0:
-            raise ValueError("prefix must start at vertex 0")
-        visited = {0}
-        for u, v in zip(steps, steps[1:]):
-            check_vertex(v, n)
-            if v in visited:
-                raise ValueError(f"prefix revisits vertex {v}")
-            moves.append(table[u][edge_dim(u, v)])
-            visited.add(v)
+    moves = [table[u][(u ^ v).bit_length() - 1] for u, v in zip(steps, steps[1:])]
 
     size = 1 << n
     base = len(moves)
@@ -246,13 +257,23 @@ def sample_cycles(
     """k Hamiltonian cycles found by randomized-order backtracking, one
     fresh randomized search per cycle.
 
-    Deterministic for a fixed seed.  The sampling distribution is *not*
-    uniform over Hamiltonian cycles: cycles reachable through luckier
-    early branch choices are favored, and independent attempts may repeat
-    a cycle.  Searches that exceed the node budget are abandoned and
-    restarted with the next draws from the same generator; a long streak
-    of abandoned attempts means the budget is too small and raises
-    ValueError instead of looping forever.
+    The sampling distribution is *not* uniform over Hamiltonian cycles:
+    cycles reachable through luckier early branch choices are favored, and
+    independent attempts may repeat a cycle.  Searches that exceed the node
+    budget are abandoned and restarted with the next draws from the same
+    generator; a long streak of abandoned attempts means the budget is too
+    small and raises ValueError instead of looping forever.
+
+    The stream is fixed for a seed, and seeded corpora are pinned test
+    data, so it must not change between versions: the same generator
+    calls (one ``shuffle`` per candidate list of two or more vertices)
+    in the same order, giving the same cycles.  Which attempts are
+    abandoned depends on how nodes are counted, and that rule is fixed
+    too.  One node is either a push of a vertex onto the path, including
+    a push that is undone at once (it fills the path without closing the
+    cycle, or takes vertex 0's last unvisited neighbour), or the retreat
+    from a vertex whose candidates are exhausted.  An attempt is
+    abandoned at the first node past ``max_nodes_per_attempt``.
     """
     check_dimension(n)
     if n < 2 or n > MAX_SAMPLE_DIM:
@@ -260,11 +281,12 @@ def sample_cycles(
     if k < 1:
         raise ValueError("k must be positive")
     rng = random.Random(seed)
+    # rows[v]: the neighbours of v in increasing dimension order
+    rows = [tuple(v ^ 1 << i for i in range(n)) for v in range(1 << n)]
     out: list[HamiltonianCycle] = []
-    size = 1 << n
     failures = 0
     while len(out) < k:
-        cyc = _random_cycle(n, size, rng, max_nodes_per_attempt)
+        cyc = _random_cycle(n, rows, rng, max_nodes_per_attempt)
         if cyc is not None:
             out.append(cyc)
             failures = 0
@@ -280,46 +302,74 @@ def sample_cycles(
 
 
 def _random_cycle(
-    n: int, size: int, rng: random.Random, budget: int
+    n: int, rows: list[tuple[int, ...]], rng: random.Random, budget: int
 ) -> HamiltonianCycle | None:
-    neigh = [sum(1 << (v ^ (1 << i)) for i in range(n)) for v in range(size)]
+    """One search from vertex 0, or None once it passes ``budget`` nodes.
+
+    Each path vertex's unvisited neighbours are shuffled and then stably
+    sorted by how many of their own neighbours are visited, and the last
+    one (the most constrained) is tried first: flushing tight vertices
+    early keeps the walk from stranding them.  Lists of fewer than two
+    vertices need neither step, and ``shuffle`` draws nothing for them.
+    """
+    size = len(rows)
+    seen = bytearray(size)
+    seen[0] = 1
+    is_seen = seen.__getitem__
+    shuffle = rng.shuffle
+    units = rows[0]  # vertex 0's neighbours
+
+    def visited_count(w: int) -> int:
+        return sum(map(is_seen, rows[w]))
+
     path = [0]
-    visited = 1
-
-    def ordered_unvisited(u: int) -> list[int]:
-        """Unvisited neighbors, most-constrained last (tried first), with
-        random tie-breaking; flushing tight vertices early keeps the walk
-        from stranding them."""
-        cands = [u ^ (1 << i) for i in range(n) if not visited >> (u ^ (1 << i)) & 1]
-        rng.shuffle(cands)
-        cands.sort(key=lambda v: -(neigh[v] & ~visited).bit_count())
-        return cands
-
-    stack = [ordered_unvisited(0)]
-    nodes = 0
-    while stack:
-        nodes += 1
-        if nodes > budget:
+    cands = list(units)
+    shuffle(cands)
+    cands.sort(key=visited_count)
+    stack = [cands]
+    left = budget
+    while True:
+        while cands:
+            left -= 1
+            if left < 0:
+                return None
+            v = cands.pop()
+            path.append(v)
+            if len(path) == size:
+                if v & (v - 1) == 0:
+                    return HamiltonianCycle(n, tuple(path))
+                path.pop()
+                continue
+            # the walk must be able to re-enter vertex 0 at the very end;
+            # some unit vector is unvisited before every push, so only a
+            # unit vector can take the last one
+            seen[v] = 1
+            if v & (v - 1) == 0 and all(map(is_seen, units)):
+                seen[v] = 0
+                path.pop()
+                continue
+            c = list(filterfalse(is_seen, rows[v]))
+            if not c:
+                # the retreat from v, counted without stacking its empty list
+                left -= 1
+                if left < 0:
+                    return None
+                seen[v] = 0
+                path.pop()
+                continue
+            if len(c) > 1:
+                shuffle(c)
+                if len(c) > 2:
+                    c.sort(key=visited_count)
+                elif visited_count(c[0]) > visited_count(c[1]):
+                    c.reverse()  # the stable sort of a pair, without its key list
+            stack.append(c)
+            cands = c
+        left -= 1
+        if left < 0:
             return None
+        stack.pop()
+        if not stack:
+            return None
+        seen[path.pop()] = 0
         cands = stack[-1]
-        if not cands:
-            stack.pop()
-            v = path.pop()
-            visited &= ~(1 << v)
-            continue
-        v = cands.pop()
-        path.append(v)
-        visited |= 1 << v
-        if len(path) == size:
-            if v.bit_count() == 1:
-                return HamiltonianCycle(n, tuple(path))
-            path.pop()
-            visited &= ~(1 << v)
-            continue
-        # the walk must be able to re-enter vertex 0 at the very end
-        if neigh[0] & ~visited:
-            stack.append(ordered_unvisited(v))
-        else:
-            path.pop()
-            visited &= ~(1 << v)
-    return None

@@ -112,6 +112,24 @@ class TestEnumerate:
         assert out == ""
         assert "error: enumeration supports 2 <= n <= 16" in err
 
+    @pytest.mark.parametrize(
+        "argv,prefixes",
+        [(["--n", "17"], None), (["--n", "1"], None),
+         (["--n", "4"], "0 1 3\n0 16\n"), (["--n", "3"], "0 1 3\n0 3\n")],
+        ids=["n17", "n1", "later-prefix-leaves-the-cube", "later-prefix-not-a-path"],
+    )
+    def test_argument_error_leaves_the_out_file_alone(self, capsys, tmp_path, argv, prefixes):
+        target = tmp_path / "out.jsonl"
+        target.write_text("keep")
+        if prefixes is not None:
+            pre = tmp_path / "prefixes.txt"
+            pre.write_text(prefixes)
+            argv = argv + ["--prefixes-in", str(pre)]
+        code, _, err = run(capsys, "enumerate", *argv, "--out", str(target))
+        assert code == 2
+        assert "error:" in err
+        assert target.read_text() == "keep"
+
     def test_prefix_vertex_outside_the_cube(self, capsys, tmp_path):
         pre = tmp_path / "prefixes.txt"
         pre.write_text("0 16\n")

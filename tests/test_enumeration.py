@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from qube import enumeration
 from qube.cycles import HamiltonianCycle, validate_cycle
 from qube.enumeration import (
     MAX_CONSECUTIVE_FAILURES,
@@ -230,6 +231,106 @@ class TestQ5Golden:
             assert (len(seqs), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
 
 
+def reference_random_cycle(
+    n: int, size: int, rng: random.Random, budget: int
+) -> HamiltonianCycle | None:
+    """The sampler's search as first written, kept as the reference for
+    its stream: one bigint visited mask, and one shuffled, keyed-sorted
+    candidate list per pushed vertex, including the empty ones."""
+    neigh = [sum(1 << (v ^ (1 << i)) for i in range(n)) for v in range(size)]
+    path = [0]
+    visited = 1
+
+    def ordered_unvisited(u: int) -> list[int]:
+        cands = [u ^ (1 << i) for i in range(n) if not visited >> (u ^ (1 << i)) & 1]
+        rng.shuffle(cands)
+        cands.sort(key=lambda v: -(neigh[v] & ~visited).bit_count())
+        return cands
+
+    stack = [ordered_unvisited(0)]
+    nodes = 0
+    while stack:
+        nodes += 1
+        if nodes > budget:
+            return None
+        cands = stack[-1]
+        if not cands:
+            stack.pop()
+            v = path.pop()
+            visited &= ~(1 << v)
+            continue
+        v = cands.pop()
+        path.append(v)
+        visited |= 1 << v
+        if len(path) == size:
+            if v.bit_count() == 1:
+                return HamiltonianCycle(n, tuple(path))
+            path.pop()
+            visited &= ~(1 << v)
+            continue
+        if neigh[0] & ~visited:
+            stack.append(ordered_unvisited(v))
+        else:
+            path.pop()
+            visited &= ~(1 << v)
+    return None
+
+
+def reference_sample(n: int, seed: int, k: int, budget: int) -> tuple[list, int]:
+    """The seqs of ``sample_cycles(n, seed, k, budget)`` by the reference
+    search, and how many attempts it abandoned on the way."""
+    rng = random.Random(seed)
+    seqs, abandoned = [], 0
+    while len(seqs) < k:
+        cyc = reference_random_cycle(n, 1 << n, rng, budget)
+        if cyc is None:
+            abandoned += 1
+        else:
+            seqs.append(cyc.seq)
+    return seqs, abandoned
+
+
+def sample_counting_abandoned(monkeypatch, n: int, seed: int, k: int, budget: int):
+    """``sample_cycles`` with a count of its abandoned attempts."""
+    search = enumeration._random_cycle
+    abandoned = []
+
+    def counting(*args):
+        cyc = search(*args)
+        if cyc is None:
+            abandoned.append(args)
+        return cyc
+
+    monkeypatch.setattr(enumeration, "_random_cycle", counting)
+    seqs = [h.seq for h in sample_cycles(n, seed, k, max_nodes_per_attempt=budget)]
+    return seqs, len(abandoned)
+
+
+def corpus_digest(cycles) -> str:
+    text = "".join(" ".join(map(str, h.seq)) + "\n" for h in cycles)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the pinned corpora sample_cycles(5|6, SAMPLE_SEED, SAMPLE_K) of
+# conftest, one space-separated line per cycle; recorded with the reference
+# search above.
+PINNED_CORPUS_SHA256 = {
+    5: "1f12b33cd9f3e10a91bc4c9231174ffd8916457d40f3f4e43b44c01d3efd79d1",
+    6: "085c047af441abfc0def888364d8f73487e1a82b8a4f12f2b7e88b6357c86e0b",
+}
+
+# (n, seed, k, budget) runs of the sampler.  The budgets of the last group
+# abandon attempts; (5, 4, 1, 50) and (7, 3, 1, 130) succeed on exactly the
+# last node of the budget, so one node less abandons the attempt.
+SAMPLER_RUNS = [
+    (2, 0, 3, 500_000), (3, 2, 5, 500_000), (4, 1, 8, 500_000),
+    (5, 11, 6, 500_000), (6, 3, 4, 500_000), (7, 3, 2, 500_000),
+    (5, 4, 1, 50), (5, 4, 1, 49), (7, 3, 1, 130), (7, 3, 1, 129),
+    (4, 9, 5, 16), (5, 8, 5, 40), (6, 0, 5, 100), (6, 2, 5, 200),
+    (7, 1, 10, 20_000), (6, 5, 50, 2000), (7, 2, 3, 3000),
+]
+
+
 class TestSampling:
     def test_deterministic_for_a_seed(self):
         a = sample_cycles(5, seed=11, k=5)
@@ -266,3 +367,23 @@ class TestSampling:
     def test_diversity_at_n5(self):
         cycles = sample_cycles(5, seed=123, k=40)
         assert len({h.seq for h in cycles}) > 30
+
+    def test_pinned_corpora_keep_their_digest(self, q5_samples, q6_samples):
+        assert corpus_digest(q5_samples) == PINNED_CORPUS_SHA256[5]
+        assert corpus_digest(q6_samples) == PINNED_CORPUS_SHA256[6]
+
+    @pytest.mark.parametrize("n,seed,k,budget", SAMPLER_RUNS)
+    def test_same_stream_and_abandoned_attempts_as_the_reference(
+        self, monkeypatch, n, seed, k, budget
+    ):
+        assert sample_counting_abandoned(monkeypatch, n, seed, k, budget) == (
+            reference_sample(n, seed, k, budget)
+        )
+
+    @pytest.mark.parametrize(
+        "n,seed,k,budget,abandoned",
+        [(5, 4, 1, 50, 0), (5, 4, 1, 49, 1), (7, 3, 1, 130, 0), (7, 3, 1, 129, 2),
+         (7, 1, 10, 20_000, 2), (6, 5, 50, 2000, 1)],
+    )
+    def test_small_budgets_abandon_attempts(self, n, seed, k, budget, abandoned):
+        assert reference_sample(n, seed, k, budget)[1] == abandoned
