@@ -310,7 +310,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         prefixes = [None]
     # the searches are generators that check their arguments only when
-    # first resumed, so check them all before --out truncates its file
+    # first resumed, so check n (also for an empty prefix file) and every
+    # prefix before --out truncates its file
+    check_search_args(args.n)
     for p in prefixes:
         check_search_args(args.n, p)
     stream: Iterator[HamiltonianCycle] = (

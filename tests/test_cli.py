@@ -115,8 +115,10 @@ class TestEnumerate:
     @pytest.mark.parametrize(
         "argv,prefixes",
         [(["--n", "17"], None), (["--n", "1"], None),
-         (["--n", "4"], "0 1 3\n0 16\n"), (["--n", "3"], "0 1 3\n0 3\n")],
-        ids=["n17", "n1", "later-prefix-leaves-the-cube", "later-prefix-not-a-path"],
+         (["--n", "4"], "0 1 3\n0 16\n"), (["--n", "3"], "0 1 3\n0 3\n"),
+         (["--n", "17"], "")],
+        ids=["n17", "n1", "later-prefix-leaves-the-cube", "later-prefix-not-a-path",
+             "n17-empty-prefix-file"],
     )
     def test_argument_error_leaves_the_out_file_alone(self, capsys, tmp_path, argv, prefixes):
         target = tmp_path / "out.jsonl"
