@@ -282,7 +282,8 @@ def sample_cycles(
         raise ValueError("k must be positive")
     rng = random.Random(seed)
     # rows[v]: the neighbours of v in increasing dimension order
-    rows = [tuple(v ^ 1 << i for i in range(n)) for v in range(1 << n)]
+    bits = [1 << i for i in range(n)]
+    rows = [tuple(map(v.__xor__, bits)) for v in range(1 << n)]
     out: list[HamiltonianCycle] = []
     failures = 0
     while len(out) < k:
