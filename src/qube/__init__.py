@@ -59,7 +59,6 @@ from .hypercube import (
     edge_class,
     edge_dim,
     gray_code,
-    insert_entry,
     neighbors,
     parity,
     parity_excluding,

@@ -291,6 +291,10 @@ def _prune_config(name: str) -> PruneConfig:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     cfg = _prune_config(args.prune)
+    if args.split_depth is not None and args.prefixes_out is None:
+        raise ValueError("--split-depth requires --prefixes-out")
+    if args.prefix_index is not None and args.prefixes_in is None:
+        raise ValueError("--prefix-index requires --prefixes-in")
     if args.prefixes_out is not None:
         if args.split_depth is None:
             raise ValueError("--prefixes-out requires --split-depth")

@@ -78,14 +78,6 @@ class HamiltonianCycle:
         the starting vertex."""
         return HamiltonianCycle(self.n, self.seq[:1] + self.seq[:0:-1])
 
-    def edge_set(self) -> frozenset[DimEdge]:
-        """The cycle's edges as canonical (base, dim) pairs."""
-        size = len(self.seq)
-        return frozenset(
-            DimEdge.from_endpoints(self.seq[k], self.seq[(k + 1) % size])
-            for k in range(size)
-        )
-
     def to_dict(self) -> dict:
         return {"n": self.n, "seq": list(self.seq)}
 

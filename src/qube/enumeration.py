@@ -7,19 +7,19 @@ tree can be partitioned into fixed-depth path prefixes for splitting work
 across processes; the union of the per-prefix emissions equals the
 sequential stream.
 
-Two sound prunes are available (the emitted set never changes, only the
+One sound prune is available (the emitted set never changes, only the
 work): *balance feasibility* abandons a partial path when some dimension's
-class imbalance already exceeds the edges that could still restore it, and
-*dimension liveness* abandons it when some dimension has no used and no
-addable edge left.
+class imbalance already exceeds the edges that could still restore it.  By
+the parity-balance theorem every cycle splits each dimension's edges evenly
+between the two classes, so no completion is lost.
 
 The search is one iterative loop over an explicit stack.  A neighbour
 table built per call gives, for each vertex, its neighbours in dimension
 order together with each edge's *slot* ``2*i + class``, and the used and
 addable edge counts are two flat lists indexed by slot.  A step touches
-at most one slot per dimension, and the node it extends passed every
+at most one slot per dimension, and the node it extends passed the
 prune, so only the slots the step changed are re-checked; the full check
-over all dimensions runs once, after a prefix has been pushed.  The
+over every slot runs once, after a prefix has been pushed.  The
 stack keeps, for each depth, the candidate steps not yet tried and the
 slot of the edge into that path vertex, so the path depth 2^n meets no
 recursion limit.  The table has n·2^n entries (about 125 MB at n = 16),
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import accumulate, filterfalse
 from typing import Iterator, Sequence
 
 from .cycles import HamiltonianCycle
@@ -38,6 +38,7 @@ from .hypercube import check_dimension, check_vertex, edge_dim
 
 MAX_SAMPLE_DIM = 16
 MAX_CONSECUTIVE_FAILURES = 200
+MAX_PREFIX_VERTICES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -45,15 +46,14 @@ class PruneConfig:
     """Which sound search-space reductions to apply during enumeration."""
 
     balance_feasibility: bool = True
-    dimension_liveness: bool = True
 
     @classmethod
     def all(cls) -> "PruneConfig":
-        return cls(True, True)
+        return cls(True)
 
     @classmethod
     def none(cls) -> "PruneConfig":
-        return cls(False, False)
+        return cls(False)
 
 
 def canonical_form(h: HamiltonianCycle) -> HamiltonianCycle:
@@ -74,17 +74,6 @@ def _neighbour_table(n: int) -> list[tuple[tuple[int, int], ...]]:
         tuple((u ^ 1 << i, 2 * i + ((u.bit_count() ^ u >> i) & 1)) for i in range(n))
         for u in range(1 << n)
     ]
-
-
-def _prunes_hold(n: int, cfg: PruneConfig, used: list[int], addable: list[int]) -> bool:
-    """Both prunes checked over every dimension."""
-    for s in range(0, 2 * n, 2):
-        z, o, add0, add1 = used[s], used[s + 1], addable[s], addable[s + 1]
-        if cfg.balance_feasibility and (z - o > add1 or o - z > add0):
-            return False
-        if cfg.dimension_liveness and not (z or o or add0 or add1):
-            return False
-    return True
 
 
 def check_search_args(n: int, prefix: Sequence[int] | None = None) -> None:
@@ -122,8 +111,7 @@ def enumerate_cycles(
     """
     steps = [0] if prefix is None else list(prefix)
     check_search_args(n, steps)
-    cfg = PruneConfig() if prunes is None else prunes
-    balance, liveness = cfg.balance_feasibility, cfg.dimension_liveness
+    balance = (PruneConfig() if prunes is None else prunes).balance_feasibility
     table = _neighbour_table(n)
     # moves[k]: the table entry of the prefix step from depth k to k + 1
     moves = [table[u][(u ^ v).bit_length() - 1] for u, v in zip(steps, steps[1:])]
@@ -167,7 +155,7 @@ def enumerate_cycles(
         u = path[k]
         used[s] += 1
         addable[s] -= 1
-        # The node before this push passed both prunes, and a push changes
+        # The node before this push passed the prune, and a push changes
         # the tallies of each dimension at most once (u has one edge per
         # dimension), so re-checking just what it changed gives the same
         # verdict as a check over every dimension.  The pushed edge can only
@@ -183,8 +171,6 @@ def enumerate_cycles(
                     addable[t] = left
                     if balance and used[t ^ 1] - used[t] > left:
                         ok = False
-                    if liveness and not (left or addable[t ^ 1] or used[t] or used[t ^ 1]):
-                        ok = False
         k += 1
         path[k] = v
         into[k] = s
@@ -193,7 +179,11 @@ def enumerate_cycles(
             tries[k] = iter(moves[k : k + 1])
             continue
         if k == base:
-            ok = _prunes_hold(n, cfg, used, addable)
+            # each slot's edges, less the other class's, fit in what the
+            # other class can still add
+            ok = not balance or all(
+                used[t] - used[t ^ 1] <= addable[t ^ 1] for t in range(2 * n)
+            )
         if ok and k == size - 1:
             # a full path closes to vertex 0 when v is a unit vector, and is
             # canonical when its first dimension is below its last
@@ -213,27 +203,31 @@ def path_prefixes(n: int, depth: int) -> list[list[int]]:
 
     The completions of these prefixes partition the full search tree, so
     enumerating each prefix independently and taking the union reproduces
-    the sequential stream.
+    the sequential stream.  The paths are listed one length at a time, and
+    a ValueError is raised once the paths of one length would hold more
+    than ``MAX_PREFIX_VERTICES`` vertices in total.
     """
     check_dimension(n)
     if not 1 <= depth < (1 << n):
         raise ValueError(f"depth {depth} out of range")
-    out: list[list[int]] = []
-
-    def rec(path: list[int], visited: int) -> None:
-        if len(path) == depth + 1:
-            out.append(path.copy())
-            return
-        u = path[-1]
-        for i in range(n):
-            v = u ^ (1 << i)
-            if not visited >> v & 1:
-                path.append(v)
-                rec(path, visited | 1 << v)
-                path.pop()
-
-    rec([0], 1)
-    return out
+    bits = [1 << i for i in range(n)]
+    paths = [[0]]
+    # one level at a time, each path extended by its unvisited neighbours
+    # in increasing dimension, which keeps the branch order
+    for size in range(2, depth + 2):
+        # running totals of the next level's size: a level over the cap is
+        # refused before it is counted in full, let alone built
+        fresh = (set(map(p[-1].__xor__, bits)).difference(p) for p in paths)
+        totals = accumulate(map(len, fresh))
+        if any(total * size > MAX_PREFIX_VERTICES for total in totals):
+            raise ValueError(
+                f"listing the depth-{depth} prefixes of the {n}-cube takes more "
+                f"than {MAX_PREFIX_VERTICES} path vertices; use a smaller depth"
+            )
+        paths = [
+            p + [v] for p in paths for v in map(p[-1].__xor__, bits) if v not in p
+        ]
+    return paths
 
 
 def write_prefixes(prefixes: Sequence[Sequence[int]]) -> str:

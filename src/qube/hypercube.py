@@ -42,15 +42,6 @@ def drop_entry(v: int, i: int) -> int:
     return (v & ((1 << i) - 1)) | ((v >> (i + 1)) << i)
 
 
-def insert_entry(v: int, i: int, bit: int = 0) -> int:
-    """Inverse of drop_entry: make room at position i and place ``bit`` there."""
-    if i < 0:
-        raise ValueError(f"entry index must be nonnegative, got {i}")
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    return (v & ((1 << i) - 1)) | ((v >> i) << (i + 1)) | (bit << i)
-
-
 def parity_excluding(v: int, i: int) -> int:
     """Parity of the Hamming weight of v with entry i suppressed.
 
@@ -104,11 +95,6 @@ class DimEdge:
             raise ValueError(f"dimension must be nonnegative, got {self.dim}")
         if self.base < 0 or self.base >> self.dim & 1:
             raise ValueError(f"base {self.base} must have bit {self.dim} clear")
-
-    @classmethod
-    def from_endpoints(cls, u: int, v: int) -> "DimEdge":
-        d = edge_dim(u, v)
-        return cls(u & ~(1 << d), d)
 
     @property
     def other(self) -> int:

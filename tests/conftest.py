@@ -63,6 +63,14 @@ def q6_samples() -> list[HamiltonianCycle]:
     return sample_cycles(6, seed=SAMPLE_SEED, k=SAMPLE_K)
 
 
+def edge_set_of(h: HamiltonianCycle) -> frozenset[frozenset[int]]:
+    """The cycle's undirected edges, independent of start and direction."""
+    size = len(h.seq)
+    return frozenset(
+        frozenset((h.seq[k], h.seq[(k + 1) % size])) for k in range(size)
+    )
+
+
 @dataclass
 class SweepTally:
     """Violation bookkeeping for one corpus, one pass."""

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from qube import enumeration
 from qube.cli import main
 from qube.cycles import DimensionProfile, gray_cycle, validate_cycle
 from qube.enumeration import enumerate_cycles
@@ -149,6 +150,30 @@ class TestEnumerate:
         )
         assert code == 2
         assert "--split-depth" in err
+
+    @pytest.mark.parametrize(
+        "argv,needs",
+        [(["--prefix-index", "5", "--count-only"], "--prefixes-in"),
+         (["--split-depth", "2", "--count-only"], "--prefixes-out")],
+        ids=["prefix-index", "split-depth"],
+    )
+    def test_flags_that_need_their_partner(self, capsys, argv, needs):
+        code, out, err = run(capsys, "enumerate", "--n", "3", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"requires {needs}" in err
+
+    def test_too_many_prefix_vertices(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(enumeration, "MAX_PREFIX_VERTICES", 1000)
+        pre = tmp_path / "prefixes.txt"
+        code, out, err = run(
+            capsys, "enumerate", "--n", "10", "--split-depth", "1000",
+            "--prefixes-out", str(pre),
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "Traceback" not in err
+        assert not pre.exists()
 
     def test_prefixes_in_closes_its_file(self, capsys, tmp_path):
         pre = tmp_path / "prefixes.txt"

@@ -26,6 +26,8 @@ from qube.cycles import (
 )
 from qube.hypercube import DimEdge, edge_class, edge_dim, parity_excluding
 
+from conftest import edge_set_of
+
 rng = random.Random(31)
 
 GRAY2 = [0, 1, 3, 2]
@@ -80,8 +82,8 @@ class TestValidateCycle:
 class TestCycleObject:
     def test_rotation_and_reversal_preserve_edges(self):
         h = gray_cycle(3)
-        assert h.rotated(3).edge_set() == h.edge_set()
-        assert h.reversed_cycle().edge_set() == h.edge_set()
+        assert edge_set_of(h.rotated(3)) == edge_set_of(h)
+        assert edge_set_of(h.reversed_cycle()) == edge_set_of(h)
         assert h.rotated(3).seq[0] == h.seq[3]
         assert h.reversed_cycle().seq[0] == h.seq[0]
 
@@ -181,7 +183,7 @@ class TestNormalize:
         for h in q3_cycles:
             for p in dimension_profiles(h):
                 norm = p.normalized
-                assert norm.edge_set() == h.edge_set()
+                assert edge_set_of(norm) == edge_set_of(h)
                 assert edge_dim(norm.seq[0], norm.seq[1]) == p.dim
                 assert norm.seq[0] >> p.dim & 1 == 0
 

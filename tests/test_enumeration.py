@@ -19,11 +19,11 @@ from qube.enumeration import (
     sample_cycles,
     write_prefixes,
 )
-from qube.hypercube import edge_dim
+from qube.hypercube import edge_dim, parity_excluding
 
-ALL_PRUNE_CONFIGS = [
-    PruneConfig(balance, liveness) for balance in (True, False) for liveness in (True, False)
-]
+from conftest import edge_set_of
+
+ALL_PRUNE_CONFIGS = [PruneConfig.all(), PruneConfig.none()]
 
 
 def brute_force_cycle_edge_sets(n: int) -> set[frozenset[frozenset[int]]]:
@@ -42,13 +42,6 @@ def brute_force_cycle_edge_sets(n: int) -> set[frozenset[frozenset[int]]]:
                 )
             )
     return out
-
-
-def edge_set_of(h: HamiltonianCycle) -> frozenset[frozenset[int]]:
-    size = len(h.seq)
-    return frozenset(
-        frozenset((h.seq[k], h.seq[(k + 1) % size])) for k in range(size)
-    )
 
 
 class TestCanonicalForm:
@@ -97,9 +90,6 @@ class TestEnumerate:
         pruned = [h.seq for h in enumerate_cycles(3, PruneConfig.all())]
         plain = [h.seq for h in enumerate_cycles(3, PruneConfig.none())]
         assert pruned == plain  # same cycles, same order
-        half = [h.seq for h in enumerate_cycles(3, PruneConfig(True, False))]
-        other = [h.seq for h in enumerate_cycles(3, PruneConfig(False, True))]
-        assert half == plain and other == plain
 
     @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
     def test_q4_stream_is_the_same_under_every_prune_config(self, cfg, q4_cycles):
@@ -161,6 +151,18 @@ class TestPrefixSplitting:
         with pytest.raises(ValueError):
             path_prefixes(3, 8)
 
+    def test_deep_prefixes_of_a_large_cube_are_refused(self):
+        with pytest.raises(ValueError, match="use a smaller depth"):
+            path_prefixes(10, 1000)
+
+    def test_vertex_cap_counts_every_prefix_vertex(self, monkeypatch):
+        # six depth-2 prefixes of Q3 hold 18 vertices
+        monkeypatch.setattr(enumeration, "MAX_PREFIX_VERTICES", 18)
+        assert len(path_prefixes(3, 2)) == 6
+        monkeypatch.setattr(enumeration, "MAX_PREFIX_VERTICES", 17)
+        with pytest.raises(ValueError, match="more than 17 path vertices"):
+            path_prefixes(3, 2)
+
     def test_non_adjacent_step_names_both_vertices(self):
         with pytest.raises(ValueError, match="0 and 3 are not hypercube-adjacent"):
             list(enumerate_cycles(3, prefix=[0, 3]))
@@ -185,6 +187,54 @@ class TestPrefixSplitting:
         prefixes = path_prefixes(4, 2)
         assert read_prefixes(write_prefixes(prefixes)) == prefixes
         assert read_prefixes("0 1\n\n0 2\n") == [[0, 1], [0, 2]]
+
+
+def cube_edges(n: int) -> list[tuple[int, int, int]]:
+    """Every edge of the n-cube as (base, other end, slot ``2*i + class``)."""
+    return [
+        (u, u | 1 << i, 2 * i + parity_excluding(u, i))
+        for i in range(n)
+        for u in range(1 << n)
+        if not u >> i & 1
+    ]
+
+
+def tallies_from_scratch(
+    n: int, edges: list[tuple[int, int, int]], path: list[int]
+) -> tuple[list[int], list[int], set[int]]:
+    """The kernel's used and addable edge counts per slot, rebuilt from the
+    path alone, and the dimensions whose edge at vertex 0 is addable.  An
+    edge is addable while it is unused and neither endpoint is strict
+    interior (visited, but not vertex 0 and not the path end)."""
+    on_path = {(a & b, a | b) for a, b in zip(path, path[1:])}
+    interior = set(path[1:-1])
+    used, addable, open_at_0 = [0] * (2 * n), [0] * (2 * n), set()
+    for u, v, s in edges:
+        if (u, v) in on_path:
+            used[s] += 1
+        elif u not in interior and v not in interior:
+            addable[s] += 1
+            if not u:
+                open_at_0.add(s >> 1)
+    return used, addable, open_at_0
+
+
+class TestNoDimensionRunsOutOfEdges:
+    """Balance feasibility is the search's only prune because no path can
+    leave a dimension with neither a used nor an addable edge: while
+    dimension i is unused the path keeps bit i clear, so e_i is unvisited
+    and the edge {0, e_i} stays addable."""
+
+    @pytest.mark.parametrize("n,max_depth", [(4, 15), (5, 6)])
+    def test_every_simple_path_from_vertex_0(self, n, max_depth):
+        edges = cube_edges(n)
+        for depth in range(1, max_depth + 1):
+            for path in path_prefixes(n, depth):
+                used, addable, open_at_0 = tallies_from_scratch(n, edges, path)
+                for i in range(n):
+                    in_use = used[2 * i] + used[2 * i + 1]
+                    assert in_use + addable[2 * i] + addable[2 * i + 1], (path, i)
+                    assert in_use or i in open_at_0, (path, i)
 
 
 def random_simple_path(n: int, depth: int, rng: random.Random) -> list[int]:

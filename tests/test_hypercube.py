@@ -19,7 +19,6 @@ from qube.hypercube import (
     edge_class,
     edge_dim,
     gray_code,
-    insert_entry,
     isomorphism_violations,
     neighbors,
     parity,
@@ -53,29 +52,19 @@ class TestEntrySurgery:
         assert drop_entry(0b101, 2) == 0b01
         assert drop_entry(0b110, 1) == 0b10
 
-    def test_insert_entry_hand_checked(self):
-        assert insert_entry(0b01, 0, 1) == 0b011
-        assert insert_entry(0b01, 2, 1) == 0b101
-        assert insert_entry(0b10, 1, 1) == 0b110
-
     @given(st.integers(min_value=0, max_value=(1 << 24) - 1),
            st.integers(min_value=0, max_value=23))
-    def test_drop_then_insert_roundtrip(self, v, i):
-        assert insert_entry(drop_entry(v, i), i, v >> i & 1) == v
-
-    @given(st.integers(min_value=0, max_value=(1 << 23) - 1),
-           st.integers(min_value=0, max_value=23),
-           st.integers(min_value=0, max_value=1))
-    def test_insert_then_drop_roundtrip(self, w, i, bit):
-        assert drop_entry(insert_entry(w, i, bit), i) == w
+    def test_drop_entry_forgets_only_entry_i(self, v, i):
+        # both endpoints of the i-edge at v have the same image, the bits
+        # below i stay put and the bits above i move down by one
+        w = drop_entry(v, i)
+        assert drop_entry(v ^ (1 << i), i) == w
+        assert w % (1 << i) == v % (1 << i)
+        assert w >> i == v >> (i + 1)
 
     def test_errors(self):
         with pytest.raises(ValueError):
             drop_entry(5, -1)
-        with pytest.raises(ValueError):
-            insert_entry(5, -1)
-        with pytest.raises(ValueError):
-            insert_entry(5, 0, 2)
 
 
 class TestParityExcluding:
@@ -197,16 +186,10 @@ class TestDimEdge:
         with pytest.raises(ValueError):
             DimEdge(1, -1)
 
-    def test_from_endpoints_order_independent(self):
-        assert DimEdge.from_endpoints(6, 7) == DimEdge(6, 0)
-        assert DimEdge.from_endpoints(7, 6) == DimEdge(6, 0)
-        assert DimEdge.from_endpoints(5, 7) == DimEdge(5, 1)
-        with pytest.raises(ValueError):
-            DimEdge.from_endpoints(0, 3)
-
     def test_structural_equality(self):
-        assert DimEdge(2, 0) == DimEdge.from_endpoints(3, 2)
-        assert len({DimEdge(2, 0), DimEdge.from_endpoints(2, 3)}) == 1
+        assert DimEdge(2, 0) == DimEdge(2, 0)
+        assert DimEdge(2, 0) != DimEdge(2, 2)
+        assert len({DimEdge(2, 0), DimEdge(2, 0), DimEdge(0, 1)}) == 2
 
 
 class TestProjectionAndClass:
@@ -218,7 +201,7 @@ class TestProjectionAndClass:
         for _ in range(100):
             v = rng.randrange(1 << 8)
             i = rng.randrange(8)
-            e = DimEdge.from_endpoints(v, v ^ (1 << i))
+            e = DimEdge(v & ~(1 << i), i)
             assert dim_edge_project(e) == drop_entry(v, i) == drop_entry(v ^ (1 << i), i)
 
     def test_edge_class_hand_checked(self):
