@@ -293,6 +293,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     cfg = _prune_config(args.prune)
     if args.split_depth is not None and args.prefixes_out is None:
         raise ValueError("--split-depth requires --prefixes-out")
+    if args.prefixes_out is not None:
+        clash = [flag for flag, used in (
+            ("--prefixes-in", args.prefixes_in is not None),
+            ("--prefix-index", args.prefix_index is not None),
+            ("--out", args.out is not None),
+            ("--count-only", args.count_only),
+        ) if used]
+        if clash:
+            raise ValueError(f"--prefixes-out cannot be combined with {', '.join(clash)}")
     if args.prefix_index is not None and args.prefixes_in is None:
         raise ValueError("--prefix-index requires --prefixes-in")
     if args.prefixes_out is not None:

@@ -14,7 +14,11 @@ routes that must agree:
   independent set of size 2k.
 * ``direct`` -- branch over subsets of one class, tracking the common
   non-neighbors in the other class; the answer is twice the best
-  min(chosen, compatible) reached.
+  min(chosen, compatible) reached.  Each node is bounded twice: by
+  min(|chosen| + |candidates|, |compatible|), and by König's theorem on
+  the bipartite graph between the candidates and the compatible side,
+  where any matching M caps a completion's two sides at
+  |candidates| + |compatible| - |M| together.
 
 ``brute_force_equi`` is an exhaustive subset scan kept as an oracle for
 small graphs.  ``table1_rows`` reproduces the reference table of
@@ -202,7 +206,21 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     ``tmask`` of vertices in the other class not adjacent to any chosen
     vertex.  Any (sel, tmask) yields a balanced independent set of size
     2 * min(|sel|, |tmask|), and both quantities only shrink along a
-    branch, which gives the pruning bound.
+    branch, which gives the first pruning bound, min(|sel| + |cands|,
+    |tmask|).
+
+    The second is König's.  A completion adds some S' of ``cands`` and
+    keeps some T' of ``tmask`` with no edge between them, so S' + T' is
+    independent in the bipartite graph H between ``cands`` and ``tmask``,
+    and |S'| + |T'| <= |cands| + |tmask| - |M| for any matching M of H.
+    Its value is at most both |sel| + |S'| and |T'|, hence at most
+    (|sel| + |cands| + |tmask| - |M|) // 2.  M is built greedily, each
+    candidate in order taking its lowest free neighbour in ``tmask``;
+    a maximum matching cuts more nodes but costs more than it saves.
+
+    Both bounds only cut subtrees that cannot beat the incumbent, and the
+    incumbent changes only on a strict improvement, so the size and the
+    witness do not depend on which bounds are applied.
     """
     side0 = list(b.class0)
     side1 = list(b.class1)
@@ -220,6 +238,7 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
             if not adj[v] >> w & 1:
                 m |= 1 << p
         nonadj.append(m)
+    neigh = [full1 & ~m for m in nonadj]
     n0 = len(side0)
 
     # greedy seed: grow while the compatible side stays ahead
@@ -244,6 +263,16 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
         if len(sel) >= tcount:
             return  # growing sel can only shrink the minimum
         if min(len(sel) + len(cands), tcount) <= best:
+            return
+        # König bound with a greedy matching of cands into tmask
+        matched = 0
+        free = tmask
+        for j in cands:
+            hit = neigh[j] & free
+            if hit:
+                free ^= hit & -hit
+                matched += 1
+        if (len(sel) + len(cands) + tcount - matched) // 2 <= best:
             return
         depth1 = len(sel) + 1
         for pos, idx in enumerate(cands):

@@ -179,12 +179,15 @@ class TestTextFormat:
         assert parse_graph(format_graph(g)).adj == g.adj
 
 
-def random_bipartite(rng: random.Random, max_vertices: int = 14) -> BipartiteGraph:
-    """Seeded generator shared by the solver-equivalence sweeps."""
+def random_bipartite(
+    rng: random.Random, max_vertices: int = 14, density: float | None = None
+) -> BipartiteGraph:
+    """Seeded generator shared by the solver-equivalence sweeps; the edge
+    density is drawn per graph unless given."""
     n0 = rng.randint(0, max_vertices)
     n1 = rng.randint(0, max_vertices - n0)
     g = UndirectedGraph(n0 + n1)
-    p = rng.random()
+    p = rng.random() if density is None else density
     for u in range(n0):
         for v in range(n0, n0 + n1):
             if rng.random() < p:

@@ -41,6 +41,92 @@ def brute_force_mis(g: UndirectedGraph) -> int:
     return best
 
 
+def reference_direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
+    """The direct search as it was before the König matching bound: the
+    only bound is min(|sel| + |cands|, |tmask|).  Kept as the reference
+    that the bounded search must match, size and witness alike."""
+    side0 = list(b.class0)
+    side1 = list(b.class1)
+    if len(side1) < len(side0):
+        side0, side1 = side1, side0
+    if not side0:
+        return 0, []
+    adj = b.graph.adj
+    k1 = len(side1)
+    full1 = (1 << k1) - 1
+    nonadj: list[int] = []
+    for v in side0:
+        m = 0
+        for p, w in enumerate(side1):
+            if not adj[v] >> w & 1:
+                m |= 1 << p
+        nonadj.append(m)
+    n0 = len(side0)
+
+    seed_sel: list[int] = []
+    seed_mask = full1
+    for idx in range(n0):
+        t2 = seed_mask & nonadj[idx]
+        if t2.bit_count() > len(seed_sel):
+            seed_sel.append(idx)
+            seed_mask = t2
+    best = min(len(seed_sel), seed_mask.bit_count())
+    best_state = (seed_sel.copy(), seed_mask)
+
+    sel: list[int] = []
+
+    def search(cands: list[int], tmask: int, tcount: int) -> None:
+        nonlocal best, best_state
+        cur = min(len(sel), tcount)
+        if cur > best:
+            best = cur
+            best_state = (sel.copy(), tmask)
+        if len(sel) >= tcount:
+            return
+        if min(len(sel) + len(cands), tcount) <= best:
+            return
+        depth1 = len(sel) + 1
+        for pos, idx in enumerate(cands):
+            t2 = tmask & nonadj[idx]
+            c2 = t2.bit_count()
+            if c2 <= best or min(depth1 + len(cands) - pos - 1, c2) <= best:
+                continue
+            sel.append(idx)
+            tail = [
+                j for j in cands[pos + 1 :] if (t2 & nonadj[j]).bit_count() > best
+            ]
+            search(tail, t2, c2)
+            sel.pop()
+
+    search(list(range(n0)), full1, k1)
+    if best == 0:
+        return 0, []
+    chosen0 = [side0[i] for i in best_state[0][:best]]
+    chosen1: list[int] = []
+    mask = best_state[1]
+    while mask and len(chosen1) < best:
+        low = mask & -mask
+        chosen1.append(side1[low.bit_length() - 1])
+        mask ^= low
+    return 2 * best, sorted(chosen0 + chosen1)
+
+
+def induced_cube_subgraph(n: int, m: int, rng: random.Random) -> BipartiteGraph:
+    """A random m-vertex induced subgraph of Q_n, even vertices first and
+    forming class 0, each class in increasing label order."""
+    chosen = rng.sample(range(1 << n), m)
+    even = sorted(v for v in chosen if v.bit_count() % 2 == 0)
+    odd = sorted(v for v in chosen if v.bit_count() % 2 == 1)
+    index = {v: k for k, v in enumerate(even + odd)}
+    edges = [
+        (index[v], index[v ^ (1 << i)])
+        for v in even
+        for i in range(n)
+        if v ^ (1 << i) in index
+    ]
+    return BipartiteGraph(UndirectedGraph(m, edges), range(len(even)), range(len(even), m))
+
+
 def layered_balanced_set(n: int, low_weights: set[int], high_weights: set[int]) -> list[int]:
     """All n-cube vertices whose Hamming weight lies in one of the two
     weight windows; distinct windows two or more apart give independence."""
@@ -247,6 +333,37 @@ class TestEquiIndependence:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             equi_independence(hypercube_bipartite(3), method="guess")
+
+
+class TestDirectSearchMatchesTheReference:
+    """The König matching bound only cuts subtrees that cannot beat the
+    incumbent, so the direct search must return the reference's size and
+    witness exactly, not just an equally large set."""
+
+    @pytest.mark.parametrize("n,m,count", [(6, 56, 30), (7, 48, 30), (6, 20, 60)])
+    def test_induced_cube_subgraphs(self, n, m, count):
+        rng = random.Random(20261018 + m)
+        for _ in range(count):
+            b = induced_cube_subgraph(n, m, rng)
+            assert equi_independence(b, "direct") == reference_direct_balanced(b)
+
+    @pytest.mark.parametrize("density", [0.1, 0.4, 0.75])
+    def test_random_bipartite_graphs(self, density):
+        rng = random.Random(int(density * 100))
+        for _ in range(300):
+            b = random_bipartite(rng, max_vertices=28, density=density)
+            assert equi_independence(b, "direct") == reference_direct_balanced(b)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_hypercubes(self, n):
+        b = hypercube_bipartite(n)
+        assert equi_independence(b, "direct") == reference_direct_balanced(b)
+
+    def test_direct_equals_reduction_on_induced_subgraphs(self):
+        rng = random.Random(404)
+        for k in range(12):
+            b = induced_cube_subgraph(6, 20 + k % 5, rng)
+            assert equi_independence(b, "direct")[0] == equi_independence(b, "reduction")[0]
 
 
 class TestBruteForceEqui:
