@@ -302,9 +302,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         ) if used]
         if clash:
             raise ValueError(f"--prefixes-out cannot be combined with {', '.join(clash)}")
-    if args.prefix_index is not None and args.prefixes_in is None:
-        raise ValueError("--prefix-index requires --prefixes-in")
-    if args.prefixes_out is not None:
         if args.split_depth is None:
             raise ValueError("--prefixes-out requires --split-depth")
         prefixes = path_prefixes(args.n, args.split_depth)
@@ -312,6 +309,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f.write(write_prefixes(prefixes))
         _emit({"n": args.n, "prefix_count": len(prefixes)}, sys.stdout)
         return 0
+    if args.prefix_index is not None and args.prefixes_in is None:
+        raise ValueError("--prefix-index requires --prefixes-in")
 
     if args.prefixes_in is not None:
         with open(args.prefixes_in, "r", encoding="utf-8") as f:

@@ -210,7 +210,7 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     |tmask|).
 
     The second is König's.  A completion adds some S' of ``cands`` and
-    keeps some T' of ``tmask`` with no edge between them, so S' + T' is
+    keeps some T' of ``tmask`` with no edge between them, so S' ∪ T' is
     independent in the bipartite graph H between ``cands`` and ``tmask``,
     and |S'| + |T'| <= |cands| + |tmask| - |M| for any matching M of H.
     Its value is at most both |sel| + |S'| and |T'|, hence at most

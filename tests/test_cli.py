@@ -164,14 +164,12 @@ class TestEnumerate:
         assert f"requires {needs}" in err
 
     @pytest.mark.parametrize(
-        "flag,argv",
-        [("--prefixes-in", ["--prefixes-in", "missing.txt"]),
-         ("--prefix-index", ["--prefix-index", "4"]),
-         ("--out", ["--out", "o.jsonl"]),
-         ("--count-only", ["--count-only"])],
+        "argv",
+        [["--prefixes-in", "missing.txt"], ["--prefix-index", "4"],
+         ["--out", "o.jsonl"], ["--count-only"]],
         ids=["prefixes-in", "prefix-index", "out", "count-only"],
     )
-    def test_flags_that_clash_with_prefixes_out(self, capsys, monkeypatch, tmp_path, flag, argv):
+    def test_flags_that_clash_with_prefixes_out(self, capsys, monkeypatch, tmp_path, argv):
         monkeypatch.chdir(tmp_path)
         code, out, err = run(
             capsys, "enumerate", "--n", "3", "--split-depth", "2",
@@ -179,7 +177,7 @@ class TestEnumerate:
         )
         assert code == 2
         assert out == ""
-        assert f"--prefixes-out cannot be combined with {flag}" in err
+        assert f"--prefixes-out cannot be combined with {argv[0]}" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_too_many_prefix_vertices(self, capsys, monkeypatch, tmp_path):
