@@ -8,15 +8,17 @@ and the counting argument that forces inscribed squares (``pigeonhole``).
 Machine-readable JSON goes to stdout (corpora as one JSON object per
 line); human-readable summaries go to stderr.  Exit status: 0 when the
 requested property holds / the command succeeds, 1 when a counterexample
-or violation was found, 2 on usage or input errors.  The environment
-variable ``QUBE_THREADS`` sets the worker count for exhaustive ``verify``
-sweeps (default 1, capped at the CPU count; anything but a positive
-integer is a usage error).
+or violation was found, 2 on usage or input errors, 3 when the run could
+not finish (a ``RuntimeError``, such as a sampler that abandoned too many
+searches in a row).  The environment variable ``QUBE_THREADS`` sets the
+worker count for exhaustive ``verify`` sweeps (default 1, capped at the
+CPU count; anything but a positive integer is a usage error).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import multiprocessing
 import os
@@ -468,6 +470,7 @@ def cmd_pigeonhole(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qube",
@@ -477,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gray", help="emit the reflected Gray code cycle")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_gray)
 
     p = sub.add_parser("enumerate", help="enumerate all Hamiltonian cycles")
     p.add_argument("--n", type=int, required=True)
@@ -488,17 +490,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefixes-out", metavar="FILE")
     p.add_argument("--prefixes-in", metavar="FILE")
     p.add_argument("--prefix-index", type=int, metavar="K")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("analyze", help="chromatic vector and per-dimension profiles")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--dim", type=int)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("squares", help="list inscribed squares of cycles")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--first-only", action="store_true")
-    p.set_defaults(func=cmd_squares)
 
     p = sub.add_parser("verify", help="sweep a structural property over a corpus")
     p.add_argument("--n", type=int, required=True)
@@ -509,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", metavar="FILE")
     p.add_argument("--mode", choices=("equi", "independence"), default="equi",
                    help="threshold flavor for --property threshold")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("equiind", help="largest balanced independent set")
     group = p.add_mutually_exclusive_group(required=True)
@@ -517,12 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--graph", metavar="FILE")
     p.add_argument("--method", choices=("reduction", "direct", "oracle"),
                    default="direct")
-    p.set_defaults(func=cmd_equiind)
 
     p = sub.add_parser("reduce", help="write the pair graph of a bipartite graph")
     p.add_argument("--graph", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("table1", help="reproduce the reference table")
     p.add_argument("--max-n", type=int, default=7)
@@ -531,23 +527,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solve the balanced-independence number only for "
                         "n <= K (larger rows report sizes and the reference "
                         "value; the exact solve grows steeply with n)")
-    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("pigeonhole", help="square-forcing counting argument")
     p.add_argument("--max-n", type=int, default=7)
-    p.set_defaults(func=cmd_pigeonhole)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (OSError, ValueError, LookupError) as exc:
+        # looked up by name at call time, so a cmd_* replaced in this
+        # module's namespace (by a test or a tracer) is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
+    except (OSError, ValueError, LookupError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, RuntimeError) else 2
 
 
 if __name__ == "__main__":

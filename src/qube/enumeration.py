@@ -256,7 +256,7 @@ def sample_cycles(
     independent attempts may repeat a cycle.  Searches that exceed the node
     budget are abandoned and restarted with the next draws from the same
     generator; a long streak of abandoned attempts means the budget is too
-    small and raises ValueError instead of looping forever.
+    small and raises RuntimeError instead of looping forever.
 
     The stream is fixed for a seed, and seeded corpora are pinned test
     data, so it must not change between versions: the same generator
@@ -288,7 +288,7 @@ def sample_cycles(
         else:
             failures += 1
             if failures >= MAX_CONSECUTIVE_FAILURES:
-                raise ValueError(
+                raise RuntimeError(
                     f"{failures} abandoned searches in a row; "
                     f"max_nodes_per_attempt={max_nodes_per_attempt} is too "
                     f"small to sample cycles of the {n}-cube"

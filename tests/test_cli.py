@@ -1,13 +1,14 @@
 """End-to-end command-line behavior: JSON output, exit codes, corpus
 files, worker parallelism, and the counterexample persistence path."""
 
+import functools
 import json
 import warnings
 
 import pytest
 
 from qube import enumeration
-from qube.cli import main
+from qube.cli import build_parser, main
 from qube.cycles import DimensionProfile, gray_cycle, validate_cycle
 from qube.enumeration import enumerate_cycles
 from qube.graphs import (
@@ -368,6 +369,20 @@ class TestVerify:
         assert code == 2
         assert "n=3" in err
 
+    def test_sampler_exhaustion_is_not_a_usage_error(self, capsys, monkeypatch):
+        # a 2-node budget abandons every search, so the run cannot finish
+        monkeypatch.setattr(
+            "qube.cli.sample_cycles",
+            functools.partial(enumeration.sample_cycles, max_nodes_per_attempt=2),
+        )
+        code, out, err = run(
+            capsys, "verify", "--n", "4", "--sample", "1", "--seed", "0",
+            "--property", "balance",
+        )
+        assert code == 3
+        assert out == ""
+        assert "error:" in err and "abandoned searches in a row" in err
+
     def test_forced_violation_exits_one_and_persists(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -540,3 +555,48 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["equiind", "--hypercube", "3", "--graph", "x.bip"])
         assert exc.value.code == 2
+
+
+class TestDispatch:
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_a_replaced_command_runs_after_the_parser_is_built(
+        self, capsys, monkeypatch
+    ):
+        run(capsys, "gray", "--n", "1")
+        calls = []
+        monkeypatch.setattr(
+            "qube.cli.cmd_gray", lambda args: calls.append(args.n) or 0
+        )
+        code, out, _ = run(capsys, "gray", "--n", "2")
+        assert code == 0
+        assert calls == [2]
+        assert out == ""
+
+    def test_no_flag_carries_over_between_calls(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "enumerate", "--n", "3", "--count-only")
+        assert code == 0
+        count = json.loads(out)["count"]
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "3", "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        target = tmp_path / "q3.jsonl"
+        code, out, _ = run(capsys, "enumerate", "--n", "3", "--out", str(target))
+        assert code == 0
+        assert out == ""
+        assert len(target.read_text().splitlines()) == count
+
+    def test_a_seed_does_not_carry_over_between_calls(self, capsys):
+        code, _, _ = run(
+            capsys, "verify", "--n", "4", "--property", "balance",
+            "--sample", "2", "--seed", "1",
+        )
+        assert code == 0
+        code, out, err = run(
+            capsys, "verify", "--n", "4", "--property", "balance", "--sample", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err

@@ -402,7 +402,7 @@ class TestSampling:
             assert canonical_form(h) == unique
 
     def test_budget_guard_raises_instead_of_spinning(self):
-        with pytest.raises(ValueError, match="too small"):
+        with pytest.raises(RuntimeError, match="too small"):
             sample_cycles(4, seed=0, k=1, max_nodes_per_attempt=2)
         assert MAX_CONSECUTIVE_FAILURES >= 100
 
