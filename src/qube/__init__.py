@@ -53,13 +53,9 @@ from .graphs import (
 )
 from .hypercube import (
     MAX_DIM,
-    DimEdge,
-    dim_edge_project,
     drop_entry,
-    edge_class,
     edge_dim,
     gray_code,
-    neighbors,
     parity,
     parity_excluding,
 )

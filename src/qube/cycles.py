@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .hypercube import (
-    DimEdge,
     check_dimension,
     edge_dim,
     gray_code,
@@ -225,13 +224,14 @@ class DimensionProfile:
     ``parity_list`` is built by the alternating gap recurrence from the
     first vertex; ``parity_direct`` reads the class of each i-edge straight
     off the normalized cycle.  On every valid cycle the two agree.
+    ``edge_list`` holds each i-edge as its endpoints, bit i clear first.
     """
 
     dim: int
     normalized: HamiltonianCycle
     index_list: tuple[int, ...]
     start_vertices: tuple[int, ...]
-    edge_list: tuple[DimEdge, ...]
+    edge_list: tuple[tuple[int, int], ...]
     segments: tuple[int, ...]
     parity_list: tuple[int, ...]
     parity_direct: tuple[int, ...]
@@ -252,7 +252,7 @@ class DimensionProfile:
             "dim": self.dim,
             "index_list": list(self.index_list),
             "start_vertices": list(self.start_vertices),
-            "edge_list": [list(e.endpoints()) for e in self.edge_list],
+            "edge_list": [list(e) for e in self.edge_list],
             "segments": list(self.segments),
             "parity_list": list(self.parity_list),
             "balanced": self.balanced,
@@ -271,7 +271,8 @@ def _profile(h: HamiltonianCycle, i: int, positions: list[int]) -> DimensionProf
     norm = h.rotated(shift)
     idx = sorted((k - shift) % size for k in positions)
     starts = [norm.seq[k] for k in idx]
-    edges = [DimEdge(v & ~(1 << i), i) for v in starts]
+    bit = 1 << i
+    edges = [(v & ~bit, v | bit) for v in starts]
     gaps = [b - a for a, b in zip(idx, idx[1:] + [size])]
     bits = [parity_excluding(starts[0], i)]
     for gap in gaps[:-1]:

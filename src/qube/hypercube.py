@@ -4,15 +4,16 @@ Vertices are plain integers in ``0 .. 2**n - 1``.  Entry ``i`` of the
 vector notation ``(v_0, ..., v_{n-1})`` is bit ``i``, least significant
 first, so the unit vector ``e_i`` is ``1 << i``, flipping entry ``i`` is an
 XOR, and deleting entry ``i`` is a shift-and-mask.  Two vertices are
-adjacent when they differ in exactly one entry.
+adjacent when they differ in exactly one entry.  An *i-edge* joins ``b`` and
+``b | 1 << i`` and is named by its base ``b`` (bit ``i`` clear) and ``i``:
+``drop_entry(b, i)`` projects it into the (n-1)-cube, and
+``parity_excluding(b, i)`` is its class.
 
 ``MAX_DIM`` caps the dimension so every vertex fits comfortably in one
 machine word and per-dimension tables stay small.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 MAX_DIM = 24
 
@@ -53,12 +54,6 @@ def parity_excluding(v: int, i: int) -> int:
     return (v.bit_count() ^ (v >> i)) & 1
 
 
-def neighbors(v: int, n: int) -> list[int]:
-    """The n vertices adjacent to v, in increasing dimension order."""
-    check_vertex(v, n)
-    return [v ^ (1 << i) for i in range(n)]
-
-
 def edge_dim(u: int, v: int) -> int:
     """Dimension of the edge {u, v}; raises ValueError if not adjacent."""
     x = u ^ v
@@ -77,49 +72,6 @@ def gray_code(n: int) -> list[int]:
     """
     check_dimension(n)
     return [i ^ (i >> 1) for i in range(1 << n)]
-
-
-@dataclass(frozen=True, order=True)
-class DimEdge:
-    """An edge of the n-cube whose endpoints differ exactly at entry ``dim``.
-
-    Canonical form: ``base`` is the endpoint with bit ``dim`` clear, so two
-    DimEdge values are equal iff they name the same unordered edge.
-    """
-
-    base: int
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.dim < 0:
-            raise ValueError(f"dimension must be nonnegative, got {self.dim}")
-        if self.base < 0 or self.base >> self.dim & 1:
-            raise ValueError(f"base {self.base} must have bit {self.dim} clear")
-
-    @property
-    def other(self) -> int:
-        """The endpoint with bit ``dim`` set."""
-        return self.base | (1 << self.dim)
-
-    def endpoints(self) -> tuple[int, int]:
-        return (self.base, self.other)
-
-
-def dim_edge_project(edge: DimEdge) -> int:
-    """Project an i-edge to a vertex of the (n-1)-cube by deleting entry i.
-
-    Both endpoints of the edge project to the same value.
-    """
-    return drop_entry(edge.base, edge.dim)
-
-
-def edge_class(edge: DimEdge) -> int:
-    """Bipartition class (0 or 1) of an i-edge.
-
-    Defined as the parity of either endpoint with entry i suppressed; the
-    two endpoints agree because they differ only at entry i.
-    """
-    return parity(dim_edge_project(edge))
 
 
 def isomorphism_violations(n: int) -> tuple[int, list[dict]]:

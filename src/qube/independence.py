@@ -307,15 +307,20 @@ def equi_independence(b: BipartiteGraph, method: str = "direct") -> tuple[int, l
 
     ``method`` selects the route: "reduction" (pair graph + maximum
     independent set) or "direct" (balanced branch and bound).  The two
-    always agree; keeping both is the point.
+    always agree; keeping both is the point.  Either route's witness is
+    checked before it is returned; a bad one raises AssertionError.
     """
     if method == "reduction":
         red = equi_reduction(b)
         size, pair_set = max_independent_set(red.graph)
-        return 2 * size, unpack_pair_witness(red, pair_set)
-    if method == "direct":
-        return _direct_balanced(b)
-    raise ValueError(f"unknown method {method!r}")
+        size, witness = 2 * size, unpack_pair_witness(red, pair_set)
+    elif method == "direct":
+        size, witness = _direct_balanced(b)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if not (is_independent(b.graph, witness) and is_balanced(b, witness)):
+        raise AssertionError(f"the {method} solver returned an invalid witness")
+    return size, witness
 
 
 def brute_force_equi(b: BipartiteGraph) -> int:
@@ -385,8 +390,6 @@ def table1_rows(
         ref_alpha = ALPHA_EQUI_HYPERCUBE.get(n)
         if n <= alpha_max_n:
             alpha, witness = equi_independence(b, method=method)
-            if not (is_independent(b.graph, witness) and is_balanced(b, witness)):
-                raise AssertionError(f"solver returned an invalid witness for n={n}")
             matches = ref_alpha is None or ref_alpha == alpha
             attained = alpha == 1 << (n - 2)
         else:

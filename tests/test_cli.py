@@ -361,6 +361,20 @@ class TestVerify:
         assert code == 2
         assert "required" in err
 
+    @pytest.mark.parametrize(
+        "source",
+        [["--in", "missing.jsonl"], ["--sample", "2", "--seed", "1"]],
+        ids=["in", "sample"],
+    )
+    def test_a_second_corpus_source_is_a_usage_error(self, capsys, source):
+        # the sweep must not run on one source and ignore the other
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "3", "--property", "balance", "--exhaustive", *source])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument --exhaustive" in captured.err
+
     def test_file_dimension_mismatch(self, capsys, tmp_path):
         corpus = write_cycles(tmp_path / "g3.jsonl", [gray_cycle(3)])
         code, _, err = run(

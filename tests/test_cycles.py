@@ -24,7 +24,7 @@ from qube.cycles import (
     permute_dims,
     validate_cycle,
 )
-from qube.hypercube import DimEdge, edge_class, edge_dim, parity_excluding
+from qube.hypercube import drop_entry, edge_dim, parity, parity_excluding
 
 from conftest import edge_set_of
 
@@ -214,9 +214,7 @@ class TestDimensionProfile:
         assert p.segments == (2, 2, 2, 2)
         assert p.parity_list == (0, 1, 0, 1)
         assert p.start_vertices == (0, 3, 6, 5)
-        assert p.edge_list == (
-            DimEdge(0, 0), DimEdge(2, 0), DimEdge(6, 0), DimEdge(4, 0),
-        )
+        assert p.edge_list == ((0, 1), (2, 3), (6, 7), (4, 5))
         assert p.parity_direct == p.parity_list
 
     def test_hand_checked_dim2(self):
@@ -246,6 +244,18 @@ class TestDimensionProfile:
                 direct = tuple(parity_excluding(seq[k], i) for k in p.index_list)
                 assert p.parity_list == direct == p.parity_direct
 
+    def test_edge_list_names_each_i_edge_by_its_endpoints(self, q4_cycles, q5_samples):
+        # entry k is (base, top) of the i-edge leaving start vertex k, with
+        # bit i clear in the base, and its class is the direct parity
+        for h in q4_cycles + q5_samples:
+            for p in dimension_profiles(h):
+                assert len(p.edge_list) == len(p.start_vertices)
+                for k, (a, b) in enumerate(p.edge_list):
+                    assert a >> p.dim & 1 == 0
+                    assert b == a | 1 << p.dim
+                    assert p.start_vertices[k] in (a, b)
+                    assert parity(drop_entry(a, p.dim)) == p.parity_direct[k]
+
     def test_all_dimensions_at_once_match_one_at_a_time(self, q4_cycles):
         for h in q4_cycles[:60]:
             for image in (h, h.rotated(5), h.reversed_cycle().rotated(9)):
@@ -266,7 +276,7 @@ class TestBalanceAndSegments:
         # balance read off the parity recurrence against the edge classes
         for h in q3_cycles:
             for p in dimension_profiles(h):
-                classes = [edge_class(e) for e in p.edge_list]
+                classes = [parity(drop_entry(a, p.dim)) for a, _ in p.edge_list]
                 assert p.balanced == (classes.count(0) == classes.count(1))
                 assert check_balance(h, p.dim) == p.balanced
 

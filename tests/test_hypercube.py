@@ -1,5 +1,6 @@
 """Bit-level vertex model: parity maps, entry surgery, adjacency, Gray
-codes, dimension edges and dimension graphs."""
+codes, dimension edges and dimension graphs.  An i-edge is named by its
+base, the endpoint with bit i clear."""
 
 import random
 
@@ -11,16 +12,12 @@ from qube import hypercube
 from qube.cycles import validate_cycle
 from qube.hypercube import (
     MAX_DIM,
-    DimEdge,
     check_dimension,
     check_vertex,
-    dim_edge_project,
     drop_entry,
-    edge_class,
     edge_dim,
     gray_code,
     isomorphism_violations,
-    neighbors,
     parity,
     parity_excluding,
 )
@@ -91,25 +88,6 @@ class TestParityExcluding:
             assert parity_excluding(v, i) == parity_excluding(v ^ (1 << i), i)
 
 
-class TestNeighbors:
-    def test_hand_checked_values(self):
-        assert neighbors(0, 3) == [1, 2, 4]
-        assert neighbors(5, 3) == [4, 7, 1]
-
-    def test_count_and_distance(self):
-        for v in range(16):
-            out = neighbors(v, 4)
-            assert len(out) == 4
-            assert all((v ^ u).bit_count() == 1 for u in out)
-            assert len(set(out)) == 4
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            neighbors(8, 3)
-        with pytest.raises(ValueError):
-            neighbors(0, 0)
-
-
 class TestEdgeDim:
     def test_values(self):
         assert edge_dim(0, 1) == 0
@@ -176,96 +154,82 @@ class TestChecks:
             check_vertex(-1, 3)
 
 
-class TestDimEdge:
-    def test_canonical_base_has_bit_clear(self):
-        e = DimEdge(6, 0)
-        assert e.endpoints() == (6, 7)
-        assert e.other == 7
-        with pytest.raises(ValueError):
-            DimEdge(7, 0)  # bit 0 of the base must be clear
-        with pytest.raises(ValueError):
-            DimEdge(1, -1)
-
-    def test_structural_equality(self):
-        assert DimEdge(2, 0) == DimEdge(2, 0)
-        assert DimEdge(2, 0) != DimEdge(2, 2)
-        assert len({DimEdge(2, 0), DimEdge(2, 0), DimEdge(0, 1)}) == 2
-
-
 class TestProjectionAndClass:
     def test_projection_hand_checked(self):
-        assert dim_edge_project(DimEdge(0, 0)) == 0  # {0,1} in the 2-cube
-        assert dim_edge_project(DimEdge(6, 0)) == 3  # {6,7} in the 3-cube
+        assert drop_entry(0, 0) == 0  # {0,1} in the 2-cube
+        assert drop_entry(6, 0) == 3  # {6,7} in the 3-cube
 
     def test_projection_same_for_both_endpoints(self):
         for _ in range(100):
             v = rng.randrange(1 << 8)
             i = rng.randrange(8)
-            e = DimEdge(v & ~(1 << i), i)
-            assert dim_edge_project(e) == drop_entry(v, i) == drop_entry(v ^ (1 << i), i)
+            base = v & ~(1 << i)
+            assert drop_entry(base, i) == drop_entry(v, i) == drop_entry(v ^ (1 << i), i)
 
     def test_edge_class_hand_checked(self):
-        assert edge_class(DimEdge(0, 0)) == 0  # {0,1}: nothing left
-        assert edge_class(DimEdge(2, 0)) == 1  # {2,3}: weight 1 remains
-        assert edge_class(DimEdge(6, 0)) == 0  # {6,7}: weight 2 remains
+        assert parity(drop_entry(0, 0)) == 0  # {0,1}: nothing left
+        assert parity(drop_entry(2, 0)) == 1  # {2,3}: weight 1 remains
+        assert parity(drop_entry(6, 0)) == 0  # {6,7}: weight 2 remains
 
 
-def i_edges(n: int, i: int) -> list[DimEdge]:
-    return [DimEdge(b, i) for b in range(1 << n) if not b >> i & 1]
+def i_edges(n: int, i: int) -> list[int]:
+    """The bases of the i-edges of the n-cube."""
+    return [b for b in range(1 << n) if not b >> i & 1]
 
 
-def translates(e: DimEdge, n: int) -> list[DimEdge]:
-    """The i-edges adjacent to e in the dimension graph: its translates
-    along every other dimension."""
-    return [DimEdge(e.base ^ (1 << j), e.dim) for j in range(n) if j != e.dim]
+def translates(b: int, i: int, n: int) -> list[int]:
+    """The i-edges adjacent to the i-edge at base b in the dimension graph:
+    its translates along every other dimension."""
+    return [b ^ (1 << j) for j in range(n) if j != i]
 
 
 class TestDimensionGraph:
     def test_two_cube(self):
-        assert i_edges(2, 0) == [DimEdge(0, 0), DimEdge(2, 0)]
-        assert translates(DimEdge(0, 0), 2) == [DimEdge(2, 0)]
-        assert [dim_edge_project(e) for e in i_edges(2, 0)] == [0, 1]
+        assert i_edges(2, 0) == [0, 2]
+        assert translates(0, 0, 2) == [2]
+        assert [drop_entry(b, 0) for b in i_edges(2, 0)] == [0, 1]
         assert isomorphism_violations(2) == (2, [])
 
     def test_three_cube_hand_checked_edges(self):
         # the four adjacencies among 0-edges of the 3-cube, and their images
         expected = {
-            (DimEdge(0, 0), DimEdge(2, 0)): (0, 1),
-            (DimEdge(0, 0), DimEdge(4, 0)): (0, 2),
-            (DimEdge(2, 0), DimEdge(6, 0)): (1, 3),
-            (DimEdge(4, 0), DimEdge(6, 0)): (2, 3),
+            (0, 2): (0, 1),
+            (0, 4): (0, 2),
+            (2, 6): (1, 3),
+            (4, 6): (2, 3),
         }
         found = {
-            (a, b) for a in i_edges(3, 0) for b in translates(a, 3) if a < b
+            (a, b) for a in i_edges(3, 0) for b in translates(a, 0, 3) if a < b
         }
         assert found == set(expected)
         for (a, b), image in expected.items():
-            assert (dim_edge_project(a), dim_edge_project(b)) == image
+            assert (drop_entry(a, 0), drop_entry(b, 0)) == image
 
     @pytest.mark.parametrize("n,i", [(2, 0), (3, 1), (4, 0), (4, 3), (5, 2)])
     def test_order_and_regularity(self, n, i):
-        edges = i_edges(n, i)
-        assert len(edges) == 1 << (n - 1)
-        for e in edges:
-            images = {dim_edge_project(f) for f in translates(e, n)}
-            assert images == set(neighbors(dim_edge_project(e), n - 1))
+        bases = i_edges(n, i)
+        assert len(bases) == 1 << (n - 1)
+        for b in bases:
+            images = {drop_entry(f, i) for f in translates(b, i, n)}
+            p = drop_entry(b, i)
+            assert images == {p ^ 1 << j for j in range(n - 1)}
         assert isomorphism_violations(n) == (n, [])
 
     @pytest.mark.parametrize("n,i", [(3, 0), (4, 2)])
     def test_classes_split_evenly(self, n, i):
-        classes = [edge_class(e) for e in i_edges(n, i)]
+        classes = [parity(drop_entry(b, i)) for b in i_edges(n, i)]
         assert classes.count(0) == classes.count(1) == 1 << (n - 2)
         # every translate along another dimension flips the class
-        for e in i_edges(n, i):
-            for f in translates(e, n):
-                assert edge_class(e) != edge_class(f)
+        for b in i_edges(n, i):
+            for f in translates(b, i, n):
+                assert parity(drop_entry(b, i)) != parity(drop_entry(f, i))
 
     def test_projection_is_isomorphism_small_oracle(self):
         # independent route for the 3-cube: rebuild the image graph by hand
         mapped = {
-            frozenset({dim_edge_project(a), dim_edge_project(b)})
+            frozenset({drop_entry(a, 1), drop_entry(b, 1)})
             for a in i_edges(3, 1)
-            for b in translates(a, 3)
+            for b in translates(a, 1, 3)
         }
         square = {  # the 2-cube's four edges
             frozenset({0, 1}),
@@ -274,7 +238,7 @@ class TestDimensionGraph:
             frozenset({2, 3}),
         }
         assert mapped == square
-        assert sorted(dim_edge_project(e) for e in i_edges(3, 0)) == [0, 1, 2, 3]
+        assert sorted(drop_entry(b, 0) for b in i_edges(3, 0)) == [0, 1, 2, 3]
 
     def test_errors(self):
         with pytest.raises(ValueError, match="dimension graphs need n >= 2"):
@@ -282,8 +246,6 @@ class TestDimensionGraph:
         for n in (0, MAX_DIM + 1):
             with pytest.raises(ValueError, match="dimension must be an integer"):
                 isomorphism_violations(n)
-        with pytest.raises(ValueError):
-            DimEdge(0, -1)
 
     def test_wrong_projection_is_reported(self, monkeypatch):
         def shuffled(v, i):  # a bijection that breaks adjacency

@@ -334,6 +334,20 @@ class TestEquiIndependence:
         with pytest.raises(ValueError):
             equi_independence(hypercube_bipartite(3), method="guess")
 
+    @pytest.mark.parametrize(
+        "method,name,fake",
+        [
+            ("direct", "_direct_balanced", lambda b: (2, [0, 1])),
+            ("reduction", "unpack_pair_witness", lambda red, pairs: [0, 1]),
+        ],
+        ids=["direct", "reduction"],
+    )
+    def test_an_invalid_witness_is_caught(self, monkeypatch, method, name, fake):
+        # 0 and 1 are adjacent in the 3-cube: balanced, but not independent
+        monkeypatch.setattr(f"qube.independence.{name}", fake)
+        with pytest.raises(AssertionError, match="invalid witness"):
+            equi_independence(hypercube_bipartite(3), method=method)
+
 
 class TestDirectSearchMatchesTheReference:
     """The König matching bound only cuts subtrees that cannot beat the
