@@ -10,9 +10,10 @@ line); human-readable summaries go to stderr.  Exit status: 0 when the
 requested property holds / the command succeeds, 1 when a counterexample
 or violation was found, 2 on usage or input errors, 3 when the run could
 not finish (a ``RuntimeError``, such as a sampler that abandoned too many
-searches in a row).  The environment variable ``QUBE_THREADS`` sets the
-worker count for exhaustive ``verify`` sweeps (default 1, capped at the
-CPU count; anything but a positive integer is a usage error).
+searches in a row, or a solver witness that fails its check).  The
+environment variable ``QUBE_THREADS`` sets the worker count for exhaustive
+``verify`` sweeps (default 1, capped at the CPU count; anything but a
+positive integer is a usage error).
 """
 
 from __future__ import annotations
@@ -197,8 +198,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
     mode = args.mode
     start = time.perf_counter()
+    if args.seed is not None and args.sample is None:
+        raise ValueError("--seed requires --sample")
 
     if prop == "isomorphism":
+        # it checks every dimension graph of the n-cube, which is what
+        # --exhaustive asks for; a corpus would go unread
+        for flag, value in (("--sample", args.sample), ("--in", args.infile)):
+            if value is not None:
+                raise ValueError(f"--property isomorphism reads no corpus; drop {flag}")
         checked, violations = isomorphism_violations(n)
         report = VerifyReport(
             prop,

@@ -7,23 +7,34 @@ tree can be partitioned into fixed-depth path prefixes for splitting work
 across processes; the union of the per-prefix emissions equals the
 sequential stream.
 
-One sound prune is available (the emitted set never changes, only the
-work): *balance feasibility* abandons a partial path when some dimension's
-class imbalance already exceeds the edges that could still restore it.  By
-the parity-balance theorem every cycle splits each dimension's edges evenly
-between the two classes, so no completion is lost.
+Two sound prunes are available (the emitted set never changes, only the
+work).  Both count *addable* edges: an edge is addable while it is unused
+and neither endpoint is strict interior of the path (visited, but not
+vertex 0 and not the path end); an edge that stops being addable never
+becomes addable again below that node.
+
+- *Balance feasibility* abandons a partial path when some dimension's
+  class imbalance already exceeds the addable edges that could restore
+  it.  By the parity-balance theorem every cycle splits each dimension's
+  edges evenly between the two classes, so no completion is lost.
+- *Free edges* abandons a partial path when an unvisited vertex has fewer
+  than two addable edges, or vertex 0 has no addable edge left to close
+  the cycle: a cycle through the path uses two edges at each unvisited
+  vertex and one more at vertex 0, all of them addable now.
 
 The search is one iterative loop over an explicit stack.  A neighbour
 table built per call gives, for each vertex, its neighbours in dimension
-order together with each edge's *slot* ``2*i + class``, and the used and
-addable edge counts are two flat lists indexed by slot.  A step touches
-at most one slot per dimension, and the node it extends passed the
-prune, so only the slots the step changed are re-checked; the full check
-over every slot runs once, after a prefix has been pushed.  The
-stack keeps, for each depth, the candidate steps not yet tried and the
-slot of the edge into that path vertex, so the path depth 2^n meets no
-recursion limit.  The table has n·2^n entries (about 125 MB at n = 16),
-so enumeration supports 2 <= n <= 16, the sampler's range.
+order together with each edge's *slot* ``2*i + class``; the used and
+addable edge counts are two flat lists indexed by slot, and a third list
+counts each vertex's free edges.  A step changes at most one slot per
+dimension and only the free counts of the open neighbours of the vertex
+it makes interior, and the node it extends passed both prunes, so only
+what the step changed is re-checked; the full check over every slot and
+vertex runs once, after a prefix has been pushed.  The stack keeps, for
+each depth, the candidate steps not yet tried and the slot of the edge
+into that path vertex, so the path depth 2^n meets no recursion limit.
+The table has n·2^n entries (about 125 MB at n = 16), so enumeration
+supports 2 <= n <= 16, the sampler's range.
 """
 
 from __future__ import annotations
@@ -46,14 +57,15 @@ class PruneConfig:
     """Which sound search-space reductions to apply during enumeration."""
 
     balance_feasibility: bool = True
+    free_edges: bool = True
 
     @classmethod
     def all(cls) -> "PruneConfig":
-        return cls(True)
+        return cls(True, True)
 
     @classmethod
     def none(cls) -> "PruneConfig":
-        return cls(False)
+        return cls(False, False)
 
 
 def canonical_form(h: HamiltonianCycle) -> HamiltonianCycle:
@@ -111,7 +123,8 @@ def enumerate_cycles(
     """
     steps = [0] if prefix is None else list(prefix)
     check_search_args(n, steps)
-    balance = (PruneConfig() if prunes is None else prunes).balance_feasibility
+    cfg = PruneConfig() if prunes is None else prunes
+    balance, degree = cfg.balance_feasibility, cfg.free_edges
     table = _neighbour_table(n)
     # moves[k]: the table entry of the prefix step from depth k to k + 1
     moves = [table[u][(u ^ v).bit_length() - 1] for u, v in zip(steps, steps[1:])]
@@ -123,6 +136,10 @@ def enumerate_cycles(
     # interior of the path (visited, but not vertex 0 and not the path end).
     used = [0] * (2 * n)
     addable = [1 << (n - 2)] * (2 * n)
+    # free[w]: edges at w that are on the path or addable.  For an open
+    # vertex (unvisited, or vertex 0) only the retire loop lowers it, and
+    # a cycle through the path needs two of them: the free-edges prune.
+    free = [n] * size
     path = [0] * size
     into = [0] * size  # into[k]: slot of the edge from path[k - 1] to path[k]
     seen = bytearray(size)
@@ -150,17 +167,18 @@ def enumerate_cycles(
                 for w, t in table[u]:
                     if w != v and w != pred and (not w or not seen[w]):
                         addable[t] += 1
+                        free[w] += 1
             continue
 
         u = path[k]
         used[s] += 1
         addable[s] -= 1
-        # The node before this push passed the prune, and a push changes
+        # The node before this push passed the prunes, and a push changes
         # the tallies of each dimension at most once (u has one edge per
         # dimension), so re-checking just what it changed gives the same
         # verdict as a check over every dimension.  The pushed edge can only
         # break its dimension's balance the one way; a retired edge can only
-        # lower its own class's addable count.
+        # lower its own class's addable count and its open end's free count.
         ok = not balance or used[s] - used[s ^ 1] <= addable[s ^ 1]
         if u:
             # u becomes interior: its unused edges to open vertices retire
@@ -171,6 +189,10 @@ def enumerate_cycles(
                     addable[t] = left
                     if balance and used[t ^ 1] - used[t] > left:
                         ok = False
+                    left = free[w] - 1
+                    free[w] = left
+                    if degree and left < 2:
+                        ok = False
         k += 1
         path[k] = v
         into[k] = s
@@ -180,10 +202,13 @@ def enumerate_cycles(
             continue
         if k == base:
             # each slot's edges, less the other class's, fit in what the
-            # other class can still add
-            ok = not balance or all(
+            # other class can still add, and each open vertex keeps two
+            # free edges
+            ok = (not balance or all(
                 used[t] - used[t ^ 1] <= addable[t ^ 1] for t in range(2 * n)
-            )
+            )) and (not degree or all(
+                free[w] >= 2 for w in range(size) if not w or not seen[w]
+            ))
         if ok and k == size - 1:
             # a full path closes to vertex 0 when v is a unit vector, and is
             # canonical when its first dimension is below its last

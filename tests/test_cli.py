@@ -349,6 +349,33 @@ class TestVerify:
         assert out == ""
         assert "error: dimension must be an integer in 1..24, got 0" in err
 
+    @pytest.mark.parametrize(
+        "corpus",
+        [["--in", "/nonexistent.jsonl"], ["--sample", "3", "--seed", "1"]],
+        ids=["in", "sample"],
+    )
+    def test_isomorphism_reads_no_corpus(self, capsys, corpus):
+        code, out, err = run(
+            capsys, "verify", "--n", "3", "--property", "isomorphism", *corpus
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error: --property isomorphism reads no corpus; drop {corpus[0]}" in err
+
+    @pytest.mark.parametrize(
+        "prop,corpus",
+        [("balance", ["--exhaustive"]), ("balance", ["--in", "missing.jsonl"]),
+         ("isomorphism", [])],
+        ids=["exhaustive", "in", "isomorphism"],
+    )
+    def test_seed_requires_sample(self, capsys, prop, corpus):
+        code, out, err = run(
+            capsys, "verify", "--n", "3", "--property", prop, *corpus, "--seed", "5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: --seed requires --sample" in err
+
     def test_sample_requires_seed(self, capsys):
         code, _, err = run(
             capsys, "verify", "--n", "4", "--property", "balance", "--sample", "5"
@@ -466,6 +493,15 @@ class TestEquiind:
         code, _, err = run(capsys, "equiind", "--graph", "missing.bip")
         assert code == 2
         assert "error:" in err
+
+    def test_an_invalid_witness_is_not_a_counterexample(self, capsys, monkeypatch):
+        # 0 and 1 are adjacent in the 3-cube: a solver fault, so the run
+        # could not finish (exit 3), not a found counterexample (exit 1)
+        monkeypatch.setattr("qube.independence._direct_balanced", lambda b: (2, [0, 1]))
+        code, out, err = run(capsys, "equiind", "--hypercube", "3")
+        assert code == 3
+        assert out == ""
+        assert "error: the direct solver returned an invalid witness" in err
 
 
 class TestReduce:

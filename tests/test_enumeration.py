@@ -23,7 +23,14 @@ from qube.hypercube import edge_dim, parity_excluding
 
 from conftest import edge_set_of
 
-ALL_PRUNE_CONFIGS = [PruneConfig.all(), PruneConfig.none()]
+# all(), none(), then each prune alone: the ids cfg0 and cfg1 keep naming
+# all() and none()
+ALL_PRUNE_CONFIGS = [
+    PruneConfig.all(),
+    PruneConfig.none(),
+    PruneConfig(balance_feasibility=True, free_edges=False),
+    PruneConfig(balance_feasibility=False, free_edges=True),
+]
 
 
 def brute_force_cycle_edge_sets(n: int) -> set[frozenset[frozenset[int]]]:
@@ -87,9 +94,11 @@ class TestEnumerate:
         assert {edge_set_of(h) for h in q3_cycles} == brute_force_cycle_edge_sets(3)
 
     def test_prunes_never_change_the_output(self):
-        pruned = [h.seq for h in enumerate_cycles(3, PruneConfig.all())]
-        plain = [h.seq for h in enumerate_cycles(3, PruneConfig.none())]
-        assert pruned == plain  # same cycles, same order
+        for n in (2, 3):
+            plain = [h.seq for h in enumerate_cycles(n, PruneConfig.none())]
+            for cfg in ALL_PRUNE_CONFIGS:
+                # same cycles, same order
+                assert [h.seq for h in enumerate_cycles(n, cfg)] == plain, (n, cfg)
 
     @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
     def test_q4_stream_is_the_same_under_every_prune_config(self, cfg, q4_cycles):
@@ -201,40 +210,102 @@ def cube_edges(n: int) -> list[tuple[int, int, int]]:
 
 def tallies_from_scratch(
     n: int, edges: list[tuple[int, int, int]], path: list[int]
-) -> tuple[list[int], list[int], set[int]]:
+) -> tuple[list[int], list[int], set[int], list[int]]:
     """The kernel's used and addable edge counts per slot, rebuilt from the
-    path alone, and the dimensions whose edge at vertex 0 is addable.  An
-    edge is addable while it is unused and neither endpoint is strict
-    interior (visited, but not vertex 0 and not the path end)."""
+    path alone, the dimensions whose edge at vertex 0 is addable, and the
+    addable edges at each vertex.  An edge is addable while it is unused
+    and neither endpoint is strict interior (visited, but not vertex 0 and
+    not the path end)."""
     on_path = {(a & b, a | b) for a, b in zip(path, path[1:])}
     interior = set(path[1:-1])
     used, addable, open_at_0 = [0] * (2 * n), [0] * (2 * n), set()
+    at_vertex = [0] * (1 << n)
     for u, v, s in edges:
         if (u, v) in on_path:
             used[s] += 1
         elif u not in interior and v not in interior:
             addable[s] += 1
+            at_vertex[u] += 1
+            at_vertex[v] += 1
             if not u:
                 open_at_0.add(s >> 1)
-    return used, addable, open_at_0
+    return used, addable, open_at_0, at_vertex
 
 
 class TestNoDimensionRunsOutOfEdges:
-    """Balance feasibility is the search's only prune because no path can
-    leave a dimension with neither a used nor an addable edge: while
-    dimension i is unused the path keeps bit i clear, so e_i is unvisited
-    and the edge {0, e_i} stays addable."""
+    """The search needs no dimension-liveness prune beside balance
+    feasibility and free edges, because no path can leave a dimension with
+    neither a used nor an addable edge: while dimension i is unused the
+    path keeps bit i clear, so e_i is unvisited and the edge {0, e_i}
+    stays addable."""
 
     @pytest.mark.parametrize("n,max_depth", [(4, 15), (5, 6)])
     def test_every_simple_path_from_vertex_0(self, n, max_depth):
         edges = cube_edges(n)
         for depth in range(1, max_depth + 1):
             for path in path_prefixes(n, depth):
-                used, addable, open_at_0 = tallies_from_scratch(n, edges, path)
+                used, addable, open_at_0, _ = tallies_from_scratch(n, edges, path)
                 for i in range(n):
                     in_use = used[2 * i] + used[2 * i + 1]
                     assert in_use + addable[2 * i] + addable[2 * i + 1], (path, i)
                     assert in_use or i in open_at_0, (path, i)
+
+
+class TestFreeEdges:
+    """The free-edges prune drops a path when an unvisited vertex has fewer
+    than two addable edges or vertex 0 has none."""
+
+    def test_no_prefix_of_a_q4_cycle_breaks_the_rule(self, q4_cycles):
+        # the soundness of the prune, from scratch: every path that a cycle
+        # completes keeps two addable edges at each unvisited vertex and one
+        # at vertex 0
+        edges = cube_edges(4)
+        for h in q4_cycles:
+            for seq in (h.seq, (0,) + h.seq[:0:-1]):
+                for k in range(2, len(seq) + 1):
+                    path = list(seq[:k])
+                    at_vertex = tallies_from_scratch(4, edges, path)[3]
+                    assert at_vertex[0] >= 1, path
+                    for w in set(range(16)).difference(path):
+                        assert at_vertex[w] >= 2, (path, w)
+
+    def test_the_prune_cuts_the_q4_search(self, monkeypatch):
+        expanded = {
+            (cfg.balance_feasibility, cfg.free_edges): rows_read(monkeypatch, 4, cfg)[1]
+            for cfg in ALL_PRUNE_CONFIGS
+        }
+        assert expanded[False, True] < expanded[False, False]
+        assert expanded[True, True] < expanded[True, False]
+
+    def test_a_prefix_is_checked_in_full(self, monkeypatch):
+        # 0 1 3 7 6 4 12 leaves vertex 5 one addable edge, {5, 13}; the last
+        # step 12 -> 13 touches no edge at 5, so only the check over every
+        # vertex after the prefix sees it.  The prefix is pushed and popped,
+        # each push and pop from a vertex other than 0 reads its row once,
+        # and nothing beyond the prefix is searched.
+        prefix = [0, 1, 3, 7, 6, 4, 12, 13]
+        free_only = PruneConfig(balance_feasibility=False, free_edges=True)
+        assert rows_read(monkeypatch, 4, free_only, prefix) == ([], 2 * (len(prefix) - 2))
+
+
+def rows_read(monkeypatch, n, cfg, prefix=None) -> tuple[list, int]:
+    """The seqs ``enumerate_cycles`` emits and how many times it reads a
+    neighbour row: once to extend each node the prunes keep, once per push
+    that makes a vertex interior, and once per pop that makes it the path
+    end again."""
+    count = [0]
+
+    class CountedRow(tuple):
+        def __iter__(self):
+            count[0] += 1
+            return super().__iter__()
+
+    table = enumeration._neighbour_table
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "_neighbour_table",
+                  lambda n: [CountedRow(row) for row in table(n)])
+        seqs = [h.seq for h in enumerate_cycles(n, cfg, prefix)]
+    return seqs, count[0]
 
 
 def random_simple_path(n: int, depth: int, rng: random.Random) -> list[int]:
