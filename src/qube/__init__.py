@@ -60,7 +60,6 @@ from .hypercube import (
     parity_excluding,
 )
 from .independence import (
-    InvalidWitness,
     SizeLimitExceeded,
     brute_force_equi,
     equi_independence,

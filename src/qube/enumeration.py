@@ -7,11 +7,12 @@ tree can be partitioned into fixed-depth path prefixes for splitting work
 across processes; the union of the per-prefix emissions equals the
 sequential stream.
 
-Two sound prunes are available (the emitted set never changes, only the
-work).  Both count *addable* edges: an edge is addable while it is unused
-and neither endpoint is strict interior of the path (visited, but not
-vertex 0 and not the path end); an edge that stops being addable never
-becomes addable again below that node.
+Two sound prunes are applied, both or neither as :class:`PruneConfig`
+says (the emitted set never changes, only the work).  Both count
+*addable* edges: an edge is addable while it is unused and neither
+endpoint is strict interior of the path (visited, but not vertex 0 and
+not the path end); an edge that stops being addable never becomes
+addable again below that node.
 
 - *Balance feasibility* abandons a partial path when some dimension's
   class imbalance already exceeds the addable edges that could restore
@@ -54,18 +55,18 @@ MAX_PREFIX_VERTICES = 1 << 23
 
 @dataclass(frozen=True)
 class PruneConfig:
-    """Which sound search-space reductions to apply during enumeration."""
+    """Whether enumeration applies its sound search-space reductions:
+    balance feasibility and free edges, both or neither."""
 
-    balance_feasibility: bool = True
-    free_edges: bool = True
+    enabled: bool = True
 
     @classmethod
     def all(cls) -> "PruneConfig":
-        return cls(True, True)
+        return cls(True)
 
     @classmethod
     def none(cls) -> "PruneConfig":
-        return cls(False, False)
+        return cls(False)
 
 
 def canonical_form(h: HamiltonianCycle) -> HamiltonianCycle:
@@ -123,8 +124,7 @@ def enumerate_cycles(
     """
     steps = [0] if prefix is None else list(prefix)
     check_search_args(n, steps)
-    cfg = PruneConfig() if prunes is None else prunes
-    balance, degree = cfg.balance_feasibility, cfg.free_edges
+    prune = (PruneConfig() if prunes is None else prunes).enabled
     table = _neighbour_table(n)
     # moves[k]: the table entry of the prefix step from depth k to k + 1
     moves = [table[u][(u ^ v).bit_length() - 1] for u, v in zip(steps, steps[1:])]
@@ -179,7 +179,7 @@ def enumerate_cycles(
         # verdict as a check over every dimension.  The pushed edge can only
         # break its dimension's balance the one way; a retired edge can only
         # lower its own class's addable count and its open end's free count.
-        ok = not balance or used[s] - used[s ^ 1] <= addable[s ^ 1]
+        ok = not prune or used[s] - used[s ^ 1] <= addable[s ^ 1]
         if u:
             # u becomes interior: its unused edges to open vertices retire
             pred = path[k - 1]
@@ -187,11 +187,9 @@ def enumerate_cycles(
                 if w != v and w != pred and (not w or not seen[w]):
                     left = addable[t] - 1
                     addable[t] = left
-                    if balance and used[t ^ 1] - used[t] > left:
-                        ok = False
-                    left = free[w] - 1
-                    free[w] = left
-                    if degree and left < 2:
+                    rest = free[w] - 1
+                    free[w] = rest
+                    if prune and (used[t ^ 1] - used[t] > left or rest < 2):
                         ok = False
         k += 1
         path[k] = v
@@ -204,11 +202,10 @@ def enumerate_cycles(
             # each slot's edges, less the other class's, fit in what the
             # other class can still add, and each open vertex keeps two
             # free edges
-            ok = (not balance or all(
-                used[t] - used[t ^ 1] <= addable[t ^ 1] for t in range(2 * n)
-            )) and (not degree or all(
-                free[w] >= 2 for w in range(size) if not w or not seen[w]
-            ))
+            ok = not prune or (
+                all(used[t] - used[t ^ 1] <= addable[t ^ 1] for t in range(2 * n))
+                and all(free[w] >= 2 for w in range(size) if not w or not seen[w])
+            )
         if ok and k == size - 1:
             # a full path closes to vertex 0 when v is a unit vector, and is
             # canonical when its first dimension is below its last

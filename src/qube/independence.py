@@ -52,11 +52,6 @@ class SizeLimitExceeded(ValueError):
     """The input is larger than the solver is rated for."""
 
 
-class InvalidWitness(RuntimeError):
-    """A solver returned a set that is not balanced and independent: a
-    fault in the solver, not in its input."""
-
-
 def _greedy_clique(adj: list[int], order: list[int]) -> list[int]:
     """A maximal clique grown greedily along ``order``; seeds the bound."""
     best: list[int] = []
@@ -313,7 +308,8 @@ def equi_independence(b: BipartiteGraph, method: str = "direct") -> tuple[int, l
     ``method`` selects the route: "reduction" (pair graph + maximum
     independent set) or "direct" (balanced branch and bound).  The two
     always agree; keeping both is the point.  Either route's witness is
-    checked before it is returned; a bad one raises InvalidWitness.
+    checked before it is returned; a bad one raises RuntimeError
+    (a fault in the solver, not in its input).
     """
     if method == "reduction":
         red = equi_reduction(b)
@@ -324,7 +320,7 @@ def equi_independence(b: BipartiteGraph, method: str = "direct") -> tuple[int, l
     else:
         raise ValueError(f"unknown method {method!r}")
     if not (is_independent(b.graph, witness) and is_balanced(b, witness)):
-        raise InvalidWitness(f"the {method} solver returned an invalid witness")
+        raise RuntimeError(f"the {method} solver returned an invalid witness")
     return size, witness
 
 

@@ -23,14 +23,7 @@ from qube.hypercube import edge_dim, parity_excluding
 
 from conftest import edge_set_of
 
-# all(), none(), then each prune alone: the ids cfg0 and cfg1 keep naming
-# all() and none()
-ALL_PRUNE_CONFIGS = [
-    PruneConfig.all(),
-    PruneConfig.none(),
-    PruneConfig(balance_feasibility=True, free_edges=False),
-    PruneConfig(balance_feasibility=False, free_edges=True),
-]
+ALL_PRUNE_CONFIGS = [PruneConfig.all(), PruneConfig.none()]
 
 
 def brute_force_cycle_edge_sets(n: int) -> set[frozenset[frozenset[int]]]:
@@ -95,10 +88,9 @@ class TestEnumerate:
 
     def test_prunes_never_change_the_output(self):
         for n in (2, 3):
+            pruned = [h.seq for h in enumerate_cycles(n, PruneConfig.all())]
             plain = [h.seq for h in enumerate_cycles(n, PruneConfig.none())]
-            for cfg in ALL_PRUNE_CONFIGS:
-                # same cycles, same order
-                assert [h.seq for h in enumerate_cycles(n, cfg)] == plain, (n, cfg)
+            assert pruned == plain, n  # same cycles, same order
 
     @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
     def test_q4_stream_is_the_same_under_every_prune_config(self, cfg, q4_cycles):
@@ -270,22 +262,20 @@ class TestFreeEdges:
                         assert at_vertex[w] >= 2, (path, w)
 
     def test_the_prune_cuts_the_q4_search(self, monkeypatch):
-        expanded = {
-            (cfg.balance_feasibility, cfg.free_edges): rows_read(monkeypatch, 4, cfg)[1]
-            for cfg in ALL_PRUNE_CONFIGS
-        }
-        assert expanded[False, True] < expanded[False, False]
-        assert expanded[True, True] < expanded[True, False]
+        # with balance feasibility alone the Q4 search read 94,301 rows
+        # (34,972 pushes); with no prune it reads 266,309
+        assert rows_read(monkeypatch, 4, PruneConfig.all())[1] < 94_301
 
     def test_a_prefix_is_checked_in_full(self, monkeypatch):
         # 0 1 3 7 6 4 12 leaves vertex 5 one addable edge, {5, 13}; the last
-        # step 12 -> 13 touches no edge at 5, so only the check over every
-        # vertex after the prefix sees it.  The prefix is pushed and popped,
-        # each push and pop from a vertex other than 0 reads its row once,
-        # and nothing beyond the prefix is searched.
-        prefix = [0, 1, 3, 7, 6, 4, 12, 13]
-        free_only = PruneConfig(balance_feasibility=False, free_edges=True)
-        assert rows_read(monkeypatch, 4, free_only, prefix) == ([], 2 * (len(prefix) - 2))
+        # step 12 -> 14 touches no edge at 5 and keeps every dimension
+        # balanced, so only the check over every vertex after the prefix
+        # rejects it.  The prefix is pushed and popped, each push and pop
+        # from a vertex other than 0 reads its row once, and nothing beyond
+        # the prefix is searched.
+        prefix = [0, 1, 3, 7, 6, 4, 12, 14]
+        found = rows_read(monkeypatch, 4, PruneConfig.all(), prefix)
+        assert found == ([], 2 * (len(prefix) - 2))
 
 
 def rows_read(monkeypatch, n, cfg, prefix=None) -> tuple[list, int]:
