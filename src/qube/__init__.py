@@ -6,8 +6,8 @@ balance checks (:mod:`qube.cycles`), inscribed-square detection and
 square-forcing thresholds (:mod:`qube.squares`), exact maximum-independent
 and balanced-independent set solvers with the pair-graph reduction
 (:mod:`qube.independence`), exhaustive pruned enumeration and randomized
-sampling of cycles (:mod:`qube.enumeration`), and a command-line interface
-(:mod:`qube.cli`).
+sampling of cycles (:mod:`qube.enumeration`), property sweeps over a corpus
+(:mod:`qube.verify`), and a command-line interface (:mod:`qube.cli`).
 """
 
 from .cycles import (

@@ -21,11 +21,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import multiprocessing
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .cycles import (  # noqa: F401 -- check_balance stays a public name of qube.cli
@@ -33,7 +31,6 @@ from .cycles import (  # noqa: F401 -- check_balance stays a public name of qube
     HamiltonianCycle,
     check_balance,
     check_chromatic_conditions,
-    chromatic_vector,
     dimension_profiles,
 )
 from .enumeration import (
@@ -57,32 +54,15 @@ from .independence import (
     equi_reduction,
     table1_rows,
 )
-from .squares import (
-    check_threshold_implication,
-    find_squares,
-    has_square,
-    pigeonhole_report,
-)
-
-VERIFY_PROPERTIES = (
-    "balance",
-    "segments",
-    "squares",
-    "chromatic",
-    "isomorphism",
-    "threshold",
-)
-
-SQUARE_FREE_FILE = "square_free_counterexamples_n{n}.jsonl"
-
+from .squares import find_squares, pigeonhole_report
+from .verify import PROPERTIES, persist_square_free, sweep, sweep_exhaustive
 
 # ---------------------------------------------------------------------------
 # corpus I/O
 
 
-def read_cycles(path: str) -> list[HamiltonianCycle]:
-    """Read a JSON-lines corpus of cycles."""
-    out = []
+def read_cycles(path: str) -> Iterator[HamiltonianCycle]:
+    """Yield the cycles of a JSON-lines corpus, one line at a time."""
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -93,10 +73,17 @@ def read_cycles(path: str) -> list[HamiltonianCycle]:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             try:
-                out.append(HamiltonianCycle.from_dict(obj))
+                cyc = HamiltonianCycle.from_dict(obj)
             except CycleError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
+            yield cyc
+
+
+def _of_dimension(n: int, cycles: Iterable[HamiltonianCycle]) -> Iterator[HamiltonianCycle]:
+    for cyc in cycles:
+        if cyc.n != n:
+            raise ValueError(f"corpus cycle has n={cyc.n}, but --n {n} was given")
+        yield cyc
 
 
 def _emit(doc: dict, out) -> None:
@@ -104,75 +91,7 @@ def _emit(doc: dict, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verify machinery
-
-
-def _cycle_violations(prop: str, cyc: HamiltonianCycle, mode: str) -> list[dict]:
-    """Violation records for one cycle; empty list when the property holds."""
-    if prop == "balance":
-        return [{"dim": p.dim} for p in dimension_profiles(cyc) if not p.balanced]
-    if prop == "segments":
-        return [{"dim": p.dim} for p in dimension_profiles(cyc) if not p.segment_sums_ok]
-    if prop == "chromatic":
-        report = check_chromatic_conditions(chromatic_vector(cyc), cyc.n)
-        return [{"failed": report.failures()}] if not report.ok else []
-    if prop == "squares":
-        return [] if has_square(cyc) else [{"square_free": True}]
-    if prop == "threshold":
-        report = check_threshold_implication(cyc, mode)
-        return [{"dim": i} for i in report.violations]
-    raise ValueError(f"unknown property {prop!r}")
-
-
-def _verify_chunk(
-    prop: str, mode: str, cycles: Iterable[HamiltonianCycle]
-) -> tuple[int, int, tuple | None, list[dict]]:
-    """Scan a stream of cycles; return (checked, violations, first
-    counterexample keyed for deterministic aggregation, square-free
-    cycles encountered)."""
-    checked = 0
-    violations = 0
-    best: tuple | None = None
-    square_free: list[dict] = []
-    for cyc in cycles:
-        checked += 1
-        records = _cycle_violations(prop, cyc, mode)
-        if not records:
-            continue
-        violations += len(records)
-        if prop == "squares":
-            square_free.append(cyc.to_dict())
-        key = (cyc.seq, json.dumps(records[0], sort_keys=True))
-        if best is None or key < best[0]:
-            best = (key, {"cycle": cyc.to_dict(), **records[0]})
-    return checked, violations, best, square_free
-
-
-def _exhaustive_worker(task: tuple) -> tuple[int, int, tuple | None, list[dict]]:
-    n, prop, mode, prefix = task
-    return _verify_chunk(prop, mode, enumerate_cycles(n, prefix=prefix))
-
-
-@dataclass
-class VerifyReport:
-    property_name: str
-    n: int
-    corpus: str
-    checked: int
-    violations: int
-    first_counterexample: dict | None
-    seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "property": self.property_name,
-            "n": self.n,
-            "corpus": self.corpus,
-            "checked": self.checked,
-            "violations": self.violations,
-            "first_counterexample": self.first_counterexample,
-            "seconds": round(self.seconds, 3),
-        }
+# verify
 
 
 def _thread_count() -> int:
@@ -182,24 +101,15 @@ def _thread_count() -> int:
     return min(int(raw), os.cpu_count() or 1)
 
 
-def _persist_square_free(n: int, cycles: list[dict]) -> str | None:
-    if not cycles:
-        return None
-    path = SQUARE_FREE_FILE.format(n=n)
-    with open(path, "a", encoding="utf-8") as f:
-        for obj in cycles:
-            f.write(json.dumps(obj) + "\n")
-            f.flush()
-    return path
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     prop = args.property
     n = args.n
-    mode = args.mode
     start = time.perf_counter()
     if args.seed is not None and args.sample is None:
         raise ValueError("--seed requires --sample")
+    if args.mode is not None and prop != "threshold":
+        raise ValueError("--mode goes only with --property threshold")
+    mode = args.mode or "equi"
 
     if prop == "isomorphism":
         # it checks every dimension graph of the n-cube, which is what
@@ -207,80 +117,44 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for flag, value in (("--sample", args.sample), ("--in", args.infile)):
             if value is not None:
                 raise ValueError(f"--property isomorphism reads no corpus; drop {flag}")
-        checked, violations = isomorphism_violations(n)
-        report = VerifyReport(
-            prop,
-            n,
-            "all dimension graphs",
-            checked,
-            len(violations),
-            violations[0] if violations else None,
-            time.perf_counter() - start,
-        )
+        corpus = "all dimension graphs"
+        checked, found = isomorphism_violations(n)
+        violations, first = len(found), (found[0] if found else None)
     else:
         if args.exhaustive:
-            corpus_desc = "exhaustive"
-            threads = _thread_count()
-            if threads > 1:
-                depth = 2 if n <= 4 else 3
-                tasks = [
-                    (n, prop, mode, p) for p in path_prefixes(n, depth)
-                ]
-                with multiprocessing.Pool(min(threads, len(tasks))) as pool:
-                    results = pool.map(_exhaustive_worker, tasks)
-            else:
-                results = [_verify_chunk(prop, mode, enumerate_cycles(n))]
+            corpus = "exhaustive"
+            tally = sweep_exhaustive(n, prop, mode, _thread_count())
         elif args.sample is not None:
             if args.seed is None:
                 raise ValueError("--sample requires --seed")
-            corpus_desc = f"sample(seed={args.seed}, k={args.sample})"
-            results = [
-                _verify_chunk(prop, mode, sample_cycles(n, args.seed, args.sample))
-            ]
+            corpus = f"sample(seed={args.seed}, k={args.sample})"
+            tally = sweep(prop, sample_cycles(n, args.seed, args.sample), mode)
         elif args.infile is not None:
-            corpus_desc = f"file:{args.infile}"
-            cycles = read_cycles(args.infile)
-            for cyc in cycles:
-                if cyc.n != n:
-                    raise ValueError(
-                        f"corpus cycle has n={cyc.n}, but --n {n} was given"
-                    )
-            results = [_verify_chunk(prop, mode, cycles)]
+            corpus = f"file:{args.infile}"
+            tally = sweep(prop, _of_dimension(n, read_cycles(args.infile)), mode)
         else:
             raise ValueError(
                 "one of --exhaustive, --sample K --seed S, or --in FILE is required"
             )
-
-        checked = sum(r[0] for r in results)
-        nviol = sum(r[1] for r in results)
-        best = None
-        square_free: list[dict] = []
-        for _, _, b, sf in results:
-            square_free.extend(sf)
-            if b is not None and (best is None or b[0] < best[0]):
-                best = b
-        persisted = _persist_square_free(n, square_free)
+        persisted = persist_square_free(n, tally.square_free)
         if persisted:
             print(f"square-free counterexamples written to {persisted}", file=sys.stderr)
-        report = VerifyReport(
-            prop,
-            n,
-            corpus_desc,
-            checked,
-            nviol,
-            best[1] if best else None,
-            time.perf_counter() - start,
-        )
+        checked, violations, first = tally.checked, tally.violations, tally.first_counterexample
 
-    _emit(report.to_dict(), sys.stdout)
-    status = "holds" if report.violations == 0 else "VIOLATED"
+    seconds = time.perf_counter() - start
+    _emit(
+        {"property": prop, "n": n, "corpus": corpus, "checked": checked,
+         "violations": violations, "first_counterexample": first,
+         "seconds": round(seconds, 3)},
+        sys.stdout,
+    )
+    status = "holds" if violations == 0 else "VIOLATED"
     print(
-        f"{prop} on n={n} ({report.corpus}): {status}, "
-        f"{report.checked} checked, {report.violations} violations, "
-        f"{report.seconds:.2f}s",
+        f"{prop} on n={n} ({corpus}): {status}, {checked} checked, "
+        f"{violations} violations, {seconds:.2f}s",
         file=sys.stderr,
     )
-    return 0 if report.violations == 0 else 1
+    return 0 if violations == 0 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +167,8 @@ def cmd_gray(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prune_config(name: str) -> PruneConfig:
-    return PruneConfig.all() if name == "all" else PruneConfig.none()
-
-
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    cfg = _prune_config(args.prune)
+    cfg = PruneConfig(args.prune == "all")
     if args.split_depth is not None and args.prefixes_out is None:
         raise ValueError("--split-depth requires --prefixes-out")
     if args.prefixes_out is not None:
@@ -358,7 +228,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    for cyc in read_cycles(args.infile):
+    # the whole file is read first, so a bad line leaves no output
+    for cyc in list(read_cycles(args.infile)):
         profiles = dimension_profiles(cyc)
         counts = [len(p.index_list) for p in profiles]
         if args.dim is not None:
@@ -378,7 +249,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_squares(args: argparse.Namespace) -> int:
-    for cyc in read_cycles(args.infile):
+    # the whole file is read first, so a bad line leaves no output
+    for cyc in list(read_cycles(args.infile)):
         squares = find_squares(cyc)
         if args.first_only:
             squares = squares[:1]
@@ -505,15 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="sweep a structural property over a corpus")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--property", choices=VERIFY_PROPERTIES, required=True)
+    p.add_argument("--property", choices=PROPERTIES, required=True)
     # one corpus source at most: isomorphism needs none
     source = p.add_mutually_exclusive_group()
     source.add_argument("--exhaustive", action="store_true")
     source.add_argument("--sample", type=int, metavar="K")
     source.add_argument("--in", dest="infile", metavar="FILE")
     p.add_argument("--seed", type=int, metavar="S")
-    p.add_argument("--mode", choices=("equi", "independence"), default="equi",
-                   help="threshold flavor for --property threshold")
+    p.add_argument("--mode", choices=("equi", "independence"),
+                   help="threshold flavor for --property threshold (default equi)")
 
     p = sub.add_parser("equiind", help="largest balanced independent set")
     group = p.add_mutually_exclusive_group(required=True)

@@ -12,7 +12,6 @@ therefore fail; the detail lines say exactly why.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
@@ -39,6 +38,7 @@ from qube.independence import (
     unpack_pair_witness,
 )
 from qube.squares import ALPHA_EQUI_HYPERCUBE, check_threshold_implication, pigeonhole_report
+from qube.verify import persist_square_free
 
 from _registry import record
 from test_graphs import random_bipartite
@@ -238,14 +238,9 @@ def test_criterion_08_inscribed_square_search(corpus_sweeps):
     discovery would be persisted before failing."""
     free = {k: t.square_free for k, t in corpus_sweeps.items()}
     total_free = sum(len(v) for v in free.values())
-    if total_free:
-        for label, docs in free.items():
-            if docs:
-                n = docs[0]["n"]
-                path = f"square_free_counterexamples_n{n}.jsonl"
-                with open(path, "a", encoding="utf-8") as f:
-                    for doc in docs:
-                        f.write(json.dumps(doc) + "\n")
+    for docs in free.values():
+        if docs:
+            persist_square_free(docs[0]["n"], docs)
     secs = sum(t.seconds for t in corpus_sweeps.values())
     ok = total_free == 0 and secs < 300
     detail = (

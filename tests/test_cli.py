@@ -237,11 +237,24 @@ class TestAnalyze:
         assert code == 2
         assert "error:" in err
 
-    def test_corrupt_corpus(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n": 2, "seq": [0, 1, 3]}\n',
+         '{"n": 2, "seq": [0, 1, 3, 2]}\n{"n": 2, "seq": [0, 1, 3]}\n'],
+        ids=["corrupt", "valid-then-corrupt"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["squares"], ["verify", "--n", "2", "--property", "balance"]],
+        ids=["analyze", "squares", "verify"],
+    )
+    def test_corrupt_corpus(self, capsys, tmp_path, command, text):
+        # the corpus is read lazily, but a bad line still leaves no output
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"n": 2, "seq": [0, 1, 3]}\n')
-        code, _, err = run(capsys, "analyze", "--in", str(bad))
+        bad.write_text(text)
+        code, out, err = run(capsys, *command, "--in", str(bad))
         assert code == 2
+        assert out == ""
         assert "error:" in err
 
 
@@ -297,6 +310,31 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "QUBE_THREADS" in err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_dimension_out_of_range_has_one_error(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("QUBE_THREADS", threads)
+        code, out, err = run(
+            capsys, "verify", "--n", "1", "--property", "balance", "--exhaustive"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: enumeration supports 2 <= n <= 16" in err
+
+    @pytest.mark.parametrize(
+        "prop,mode,corpus",
+        [("balance", "independence", ["--exhaustive"]),
+         ("squares", "equi", ["--exhaustive"]),
+         ("isomorphism", "equi", [])],
+        ids=["balance", "squares", "isomorphism"],
+    )
+    def test_mode_goes_only_with_threshold(self, capsys, prop, mode, corpus):
+        code, out, err = run(
+            capsys, "verify", "--n", "3", "--property", prop, *corpus, "--mode", mode
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: --mode goes only with --property threshold" in err
 
     def test_parallel_workers_match_sequential(self, capsys, monkeypatch):
         code, out, _ = run(
@@ -430,7 +468,7 @@ class TestVerify:
         # simulate a square-free discovery to exercise the counterexample
         # reporting contract end to end
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr("qube.cli.has_square", lambda cyc: False)
+        monkeypatch.setattr("qube.verify.has_square", lambda cyc: False)
         code, out, err = run(
             capsys, "verify", "--n", "3", "--property", "squares", "--exhaustive"
         )
