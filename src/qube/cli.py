@@ -132,6 +132,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         elif args.infile is not None:
             corpus = f"file:{args.infile}"
             tally = sweep(prop, _of_dimension(n, read_cycles(args.infile)), mode)
+            if not tally.checked:
+                # a verdict on no cycles would hold vacuously, like --sample 0
+                raise ValueError(f"{args.infile} holds no cycles")
         else:
             raise ValueError(
                 "one of --exhaustive, --sample K --seed S, or --in FILE is required"

@@ -7,12 +7,12 @@ tree can be partitioned into fixed-depth path prefixes for splitting work
 across processes; the union of the per-prefix emissions equals the
 sequential stream.
 
-Two sound prunes are applied, both or neither as :class:`PruneConfig`
-says (the emitted set never changes, only the work).  Both count
-*addable* edges: an edge is addable while it is unused and neither
-endpoint is strict interior of the path (visited, but not vertex 0 and
-not the path end); an edge that stops being addable never becomes
-addable again below that node.
+Three sound rules are applied, all or none as :class:`PruneConfig` says
+(the emitted set never changes, only the work).  They count *addable*
+edges: an edge is addable while it is unused, neither endpoint is strict
+interior of the path (visited, but not vertex 0 and not the path end),
+and it is not a closing edge that the canonical form rules out; an edge
+that stops being addable never becomes addable again below that node.
 
 - *Balance feasibility* abandons a partial path when some dimension's
   class imbalance already exceeds the addable edges that could restore
@@ -22,6 +22,13 @@ addable again below that node.
   than two addable edges, or vertex 0 has no addable edge left to close
   the cycle: a cycle through the path uses two edges at each unvisited
   vertex and one more at vertex 0, all of them addable now.
+- *Canonical closing edge* retires vertex 0's edges {0, e_j} with j < f
+  at the first step, whose dimension is f: a canonical cycle closes
+  through some {e_j, 0} with j > f, so the search no longer walks the
+  orientation that the canonical-form test at the leaf would discard
+  (canonical augmentation, McKay 1998).  When f = n - 1 vertex 0 keeps
+  no free edge to close with and the free-edges rule stops the branch at
+  once; when f = n - 2 it dies as soon as e_(n-1) becomes interior.
 
 The search is one iterative loop over an explicit stack.  A neighbour
 table built per call gives, for each vertex, its neighbours in dimension
@@ -31,7 +38,11 @@ counts each vertex's free edges.  A step changes at most one slot per
 dimension and only the free counts of the open neighbours of the vertex
 it makes interior, and the node it extends passed both prunes, so only
 what the step changed is re-checked; the full check over every slot and
-vertex runs once, after a prefix has been pushed.  The stack keeps, for
+vertex runs once, after a prefix has been pushed.  The table also holds,
+after the rows of the vertices, one row per unit vector e_j without its
+edge to vertex 0; the first step swaps it in for e_j's own row while
+{0, e_j} is retired, so no later step retires or restores that edge, and
+a first step in dimension 0 costs the later steps nothing.  The stack keeps, for
 each depth, the candidate steps not yet tried and the slot of the edge
 into that path vertex, so the path depth 2^n meets no recursion limit.
 The table has n·2^n entries (about 125 MB at n = 16), so enumeration
@@ -56,7 +67,8 @@ MAX_PREFIX_VERTICES = 1 << 23
 @dataclass(frozen=True)
 class PruneConfig:
     """Whether enumeration applies its sound search-space reductions:
-    balance feasibility and free edges, both or neither."""
+    balance feasibility, free edges and the canonical closing edge, all
+    or none."""
 
     enabled: bool = True
 
@@ -82,11 +94,13 @@ def canonical_form(h: HamiltonianCycle) -> HamiltonianCycle:
 def _neighbour_table(n: int) -> list[tuple[tuple[int, int], ...]]:
     """For each vertex u, its ``(u ^ 1 << i, 2*i + c)`` pairs in increasing i,
     where c is the class of the i-edge at u (``parity_excluding(u, i)``, in
-    closed form); ``2*i + c`` is the edge's slot in the tally lists."""
-    return [
+    closed form); ``2*i + c`` is the edge's slot in the tally lists.  Row
+    ``2^n + j`` follows: the row of e_j without its pair for vertex 0."""
+    rows = [
         tuple((u ^ 1 << i, 2 * i + ((u.bit_count() ^ u >> i) & 1)) for i in range(n))
         for u in range(1 << n)
     ]
+    return rows + [rows[1 << j][:j] + rows[1 << j][j + 1 :] for j in range(n)]
 
 
 def check_search_args(n: int, prefix: Sequence[int] | None = None) -> None:
@@ -132,8 +146,10 @@ def enumerate_cycles(
     size = 1 << n
     base = len(moves)
     # used[s] / addable[s]: edges of slot s on the path / still addable.  An
-    # edge is addable while it is unused and neither endpoint is strict
-    # interior of the path (visited, but not vertex 0 and not the path end).
+    # edge is addable while it is unused, neither endpoint is strict
+    # interior of the path (visited, but not vertex 0 and not the path end),
+    # and, under the prunes, it is not a closing edge {0, e_j} below the
+    # first step's dimension.
     used = [0] * (2 * n)
     addable = [1 << (n - 2)] * (2 * n)
     # free[w]: edges at w that are on the path or addable.  For an open
@@ -168,6 +184,15 @@ def enumerate_cycles(
                     if w != v and w != pred and (not w or not seen[w]):
                         addable[t] += 1
                         free[w] += 1
+            elif prune:
+                # back at vertex 0: the closing edges the first step retired
+                # return, and so do e_j's own rows
+                f = s >> 1
+                for j in range(f):
+                    table[1 << j], table[size + j] = table[size + j], table[1 << j]
+                    addable[2 * j] += 1
+                    free[1 << j] += 1
+                free[0] += f
             continue
 
         u = path[k]
@@ -191,6 +216,20 @@ def enumerate_cycles(
                     free[w] = rest
                     if prune and (used[t ^ 1] - used[t] > left or rest < 2):
                         ok = False
+        elif prune:
+            # The first step fixes f.  A canonical cycle closes through some
+            # {e_j, 0} with j > f, so the edges {0, e_j} with j < f (slot 2j:
+            # class 0 at both ends) retire, and e_j's row swaps for the one
+            # without vertex 0 until the pop back to vertex 0.  e_j keeps
+            # n - 1 free edges and slot 2j + 1 is unused, so only vertex 0,
+            # left with n - f, can fail.
+            f = s >> 1
+            for j in range(f):
+                table[1 << j], table[size + j] = table[size + j], table[1 << j]
+                addable[2 * j] -= 1
+                free[1 << j] -= 1
+            free[0] -= f
+            ok = ok and free[0] >= 2
         k += 1
         path[k] = v
         into[k] = s

@@ -9,12 +9,14 @@ pass over it.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+import qube.cli  # noqa: F401 -- imports every qube module, for QUBE_MODULES
 from qube.cycles import (
     HamiltonianCycle,
     check_chromatic_conditions,
@@ -33,6 +35,32 @@ settings.load_profile("suite")
 
 SAMPLE_SEED = 20260825
 SAMPLE_K = 10_000
+
+# The qube modules of this suite.  The benchmark's tests import qube afresh,
+# which replaces these entries of sys.modules when both suites run in one
+# process, in either order.  So the test modules here are imported, and
+# their tests run, with these entries put back: names looked up by module
+# path (monkeypatch targets, classes of pickled results) then resolve to the
+# modules the tests imported.
+QUBE_MODULES = {
+    name: module
+    for name, module in sys.modules.items()
+    if name == "qube" or name.startswith("qube.")
+}
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_make_collect_report(collector):
+    with pytest.MonkeyPatch.context() as m:
+        for name, module in QUBE_MODULES.items():
+            m.setitem(sys.modules, name, module)
+        yield
+
+
+@pytest.fixture(autouse=True)
+def qube_modules_of_this_suite(monkeypatch):
+    for name, module in QUBE_MODULES.items():
+        monkeypatch.setitem(sys.modules, name, module)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

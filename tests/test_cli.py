@@ -440,6 +440,18 @@ class TestVerify:
         assert captured.out == ""
         assert "not allowed with argument --exhaustive" in captured.err
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    def test_a_corpus_file_without_cycles_is_a_usage_error(self, capsys, tmp_path, text):
+        # like --sample 0, it would give a verdict that rests on no cycle
+        corpus = tmp_path / "none.jsonl"
+        corpus.write_text(text, encoding="utf-8")
+        code, out, err = run(
+            capsys, "verify", "--n", "4", "--property", "balance", "--in", str(corpus)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"error: {corpus} holds no cycles" in err
+
     def test_file_dimension_mismatch(self, capsys, tmp_path):
         corpus = write_cycles(tmp_path / "g3.jsonl", [gray_cycle(3)])
         code, _, err = run(

@@ -19,7 +19,7 @@ from qube.enumeration import (
     sample_cycles,
     write_prefixes,
 )
-from qube.hypercube import edge_dim, parity_excluding
+from qube.hypercube import edge_dim, gray_code, parity_excluding
 
 from conftest import edge_set_of
 
@@ -276,6 +276,60 @@ class TestFreeEdges:
         prefix = [0, 1, 3, 7, 6, 4, 12, 14]
         found = rows_read(monkeypatch, 4, PruneConfig.all(), prefix)
         assert found == ([], 2 * (len(prefix) - 2))
+
+
+def gray_prefix(n: int, depth: int, f: int) -> list[int]:
+    """The first ``depth`` steps of the reflected Gray code of Q_n with bits
+    0 and f swapped: its first step is in dimension f, and for f < n - 1
+    the cycle it follows is canonical (its last step is in dimension n - 1)."""
+    def swap(v: int) -> int:
+        flip = (v ^ v >> f) & 1
+        return v ^ (flip | flip << f)
+
+    return [swap(v) for v in gray_code(n)[: depth + 1]]
+
+
+class TestCanonicalClosingEdge:
+    """The first step, in dimension f, retires vertex 0's edges {0, e_j}
+    with j < f: a canonical cycle closes through some {e_j, 0} with j > f."""
+
+    def test_every_prefix_of_a_canonical_q4_cycle_keeps_a_later_closing_edge(
+        self, q4_cycles
+    ):
+        # the soundness of the rule, from scratch: while a canonical cycle is
+        # walked, an edge {0, e_j} with j > f stays addable
+        edges = cube_edges(4)
+        for h in q4_cycles:
+            f = edge_dim(h.seq[0], h.seq[1])
+            for k in range(2, len(h.seq) + 1):
+                open_at_0 = tallies_from_scratch(4, edges, list(h.seq[:k]))[2]
+                assert any(j > f for j in open_at_0), h.seq[:k]
+
+    @pytest.mark.parametrize("prefix", [
+        [0, 16, 17, 25, 24, 28, 29, 21, 5, 7, 15],
+        gray_prefix(5, 14, 4),
+    ])
+    def test_a_first_step_in_the_last_dimension_is_cut_at_once(
+        self, monkeypatch, prefix
+    ):
+        # vertex 0 keeps only the edge it leaves by, so the check after the
+        # prefix rejects it: the pushes and pops of the prefix read the rows
+        # of its interior vertices, and no row past the prefix is read
+        found = rows_read(monkeypatch, 5, PruneConfig.all(), prefix)
+        assert found == ([], 2 * (len(prefix) - 2))
+
+    def test_the_rule_cuts_the_q4_search(self, monkeypatch):
+        # with balance feasibility and free edges alone the Q4 search read
+        # 77,645 rows; the closing-edge rule brings it to 42,038
+        assert rows_read(monkeypatch, 4, PruneConfig.all())[1] < 77_645
+
+    @pytest.mark.parametrize("f", range(5))
+    def test_q5_streams_agree_for_every_first_dimension(self, f):
+        prefix = gray_prefix(5, 14, f)
+        pruned = [h.seq for h in enumerate_cycles(5, PruneConfig.all(), prefix)]
+        plain = [h.seq for h in enumerate_cycles(5, PruneConfig.none(), prefix)]
+        assert pruned == plain
+        assert len(pruned) == (1344, 1344, 1344, 672, 0)[f]
 
 
 def rows_read(monkeypatch, n, cfg, prefix=None) -> tuple[list, int]:
