@@ -36,17 +36,17 @@ order together with each edge's *slot* ``2*i + class``; the used and
 addable edge counts are two flat lists indexed by slot, and a third list
 counts each vertex's free edges.  A step changes at most one slot per
 dimension and only the free counts of the open neighbours of the vertex
-it makes interior, and the node it extends passed both prunes, so only
+it makes interior, and the node it extends passed the prunes, so only
 what the step changed is re-checked; the full check over every slot and
 vertex runs once, after a prefix has been pushed.  The table also holds,
 after the rows of the vertices, one row per unit vector e_j without its
 edge to vertex 0; the first step swaps it in for e_j's own row while
-{0, e_j} is retired, so no later step retires or restores that edge, and
-a first step in dimension 0 costs the later steps nothing.  The stack keeps, for
-each depth, the candidate steps not yet tried and the slot of the edge
-into that path vertex, so the path depth 2^n meets no recursion limit.
-The table has n·2^n entries (about 125 MB at n = 16), so enumeration
-supports 2 <= n <= 16, the sampler's range.
+{0, e_j} is retired, so no later step retires or restores that edge and
+no later step does any work for the closing-edge rule.  The stack keeps,
+for each depth, the candidate steps not yet tried and the slot of the
+edge into that path vertex, so the path depth 2^n meets no recursion
+limit.  The table has n·2^n entries (about 125 MB at n = 16), so
+enumeration supports 2 <= n <= 16, the sampler's range.
 """
 
 from __future__ import annotations
@@ -153,8 +153,9 @@ def enumerate_cycles(
     used = [0] * (2 * n)
     addable = [1 << (n - 2)] * (2 * n)
     # free[w]: edges at w that are on the path or addable.  For an open
-    # vertex (unvisited, or vertex 0) only the retire loop lowers it, and
-    # a cycle through the path needs two of them: the free-edges prune.
+    # vertex (unvisited, or vertex 0) only the retire loop and the first
+    # step lower it, and a cycle through the path needs two of them: the
+    # free-edges prune.
     free = [n] * size
     path = [0] * size
     into = [0] * size  # into[k]: slot of the edge from path[k - 1] to path[k]
@@ -220,9 +221,9 @@ def enumerate_cycles(
             # The first step fixes f.  A canonical cycle closes through some
             # {e_j, 0} with j > f, so the edges {0, e_j} with j < f (slot 2j:
             # class 0 at both ends) retire, and e_j's row swaps for the one
-            # without vertex 0 until the pop back to vertex 0.  e_j keeps
-            # n - 1 free edges and slot 2j + 1 is unused, so only vertex 0,
-            # left with n - f, can fail.
+            # without vertex 0 until the pop back to vertex 0.  Slot 2j + 1
+            # is unused and e_j keeps n - 1 free edges, fewer than two only
+            # when n = 2 and f = 1, so vertex 0, left with n - f, decides.
             f = s >> 1
             for j in range(f):
                 table[1 << j], table[size + j] = table[size + j], table[1 << j]

@@ -262,9 +262,10 @@ class TestFreeEdges:
                         assert at_vertex[w] >= 2, (path, w)
 
     def test_the_prune_cuts_the_q4_search(self, monkeypatch):
-        # with balance feasibility alone the Q4 search read 94,301 rows
-        # (34,972 pushes); with no prune it reads 266,309
-        assert rows_read(monkeypatch, 4, PruneConfig.all())[1] < 94_301
+        # with balance feasibility and the closing-edge rule alone the Q4
+        # search reads 70,877 rows (balance feasibility alone read 94,301,
+        # in 34,972 pushes); with no prune it reads 266,309
+        assert rows_read(monkeypatch, 4, PruneConfig.all())[1] < 70_877
 
     def test_a_prefix_is_checked_in_full(self, monkeypatch):
         # 0 1 3 7 6 4 12 leaves vertex 5 one addable edge, {5, 13}; the last
