@@ -12,8 +12,9 @@ or violation was found, 2 on usage or input errors, 3 when the run could
 not finish (a ``RuntimeError``, such as a sampler that abandoned too many
 searches in a row, or a solver witness that fails its check).  The
 environment variable ``QUBE_THREADS`` sets the worker count for exhaustive
-``verify`` sweeps (default 1, capped at the CPU count; anything but a
-positive integer is a usage error).
+``verify`` sweeps and for ``enumerate --count-only`` over the whole cube
+(default 1, capped at the CPU count; anything but a positive integer is a
+usage error).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .cycles import (  # noqa: F401 -- check_balance stays a public name of qube
 from .enumeration import (
     PruneConfig,
     check_search_args,
+    count_cycles,
     enumerate_cycles,
     path_prefixes,
     read_prefixes,
@@ -192,6 +194,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return 0
     if args.prefix_index is not None and args.prefixes_in is None:
         raise ValueError("--prefix-index requires --prefixes-in")
+    if args.count_only and args.out is not None:
+        raise ValueError("--count-only cannot be combined with --out")
+    if args.count_only and args.prefixes_in is None:
+        count = count_cycles(args.n, cfg, _thread_count())
+        _emit({"n": args.n, "count": count}, sys.stdout)
+        return 0
 
     if args.prefixes_in is not None:
         with open(args.prefixes_in, "r", encoding="utf-8") as f:

@@ -47,14 +47,31 @@ for each depth, the candidate steps not yet tried and the slot of the
 edge into that path vertex, so the path depth 2^n meets no recursion
 limit.  The table has n·2^n entries (about 125 MB at n = 16), so
 enumeration supports 2 <= n <= 16, the sampler's range.
+
+:func:`count_cycles` runs the same kernel in *first-use* mode, one S_n
+orbit at a time (orderly generation, McKay 1998).  Coordinate
+permutations act freely on the directed cycles from vertex 0, because
+every cycle uses all n dimensions, and each orbit holds one cycle whose
+dimension word brings in new dimensions in the order 0, 1, 2, ....  The
+kernel keeps, per depth, how many dimensions the path uses, and a step
+may take only those and the next one: the first part of the vertex's
+row.  It counts every closing path, builds no cycle, and the count is
+n!·words/2.  Balance feasibility and free edges do not depend on the
+coordinate labels, so they stay sound there; the first step is in
+dimension 0, so the closing-edge rule retires nothing and the leaf's
+canonical test passes every closing path.  The count can be sharded by
+first-use prefix over worker processes with :func:`map_shards`, the pool
+that :func:`qube.verify.sweep_exhaustive` uses too.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 from dataclasses import dataclass
 from itertools import accumulate, filterfalse
-from typing import Iterator, Sequence
+from math import factorial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cycles import HamiltonianCycle
 from .hypercube import check_dimension, check_vertex, edge_dim
@@ -62,6 +79,7 @@ from .hypercube import check_dimension, check_vertex, edge_dim
 MAX_SAMPLE_DIM = 16
 MAX_CONSECUTIVE_FAILURES = 200
 MAX_PREFIX_VERTICES = 1 << 23
+FIRST_USE_SHARD_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -136,6 +154,19 @@ def enumerate_cycles(
     ``prefix`` restricts the search to completions of the given simple
     path from vertex 0 (see :func:`path_prefixes`).
     """
+    yield from _search(n, prunes, prefix, first_use=False)
+
+
+def _search(
+    n: int,
+    prunes: PruneConfig | None,
+    prefix: Sequence[int] | None,
+    first_use: bool,
+) -> Iterator[HamiltonianCycle | None]:
+    """The search kernel.  It yields the canonical cycles that complete
+    ``prefix``, or, in first-use mode, None once for each closing path
+    that completes it and brings in new dimensions in the order 0, 1, 2,
+    ... (``prefix`` must do so too)."""
     steps = [0] if prefix is None else list(prefix)
     check_search_args(n, steps)
     prune = (PruneConfig() if prunes is None else prunes).enabled
@@ -164,7 +195,14 @@ def enumerate_cycles(
     # tries[k] yields the candidate steps from path[k] not yet tried: the
     # forced prefix step within the prefix, the neighbours in order beyond.
     tries: list[Iterator[tuple[int, int]] | None] = [None] * size
-    tries[0] = iter(moves[:1]) if moves else iter(table[0])
+    tries[0] = iter(moves[:1]) if moves else iter(table[0][:1] if first_use else table[0])
+    # width[k]: how many dimensions path[0..k] uses, kept in first-use
+    # mode, where a step from path[k] may take only a used dimension or
+    # dimension width[k], the next one
+    width = [0] * size
+    if first_use:
+        for k, (_, s) in enumerate(moves, 1):
+            width[k] = width[k - 1] + (s >> 1 == width[k - 1])
     k = 0
     while True:
         for v, s in tries[k]:
@@ -250,14 +288,75 @@ def enumerate_cycles(
             # a full path closes to vertex 0 when v is a unit vector, and is
             # canonical when its first dimension is below its last
             if v & (v - 1) == 0 and path[1] < v:
-                yield HamiltonianCycle(n, tuple(path))
+                yield None if first_use else HamiltonianCycle(n, tuple(path))
             ok = False
-        tries[k] = iter(table[v]) if ok else iter(())
+        if not ok:
+            tries[k] = iter(())
+        elif first_use:
+            # rows run in increasing dimension, so the steps in the used
+            # dimensions and the next one are a prefix of v's row
+            w = width[k - 1]
+            w = width[k] = w + (s >> 1 == w)
+            tries[k] = iter(table[v][: w + 1])
+        else:
+            tries[k] = iter(table[v])
 
 
-def count_cycles(n: int, prunes: PruneConfig | None = None) -> int:
-    """Number of Hamiltonian cycles of the n-cube (undirected, unrooted)."""
-    return sum(1 for _ in enumerate_cycles(n, prunes))
+def count_cycles(n: int, prunes: PruneConfig | None = None, workers: int = 1) -> int:
+    """Number of Hamiltonian cycles of the n-cube (undirected, unrooted).
+
+    The search runs in first-use mode and builds no cycle.  Every cycle
+    uses all n dimensions, so a coordinate permutation that maps a
+    directed cycle from vertex 0 to itself fixes every dimension of its
+    word: S_n acts freely on the directed cycles from vertex 0, and each
+    orbit holds exactly one whose word brings in new dimensions in the
+    order 0, 1, 2, ....  Each undirected cycle is two directed ones, so
+    the count is n!·words/2.  With ``workers`` above 1 the words are
+    counted per first-use prefix in a pool of worker processes (see
+    :func:`map_shards`).
+    """
+    check_search_args(n)
+    if workers == 1:
+        words = _count_words((n, prunes, None))
+    else:
+        depth = min((1 << n) - 1, FIRST_USE_SHARD_DEPTH)
+        tasks = [(n, prunes, p) for p in _first_use_prefixes(n, depth)]
+        words = sum(map_shards(_count_words, tasks, workers))
+    return factorial(n) * words // 2
+
+
+def _count_words(task: tuple) -> int:
+    """The first-use closing paths that complete one prefix."""
+    n, prunes, prefix = task
+    return sum(1 for _ in _search(n, prunes, prefix, first_use=True))
+
+
+def _first_use_prefixes(n: int, depth: int) -> list[list[int]]:
+    """The simple paths of ``depth`` edges from vertex 0 whose words bring
+    in new dimensions in the order 0, 1, 2, ..., in branch order.  Such a
+    path has used exactly the dimensions below its largest vertex's bit
+    length."""
+    bits = [1 << i for i in range(n)]
+    paths = [[0]]
+    for _ in range(depth):
+        paths = [
+            p + [v]
+            for p in paths
+            for v in map(p[-1].__xor__, bits[: max(p).bit_length() + 1])
+            if v not in p
+        ]
+    return paths
+
+
+def map_shards(func: Callable, tasks: Sequence, workers: int) -> Iterable:
+    """``func`` over ``tasks``, in order: lazily in this process when
+    ``workers`` is 1, otherwise in a pool of that many worker processes
+    (at most one per task) that hand out one task at a time."""
+    if workers == 1:
+        return map(func, tasks)
+    # spawned workers import qube afresh and share no state with this process
+    with multiprocessing.get_context("spawn").Pool(min(workers, len(tasks))) as pool:
+        return pool.map(func, tasks, chunksize=1)
 
 
 def path_prefixes(n: int, depth: int) -> list[list[int]]:

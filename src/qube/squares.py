@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cycles import HamiltonianCycle, chromatic_vector, positions_by_dim
+from .cycles import HamiltonianCycle, positions_by_dim
 from .hypercube import drop_entry
 
 
@@ -155,15 +155,28 @@ def check_threshold_implication(
     h: HamiltonianCycle, mode: str = "equi"
 ) -> ThresholdReport:
     """For every dimension used more than the threshold, confirm that some
-    inscribed square has that rim dimension."""
+    inscribed square has that rim dimension: one early-exit pass over
+    that dimension's edges, without listing the squares."""
     thr = rim_threshold(h.n, mode)
-    counts = chromatic_vector(h)
-    obligated = tuple(i for i, c in enumerate(counts) if c > thr)
-    if not obligated:
-        return ThresholdReport(mode, thr, (), ())
-    rim_dims = {s.rim_dim for s in find_squares(h)}
-    violations = tuple(i for i in obligated if i not in rim_dims)
+    positions = positions_by_dim(h)
+    obligated = tuple(i for i, ks in enumerate(positions) if len(ks) > thr)
+    violations = tuple(i for i in obligated if not _has_rim_square(h, i, positions[i]))
     return ThresholdReport(mode, thr, obligated, violations)
+
+
+def _has_rim_square(h: HamiltonianCycle, i: int, positions: list[int]) -> bool:
+    """Whether two of the cycle's i-edges, starting at ``positions``, are
+    the rims of a square (early exit, as in :func:`has_square`)."""
+    seq = h.seq
+    bits = [1 << j for j in range(h.n - 1)]
+    seen: set[int] = set()
+    for k in positions:
+        p = drop_entry(seq[k], i)
+        for b in bits:
+            if p ^ b in seen:
+                return True
+        seen.add(p)
+    return False
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,15 @@
 :func:`sweep` checks any iterable of cycles, which it reads one cycle at a
 time.  :func:`sweep_exhaustive` checks every Hamiltonian cycle of the
 n-cube: one shard per search prefix, run in this process or in a pool of
-worker processes, and folded through :meth:`Tally.merge`, which gives the
-same tally as one pass over :func:`~qube.enumeration.enumerate_cycles`.
+worker processes (:func:`~qube.enumeration.map_shards`), and folded
+through :meth:`Tally.merge`, which gives the same tally as one pass over
+:func:`~qube.enumeration.enumerate_cycles`.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -21,7 +21,7 @@ from .cycles import (
     chromatic_vector,
     dimension_profiles,
 )
-from .enumeration import check_search_args, enumerate_cycles, path_prefixes
+from .enumeration import check_search_args, enumerate_cycles, map_shards, path_prefixes
 from .squares import check_threshold_implication, has_square
 
 # isomorphism is a property of the cube, not of a cycle: the CLI checks it
@@ -102,12 +102,7 @@ def sweep_exhaustive(n: int, prop: str, mode: str = "equi", workers: int = 1) ->
     search prefix over ``workers`` processes (1: this process)."""
     check_search_args(n)
     tasks = [(n, prop, mode, p) for p in path_prefixes(n, 2 if n <= 4 else 3)]
-    if workers == 1:
-        shards = map(_sweep_shard, tasks)
-    else:
-        # spawned workers import qube afresh and share no state with this process
-        with multiprocessing.get_context("spawn").Pool(min(workers, len(tasks))) as pool:
-            shards = pool.map(_sweep_shard, tasks)
+    shards = map_shards(_sweep_shard, tasks, workers)
     return functools.reduce(Tally.merge, shards, Tally())
 
 

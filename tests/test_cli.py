@@ -134,6 +134,48 @@ class TestEnumerate:
         assert "error:" in err
         assert target.read_text() == "keep"
 
+    @pytest.mark.parametrize("prefixes_in", [False, True], ids=["whole-cube", "prefixes-in"])
+    def test_count_only_cannot_be_combined_with_out(self, capsys, tmp_path, prefixes_in):
+        # --count-only writes no cycle, so --out would name a file that
+        # is never written
+        argv = ["--n", "3", "--count-only", "--out", str(tmp_path / "o.jsonl")]
+        if prefixes_in:
+            argv += ["--prefixes-in", str(tmp_path / "missing.txt")]
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: --count-only cannot be combined with --out" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_count_only_of_one_prefix_counts_its_canonical_completions(self, capsys, tmp_path):
+        # the prefix starts in dimension 1, which no first-use word does
+        pre = tmp_path / "prefixes.txt"
+        run(capsys, "enumerate", "--n", "4", "--split-depth", "3", "--prefixes-out", str(pre))
+        prefixes = enumeration.read_prefixes(pre.read_text())
+        k = next(k for k, p in enumerate(prefixes) if p[1] == 2)
+        expected = len(list(enumerate_cycles(4, prefix=prefixes[k])))
+        assert expected > 0
+        code, out, _ = run(
+            capsys, "enumerate", "--n", "4", "--prefixes-in", str(pre),
+            "--prefix-index", str(k), "--count-only",
+        )
+        assert code == 0
+        assert json.loads(out) == {"n": 4, "count": expected}
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_count_only_reads_qube_threads(self, capsys, monkeypatch, threads):
+        monkeypatch.setenv("QUBE_THREADS", threads)
+        code, out, _ = run(capsys, "enumerate", "--n", "4", "--count-only")
+        assert code == 0
+        assert json.loads(out) == {"n": 4, "count": 1344}
+
+    def test_count_only_rejects_a_bad_thread_count(self, capsys, monkeypatch):
+        monkeypatch.setenv("QUBE_THREADS", "0")
+        code, out, err = run(capsys, "enumerate", "--n", "4", "--count-only")
+        assert code == 2
+        assert out == ""
+        assert "QUBE_THREADS" in err
+
     def test_prefix_vertex_outside_the_cube(self, capsys, tmp_path):
         pre = tmp_path / "prefixes.txt"
         pre.write_text("0 16\n")

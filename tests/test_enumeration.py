@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import os
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from qube.cycles import HamiltonianCycle, validate_cycle
 from qube.enumeration import (
     MAX_CONSECUTIVE_FAILURES,
     PruneConfig,
+    _count_words,
+    _first_use_prefixes,
     canonical_form,
     count_cycles,
     enumerate_cycles,
@@ -327,6 +330,86 @@ class TestCanonicalClosingEdge:
         plain = [h.seq for h in enumerate_cycles(5, PruneConfig.none(), prefix)]
         assert pruned == plain
         assert len(pruned) == (1344, 1344, 1344, 672, 0)[f]
+
+
+def is_first_use(path: list[int]) -> bool:
+    """Whether the path's dimension word brings in new dimensions in the
+    order 0, 1, 2, ..."""
+    dims = [edge_dim(u, v) for u, v in zip(path, path[1:])]
+    firsts = list(dict.fromkeys(dims))
+    return firsts == list(range(len(firsts)))
+
+
+def pushes(monkeypatch, search) -> tuple[object, int]:
+    """What ``search()`` returns and how many vertices the kernel pushes
+    meanwhile: it makes one ``iter`` call for the candidate steps of the
+    root and one per push."""
+    count = [0]
+
+    def counted_iter(steps):
+        count[0] += 1
+        return iter(steps)
+
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "iter", counted_iter, raising=False)
+        result = search()
+    return result, count[0] - 1
+
+
+class TestFirstUseCount:
+    """``count_cycles`` searches only the dimension words that bring in new
+    dimensions in the order 0, 1, 2, ..., one per S_n orbit of directed
+    cycles from vertex 0, and reports n!·words/2.  The canonical stream is
+    the other route to the same numbers."""
+
+    @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_count_equals_the_canonical_stream(self, n, cfg):
+        assert count_cycles(n, cfg) == len(list(enumerate_cycles(n, cfg))) == (1, 6, 1344)[n - 2]
+
+    @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
+    def test_word_counts(self, cfg):
+        assert [_count_words((n, cfg, None)) for n in (2, 3, 4)] == [1, 2, 112]
+
+    def test_q4_push_counts(self, monkeypatch):
+        # the rows are cut to the used dimensions and the next one: the
+        # words take 1,201 pushes with the prunes (1,459 with balance
+        # feasibility alone) and 3,780 without, where the canonical stream
+        # takes 15,658 and 90,676
+        found = [
+            pushes(monkeypatch, lambda: _count_words((4, cfg, None)))
+            for cfg in ALL_PRUNE_CONFIGS
+        ]
+        assert found == [(112, 1_201), (112, 3_780)]
+        stream = pushes(monkeypatch, lambda: len(list(enumerate_cycles(4))))
+        assert stream == (1344, 15_658)
+
+    @pytest.mark.parametrize("n,depth", [(3, 3), (4, 4), (4, 8), (5, 4)])
+    def test_first_use_prefixes(self, n, depth):
+        expected = [p for p in path_prefixes(n, depth) if is_first_use(p)]
+        assert _first_use_prefixes(n, depth) == expected
+
+    @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
+    @pytest.mark.parametrize("n,depth", [(2, 3), (3, 2), (3, 7), (4, 5), (4, 8)])
+    def test_prefix_shards_add_up_to_the_whole_search(self, n, depth, cfg):
+        shards = [_count_words((n, cfg, p)) for p in _first_use_prefixes(n, depth)]
+        assert sum(shards) == _count_words((n, cfg, None))
+
+    def test_two_workers_count_what_one_process_counts(self):
+        assert count_cycles(4, workers=2) == count_cycles(4) == 1344
+
+    def test_dimension_bounds(self):
+        for n in (0, 1, 17):
+            with pytest.raises(ValueError):
+                count_cycles(n)
+
+    @pytest.mark.skipif(
+        not os.environ.get("QUBE_ACCEPTANCE_FULL"),
+        reason="counts 15,109,096 words: minutes on every core (QUBE_ACCEPTANCE_FULL=1)",
+    )
+    def test_five_cube(self):
+        # OEIS A066037
+        assert count_cycles(5, workers=os.cpu_count() or 1) == 906_545_760
 
 
 def rows_read(monkeypatch, n, cfg, prefix=None) -> tuple[list, int]:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qube import squares
 from qube.cycles import HamiltonianCycle, chromatic_vector, color, gray_cycle
 from qube.enumeration import sample_cycles
 from qube.squares import (
@@ -9,6 +10,7 @@ from qube.squares import (
     ALPHA_EQUI_HYPERCUBE,
     EquiValueUnavailable,
     InscribedSquare,
+    ThresholdReport,
     check_threshold_implication,
     find_squares,
     has_square,
@@ -148,6 +150,40 @@ class TestThresholdImplication:
             report = check_threshold_implication(h, "independence")
             assert report.obligated_dims
             assert report.ok
+
+
+def report_from_the_square_list(h: HamiltonianCycle, mode: str, thr: int) -> ThresholdReport:
+    """The threshold report derived from the full list of squares."""
+    obligated = tuple(i for i, c in enumerate(chromatic_vector(h)) if c > thr)
+    rim_dims = {s.rim_dim for s in find_squares(h)}
+    return ThresholdReport(mode, thr, obligated, tuple(i for i in obligated if i not in rim_dims))
+
+
+class TestThresholdAgainstTheSquareList:
+    """``check_threshold_implication`` looks for a square in each obligated
+    dimension on its own; the reports must equal the ones read off
+    :func:`find_squares`."""
+
+    @pytest.mark.parametrize("mode", ["equi", "independence"])
+    def test_every_q4_cycle(self, mode, q4_cycles):
+        thr = rim_threshold(4, mode)
+        for h in q4_cycles:
+            assert check_threshold_implication(h, mode) == report_from_the_square_list(h, mode, thr)
+
+    @pytest.mark.parametrize("mode", ["equi", "independence"])
+    def test_seeded_samples_of_q6_and_q7(self, mode, q6_samples):
+        for h in q6_samples[:300] + sample_cycles(7, 3, 8):
+            thr = rim_threshold(h.n, mode)
+            report = check_threshold_implication(h, mode)
+            assert report == report_from_the_square_list(h, mode, thr)
+
+    def test_dimensions_without_a_square_are_reported(self, monkeypatch, q4_cycles):
+        # with no threshold every used dimension is obligated, so a dimension
+        # whose edges are no two rims of a square is a violation
+        monkeypatch.setattr(squares, "rim_threshold", lambda n, mode: 0)
+        reports = [check_threshold_implication(h) for h in q4_cycles]
+        assert reports == [report_from_the_square_list(h, "equi", 0) for h in q4_cycles]
+        assert sum(1 for r in reports if r.violations) == 528
 
 
 class TestReferenceTable:
