@@ -66,7 +66,6 @@ that :func:`qube.verify.sweep_exhaustive` uses too.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 from dataclasses import dataclass
 from itertools import accumulate, filterfalse
@@ -354,6 +353,8 @@ def map_shards(func: Callable, tasks: Sequence, workers: int) -> Iterable:
     (at most one per task) that hand out one task at a time."""
     if workers == 1:
         return map(func, tasks)
+    import multiprocessing  # only a pool needs it, not every import of qube
+
     # spawned workers import qube afresh and share no state with this process
     with multiprocessing.get_context("spawn").Pool(min(workers, len(tasks))) as pool:
         return pool.map(func, tasks, chunksize=1)
