@@ -340,13 +340,17 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_pigeonhole(args: argparse.Namespace) -> int:
-    for n in range(2, args.max_n + 1):
-        report = pigeonhole_report(n)
+    if args.max_n < 2:
+        raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
+    # every report is built before the first is written, so a dimension
+    # without a stored value leaves stdout empty
+    reports = [pigeonhole_report(n) for n in range(2, args.max_n + 1)]
+    for report in reports:
         _emit(report.to_dict(), sys.stdout)
         relation = "<" if report.forced else ">="
         outcome = "squares forced in every Hamiltonian cycle" if report.forced else "not decided by counting"
         print(
-            f"n={n}: {n} * {report.threshold} = {report.product} {relation} "
+            f"n={report.n}: {report.n} * {report.threshold} = {report.product} {relation} "
             f"{report.order} -> {outcome}",
             file=sys.stderr,
         )

@@ -82,20 +82,26 @@ class HamiltonianCycle:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "HamiltonianCycle":
-        """Parse and validate the JSON object form {"n": ..., "seq": [...]}."""
+        """Parse and validate the JSON object form {"n": ..., "seq": [...]}.
+        ``n`` and the vertices must be integers, not bools: a float, a
+        string or a bool is rejected, not converted."""
         try:
-            n = int(obj["n"])
-            seq = [int(x) for x in obj["seq"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            n, seq = obj["n"], tuple(obj["seq"])
+        except (KeyError, TypeError) as exc:
             raise CycleError(f"malformed cycle object: {exc}") from None
+        if type(n) is not int or not {int}.issuperset(map(type, seq)):
+            raise CycleError("malformed cycle object: n and every vertex must be integers")
         return validate_cycle(n, seq)
 
 
 def validate_cycle(n: int, seq: Sequence[int]) -> HamiltonianCycle:
     """Check that ``seq`` walks every vertex of the n-cube exactly once
-    along edges and closes up; return the cycle or raise a CycleError."""
+    along edges and closes up; return the cycle or raise a CycleError.
+    The n-cube has a Hamiltonian cycle only for n >= 2."""
     check_dimension(n)
-    values = tuple(int(v) for v in seq)
+    if n < 2:
+        raise CycleError("a Hamiltonian cycle needs n >= 2")
+    values = tuple(seq)
     size = 1 << n
     if len(values) != size:
         raise WrongLength(f"expected {size} vertices for n={n}, got {len(values)}")
@@ -116,8 +122,6 @@ def validate_cycle(n: int, seq: Sequence[int]) -> HamiltonianCycle:
 
 def gray_cycle(n: int) -> HamiltonianCycle:
     """The binary reflected Gray code as a validated cycle (n >= 2)."""
-    if n < 2:
-        raise ValueError("a Hamiltonian cycle needs n >= 2")
     return validate_cycle(n, gray_code(n))
 
 

@@ -31,10 +31,10 @@ that stops being addable never becomes addable again below that node.
   once; when f = n - 2 it dies as soon as e_(n-1) becomes interior.
 
 The search is one iterative loop over an explicit stack.  A neighbour
-table built per call gives, for each vertex, its neighbours in dimension
-order together with each edge's *slot* ``2*i + class``; the used and
-addable edge counts are two flat lists indexed by slot, and a third list
-counts each vertex's free edges.  A step changes at most one slot per
+table, a new list per call, gives, for each vertex, its neighbours in
+dimension order together with each edge's *slot* ``2*i + class``; the
+used and addable edge counts are two flat lists indexed by slot, and a
+third list counts each vertex's free edges.  A step changes at most one slot per
 dimension and only the free counts of the open neighbours of the vertex
 it makes interior, and the node it extends passed the prunes, so only
 what the step changed is re-checked; the full check over every slot and
@@ -47,6 +47,22 @@ for each depth, the candidate steps not yet tried and the slot of the
 edge into that path vertex, so the path depth 2^n meets no recursion
 limit.  The table has n·2^n entries (about 125 MB at n = 16), so
 enumeration supports 2 <= n <= 16, the sampler's range.
+
+The stream keeps a *completion memo* on cubes of at most
+``MEMO_MAX_DIM`` = 6 dimensions, where a visited set fits a 64-bit mask
+(the state of Held and Karp's dynamic programme, J. SIAM 10, 1962, here
+used to enumerate).  A state is the visited set and the path end.  When
+the search pops a state it records the range of cycles it emitted below
+it; when a later step would push the same state, the search yields those
+cycles again behind the current path, in the same order, and does not
+search the state.  The replay is exact: a state's completions and their
+branch order depend only on the visited set, the end and the first step
+(the leaf's canonical test and the closing-edge rows read it), and the
+prunes cut only subtrees without a completion.  So the memo lives for one
+first step and is cleared when the search pops back to vertex 0.  It is
+dropped once its states plus the cycles it holds pass ``MEMO_CAP``, and
+states pushed before a drop are not recorded, which bounds its memory.
+Those cubes also build their neighbour rows once per process.
 
 :func:`count_cycles` runs the same kernel in *first-use* mode, one S_n
 orbit at a time (orderly generation, McKay 1998).  Coordinate
@@ -68,6 +84,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, filterfalse
 from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
@@ -79,6 +96,9 @@ MAX_SAMPLE_DIM = 16
 MAX_CONSECUTIVE_FAILURES = 200
 MAX_PREFIX_VERTICES = 1 << 23
 FIRST_USE_SHARD_DEPTH = 8
+MEMO_MAX_DIM = 6
+MEMO_CAP = 1 << 16
+NO_CYCLES = (0, 0)  # the memo's shared range for the many states without a cycle
 
 
 @dataclass(frozen=True)
@@ -112,12 +132,25 @@ def _neighbour_table(n: int) -> list[tuple[tuple[int, int], ...]]:
     """For each vertex u, its ``(u ^ 1 << i, 2*i + c)`` pairs in increasing i,
     where c is the class of the i-edge at u (``parity_excluding(u, i)``, in
     closed form); ``2*i + c`` is the edge's slot in the tally lists.  Row
-    ``2^n + j`` follows: the row of e_j without its pair for vertex 0."""
+    ``2^n + j`` follows: the row of e_j without its pair for vertex 0.
+
+    Each call returns a new list, because the search swaps rows in it; the
+    rows of a cube of at most ``MEMO_MAX_DIM`` dimensions are built once
+    per process."""
+    return list(_shared_rows(n)) if n <= MEMO_MAX_DIM else _rows(n)
+
+
+def _rows(n: int) -> list[tuple[tuple[int, int], ...]]:
     rows = [
         tuple((u ^ 1 << i, 2 * i + ((u.bit_count() ^ u >> i) & 1)) for i in range(n))
         for u in range(1 << n)
     ]
     return rows + [rows[1 << j][:j] + rows[1 << j][j + 1 :] for j in range(n)]
+
+
+@lru_cache(maxsize=None)
+def _shared_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    return tuple(_rows(n))
 
 
 def check_search_args(n: int, prefix: Sequence[int] | None = None) -> None:
@@ -202,15 +235,57 @@ def _search(
     if first_use:
         for k, (_, s) in enumerate(moves, 1):
             width[k] = width[k - 1] + (s >> 1 == width[k - 1])
+    # The completion memo of the stream on small cubes: memo[mask << 6 | v]
+    # is the range of ``emitted`` that the search emitted below the state
+    # whose visited set less v is ``mask`` and whose path end is v.
+    # keys[k] is the visited set of path[0..k] shifted by 6, so a step from
+    # path[k] to v has the key keys[k] | v, and start[k] is the length of
+    # ``emitted`` when path[k] was pushed, or -1 when the memo was dropped
+    # since, and path[k] is not recorded then.
+    memo = None if first_use or n > MEMO_MAX_DIM else {}
+    emitted: list[tuple[int, ...]] = []
+    cap = MEMO_CAP
+    slots = size if memo is not None else 0  # a larger cube keeps neither list
+    keys = [64] * slots
+    start = [0] * slots
     k = 0
     while True:
         for v, s in tries[k]:
             if not seen[v]:
-                break
+                if memo is None:
+                    break
+                got = memo.get(keys[k] | v)
+                if got is None:
+                    break
+                # the state was searched before: its completions again,
+                # behind this path, in the same order
+                head = tuple(path[: k + 1])
+                for seq in emitted[got[0] : got[1]]:
+                    seq = head + seq[k + 1 :]
+                    emitted.append(seq)
+                    yield HamiltonianCycle(n, seq)
+                if len(memo) + len(emitted) > cap:
+                    memo.clear()
+                    emitted.clear()
+                    start[: k + 1] = [-1] * (k + 1)
         else:
             if k == 0:
                 return
             v, s = path[k], into[k]
+            if memo is not None:
+                if k == 1:
+                    # the next first step changes the canonical test at the
+                    # leaf and the closing-edge rows
+                    memo.clear()
+                    emitted.clear()
+                else:
+                    a, b = start[k], len(emitted)
+                    if a >= 0:
+                        memo[keys[k - 1] | v] = (a, b) if a < b else NO_CYCLES
+                    if len(memo) + len(emitted) > cap:
+                        memo.clear()
+                        emitted.clear()
+                        start[:k] = [-1] * k
             k -= 1
             u = path[k]
             seen[v] = 0
@@ -272,6 +347,9 @@ def _search(
         path[k] = v
         into[k] = s
         seen[v] = 1
+        if memo is not None:
+            keys[k] = keys[k - 1] | 64 << v
+            start[k] = len(emitted)
         if k < base:
             tries[k] = iter(moves[k : k + 1])
             continue
@@ -287,7 +365,13 @@ def _search(
             # a full path closes to vertex 0 when v is a unit vector, and is
             # canonical when its first dimension is below its last
             if v & (v - 1) == 0 and path[1] < v:
-                yield None if first_use else HamiltonianCycle(n, tuple(path))
+                if first_use:
+                    yield None
+                else:
+                    seq = tuple(path)
+                    if memo is not None:
+                        emitted.append(seq)
+                    yield HamiltonianCycle(n, seq)
             ok = False
         if not ok:
             tries[k] = iter(())

@@ -299,6 +299,31 @@ class TestAnalyze:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "line",
+        ['{"n": 2, "seq": [0, 1, 3, 2.9]}', '{"n": 2, "seq": "0132"}',
+         '{"n": 2.7, "seq": [0, 1, 3, 2]}', '{"n": 2, "seq": [0, 1, 3, 2.0]}',
+         '{"n": 2, "seq": [false, true, 3, 2]}', '{"n": true, "seq": [0, 1]}'],
+        ids=["float-vertex", "string-seq", "float-n", "integral-float", "bools", "bool-n"],
+    )
+    def test_non_integer_values_are_rejected_not_coerced(self, capsys, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"n": 2, "seq": [0, 1, 3, 2]}\n' + line + "\n")
+        code, out, err = run(capsys, "analyze", "--in", str(bad))
+        assert (code, out) == (2, "")
+        assert f"error: {bad}:2: malformed cycle object" in err
+
+    def test_a_one_cube_is_not_a_counterexample(self, capsys, tmp_path):
+        # the parity-balance theorem is about n >= 2; {0, 1} walked both
+        # ways is no Hamiltonian cycle
+        bad = tmp_path / "q1.jsonl"
+        bad.write_text('{"n": 1, "seq": [0, 1]}\n')
+        code, out, err = run(
+            capsys, "verify", "--n", "1", "--property", "balance", "--in", str(bad)
+        )
+        assert (code, out) == (2, "")
+        assert f"error: {bad}:1: a Hamiltonian cycle needs n >= 2" in err
+
 
 class TestSquares:
     def test_both_squares_of_the_two_cube(self, capsys, tmp_path):
@@ -677,9 +702,16 @@ class TestPigeonhole:
         assert "not decided by counting" in err
 
     def test_nine_cube_needs_a_stored_value(self, capsys):
-        code, _, err = run(capsys, "pigeonhole", "--max-n", "9")
+        code, out, err = run(capsys, "pigeonhole", "--max-n", "9")
         assert code == 2
+        assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+    def test_a_range_without_a_cube_is_a_usage_error(self, capsys, max_n):
+        code, out, err = run(capsys, "pigeonhole", "--max-n", max_n)
+        assert (code, out) == (2, "")
+        assert f"error: --max-n must be at least 2, got {max_n}" in err
 
 
 class TestUsageErrors:

@@ -78,6 +78,10 @@ class TestValidateCycle:
         with pytest.raises(ValueError):
             gray_cycle(1)
 
+    def test_a_one_cube_walk_is_not_a_cycle(self):
+        with pytest.raises(CycleError, match="a Hamiltonian cycle needs n >= 2"):
+            validate_cycle(1, [0, 1])
+
 
 class TestCycleObject:
     def test_rotation_and_reversal_preserve_edges(self):

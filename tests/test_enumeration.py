@@ -107,12 +107,15 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="2 <= n <= 16"):
             next(enumerate_cycles(17))
 
-    @pytest.mark.parametrize("n", [10, 12])
+    @pytest.mark.parametrize("n", [7, 10, 12])
     def test_first_cycle_of_a_large_cube(self, n):
-        # the search keeps its own stack, so the path depth 2^n is no limit
+        # the search keeps its own stack, so the path depth 2^n is no limit;
+        # the walk that always takes the lowest free dimension is the
+        # reflected Gray code, which closes, so it is the first cycle
         h = next(enumerate_cycles(n))
         validate_cycle(h.n, h.seq)
         assert canonical_form(h) == h
+        assert h.seq == tuple(gray_code(n))
 
 
 class TestPrefixSplitting:
@@ -375,14 +378,18 @@ class TestFirstUseCount:
         # the rows are cut to the used dimensions and the next one: the
         # words take 1,201 pushes with the prunes (1,459 with balance
         # feasibility alone) and 3,780 without, where the canonical stream
-        # takes 15,658 and 90,676
+        # takes 6,135 and 26,708 with its completion memo (15,658 and
+        # 90,676 without)
         found = [
             pushes(monkeypatch, lambda: _count_words((4, cfg, None)))
             for cfg in ALL_PRUNE_CONFIGS
         ]
         assert found == [(112, 1_201), (112, 3_780)]
-        stream = pushes(monkeypatch, lambda: len(list(enumerate_cycles(4))))
-        assert stream == (1344, 15_658)
+        stream = [
+            pushes(monkeypatch, lambda: len(list(enumerate_cycles(4, cfg))))
+            for cfg in ALL_PRUNE_CONFIGS
+        ]
+        assert stream == [(1344, 6_135), (1344, 26_708)]
 
     @pytest.mark.parametrize("n,depth", [(3, 3), (4, 4), (4, 8), (5, 4)])
     def test_first_use_prefixes(self, n, depth):
@@ -465,15 +472,66 @@ Q5_GOLDEN = [
 ]
 
 
+def q5_golden_streams(cfg: PruneConfig) -> list[tuple[int, str]]:
+    """Completion count and digest of each Q5_GOLDEN prefix's stream."""
+    rng = random.Random(Q5_GOLDEN_SEED)
+    found = []
+    for _ in Q5_GOLDEN:
+        prefix = random_simple_path(5, 13, rng)
+        cycles = list(enumerate_cycles(5, cfg, prefix=prefix))
+        found.append((len(cycles), corpus_digest(cycles)))
+    return found
+
+
 class TestQ5Golden:
     @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
     def test_prefix_completions_match_the_recorded_stream(self, cfg):
-        rng = random.Random(Q5_GOLDEN_SEED)
-        for count, digest in Q5_GOLDEN:
-            prefix = random_simple_path(5, 13, rng)
-            seqs = [h.seq for h in enumerate_cycles(5, cfg, prefix=prefix)]
-            text = "".join(" ".join(map(str, seq)) + "\n" for seq in seqs)
-            assert (len(seqs), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
+        assert q5_golden_streams(cfg) == Q5_GOLDEN
+
+
+# sha256 of the Q4 stream, one space-separated line per cycle; recorded
+# before the search had its completion memo.
+Q4_STREAM_SHA256 = "df3a6e7e47e07d178dfe8af977bfaa8c74c7f99876c088d8bfe97b833d6537ec"
+
+
+class TestCompletionMemo:
+    """On cubes of at most ``MEMO_MAX_DIM`` dimensions the stream replays
+    the completions of a (visited set, path end) state it has searched
+    before, and drops its memo once it holds more than ``MEMO_CAP``
+    entries and cycles.  Drops and the memo itself change only the work."""
+
+    @pytest.mark.parametrize(
+        "max_dim,cap,pruned,unpruned",
+        [(3, 1 << 16, 15_658, 90_676), (4, 0, 15_658, 90_676),
+         (4, 50, 13_508, 85_099), (4, 1000, 8_137, 54_146)],
+        ids=["no-memo", "dropped-at-once", "cap-50", "cap-1000"],
+    )
+    def test_q4_stream_under_every_cap(self, monkeypatch, max_dim, cap, pruned, unpruned):
+        # with the memo off, or dropped at every pop, the search does the
+        # work of a search without one
+        monkeypatch.setattr(enumeration, "MEMO_MAX_DIM", max_dim)
+        monkeypatch.setattr(enumeration, "MEMO_CAP", cap)
+        found = [
+            pushes(monkeypatch, lambda: corpus_digest(enumerate_cycles(4, cfg)))
+            for cfg in ALL_PRUNE_CONFIGS
+        ]
+        assert found == [(Q4_STREAM_SHA256, pruned), (Q4_STREAM_SHA256, unpruned)]
+
+    @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
+    def test_q5_golden_streams_survive_drops(self, monkeypatch, cfg):
+        monkeypatch.setattr(enumeration, "MEMO_CAP", 20)
+        assert q5_golden_streams(cfg) == Q5_GOLDEN
+
+    @pytest.mark.parametrize("cap", [1 << 16, 100])
+    def test_q6_stream_with_and_without_the_memo(self, monkeypatch, cap):
+        # the largest cube with the memo, whose visited sets fill 64 bits
+        def head(max_dim):
+            monkeypatch.setattr(enumeration, "MEMO_MAX_DIM", max_dim)
+            stream = enumerate_cycles(6, prefix=gray_code(6)[:37])
+            return [h.seq for h in itertools.islice(stream, 3000)]
+
+        monkeypatch.setattr(enumeration, "MEMO_CAP", cap)
+        assert head(6) == head(5)
 
 
 def reference_random_cycle(
