@@ -8,9 +8,12 @@ and the counting argument that forces inscribed squares (``pigeonhole``).
 Machine-readable JSON goes to stdout (corpora as one JSON object per
 line); human-readable summaries go to stderr.  Exit status: 0 when the
 requested property holds / the command succeeds, 1 when a counterexample
-or violation was found, 2 on usage or input errors, 3 when the run could
-not finish (a ``RuntimeError``, such as a sampler that abandoned too many
-searches in a row, or a solver witness that fails its check).  The
+or violation was found, 2 on usage or input errors (including a dimension
+without a stored balanced-independence number), 3 when the run could not
+finish (a ``RuntimeError``, such as a sampler that abandoned too many
+searches in a row, or a solver witness that fails its check, and any other
+``LookupError``, such as a ``KeyError`` or ``IndexError`` from a fault in
+the program).  The
 environment variable ``QUBE_THREADS`` sets the worker count for exhaustive
 ``verify`` sweeps and for ``enumerate --count-only`` over the whole cube
 (default 1, capped at the CPU count; anything but a positive integer is a
@@ -56,7 +59,7 @@ from .independence import (
     equi_reduction,
     table1_rows,
 )
-from .squares import find_squares, pigeonhole_report
+from .squares import EquiValueUnavailable, find_squares, pigeonhole_report
 from .verify import PROPERTIES, persist_square_free, sweep, sweep_exhaustive
 
 # ---------------------------------------------------------------------------
@@ -239,13 +242,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    # the whole file is read first, so a bad line leaves no output
-    for cyc in list(read_cycles(args.infile)):
+    # the whole file is read and --dim checked against every cycle first,
+    # so a bad line or an index out of range leaves no output
+    cycles = list(read_cycles(args.infile))
+    if args.dim is not None:
+        for cyc in cycles:
+            if not 0 <= args.dim < cyc.n:
+                raise ValueError(f"dimension index {args.dim} out of range for n={cyc.n}")
+    for cyc in cycles:
         profiles = dimension_profiles(cyc)
         counts = [len(p.index_list) for p in profiles]
         if args.dim is not None:
-            if not 0 <= args.dim < cyc.n:
-                raise ValueError(f"dimension index {args.dim} out of range for n={cyc.n}")
             profiles = [profiles[args.dim]]
         _emit(
             {
@@ -433,9 +440,13 @@ def main(argv: list[str] | None = None) -> int:
         # looked up by name at call time, so a cmd_* replaced in this
         # module's namespace (by a test or a tracer) is the one that runs
         return globals()[f"cmd_{args.command}"](args)
-    except (OSError, ValueError, LookupError, RuntimeError) as exc:
+    except (OSError, ValueError, EquiValueUnavailable, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, RuntimeError) else 2
+    except LookupError as exc:
+        # a KeyError or IndexError is a fault of the run, not of its input
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ tree can be partitioned into fixed-depth path prefixes for splitting work
 across processes; the union of the per-prefix emissions equals the
 sequential stream.
 
-Three sound rules are applied, all or none as :class:`PruneConfig` says
+Four sound rules are applied, all or none as :class:`PruneConfig` says
 (the emitted set never changes, only the work).  They count *addable*
 edges: an edge is addable while it is unused, neither endpoint is strict
 interior of the path (visited, but not vertex 0 and not the path end),
@@ -29,6 +29,12 @@ that stops being addable never becomes addable again below that node.
   (canonical augmentation, McKay 1998).  When f = n - 1 vertex 0 keeps
   no free edge to close with and the free-edges rule stops the branch at
   once; when f = n - 2 it dies as soon as e_(n-1) becomes interior.
+- *Forced step* takes the path end's one unvisited neighbour with exactly
+  two addable edges as its only next step, and abandons the path when
+  there are two: such a neighbour needs both edges, one of them to the
+  end, and the end has one edge left (the degree-2 rule of Vandegriend
+  and Culberson, JAIR 9, 1998).  A wrong step would only fail the
+  free-edges rule one push later.
 
 The search is one iterative loop over an explicit stack.  A neighbour
 table, a new list per call, gives, for each vertex, its neighbours in
@@ -72,12 +78,13 @@ dimension word brings in new dimensions in the order 0, 1, 2, ....  The
 kernel keeps, per depth, how many dimensions the path uses, and a step
 may take only those and the next one: the first part of the vertex's
 row.  It counts every closing path, builds no cycle, and the count is
-n!·words/2.  Balance feasibility and free edges do not depend on the
-coordinate labels, so they stay sound there; the first step is in
-dimension 0, so the closing-edge rule retires nothing and the leaf's
-canonical test passes every closing path.  The count can be sharded by
-first-use prefix over worker processes with :func:`map_shards`, the pool
-that :func:`qube.verify.sweep_exhaustive` uses too.
+n!·words/2.  Balance feasibility, free edges and the forced step do not
+depend on the coordinate labels, so they stay sound there; the first
+step is in dimension 0, so the closing-edge rule retires nothing and the
+leaf's canonical test passes every closing path.  The count can be
+sharded by first-use prefix over worker processes with
+:func:`map_shards`, the pool that :func:`qube.verify.sweep_exhaustive`
+uses too.
 """
 
 from __future__ import annotations
@@ -104,8 +111,8 @@ NO_CYCLES = (0, 0)  # the memo's shared range for the many states without a cycl
 @dataclass(frozen=True)
 class PruneConfig:
     """Whether enumeration applies its sound search-space reductions:
-    balance feasibility, free edges and the canonical closing edge, all
-    or none."""
+    balance feasibility, free edges, the canonical closing edge and the
+    forced step, all or none."""
 
     enabled: bool = True
 
@@ -375,14 +382,31 @@ def _search(
             ok = False
         if not ok:
             tries[k] = iter(())
-        elif first_use:
+            continue
+        cands = table[v]
+        if prune:
+            # Forced step: an unvisited neighbour x with two free edges
+            # needs both, so {v, x} is in every completion, and v has one
+            # edge left.  Two such neighbours leave no step.  Vertex 0 is
+            # seen, so it is never forced.
+            tight = 0
+            for e in cands:
+                x = e[0]
+                if free[x] == 2 and not seen[x]:
+                    tight += 1
+                    forced = e
+            if tight:
+                cands = (forced,) if tight == 1 else ()
+        if first_use:
             # rows run in increasing dimension, so the steps in the used
-            # dimensions and the next one are a prefix of v's row
+            # dimensions and the next one are a prefix of v's row.  A forced
+            # step is one of them: the path stays in the subcube of the used
+            # dimensions, a neighbour outside it keeps all n of its edges,
+            # and at n = 2 the one such neighbour is in the next dimension.
             w = width[k - 1]
             w = width[k] = w + (s >> 1 == w)
-            tries[k] = iter(table[v][: w + 1])
-        else:
-            tries[k] = iter(table[v])
+            cands = cands[: w + 1]
+        tries[k] = iter(cands)
 
 
 def count_cycles(n: int, prunes: PruneConfig | None = None, workers: int = 1) -> int:

@@ -274,6 +274,15 @@ class TestAnalyze:
         assert [p["dim"] for p in doc["profiles"]] == [2]
         assert doc["profiles"][0]["index_list"] == [0, 4]
 
+    def test_a_dimension_out_of_range_for_a_later_cycle_leaves_no_output(
+        self, capsys, tmp_path
+    ):
+        # --dim 4 fits the Q6 cycle but not the Q3 cycle after it
+        corpus = write_cycles(tmp_path / "mixed.jsonl", [gray_cycle(6), gray_cycle(3)])
+        code, out, err = run(capsys, "analyze", "--in", corpus, "--dim", "4")
+        assert (code, out) == (2, "")
+        assert "error: dimension index 4 out of range for n=3" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "--in", "no-such-file.jsonl")
         assert code == 2
@@ -747,6 +756,20 @@ class TestDispatch:
         assert code == 0
         assert calls == [2]
         assert out == ""
+
+    @pytest.mark.parametrize("fault", [KeyError, IndexError])
+    def test_an_internal_lookup_error_is_not_a_usage_error(
+        self, capsys, monkeypatch, fault
+    ):
+        # a failed lookup inside a command is a fault of the run: it could
+        # not finish (exit 3); only a missing stored value is a usage error
+        def broken(args):
+            raise fault(7)
+
+        monkeypatch.setattr("qube.cli.cmd_gray", broken)
+        code, out, err = run(capsys, "gray", "--n", "2")
+        assert (code, out) == (3, "")
+        assert f"error: {fault.__name__}: 7" in err
 
     def test_no_flag_carries_over_between_calls(self, capsys, tmp_path):
         code, out, _ = run(capsys, "enumerate", "--n", "3", "--count-only")

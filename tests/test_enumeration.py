@@ -268,11 +268,12 @@ class TestFreeEdges:
                         assert at_vertex[w] >= 2, (path, w)
 
     def test_the_prune_cuts_the_q4_search(self, monkeypatch):
-        # with all three rules the Q4 search reads 42,038 rows; without the
-        # free-edges checks it reads 70,877, without the closing-edge rule
-        # 77,645 (balance feasibility alone read 94,301, in 34,972 pushes),
-        # and with no prune 266,309
-        assert rows_read(monkeypatch, 4, PruneConfig.all())[1] < 70_877
+        # with all four rules the Q4 search reads 15,157 rows (a node that
+        # the prunes keep reads its row twice, once for the forced step);
+        # without the forced step it reads 16,392, without the free-edges
+        # checks, which the forced step reads too, 31,621, and with no prune
+        # 80,089
+        assert rows_read(monkeypatch, 4, PruneConfig.all())[1] < 31_621
 
     def test_a_prefix_is_checked_in_full(self, monkeypatch):
         # 0 1 3 7 6 4 12 leaves vertex 5 one addable edge, {5, 13}; the last
@@ -284,6 +285,42 @@ class TestFreeEdges:
         prefix = [0, 1, 3, 7, 6, 4, 12, 14]
         found = rows_read(monkeypatch, 4, PruneConfig.all(), prefix)
         assert found == ([], 2 * (len(prefix) - 2))
+
+
+class TestForcedStep:
+    """The path end steps to an unvisited neighbour left with two addable
+    edges: that neighbour needs both, and the end has one edge left."""
+
+    def test_every_prefix_of_a_q4_cycle_steps_to_its_tight_neighbour(self, q4_cycles):
+        # the soundness of the rule, from scratch: every path that a cycle
+        # completes, short of a full one, has at most one such neighbour at
+        # its end, and the cycle's next vertex is that one
+        edges = cube_edges(4)
+        for h in q4_cycles:
+            for seq in (h.seq, (0,) + h.seq[:0:-1]):
+                for k in range(2, len(seq)):
+                    path = list(seq[:k])
+                    at_vertex = tallies_from_scratch(4, edges, path)[3]
+                    tight = [
+                        x for x in (path[-1] ^ 1 << i for i in range(4))
+                        if x not in path and at_vertex[x] == 2
+                    ]
+                    assert tight in ([], [seq[k]]), (path, tight)
+
+    @pytest.mark.parametrize("n,max_depth", [(2, 3), (3, 7), (4, 15), (5, 9)])
+    def test_a_forced_step_of_a_first_use_path_is_an_allowed_one(self, n, max_depth):
+        # first-use mode needs no check of its own: the step to a tight
+        # neighbour is in a used dimension or the next one, so it lies in
+        # the part of the row that mode allows
+        edges = cube_edges(n)
+        for depth in range(1, max_depth + 1):
+            for path in _first_use_prefixes(n, depth):
+                at_vertex = tallies_from_scratch(n, edges, path)[3]
+                width = max(path).bit_length()
+                for i in range(n):
+                    x = path[-1] ^ 1 << i
+                    if x not in path and at_vertex[x] == 2:
+                        assert i <= width, (path, x)
 
 
 def gray_prefix(n: int, depth: int, f: int) -> list[int]:
@@ -376,20 +413,20 @@ class TestFirstUseCount:
 
     def test_q4_push_counts(self, monkeypatch):
         # the rows are cut to the used dimensions and the next one: the
-        # words take 1,201 pushes with the prunes (1,459 with balance
-        # feasibility alone) and 3,780 without, where the canonical stream
-        # takes 6,135 and 26,708 with its completion memo (15,658 and
-        # 90,676 without)
+        # words take 978 pushes with the prunes (1,201 without the forced
+        # step, 1,459 with balance feasibility alone) and 3,780 without,
+        # where the canonical stream takes 4,430 and 26,708 with its
+        # completion memo (12,570 and 90,676 without)
         found = [
             pushes(monkeypatch, lambda: _count_words((4, cfg, None)))
             for cfg in ALL_PRUNE_CONFIGS
         ]
-        assert found == [(112, 1_201), (112, 3_780)]
+        assert found == [(112, 978), (112, 3_780)]
         stream = [
             pushes(monkeypatch, lambda: len(list(enumerate_cycles(4, cfg))))
             for cfg in ALL_PRUNE_CONFIGS
         ]
-        assert stream == [(1344, 6_135), (1344, 26_708)]
+        assert stream == [(1344, 4_430), (1344, 26_708)]
 
     @pytest.mark.parametrize("n,depth", [(3, 3), (4, 4), (4, 8), (5, 4)])
     def test_first_use_prefixes(self, n, depth):
@@ -502,8 +539,8 @@ class TestCompletionMemo:
 
     @pytest.mark.parametrize(
         "max_dim,cap,pruned,unpruned",
-        [(3, 1 << 16, 15_658, 90_676), (4, 0, 15_658, 90_676),
-         (4, 50, 13_508, 85_099), (4, 1000, 8_137, 54_146)],
+        [(3, 1 << 16, 12_570, 90_676), (4, 0, 12_570, 90_676),
+         (4, 50, 10_136, 85_099), (4, 1000, 5_652, 54_146)],
         ids=["no-memo", "dropped-at-once", "cap-50", "cap-1000"],
     )
     def test_q4_stream_under_every_cap(self, monkeypatch, max_dim, cap, pruned, unpruned):
