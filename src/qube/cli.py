@@ -59,7 +59,7 @@ from .independence import (
     equi_reduction,
     table1_rows,
 )
-from .squares import EquiValueUnavailable, find_squares, pigeonhole_report
+from .squares import EquiValueUnavailable, find_squares, pigeonhole_report, rim_threshold
 from .verify import PROPERTIES, persist_square_free, sweep, sweep_exhaustive
 
 # ---------------------------------------------------------------------------
@@ -115,6 +115,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.mode is not None and prop != "threshold":
         raise ValueError("--mode goes only with --property threshold")
     mode = args.mode or "equi"
+    if prop == "threshold":
+        rim_threshold(n, mode)  # no stored value: a usage error before any cycle is drawn
 
     if prop == "isomorphism":
         # it checks every dimension graph of the n-cube, which is what
@@ -128,15 +130,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.exhaustive:
             corpus = "exhaustive"
-            tally = sweep_exhaustive(n, prop, mode, _thread_count())
+            tally = sweep_exhaustive(n, (prop,), mode, _thread_count())[prop]
         elif args.sample is not None:
             if args.seed is None:
                 raise ValueError("--sample requires --seed")
             corpus = f"sample(seed={args.seed}, k={args.sample})"
-            tally = sweep(prop, sample_cycles(n, args.seed, args.sample), mode)
+            tally = sweep((prop,), sample_cycles(n, args.seed, args.sample), mode)[prop]
         elif args.infile is not None:
             corpus = f"file:{args.infile}"
-            tally = sweep(prop, _of_dimension(n, read_cycles(args.infile)), mode)
+            tally = sweep((prop,), _of_dimension(n, read_cycles(args.infile)), mode)[prop]
             if not tally.checked:
                 # a verdict on no cycles would hold vacuously, like --sample 0
                 raise ValueError(f"{args.infile} holds no cycles")

@@ -1,16 +1,19 @@
-"""Property sweeps: check one structural property on every cycle of a corpus.
+"""Property sweeps: check several per-cycle properties on a corpus in one pass.
 
-:func:`sweep` checks any iterable of cycles, which it reads one cycle at a
-time.  :func:`sweep_exhaustive` checks every Hamiltonian cycle of the
-n-cube: one shard per search prefix, run in this process or in a pool of
-worker processes (:func:`~qube.enumeration.map_shards`), and folded
-through :meth:`Tally.merge`, which gives the same tally as one pass over
+:func:`sweep` takes a tuple of properties, keys of :data:`CHECKS`, and any
+iterable of cycles, which it reads one cycle at a time; it returns one
+:class:`Tally` per property.  Balance, segment sums and the gap recurrence
+share one :func:`~qube.cycles.dimension_profiles` list per cycle, built only
+when one of them is asked for.  :func:`sweep_exhaustive` checks every
+Hamiltonian cycle of the n-cube: one shard per search prefix, run in this
+process or in a pool of worker processes
+(:func:`~qube.enumeration.map_shards`), and merged property by property
+through :meth:`Tally.merge`, which gives the same tallies as one pass over
 :func:`~qube.enumeration.enumerate_cycles`.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -24,36 +27,45 @@ from .cycles import (
 from .enumeration import check_search_args, enumerate_cycles, map_shards, path_prefixes
 from .squares import check_threshold_implication, has_square
 
-# isomorphism is a property of the cube, not of a cycle: the CLI checks it
-# with isomorphism_violations, and sweep rejects it
+# the choices of ``verify --property``; isomorphism is a property of the
+# cube, not of a cycle: the CLI checks it with isomorphism_violations
 PROPERTIES = ("balance", "segments", "squares", "chromatic", "isomorphism", "threshold")
 
 SQUARE_FREE_FILE = "square_free_counterexamples_n{n}.jsonl"
 
 
-def _cycle_violations(prop: str, cyc: HamiltonianCycle, mode: str) -> list[dict]:
-    """Violation records for one cycle; empty list when the property holds."""
-    if prop == "balance":
-        return [{"dim": p.dim} for p in dimension_profiles(cyc) if not p.balanced]
-    if prop == "segments":
-        return [{"dim": p.dim} for p in dimension_profiles(cyc) if not p.segment_sums_ok]
-    if prop == "chromatic":
-        report = check_chromatic_conditions(chromatic_vector(cyc), cyc.n)
-        return [{"failed": report.failures()}] if not report.ok else []
-    if prop == "squares":
-        return [] if has_square(cyc) else [{"square_free": True}]
-    if prop == "threshold":
-        report = check_threshold_implication(cyc, mode)
-        return [{"dim": i} for i in report.violations]
-    raise ValueError(f"unknown property {prop!r}")
+def _per_dimension(holds):
+    """A check that records each dimension whose profile fails ``holds``."""
+    return lambda cyc, profiles, mode: [{"dim": p.dim} for p in profiles if not holds(p)]
+
+
+def _chromatic(cyc: HamiltonianCycle, profiles, mode: str) -> list[dict]:
+    report = check_chromatic_conditions(chromatic_vector(cyc), cyc.n)
+    return [] if report.ok else [{"failed": report.failures()}]
+
+
+# the per-cycle properties: (cycle, its dimension profiles, threshold mode)
+# -> violation records, an empty list when the property holds
+CHECKS = {
+    "balance": _per_dimension(lambda p: p.balanced),
+    "segments": _per_dimension(lambda p: p.segment_sums_ok),
+    "recurrence": _per_dimension(lambda p: p.parity_list == p.parity_direct),
+    "chromatic": _chromatic,
+    "squares": lambda cyc, profiles, mode: [] if has_square(cyc) else [{"square_free": True}],
+    "threshold": lambda cyc, profiles, mode: [
+        {"dim": i} for i in check_threshold_implication(cyc, mode).violations
+    ],
+}
+PROFILED = ("balance", "segments", "recurrence")
 
 
 @dataclass
 class Tally:
-    """What a sweep found.  ``first`` pairs a sort key, (cycle sequence,
-    first violation record), with the counterexample it names; the least
-    key wins, so merged shards report the same counterexample in any
-    order.  ``square_free`` holds the square-free cycles in sweep order."""
+    """What a sweep found for one property.  ``first`` pairs a sort key,
+    (cycle sequence, first violation record), with the counterexample it
+    names; the least key wins, so merged shards report the same
+    counterexample in any order.  ``square_free`` holds the square-free
+    cycles in sweep order."""
 
     checked: int = 0
     violations: int = 0
@@ -74,36 +86,54 @@ class Tally:
         return self
 
 
-def sweep(prop: str, cycles: Iterable[HamiltonianCycle], mode: str = "equi") -> Tally:
-    """Check ``prop`` on each cycle; ``mode`` is the threshold flavour of
-    the ``threshold`` property (see :func:`~qube.squares.rim_threshold`)."""
-    tally = Tally()
+def sweep(
+    props: tuple[str, ...], cycles: Iterable[HamiltonianCycle], mode: str = "equi"
+) -> dict[str, Tally]:
+    """Check every property of ``props`` on each cycle, in one pass, and
+    return each property's tally; ``mode`` is the threshold flavour of the
+    ``threshold`` property (see :func:`~qube.squares.rim_threshold`)."""
+    for prop in props:
+        if prop not in CHECKS:
+            raise ValueError(
+                "isomorphism is a property of the cube, not a per-cycle property"
+                if prop == "isomorphism" else f"unknown property {prop!r}"
+            )
+    tallies = {prop: Tally() for prop in props}
+    profiled = any(prop in PROFILED for prop in props)
     for cyc in cycles:
-        tally.checked += 1
-        records = _cycle_violations(prop, cyc, mode)
-        if not records:
-            continue
-        tally.violations += len(records)
-        if prop == "squares":
-            tally.square_free.append(cyc.to_dict())
-        key = (cyc.seq, json.dumps(records[0], sort_keys=True))
-        if tally.first is None or key < tally.first[0]:
-            tally.first = (key, {"cycle": cyc.to_dict(), **records[0]})
-    return tally
+        profiles = dimension_profiles(cyc) if profiled else None
+        for prop, tally in tallies.items():
+            tally.checked += 1
+            records = CHECKS[prop](cyc, profiles, mode)
+            if not records:
+                continue
+            tally.violations += len(records)
+            if prop == "squares":
+                tally.square_free.append(cyc.to_dict())
+            key = (cyc.seq, json.dumps(records[0], sort_keys=True))
+            if tally.first is None or key < tally.first[0]:
+                tally.first = (key, {"cycle": cyc.to_dict(), **records[0]})
+    return tallies
 
 
-def _sweep_shard(task: tuple) -> Tally:
-    n, prop, mode, prefix = task
-    return sweep(prop, enumerate_cycles(n, prefix=prefix), mode)
+def _sweep_shard(task: tuple) -> dict[str, Tally]:
+    n, props, mode, prefix = task
+    return sweep(props, enumerate_cycles(n, prefix=prefix), mode)
 
 
-def sweep_exhaustive(n: int, prop: str, mode: str = "equi", workers: int = 1) -> Tally:
+def sweep_exhaustive(
+    n: int, props: tuple[str, ...], mode: str = "equi", workers: int = 1
+) -> dict[str, Tally]:
     """:func:`sweep` over every Hamiltonian cycle of the n-cube, sharded by
-    search prefix over ``workers`` processes (1: this process)."""
+    search prefix over ``workers`` processes (1: this process); each
+    property's shard tallies are merged in prefix order."""
     check_search_args(n)
-    tasks = [(n, prop, mode, p) for p in path_prefixes(n, 2 if n <= 4 else 3)]
-    shards = map_shards(_sweep_shard, tasks, workers)
-    return functools.reduce(Tally.merge, shards, Tally())
+    tasks = [(n, props, mode, p) for p in path_prefixes(n, 2 if n <= 4 else 3)]
+    tallies = {prop: Tally() for prop in props}
+    for shard in map_shards(_sweep_shard, tasks, workers):
+        for prop, tally in shard.items():
+            tallies[prop].merge(tally)
+    return tallies
 
 
 def persist_square_free(n: int, cycles: list[dict]) -> str | None:

@@ -11,20 +11,14 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 import qube.cli  # noqa: F401 -- imports every qube module, for QUBE_MODULES
-from qube.cycles import (
-    HamiltonianCycle,
-    check_chromatic_conditions,
-    chromatic_vector,
-    dimension_profiles,
-)
+from qube.cycles import HamiltonianCycle
 from qube.enumeration import enumerate_cycles, sample_cycles
-from qube.squares import has_square
+from qube.verify import sweep
 
 from _registry import summary_lines
 
@@ -99,49 +93,19 @@ def edge_set_of(h: HamiltonianCycle) -> frozenset[frozenset[int]]:
     )
 
 
-@dataclass
-class SweepTally:
-    """Violation bookkeeping for one corpus, one pass."""
-
-    label: str
-    checked: int = 0
-    seconds: float = 0.0
-    balance_violations: list = field(default_factory=list)
-    recurrence_mismatches: list = field(default_factory=list)
-    segment_violations: list = field(default_factory=list)
-    chromatic_failures: list = field(default_factory=list)
-    square_free: list = field(default_factory=list)
-
-
-def _sweep(label: str, cycles: list[HamiltonianCycle]) -> SweepTally:
-    """One pass computing every per-cycle acceptance check; balance,
-    recurrence agreement and segment sums all read off one profile per
-    (cycle, dimension)."""
-    tally = SweepTally(label)
-    start = time.perf_counter()
-    for cyc in cycles:
-        tally.checked += 1
-        report = check_chromatic_conditions(chromatic_vector(cyc), cyc.n)
-        if not report.ok:
-            tally.chromatic_failures.append((cyc.seq, report.failures()))
-        if not has_square(cyc):
-            tally.square_free.append(cyc.to_dict())
-        for prof in dimension_profiles(cyc):
-            if prof.parity_list != prof.parity_direct:
-                tally.recurrence_mismatches.append((cyc.seq, prof.dim))
-            if not prof.balanced:
-                tally.balance_violations.append((cyc.seq, prof.dim))
-            if not prof.segment_sums_ok:
-                tally.segment_violations.append((cyc.seq, prof.dim))
-    tally.seconds = time.perf_counter() - start
-    return tally
-
-
 @pytest.fixture(scope="session")
-def corpus_sweeps(q3_cycles, q4_cycles, q5_samples, q6_samples) -> dict[str, SweepTally]:
-    return {
-        "Q3 exhaustive": _sweep("Q3 exhaustive", q3_cycles),
-        "Q4 exhaustive": _sweep("Q4 exhaustive", q4_cycles),
-        "n=5 sample": _sweep("n=5 sample", q5_samples),
-        "n=6 sample": _sweep("n=6 sample", q6_samples),
+def corpus_sweeps(q3_cycles, q4_cycles, q5_samples, q6_samples) -> dict[str, tuple]:
+    """Per corpus, the tallies of one sweep of every per-cycle acceptance
+    check, by property, and the seconds that sweep took."""
+    corpora = {
+        "Q3 exhaustive": q3_cycles,
+        "Q4 exhaustive": q4_cycles,
+        "n=5 sample": q5_samples,
+        "n=6 sample": q6_samples,
     }
+    sweeps = {}
+    for label, cycles in corpora.items():
+        start = time.perf_counter()
+        tallies = sweep(("balance", "recurrence", "segments", "chromatic", "squares"), cycles)
+        sweeps[label] = (tallies, time.perf_counter() - start)
+    return sweeps

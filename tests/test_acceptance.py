@@ -137,9 +137,9 @@ def test_criterion_02_reduction_sizes():
 def test_criterion_03_parity_balance_corpus(corpus_sweeps):
     """Every dimension of every corpus cycle splits its crossings evenly
     between the two parity classes."""
-    bad = {k: len(t.balance_violations) for k, t in corpus_sweeps.items()}
-    counts = {k: t.checked for k, t in corpus_sweeps.items()}
-    secs = sum(t.seconds for t in corpus_sweeps.values())
+    bad = {k: t["balance"].violations for k, (t, _) in corpus_sweeps.items()}
+    counts = {k: t["balance"].checked for k, (t, _) in corpus_sweeps.items()}
+    secs = sum(s for _, s in corpus_sweeps.values())
     ok = (
         counts
         == {"Q3 exhaustive": 6, "Q4 exhaustive": 1344,
@@ -159,7 +159,7 @@ def test_criterion_03_parity_balance_corpus(corpus_sweeps):
 def test_criterion_04_parity_recurrence_agreement(corpus_sweeps):
     """The segment-parity recurrence reproduces the directly computed
     parity word on the same corpus."""
-    bad = {k: len(t.recurrence_mismatches) for k, t in corpus_sweeps.items()}
+    bad = {k: t["recurrence"].violations for k, (t, _) in corpus_sweeps.items()}
     ok = all(v == 0 for v in bad.values())
     detail = (
         "recurrence and direct parity words agree for every (cycle, "
@@ -173,7 +173,7 @@ def test_criterion_04_parity_recurrence_agreement(corpus_sweeps):
 def test_criterion_05_segment_sums(corpus_sweeps):
     """Alternating segment-length sums each equal half the cycle length on
     the same corpus."""
-    bad = {k: len(t.segment_violations) for k, t in corpus_sweeps.items()}
+    bad = {k: t["segments"].violations for k, (t, _) in corpus_sweeps.items()}
     ok = all(v == 0 for v in bad.values())
     detail = (
         "even- and odd-indexed segment sums both equal 2^(n-1) for every "
@@ -189,7 +189,7 @@ def test_criterion_06_chromatic_conditions_and_permutation(
 ):
     """All five dimension-usage conditions hold corpus-wide, and relabeling
     dimensions rearranges the usage histogram accordingly."""
-    bad = {k: len(t.chromatic_failures) for k, t in corpus_sweeps.items()}
+    bad = {k: t["chromatic"].violations for k, (t, _) in corpus_sweeps.items()}
     rng = random.Random(424242)
     perm_failures = 0
     for _ in range(100):
@@ -236,12 +236,12 @@ def test_criterion_07_dimension_graph_isomorphism():
 def test_criterion_08_inscribed_square_search(corpus_sweeps):
     """Every corpus cycle contains an inscribed square; any square-free
     discovery would be persisted before failing."""
-    free = {k: t.square_free for k, t in corpus_sweeps.items()}
+    free = {k: t["squares"].square_free for k, (t, _) in corpus_sweeps.items()}
     total_free = sum(len(v) for v in free.values())
     for docs in free.values():
         if docs:
             persist_square_free(docs[0]["n"], docs)
-    secs = sum(t.seconds for t in corpus_sweeps.values())
+    secs = sum(s for _, s in corpus_sweeps.values())
     ok = total_free == 0 and secs < 300
     detail = (
         f"inscribed square found in all 6 + 1344 exhaustive and "

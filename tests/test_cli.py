@@ -536,6 +536,28 @@ class TestVerify:
         assert code == 2
         assert "n=3" in err
 
+    @pytest.mark.parametrize(
+        "source,corpus",
+        [("sample_cycles", ["--sample", "4", "--seed", "1"]),
+         ("read_cycles", ["--in", "g.jsonl"]),
+         ("sweep_exhaustive", ["--exhaustive"])],
+        ids=["sample", "in", "exhaustive"],
+    )
+    def test_a_missing_threshold_fails_before_any_cycle(
+        self, capsys, monkeypatch, source, corpus
+    ):
+        # no stored value for the 9-cube: the corpus is never drawn, read or searched
+        def untouched(*args, **kwargs):
+            raise AssertionError(f"{source} was called")
+
+        monkeypatch.setattr(f"qube.cli.{source}", untouched)
+        code, out, err = run(
+            capsys, "verify", "--n", "10", "--property", "threshold", *corpus
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: no stored balanced-independence number for dimension 9" in err
+
     def test_sampler_exhaustion_is_not_a_usage_error(self, capsys, monkeypatch):
         # a 2-node budget abandons every search, so the run cannot finish
         monkeypatch.setattr(

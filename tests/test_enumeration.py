@@ -108,11 +108,14 @@ class TestEnumerate:
             next(enumerate_cycles(17))
 
     @pytest.mark.parametrize("n", [7, 10, 12])
-    def test_first_cycle_of_a_large_cube(self, n):
+    def test_first_cycle_of_a_large_cube(self, monkeypatch, n):
         # the search keeps its own stack, so the path depth 2^n is no limit;
         # the walk that always takes the lowest free dimension is the
-        # reflected Gray code, which closes, so it is the first cycle
-        h = next(enumerate_cycles(n))
+        # reflected Gray code, which closes, so it is the first cycle and is
+        # found without a retreat; the push bound makes a search that cuts
+        # wrongly fail here instead of running without end
+        h, count = pushes(monkeypatch, lambda: next(enumerate_cycles(n)), limit=1 << n)
+        assert count == (1 << n) - 2
         validate_cycle(h.n, h.seq)
         assert canonical_form(h) == h
         assert h.seq == tuple(gray_code(n))
@@ -380,14 +383,16 @@ def is_first_use(path: list[int]) -> bool:
     return firsts == list(range(len(firsts)))
 
 
-def pushes(monkeypatch, search) -> tuple[object, int]:
+def pushes(monkeypatch, search, limit=None) -> tuple[object, int]:
     """What ``search()`` returns and how many vertices the kernel pushes
     meanwhile: it makes one ``iter`` call for the candidate steps of the
-    root and one per push."""
+    root and one per push.  A push past ``limit`` fails the test."""
     count = [0]
 
     def counted_iter(steps):
         count[0] += 1
+        if limit is not None and count[0] - 1 > limit:
+            raise AssertionError(f"the search pushed more than {limit} vertices")
         return iter(steps)
 
     with monkeypatch.context() as m:

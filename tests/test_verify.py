@@ -1,17 +1,86 @@
-"""Property sweeps: sharded exhaustive sweeps against one sequential pass."""
+"""Property sweeps: one pass over several properties against one pass per
+property, and sharded exhaustive sweeps against one sequential pass."""
 
+import dataclasses
+
+import pytest
+
+from qube import verify
 from qube.enumeration import enumerate_cycles
-from qube.verify import sweep, sweep_exhaustive
+from qube.verify import CHECKS, sweep, sweep_exhaustive
+
+ALL = tuple(CHECKS)
+
+
+def outcome(tally):
+    return tally.checked, tally.violations, tally.first_counterexample, tally.square_free
+
+
+def test_one_pass_equals_one_pass_per_property(monkeypatch, q4_cycles):
+    # every cycle square-free, so one property has a violation per cycle
+    monkeypatch.setattr("qube.verify.has_square", lambda cyc: False)
+    together = sweep(ALL, q4_cycles)
+    assert set(together) == set(ALL)
+    for prop in ALL:
+        assert outcome(together[prop]) == outcome(sweep((prop,), q4_cycles)[prop]), prop
+    assert together["squares"].violations == 1344
+    assert together["balance"].checked == 1344
 
 
 def test_merged_shards_equal_one_sequential_pass(monkeypatch):
     # every cycle a violation, so the first counterexample and the order
     # of the square-free list are compared over all 1344 cycles
     monkeypatch.setattr("qube.verify.has_square", lambda cyc: False)
-    sharded = sweep_exhaustive(4, "squares")
-    sequential = sweep("squares", enumerate_cycles(4))
-    assert sharded.checked == sequential.checked == 1344
-    assert sharded.violations == sequential.violations == 1344
-    assert sharded.first_counterexample == sequential.first_counterexample
-    assert sharded.first_counterexample is not None
-    assert sharded.square_free == sequential.square_free
+    sharded = sweep_exhaustive(4, ALL)
+    sequential = sweep(ALL, enumerate_cycles(4))
+    assert sharded.keys() == sequential.keys() == set(ALL)
+    for prop in ALL:
+        assert outcome(sharded[prop]) == outcome(sequential[prop]), prop
+    squares = sharded["squares"]
+    assert squares.checked == squares.violations == 1344
+    assert squares.first_counterexample is not None
+
+
+def test_a_recurrence_mismatch_is_caught(monkeypatch):
+    # the direct parity word of dimension 2 disagrees with the recurrence's
+    def profiles(cyc):
+        found = real(cyc)
+        word = tuple(1 - b for b in found[2].parity_direct)
+        found[2] = dataclasses.replace(found[2], parity_direct=word)
+        return found
+
+    real = verify.dimension_profiles
+    monkeypatch.setattr("qube.verify.dimension_profiles", profiles)
+    tallies = sweep(("balance", "recurrence"), enumerate_cycles(3))
+    assert tallies["balance"].violations == 0
+    assert tallies["recurrence"].checked == tallies["recurrence"].violations == 6
+    assert tallies["recurrence"].first_counterexample["dim"] == 2
+
+
+@pytest.mark.parametrize(
+    "props,calls",
+    [(ALL, 6), (("balance", "segments", "recurrence"), 6),
+     (("chromatic", "squares", "threshold"), 0)],
+    ids=["all", "profiled", "unprofiled"],
+)
+def test_one_profile_list_per_cycle_and_only_when_asked(monkeypatch, props, calls):
+    made = []
+
+    def counted(cyc):
+        made.append(cyc)
+        return real(cyc)
+
+    real = verify.dimension_profiles
+    monkeypatch.setattr("qube.verify.dimension_profiles", counted)
+    assert sweep(props, enumerate_cycles(3))[props[0]].checked == 6
+    assert len(made) == calls
+
+
+def test_an_unknown_property_fails_before_any_cycle():
+    with pytest.raises(ValueError, match="unknown property 'bogus'"):
+        sweep(("balance", "bogus"), [])
+
+
+def test_isomorphism_is_not_a_per_cycle_property():
+    with pytest.raises(ValueError, match="not a per-cycle property"):
+        sweep(("isomorphism",), enumerate_cycles(3))
