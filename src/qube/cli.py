@@ -14,10 +14,9 @@ finish (a ``RuntimeError``, such as a sampler that abandoned too many
 searches in a row, or a solver witness that fails its check, and any other
 ``LookupError``, such as a ``KeyError`` or ``IndexError`` from a fault in
 the program).  The
-environment variable ``QUBE_THREADS`` sets the worker count for exhaustive
-``verify`` sweeps and for ``enumerate --count-only`` over the whole cube
-(default 1, capped at the CPU count; anything but a positive integer is a
-usage error).
+environment variable ``QUBE_THREADS`` sets the worker count for
+``verify --exhaustive`` (default 1, capped at the CPU count; anything but
+a positive integer is a usage error); no other command reads it.
 """
 
 from __future__ import annotations
@@ -202,7 +201,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.count_only and args.out is not None:
         raise ValueError("--count-only cannot be combined with --out")
     if args.count_only and args.prefixes_in is None:
-        count = count_cycles(args.n, cfg, _thread_count())
+        count = count_cycles(args.n, cfg)
         _emit({"n": args.n, "count": count}, sys.stdout)
         return 0
 

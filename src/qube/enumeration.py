@@ -81,10 +81,12 @@ row.  It counts every closing path, builds no cycle, and the count is
 n!·words/2.  Balance feasibility, free edges and the forced step do not
 depend on the coordinate labels, so they stay sound there; the first
 step is in dimension 0, so the closing-edge rule retires nothing and the
-leaf's canonical test passes every closing path.  The count can be
-sharded by first-use prefix over worker processes with
-:func:`map_shards`, the pool that :func:`qube.verify.sweep_exhaustive`
-uses too.
+leaf's canonical test passes every closing path.  The count shares the
+memo: a first-use path has used the dimensions below its largest vertex's
+bit length, so the state also fixes the steps it may take.  The memo
+holds each state's count of words, a hit adds it, and the count runs on
+outside the memo, so a drop loses hits but no word, and the states on the
+path are still recorded after it.
 """
 
 from __future__ import annotations
@@ -102,7 +104,6 @@ from .hypercube import check_dimension, check_vertex, edge_dim
 MAX_SAMPLE_DIM = 16
 MAX_CONSECUTIVE_FAILURES = 200
 MAX_PREFIX_VERTICES = 1 << 23
-FIRST_USE_SHARD_DEPTH = 8
 MEMO_MAX_DIM = 6
 MEMO_CAP = 1 << 16
 NO_CYCLES = (0, 0)  # the memo's shared range for the many states without a cycle
@@ -201,11 +202,12 @@ def _search(
     prunes: PruneConfig | None,
     prefix: Sequence[int] | None,
     first_use: bool,
-) -> Iterator[HamiltonianCycle | None]:
+) -> Iterator[HamiltonianCycle | int]:
     """The search kernel.  It yields the canonical cycles that complete
-    ``prefix``, or, in first-use mode, None once for each closing path
-    that completes it and brings in new dimensions in the order 0, 1, 2,
-    ... (``prefix`` must do so too)."""
+    ``prefix``, or, in first-use mode, counts that add up to the closing
+    paths that complete it and bring in new dimensions in the order 0, 1,
+    2, ... (``prefix`` must do so too): 1 per closing path it walks, and a
+    state's count when the memo holds it."""
     steps = [0] if prefix is None else list(prefix)
     check_search_args(n, steps)
     prune = (PruneConfig() if prunes is None else prunes).enabled
@@ -242,15 +244,18 @@ def _search(
     if first_use:
         for k, (_, s) in enumerate(moves, 1):
             width[k] = width[k - 1] + (s >> 1 == width[k - 1])
-    # The completion memo of the stream on small cubes: memo[mask << 6 | v]
-    # is the range of ``emitted`` that the search emitted below the state
-    # whose visited set less v is ``mask`` and whose path end is v.
+    # The completion memo on small cubes: memo[mask << 6 | v] is the range
+    # (a, b) of the running count ``count`` of closing paths that the search
+    # found below the state whose visited set less v is ``mask`` and whose
+    # path end is v; the stream keeps its cycles as ``emitted[a:b]``.
     # keys[k] is the visited set of path[0..k] shifted by 6, so a step from
-    # path[k] to v has the key keys[k] | v, and start[k] is the length of
-    # ``emitted`` when path[k] was pushed, or -1 when the memo was dropped
-    # since, and path[k] is not recorded then.
-    memo = None if first_use or n > MEMO_MAX_DIM else {}
+    # path[k] to v has the key keys[k] | v, and start[k] is ``count`` when
+    # path[k] was pushed, or -1 when the stream's memo was dropped since,
+    # and path[k] is not recorded then.  Only the pops grow the memo of a
+    # count, so only they drop it.
+    memo = None if n > MEMO_MAX_DIM else {}
     emitted: list[tuple[int, ...]] = []
+    count = 0
     cap = MEMO_CAP
     slots = size if memo is not None else 0  # a larger cube keeps neither list
     keys = [64] * slots
@@ -264,16 +269,22 @@ def _search(
                 got = memo.get(keys[k] | v)
                 if got is None:
                     break
-                # the state was searched before: its completions again,
-                # behind this path, in the same order
-                head = tuple(path[: k + 1])
-                for seq in emitted[got[0] : got[1]]:
-                    seq = head + seq[k + 1 :]
-                    emitted.append(seq)
-                    yield HamiltonianCycle(n, seq)
+                # the state was searched before: its count, or its
+                # completions again, behind this path, in the same order
+                a, b = got
+                if first_use:
+                    yield b - a
+                else:
+                    head = tuple(path[: k + 1])
+                    for seq in emitted[a:b]:
+                        seq = head + seq[k + 1 :]
+                        emitted.append(seq)
+                        yield HamiltonianCycle(n, seq)
+                count += b - a
                 if len(memo) + len(emitted) > cap:
                     memo.clear()
                     emitted.clear()
+                    count = 0
                     start[: k + 1] = [-1] * (k + 1)
         else:
             if k == 0:
@@ -285,14 +296,19 @@ def _search(
                     # leaf and the closing-edge rows
                     memo.clear()
                     emitted.clear()
+                    count = 0
                 else:
-                    a, b = start[k], len(emitted)
+                    a = start[k]
                     if a >= 0:
-                        memo[keys[k - 1] | v] = (a, b) if a < b else NO_CYCLES
+                        memo[keys[k - 1] | v] = (a, count) if a < count else NO_CYCLES
                     if len(memo) + len(emitted) > cap:
                         memo.clear()
-                        emitted.clear()
-                        start[:k] = [-1] * k
+                        if not first_use:
+                            # the stream's ranges index ``emitted``, which
+                            # restarts; a count of words runs on
+                            emitted.clear()
+                            count = 0
+                            start[:k] = [-1] * k
             k -= 1
             u = path[k]
             seen[v] = 0
@@ -356,7 +372,7 @@ def _search(
         seen[v] = 1
         if memo is not None:
             keys[k] = keys[k - 1] | 64 << v
-            start[k] = len(emitted)
+            start[k] = count
         if k < base:
             tries[k] = iter(moves[k : k + 1])
             continue
@@ -373,12 +389,13 @@ def _search(
             # canonical when its first dimension is below its last
             if v & (v - 1) == 0 and path[1] < v:
                 if first_use:
-                    yield None
+                    yield 1
                 else:
                     seq = tuple(path)
                     if memo is not None:
                         emitted.append(seq)
                     yield HamiltonianCycle(n, seq)
+                count += 1
             ok = False
         if not ok:
             tries[k] = iter(())
@@ -409,7 +426,7 @@ def _search(
         tries[k] = iter(cands)
 
 
-def count_cycles(n: int, prunes: PruneConfig | None = None, workers: int = 1) -> int:
+def count_cycles(n: int, prunes: PruneConfig | None = None) -> int:
     """Number of Hamiltonian cycles of the n-cube (undirected, unrooted).
 
     The search runs in first-use mode and builds no cycle.  Every cycle
@@ -418,41 +435,12 @@ def count_cycles(n: int, prunes: PruneConfig | None = None, workers: int = 1) ->
     word: S_n acts freely on the directed cycles from vertex 0, and each
     orbit holds exactly one whose word brings in new dimensions in the
     order 0, 1, 2, ....  Each undirected cycle is two directed ones, so
-    the count is n!·words/2.  With ``workers`` above 1 the words are
-    counted per first-use prefix in a pool of worker processes (see
-    :func:`map_shards`).
+    the count is n!·words/2.  On cubes of at most ``MEMO_MAX_DIM``
+    dimensions the words are counted through the stream's completion
+    memo, which holds each state's count of words instead of its cycles.
     """
     check_search_args(n)
-    if workers == 1:
-        words = _count_words((n, prunes, None))
-    else:
-        depth = min((1 << n) - 1, FIRST_USE_SHARD_DEPTH)
-        tasks = [(n, prunes, p) for p in _first_use_prefixes(n, depth)]
-        words = sum(map_shards(_count_words, tasks, workers))
-    return factorial(n) * words // 2
-
-
-def _count_words(task: tuple) -> int:
-    """The first-use closing paths that complete one prefix."""
-    n, prunes, prefix = task
-    return sum(1 for _ in _search(n, prunes, prefix, first_use=True))
-
-
-def _first_use_prefixes(n: int, depth: int) -> list[list[int]]:
-    """The simple paths of ``depth`` edges from vertex 0 whose words bring
-    in new dimensions in the order 0, 1, 2, ..., in branch order.  Such a
-    path has used exactly the dimensions below its largest vertex's bit
-    length."""
-    bits = [1 << i for i in range(n)]
-    paths = [[0]]
-    for _ in range(depth):
-        paths = [
-            p + [v]
-            for p in paths
-            for v in map(p[-1].__xor__, bits[: max(p).bit_length() + 1])
-            if v not in p
-        ]
-    return paths
+    return factorial(n) * sum(_search(n, prunes, None, first_use=True)) // 2
 
 
 def map_shards(func: Callable, tasks: Sequence, workers: int) -> Iterable:

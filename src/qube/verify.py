@@ -92,6 +92,8 @@ def sweep(
     """Check every property of ``props`` on each cycle, in one pass, and
     return each property's tally; ``mode`` is the threshold flavour of the
     ``threshold`` property (see :func:`~qube.squares.rim_threshold`)."""
+    if isinstance(props, str) or not props:
+        raise ValueError(f"props must be a non-empty tuple of property names, got {props!r}")
     for prop in props:
         if prop not in CHECKS:
             raise ValueError(
@@ -128,8 +130,8 @@ def sweep_exhaustive(
     search prefix over ``workers`` processes (1: this process); each
     property's shard tallies are merged in prefix order."""
     check_search_args(n)
+    tallies = sweep(props, (), mode)  # empty; a bad ``props`` fails here, before any search
     tasks = [(n, props, mode, p) for p in path_prefixes(n, 2 if n <= 4 else 3)]
-    tallies = {prop: Tally() for prop in props}
     for shard in map_shards(_sweep_shard, tasks, workers):
         for prop, tally in shard.items():
             tallies[prop].merge(tally)

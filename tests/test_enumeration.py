@@ -12,8 +12,6 @@ from qube.cycles import HamiltonianCycle, validate_cycle
 from qube.enumeration import (
     MAX_CONSECUTIVE_FAILURES,
     PruneConfig,
-    _count_words,
-    _first_use_prefixes,
     canonical_form,
     count_cycles,
     enumerate_cycles,
@@ -317,7 +315,7 @@ class TestForcedStep:
         # the part of the row that mode allows
         edges = cube_edges(n)
         for depth in range(1, max_depth + 1):
-            for path in _first_use_prefixes(n, depth):
+            for path in first_use_prefixes(n, depth):
                 at_vertex = tallies_from_scratch(n, edges, path)[3]
                 width = max(path).bit_length()
                 for i in range(n):
@@ -383,6 +381,28 @@ def is_first_use(path: list[int]) -> bool:
     return firsts == list(range(len(firsts)))
 
 
+def first_use_prefixes(n: int, depth: int) -> list[list[int]]:
+    """The simple paths of ``depth`` edges from vertex 0 whose words bring
+    in new dimensions in the order 0, 1, 2, ..., in branch order.  Such a
+    path has used exactly the dimensions below its largest vertex's bit
+    length."""
+    bits = [1 << i for i in range(n)]
+    paths = [[0]]
+    for _ in range(depth):
+        paths = [
+            p + [v]
+            for p in paths
+            for v in map(p[-1].__xor__, bits[: max(p).bit_length() + 1])
+            if v not in p
+        ]
+    return paths
+
+
+def words(n: int, cfg: PruneConfig, prefix=None) -> int:
+    """The first-use closing paths that complete ``prefix``."""
+    return sum(enumeration._search(n, cfg, prefix, first_use=True))
+
+
 def pushes(monkeypatch, search, limit=None) -> tuple[object, int]:
     """What ``search()`` returns and how many vertices the kernel pushes
     meanwhile: it makes one ``iter`` call for the candidate steps of the
@@ -414,19 +434,16 @@ class TestFirstUseCount:
 
     @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
     def test_word_counts(self, cfg):
-        assert [_count_words((n, cfg, None)) for n in (2, 3, 4)] == [1, 2, 112]
+        assert [words(n, cfg) for n in (2, 3, 4)] == [1, 2, 112]
 
     def test_q4_push_counts(self, monkeypatch):
-        # the rows are cut to the used dimensions and the next one: the
-        # words take 978 pushes with the prunes (1,201 without the forced
-        # step, 1,459 with balance feasibility alone) and 3,780 without,
-        # where the canonical stream takes 4,430 and 26,708 with its
-        # completion memo (12,570 and 90,676 without)
-        found = [
-            pushes(monkeypatch, lambda: _count_words((4, cfg, None)))
-            for cfg in ALL_PRUNE_CONFIGS
-        ]
-        assert found == [(112, 978), (112, 3_780)]
+        # the rows are cut to the used dimensions and the next one, and the
+        # completion memo adds a state's count of words: the words take 494
+        # pushes with the prunes and 1,891 without (978 and 3,780 without
+        # the memo), where the canonical stream takes 4,430 and 26,708 with
+        # its memo (12,570 and 90,676 without)
+        found = [pushes(monkeypatch, lambda: words(4, cfg)) for cfg in ALL_PRUNE_CONFIGS]
+        assert found == [(112, 494), (112, 1_891)]
         stream = [
             pushes(monkeypatch, lambda: len(list(enumerate_cycles(4, cfg))))
             for cfg in ALL_PRUNE_CONFIGS
@@ -436,16 +453,13 @@ class TestFirstUseCount:
     @pytest.mark.parametrize("n,depth", [(3, 3), (4, 4), (4, 8), (5, 4)])
     def test_first_use_prefixes(self, n, depth):
         expected = [p for p in path_prefixes(n, depth) if is_first_use(p)]
-        assert _first_use_prefixes(n, depth) == expected
+        assert first_use_prefixes(n, depth) == expected
 
     @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
     @pytest.mark.parametrize("n,depth", [(2, 3), (3, 2), (3, 7), (4, 5), (4, 8)])
     def test_prefix_shards_add_up_to_the_whole_search(self, n, depth, cfg):
-        shards = [_count_words((n, cfg, p)) for p in _first_use_prefixes(n, depth)]
-        assert sum(shards) == _count_words((n, cfg, None))
-
-    def test_two_workers_count_what_one_process_counts(self):
-        assert count_cycles(4, workers=2) == count_cycles(4) == 1344
+        shards = [words(n, cfg, p) for p in first_use_prefixes(n, depth)]
+        assert sum(shards) == words(n, cfg)
 
     def test_dimension_bounds(self):
         for n in (0, 1, 17):
@@ -454,11 +468,11 @@ class TestFirstUseCount:
 
     @pytest.mark.skipif(
         not os.environ.get("QUBE_ACCEPTANCE_FULL"),
-        reason="counts 15,109,096 words: minutes on every core (QUBE_ACCEPTANCE_FULL=1)",
+        reason="counts 15,109,096 words: about 100 s in one process (QUBE_ACCEPTANCE_FULL=1)",
     )
     def test_five_cube(self):
         # OEIS A066037
-        assert count_cycles(5, workers=os.cpu_count() or 1) == 906_545_760
+        assert count_cycles(5) == 906_545_760
 
 
 def rows_read(monkeypatch, n, cfg, prefix=None) -> tuple[list, int]:
@@ -539,8 +553,9 @@ Q4_STREAM_SHA256 = "df3a6e7e47e07d178dfe8af977bfaa8c74c7f99876c088d8bfe97b833d65
 class TestCompletionMemo:
     """On cubes of at most ``MEMO_MAX_DIM`` dimensions the stream replays
     the completions of a (visited set, path end) state it has searched
-    before, and drops its memo once it holds more than ``MEMO_CAP``
-    entries and cycles.  Drops and the memo itself change only the work."""
+    before, and the count adds the state's count of words; the memo is
+    dropped once it holds more than ``MEMO_CAP`` entries and cycles.  Drops
+    and the memo itself change only the work."""
 
     @pytest.mark.parametrize(
         "max_dim,cap,pruned,unpruned",
@@ -558,6 +573,35 @@ class TestCompletionMemo:
             for cfg in ALL_PRUNE_CONFIGS
         ]
         assert found == [(Q4_STREAM_SHA256, pruned), (Q4_STREAM_SHA256, unpruned)]
+
+    @pytest.mark.parametrize(
+        "max_dim,cap,pruned,unpruned",
+        [(3, 1 << 16, 978, 3_780), (4, 0, 978, 3_780), (4, 50, 793, 3_560),
+         (4, 1 << 16, 494, 1_891)],
+        ids=["no-memo", "dropped-at-once", "cap-50", "default-cap"],
+    )
+    def test_q4_words_under_every_cap(self, monkeypatch, max_dim, cap, pruned, unpruned):
+        # the count shares the stream's memo, which holds each state's count
+        # of words; with the memo off, or dropped at every pop, it does the
+        # work of a count without one
+        monkeypatch.setattr(enumeration, "MEMO_MAX_DIM", max_dim)
+        monkeypatch.setattr(enumeration, "MEMO_CAP", cap)
+        found = [pushes(monkeypatch, lambda: words(4, cfg)) for cfg in ALL_PRUNE_CONFIGS]
+        assert found == [(112, pruned), (112, unpruned)]
+
+    def test_q5_words_with_and_without_the_memo(self, monkeypatch):
+        # the words below a state do not depend on the first-use path that
+        # reached it, and a count is recorded across drops
+        prefixes = random.Random(5).sample(first_use_prefixes(5, 12), 8)
+
+        def found(max_dim, cap):
+            monkeypatch.setattr(enumeration, "MEMO_MAX_DIM", max_dim)
+            monkeypatch.setattr(enumeration, "MEMO_CAP", cap)
+            return [words(5, PruneConfig.all(), p) for p in prefixes]
+
+        counts = found(5, 1 << 16)
+        assert counts == found(5, 100) == found(4, 1 << 16)
+        assert counts == [219, 34, 874, 31, 73, 153, 150, 0]
 
     @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
     def test_q5_golden_streams_survive_drops(self, monkeypatch, cfg):

@@ -84,3 +84,23 @@ def test_an_unknown_property_fails_before_any_cycle():
 def test_isomorphism_is_not_a_per_cycle_property():
     with pytest.raises(ValueError, match="not a per-cycle property"):
         sweep(("isomorphism",), enumerate_cycles(3))
+
+
+def unread():
+    raise AssertionError("a cycle was read")
+    yield
+
+
+@pytest.mark.parametrize("props", ["balance", ()], ids=["string", "empty"])
+def test_sweep_takes_a_non_empty_tuple(props):
+    # a bare string would be read one letter at a time, and no property
+    # would read the whole corpus for an empty report
+    with pytest.raises(ValueError, match="non-empty tuple"):
+        sweep(props, unread())
+
+
+@pytest.mark.parametrize("props", ["balance", ()], ids=["string", "empty"])
+def test_sweep_exhaustive_takes_a_non_empty_tuple(monkeypatch, props):
+    monkeypatch.setattr("qube.verify.enumerate_cycles", lambda *args, **kw: unread())
+    with pytest.raises(ValueError, match="non-empty tuple"):
+        sweep_exhaustive(4, props)
