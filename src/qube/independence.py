@@ -2,7 +2,8 @@
 
 ``max_independent_set`` finds a maximum independent set by running branch
 and bound for a maximum clique on the complement graph, with a greedy
-coloring upper bound and static degree-then-index vertex order.
+coloring upper bound and static degree-then-index vertex order; only the
+color classes that could still beat the incumbent are branched on.
 
 ``equi_independence`` computes the largest *balanced* independent set of a
 bipartite graph (equally many vertices from each class) by two separate
@@ -14,10 +15,10 @@ routes that must agree:
   independent set of size 2k.
 * ``direct`` -- branch over subsets of one class, tracking the common
   non-neighbors in the other class; the answer is twice the best
-  min(chosen, compatible) reached.  Each node is bounded twice: by
-  min(|chosen| + |candidates|, |compatible|), and by König's theorem on
-  the bipartite graph between the candidates and the compatible side,
-  where any matching M caps a completion's two sides at
+  min(chosen, compatible) reached.  Each child is bounded twice before
+  it is entered: by min(|chosen| + |candidates|, |compatible|), and by
+  König's theorem on the bipartite graph between the candidates and the
+  compatible side, where any matching M caps a completion's two sides at
   |candidates| + |compatible| - |M| together.
 
 ``brute_force_equi`` is an exhaustive subset scan kept as an oracle for
@@ -52,6 +53,11 @@ class SizeLimitExceeded(ValueError):
     """The input is larger than the solver is rated for."""
 
 
+def _check_solver_cap(n: int) -> None:
+    if n > MAX_SOLVER_VERTICES:
+        raise SizeLimitExceeded(f"{n} vertices exceeds the solver cap {MAX_SOLVER_VERTICES}")
+
+
 def _greedy_clique(adj: list[int], order: list[int]) -> list[int]:
     """A maximal clique grown greedily along ``order``; seeds the bound."""
     best: list[int] = []
@@ -78,7 +84,13 @@ def _max_clique(adj: list[int]) -> tuple[int, list[int]]:
     """Exact maximum clique via branch and bound with a greedy-coloring
     upper bound.  Deterministic: vertices are relabeled into degree-then-
     index order (so the coloring walks high-degree vertices first) and
-    candidates are explored highest color first."""
+    candidates are explored highest color first.
+
+    A candidate of color c extends ``cur`` to a clique of at most
+    len(cur) + c, so classes below kmin = best - len(cur) + 1 (the k_min
+    rule of Konc and Janežič) are colored but not listed: the loop would
+    stop before it reached them.  They stay in ``cand`` for the children.
+    """
     orig_n = len(adj)
     if orig_n == 0:
         return 0, []
@@ -101,14 +113,12 @@ def _max_clique(adj: list[int]) -> tuple[int, list[int]]:
     best_clique = _greedy_clique(adj, list(range(n)))
     best = len(best_clique)
     cur: list[int] = []
+    nonadj = [~row for row in adj]
 
-    def color_sort(cand: int) -> tuple[list[int], list[int]]:
-        """Greedy coloring of the candidate set.
-
-        Returns vertices grouped by color class (ascending), with the
-        color number as an upper bound on any clique inside the remaining
-        candidates up to and including that vertex.
-        """
+    def expand(cand: int) -> None:
+        nonlocal best, best_clique
+        # greedy coloring of cand; out_v lists the classes from kmin up
+        kmin = best - len(cur) + 1
         out_v: list[int] = []
         out_c: list[int] = []
         color = 0
@@ -119,15 +129,11 @@ def _max_clique(adj: list[int]) -> tuple[int, list[int]]:
             while avail:
                 low = avail & -avail
                 v = low.bit_length() - 1
-                out_v.append(v)
-                out_c.append(color)
+                if color >= kmin:
+                    out_v.append(v)
+                    out_c.append(color)
                 rest ^= low
-                avail = (avail ^ low) & ~adj[v]
-        return out_v, out_c
-
-    def expand(cand: int) -> None:
-        nonlocal best, best_clique
-        out_v, out_c = color_sort(cand)
+                avail = (avail ^ low) & nonadj[v]
         for idx in range(len(out_v) - 1, -1, -1):
             if len(cur) + out_c[idx] <= best:
                 return
@@ -150,8 +156,7 @@ def max_independent_set(g: UndirectedGraph) -> tuple[int, list[int]]:
     """Exact maximum independent set (size and one witness), computed as a
     maximum clique of the complement graph."""
     n = g.vertex_count
-    if n > MAX_SOLVER_VERTICES:
-        raise SizeLimitExceeded(f"{n} vertices exceeds the solver cap {MAX_SOLVER_VERTICES}")
+    _check_solver_cap(n)
     if n == 0:
         return 0, []
     return _max_clique(g.complement().adj)
@@ -218,6 +223,11 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     candidate in order taking its lowest free neighbour in ``tmask``;
     a maximum matching cuts more nodes but costs more than it saves.
 
+    The parent applies both bounds to each child, on the child's filtered
+    candidates and its ``tmask``, before it makes the call.  A cut child
+    cannot improve the incumbent on entry either: its own value
+    min(|sel|, |tmask|) is at most the first bound and at most
+    (|sel| + |tmask|) // 2, which the König value never falls below.
     Both bounds only cut subtrees that cannot beat the incumbent, and the
     incumbent changes only on a strict improvement, so the size and the
     witness do not depend on which bounds are applied.
@@ -262,29 +272,31 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
             best_state = (sel.copy(), tmask)
         if len(sel) >= tcount:
             return  # growing sel can only shrink the minimum
-        if min(len(sel) + len(cands), tcount) <= best:
-            return
-        # König bound with a greedy matching of cands into tmask
-        matched = 0
-        free = tmask
-        for j in cands:
-            hit = neigh[j] & free
-            if hit:
-                free ^= hit & -hit
-                matched += 1
-        if (len(sel) + len(cands) + tcount - matched) // 2 <= best:
-            return
         depth1 = len(sel) + 1
         for pos, idx in enumerate(cands):
+            if depth1 + len(cands) - pos - 1 <= best:
+                break  # later children have fewer candidates
             t2 = tmask & nonadj[idx]
             c2 = t2.bit_count()
-            if c2 <= best or min(depth1 + len(cands) - pos - 1, c2) <= best:
+            if c2 <= best:
                 continue
-            sel.append(idx)
             # forward-check: drop candidates that could no longer beat best
             tail = [
                 j for j in cands[pos + 1 :] if (t2 & nonadj[j]).bit_count() > best
             ]
+            if depth1 + len(tail) <= best:
+                continue
+            # König bound with a greedy matching of tail into t2
+            matched = 0
+            free = t2
+            for j in tail:
+                hit = neigh[j] & free
+                if hit:
+                    free ^= hit & -hit
+                    matched += 1
+            if (depth1 + len(tail) + c2 - matched) // 2 <= best:
+                continue
+            sel.append(idx)
             search(tail, t2, c2)
             sel.pop()
 
@@ -309,9 +321,11 @@ def equi_independence(b: BipartiteGraph, method: str = "direct") -> tuple[int, l
     independent set) or "direct" (balanced branch and bound).  The two
     always agree; keeping both is the point.  Either route's witness is
     checked before it is returned; a bad one raises RuntimeError
-    (a fault in the solver, not in its input).
+    (a fault in the solver, not in its input).  The reduction route checks
+    the pair count against the solver cap before it builds the pair graph.
     """
     if method == "reduction":
+        _check_solver_cap(len(b.class0) * len(b.class1) - b.graph.edge_count)
         red = equi_reduction(b)
         size, pair_set = max_independent_set(red.graph)
         size, witness = 2 * size, unpack_pair_witness(red, pair_set)

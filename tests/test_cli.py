@@ -3,6 +3,7 @@ files, worker parallelism, and the counterexample persistence path."""
 
 import functools
 import json
+import time
 import warnings
 
 import pytest
@@ -630,6 +631,22 @@ class TestEquiind:
         assert code == 2
         assert out == ""
         assert "error: 15360 vertices exceeds the solver cap 5000" in err
+
+    def test_reduction_fails_fast_far_beyond_the_cap(self, capsys, monkeypatch):
+        # the 257,024-pair graph of Q_10 would need gigabytes to build, so
+        # a build fails the test at once instead of exhausting memory
+        def no_build(b):
+            raise AssertionError("the pair graph was built")
+
+        monkeypatch.setattr("qube.independence.equi_reduction", no_build)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "equiind", "--hypercube", "10", "--method", "reduction"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "error: 257024 vertices exceeds the solver cap 5000" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "equiind", "--graph", "missing.bip")

@@ -17,6 +17,7 @@ from qube.graphs import (
 )
 from qube.independence import (
     SizeLimitExceeded,
+    _greedy_clique,
     brute_force_equi,
     equi_independence,
     equi_reduction,
@@ -43,8 +44,9 @@ def brute_force_mis(g: UndirectedGraph) -> int:
 
 def reference_direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     """The direct search as it was before the König matching bound: the
-    only bound is min(|sel| + |cands|, |tmask|).  Kept as the reference
-    that the bounded search must match, size and witness alike."""
+    only bound is min(|sel| + |cands|, |tmask|), checked by each node on
+    entry.  Kept as the reference that the bounded search must match,
+    size and witness alike, wherever its bounds are applied."""
     side0 = list(b.class0)
     side1 = list(b.class1)
     if len(side1) < len(side0):
@@ -109,6 +111,77 @@ def reference_direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
         chosen1.append(side1[low.bit_length() - 1])
         mask ^= low
     return 2 * best, sorted(chosen0 + chosen1)
+
+
+def reference_max_clique(adj: list[int]) -> tuple[int, list[int]]:
+    """The clique search as it was before the k_min rule: every color
+    class is listed, and the complement rows are taken per step.  Kept as
+    the reference that the pair-graph route must match exactly."""
+    orig_n = len(adj)
+    if orig_n == 0:
+        return 0, []
+    order = sorted(range(orig_n), key=lambda v: (-adj[v].bit_count(), v))
+    pos = [0] * orig_n
+    for p, v in enumerate(order):
+        pos[v] = p
+    remapped = [0] * orig_n
+    for v in range(orig_n):
+        row = adj[v]
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= 1 << pos[low.bit_length() - 1]
+            row ^= low
+        remapped[pos[v]] = acc
+    adj = remapped
+
+    best_clique = _greedy_clique(adj, list(range(orig_n)))
+    best = len(best_clique)
+    cur: list[int] = []
+
+    def color_sort(cand: int) -> tuple[list[int], list[int]]:
+        out_v: list[int] = []
+        out_c: list[int] = []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                out_v.append(v)
+                out_c.append(color)
+                rest ^= low
+                avail = (avail ^ low) & ~adj[v]
+        return out_v, out_c
+
+    def expand(cand: int) -> None:
+        nonlocal best, best_clique
+        out_v, out_c = color_sort(cand)
+        for idx in range(len(out_v) - 1, -1, -1):
+            if len(cur) + out_c[idx] <= best:
+                return
+            v = out_v[idx]
+            cur.append(v)
+            nxt = cand & adj[v]
+            if nxt:
+                expand(nxt)
+            elif len(cur) > best:
+                best = len(cur)
+                best_clique = cur.copy()
+            cur.pop()
+            cand ^= 1 << v
+
+    expand((1 << orig_n) - 1)
+    return best, sorted(order[p] for p in best_clique)
+
+
+def reference_reduction(b: BipartiteGraph) -> tuple[int, list[int]]:
+    """The reduction route with the reference clique search."""
+    red = equi_reduction(b)
+    size, pair_set = reference_max_clique(red.graph.complement().adj)
+    return 2 * size, unpack_pair_witness(red, pair_set)
 
 
 def induced_cube_subgraph(n: int, m: int, rng: random.Random) -> BipartiteGraph:
@@ -330,6 +403,16 @@ class TestEquiIndependence:
                 assert is_independent(b.graph, witness)
                 assert is_balanced(b, witness)
 
+    def test_reduction_checks_the_cap_before_building_the_pair_graph(self, monkeypatch):
+        # Q_9 has 256 * 256 - 2304 = 63232 pairs; building them takes
+        # seconds and hundreds of MB, so the cap must be checked first
+        def no_build(b):
+            raise AssertionError("the pair graph was built")
+
+        monkeypatch.setattr("qube.independence.equi_reduction", no_build)
+        with pytest.raises(SizeLimitExceeded, match="63232 vertices exceeds the solver cap 5000"):
+            equi_independence(hypercube_bipartite(9), method="reduction")
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             equi_independence(hypercube_bipartite(3), method="guess")
@@ -378,6 +461,32 @@ class TestDirectSearchMatchesTheReference:
         for k in range(12):
             b = induced_cube_subgraph(6, 20 + k % 5, rng)
             assert equi_independence(b, "direct")[0] == equi_independence(b, "reduction")[0]
+
+
+class TestReductionMatchesTheReference:
+    """The k_min rule only leaves out color classes that the clique search
+    would never branch on, so the reduction route must return the
+    reference's size and witness exactly.  The pair graphs of the larger
+    workload shapes (Q6 with 56 vertices, Q7 with 48) take minutes per
+    solve, so only the 20-vertex shape is swept here."""
+
+    def test_induced_cube_subgraphs(self):
+        rng = random.Random(20261018)
+        for _ in range(80):
+            b = induced_cube_subgraph(6, 20, rng)
+            assert equi_independence(b, "reduction") == reference_reduction(b)
+
+    @pytest.mark.parametrize("density", [0.1, 0.4, 0.75])
+    def test_random_bipartite_graphs(self, density):
+        rng = random.Random(int(density * 100) + 1)
+        for _ in range(100):
+            b = random_bipartite(rng, max_vertices=22, density=density)
+            assert equi_independence(b, "reduction") == reference_reduction(b)
+
+    @pytest.mark.parametrize("n", range(3, 6))
+    def test_hypercubes(self, n):
+        b = hypercube_bipartite(n)
+        assert equi_independence(b, "reduction") == reference_reduction(b)
 
 
 class TestBruteForceEqui:
