@@ -86,10 +86,9 @@ def _max_clique(adj: list[int]) -> tuple[int, list[int]]:
     index order (so the coloring walks high-degree vertices first) and
     candidates are explored highest color first.
 
-    A candidate of color c extends ``cur`` to a clique of at most
-    len(cur) + c, so classes below kmin = best - len(cur) + 1 (the k_min
-    rule of Konc and Janežič) are colored but not listed: the loop would
-    stop before it reached them.  They stay in ``cand`` for the children.
+    A candidate of color c extends ``cur`` to at most len(cur) + c, so
+    classes below kmin = best - len(cur) + 1 (the k_min rule of Konc and
+    Janežič) are colored but not listed; the loop would stop before them.
     """
     orig_n = len(adj)
     if orig_n == 0:
@@ -223,11 +222,10 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     candidate in order taking its lowest free neighbour in ``tmask``;
     a maximum matching cuts more nodes but costs more than it saves.
 
-    The parent applies both bounds to each child, on the child's filtered
-    candidates and its ``tmask``, before it makes the call.  A cut child
-    cannot improve the incumbent on entry either: its own value
-    min(|sel|, |tmask|) is at most the first bound and at most
-    (|sel| + |tmask|) // 2, which the König value never falls below.
+    The parent applies both bounds to each child's filtered candidates
+    and ``tmask`` before the call.  A cut child cannot improve the
+    incumbent on entry either: its value min(|sel|, |tmask|) is at most
+    the first bound and at most (|sel| + |tmask|) // 2 <= König's.
     Both bounds only cut subtrees that cannot beat the incumbent, and the
     incumbent changes only on a strict improvement, so the size and the
     witness do not depend on which bounds are applied.

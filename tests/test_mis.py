@@ -466,9 +466,9 @@ class TestDirectSearchMatchesTheReference:
 class TestReductionMatchesTheReference:
     """The k_min rule only leaves out color classes that the clique search
     would never branch on, so the reduction route must return the
-    reference's size and witness exactly.  The pair graphs of the larger
-    workload shapes (Q6 with 56 vertices, Q7 with 48) take minutes per
-    solve, so only the 20-vertex shape is swept here."""
+    reference's size and witness exactly.  A pair graph of the Q7 shape
+    with 48 vertices did not solve in two minutes, so only the 20-vertex
+    workload shape is swept here."""
 
     def test_induced_cube_subgraphs(self):
         rng = random.Random(20261018)
