@@ -30,7 +30,6 @@ import time
 from typing import Iterable, Iterator
 
 from .cycles import (  # noqa: F401 -- check_balance stays a public name of qube.cli
-    CycleError,
     HamiltonianCycle,
     check_balance,
     check_chromatic_conditions,
@@ -73,12 +72,10 @@ def read_cycles(path: str) -> Iterator[HamiltonianCycle]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                cyc = HamiltonianCycle.from_dict(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            try:
-                cyc = HamiltonianCycle.from_dict(obj)
-            except CycleError as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             yield cyc
 
@@ -207,7 +204,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
     if args.prefixes_in is not None:
         with open(args.prefixes_in, "r", encoding="utf-8") as f:
-            prefixes = read_prefixes(f.read())
+            try:
+                prefixes = read_prefixes(f.read())
+            except ValueError as exc:
+                raise ValueError(f"{args.prefixes_in}: {exc}") from None
         if args.prefix_index is not None:
             if not 0 <= args.prefix_index < len(prefixes):
                 raise ValueError(f"--prefix-index out of range 0..{len(prefixes) - 1}")

@@ -10,7 +10,7 @@ along that dimension out of a vertex with that bit clear.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .hypercube import (
@@ -163,26 +163,10 @@ class ChromaticCheck:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.all_even
-            and self.none_zero
-            and self.total_is_order
-            and self.max_at_most_half
-            and self.min_at_least_two
-        )
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        return [
-            name
-            for name in (
-                "all_even",
-                "none_zero",
-                "total_is_order",
-                "max_at_most_half",
-                "min_at_least_two",
-            )
-            if not getattr(self, name)
-        ]
+        return [f.name for f in fields(self) if not getattr(self, f.name)]
 
 
 def check_chromatic_conditions(counts: Sequence[int], n: int) -> ChromaticCheck:

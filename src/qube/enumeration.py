@@ -496,10 +496,13 @@ def write_prefixes(prefixes: Sequence[Sequence[int]]) -> str:
 def read_prefixes(text: str) -> list[list[int]]:
     """Parse the checkpoint text produced by :func:`write_prefixes`."""
     out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            out.append([int(tok) for tok in line.split()])
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            prefix = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if prefix:
+            out.append(prefix)
     return out
 
 

@@ -1,9 +1,9 @@
 """Exact independence and balanced-independence solvers.
 
-``max_independent_set`` finds a maximum independent set by running branch
-and bound for a maximum clique on the complement graph, with a greedy
-coloring upper bound and static degree-then-index vertex order; only the
-color classes that could still beat the incumbent are branched on.
+``max_independent_set`` relabels the graph's sparse rows into (degree,
+index) order, complements them in the new labels, and runs branch and
+bound for a maximum clique there, with a greedy coloring upper bound; only
+the color classes that could still beat the incumbent are branched on.
 
 ``equi_independence`` computes the largest *balanced* independent set of a
 bipartite graph (equally many vertices from each class) by two separate
@@ -58,21 +58,24 @@ def _check_solver_cap(n: int) -> None:
         raise SizeLimitExceeded(f"{n} vertices exceeds the solver cap {MAX_SOLVER_VERTICES}")
 
 
-def _greedy_clique(adj: list[int], order: list[int]) -> list[int]:
-    """A maximal clique grown greedily along ``order``; seeds the bound."""
+def _relabel(row: int, pos: list[int]) -> int:
+    """``row`` with each set bit w moved to bit ``pos[w]``."""
+    acc = 0
+    while row:
+        low = row & -row
+        acc |= 1 << pos[low.bit_length() - 1]
+        row ^= low
+    return acc
+
+
+def _greedy_clique(adj: list[int]) -> list[int]:
+    """A maximal clique grown greedily by lowest label; seeds the bound."""
     best: list[int] = []
-    for start in order[: min(len(order), 16)]:
+    for start in range(min(len(adj), 16)):
         clique = [start]
         cand = adj[start]
         while cand:
-            # next candidate in order that is adjacent to everything chosen
-            v = -1
-            for u in order:
-                if cand >> u & 1:
-                    v = u
-                    break
-            if v < 0:
-                break
+            v = (cand & -cand).bit_length() - 1
             clique.append(v)
             cand &= adj[v]
         if len(clique) > len(best):
@@ -80,39 +83,33 @@ def _greedy_clique(adj: list[int], order: list[int]) -> list[int]:
     return best
 
 
-def _max_clique(adj: list[int]) -> tuple[int, list[int]]:
-    """Exact maximum clique via branch and bound with a greedy-coloring
-    upper bound.  Deterministic: vertices are relabeled into degree-then-
-    index order (so the coloring walks high-degree vertices first) and
-    candidates are explored highest color first.
+def max_independent_set(g: UndirectedGraph) -> tuple[int, list[int]]:
+    """Exact maximum independent set (size and one witness), computed as a
+    maximum clique of the complement graph by branch and bound with a
+    greedy-coloring upper bound.  Deterministic: vertices are relabeled by
+    (degree in ``g``, index), so the coloring walks high complement degree
+    first, and candidates are explored highest color first.
 
     A candidate of color c extends ``cur`` to at most len(cur) + c, so
     classes below kmin = best - len(cur) + 1 (the k_min rule of Konc and
     Janežič) are colored but not listed; the loop would stop before them.
     """
-    orig_n = len(adj)
-    if orig_n == 0:
+    n = g.vertex_count
+    _check_solver_cap(n)
+    if n == 0:
         return 0, []
-    order = sorted(range(orig_n), key=lambda v: (-adj[v].bit_count(), v))
-    pos = [0] * orig_n
+    order = sorted(range(n), key=lambda v: (g.adj[v].bit_count(), v))
+    pos = [0] * n
     for p, v in enumerate(order):
         pos[v] = p
-    remapped = [0] * orig_n
-    for v in range(orig_n):
-        row = adj[v]
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= 1 << pos[low.bit_length() - 1]
-            row ^= low
-        remapped[pos[v]] = acc
-    adj = remapped
-    n = orig_n
+    # g's rows in the new labels are the complement's non-neighbours
+    nonadj = [_relabel(g.adj[v], pos) for v in order]
+    full = (1 << n) - 1
+    adj = [full & ~row & ~(1 << p) for p, row in enumerate(nonadj)]
 
-    best_clique = _greedy_clique(adj, list(range(n)))
+    best_clique = _greedy_clique(adj)
     best = len(best_clique)
     cur: list[int] = []
-    nonadj = [~row for row in adj]
 
     def expand(cand: int) -> None:
         nonlocal best, best_clique
@@ -147,18 +144,8 @@ def _max_clique(adj: list[int]) -> tuple[int, list[int]]:
             cur.pop()
             cand ^= 1 << v
 
-    expand((1 << n) - 1)
+    expand(full)
     return best, sorted(order[p] for p in best_clique)
-
-
-def max_independent_set(g: UndirectedGraph) -> tuple[int, list[int]]:
-    """Exact maximum independent set (size and one witness), computed as a
-    maximum clique of the complement graph."""
-    n = g.vertex_count
-    _check_solver_cap(n)
-    if n == 0:
-        return 0, []
-    return _max_clique(g.complement().adj)
 
 
 def equi_reduction(b: BipartiteGraph) -> ReducedGraph:
@@ -236,17 +223,13 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
         side0, side1 = side1, side0
     if not side0:
         return 0, []
-    adj = b.graph.adj
     k1 = len(side1)
     full1 = (1 << k1) - 1
-    nonadj: list[int] = []
-    for v in side0:
-        m = 0
-        for p, w in enumerate(side1):
-            if not adj[v] >> w & 1:
-                m |= 1 << p
-        nonadj.append(m)
-    neigh = [full1 & ~m for m in nonadj]
+    pos1 = [0] * b.vertex_count
+    for p, w in enumerate(side1):
+        pos1[w] = p
+    neigh = [_relabel(b.graph.adj[v], pos1) for v in side0]
+    nonadj = [full1 & ~m for m in neigh]
     n0 = len(side0)
 
     # greedy seed: grow while the compatible side stays ahead

@@ -20,7 +20,7 @@ that forces one in every Hamiltonian cycle of small cubes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cycles import HamiltonianCycle, positions_by_dim
 from .hypercube import drop_entry
@@ -196,13 +196,7 @@ class PigeonholeReport:
         return self.product < self.order
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "threshold": self.threshold,
-            "product": self.product,
-            "order": self.order,
-            "forced": self.forced,
-        }
+        return {**asdict(self), "forced": self.forced}
 
 
 def pigeonhole_report(n: int) -> PigeonholeReport:

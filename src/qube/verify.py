@@ -40,8 +40,8 @@ def _per_dimension(holds):
 
 
 def _chromatic(cyc: HamiltonianCycle, profiles, mode: str) -> list[dict]:
-    report = check_chromatic_conditions(chromatic_vector(cyc), cyc.n)
-    return [] if report.ok else [{"failed": report.failures()}]
+    failed = check_chromatic_conditions(chromatic_vector(cyc), cyc.n).failures()
+    return [{"failed": failed}] if failed else []
 
 
 # the per-cycle properties: (cycle, its dimension profiles, threshold mode)
@@ -87,21 +87,22 @@ class Tally:
 
 
 def sweep(
-    props: tuple[str, ...], cycles: Iterable[HamiltonianCycle], mode: str = "equi"
+    props: Iterable[str], cycles: Iterable[HamiltonianCycle], mode: str = "equi"
 ) -> dict[str, Tally]:
     """Check every property of ``props`` on each cycle, in one pass, and
     return each property's tally; ``mode`` is the threshold flavour of the
     ``threshold`` property (see :func:`~qube.squares.rim_threshold`)."""
-    if isinstance(props, str) or not props:
+    names = () if isinstance(props, str) else tuple(props)  # read a generator once
+    if not names:
         raise ValueError(f"props must be a non-empty tuple of property names, got {props!r}")
-    for prop in props:
+    for prop in names:
         if prop not in CHECKS:
             raise ValueError(
                 "isomorphism is a property of the cube, not a per-cycle property"
                 if prop == "isomorphism" else f"unknown property {prop!r}"
             )
-    tallies = {prop: Tally() for prop in props}
-    profiled = any(prop in PROFILED for prop in props)
+    tallies = {prop: Tally() for prop in names}
+    profiled = any(prop in PROFILED for prop in names)
     for cyc in cycles:
         profiles = dimension_profiles(cyc) if profiled else None
         for prop, tally in tallies.items():
@@ -124,13 +125,14 @@ def _sweep_shard(task: tuple) -> dict[str, Tally]:
 
 
 def sweep_exhaustive(
-    n: int, props: tuple[str, ...], mode: str = "equi", workers: int = 1
+    n: int, props: Iterable[str], mode: str = "equi", workers: int = 1
 ) -> dict[str, Tally]:
     """:func:`sweep` over every Hamiltonian cycle of the n-cube, sharded by
     search prefix over ``workers`` processes (1: this process); each
     property's shard tallies are merged in prefix order."""
     check_search_args(n)
     tallies = sweep(props, (), mode)  # empty; a bad ``props`` fails here, before any search
+    props = tuple(tallies)
     tasks = [(n, props, mode, p) for p in path_prefixes(n, 2 if n <= 4 else 3)]
     for shard in map_shards(_sweep_shard, tasks, workers):
         for prop, tally in shard.items():

@@ -181,6 +181,13 @@ class TestEnumerate:
         assert out == ""
         assert "error: vertex 16 out of range for dimension 4" in err
 
+    def test_a_bad_prefix_token_names_its_file_and_line(self, capsys, tmp_path):
+        pre = tmp_path / "prefixes.txt"
+        pre.write_text("0 1\n\n0 x\n")
+        code, out, err = run(capsys, "enumerate", "--n", "4", "--prefixes-in", str(pre))
+        assert (code, out) == (2, "")
+        assert f"error: {pre}: line 3: invalid literal for int()" in err
+
     def test_prefixes_out_requires_depth(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "enumerate", "--n", "3",
@@ -316,6 +323,13 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--in", str(bad))
         assert (code, out) == (2, "")
         assert f"error: {bad}:2: malformed cycle object" in err
+
+    def test_an_out_of_range_dimension_names_its_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"n": 2, "seq": [0, 1, 3, 2]}\n{"n": 30, "seq": [0, 1]}\n')
+        code, out, err = run(capsys, "analyze", "--in", str(bad))
+        assert (code, out) == (2, "")
+        assert f"error: {bad}:2: dimension must be an integer in 1..24, got 30" in err
 
     def test_a_one_cube_is_not_a_counterexample(self, capsys, tmp_path):
         # the parity-balance theorem is about n >= 2; {0, 1} walked both

@@ -196,6 +196,10 @@ class TestPrefixSplitting:
         assert read_prefixes(write_prefixes(prefixes)) == prefixes
         assert read_prefixes("0 1\n\n0 2\n") == [[0, 1], [0, 2]]
 
+    def test_a_bad_checkpoint_token_names_its_line(self):
+        with pytest.raises(ValueError, match="^line 2: invalid literal for int"):
+            read_prefixes("0 1\n0 2.5\n")
+
 
 def cube_edges(n: int) -> list[tuple[int, int, int]]:
     """Every edge of the n-cube as (base, other end, slot ``2*i + class``)."""

@@ -17,7 +17,6 @@ from qube.graphs import (
 )
 from qube.independence import (
     SizeLimitExceeded,
-    _greedy_clique,
     brute_force_equi,
     equi_independence,
     equi_reduction,
@@ -113,6 +112,23 @@ def reference_direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     return 2 * best, sorted(chosen0 + chosen1)
 
 
+def reference_greedy_clique(adj: list[int], order: list[int]) -> list[int]:
+    """The greedy seed of the reference search: a maximal clique grown
+    from each of the first 16 vertices of ``order``, always taking the
+    first vertex in ``order`` adjacent to everything chosen."""
+    best: list[int] = []
+    for start in order[: min(len(order), 16)]:
+        clique = [start]
+        cand = adj[start]
+        while cand:
+            v = next(u for u in order if cand >> u & 1)
+            clique.append(v)
+            cand &= adj[v]
+        if len(clique) > len(best):
+            best = clique
+    return best
+
+
 def reference_max_clique(adj: list[int]) -> tuple[int, list[int]]:
     """The clique search as it was before the k_min rule: every color
     class is listed, and the complement rows are taken per step.  Kept as
@@ -135,7 +151,7 @@ def reference_max_clique(adj: list[int]) -> tuple[int, list[int]]:
         remapped[pos[v]] = acc
     adj = remapped
 
-    best_clique = _greedy_clique(adj, list(range(orig_n)))
+    best_clique = reference_greedy_clique(adj, list(range(orig_n)))
     best = len(best_clique)
     cur: list[int] = []
 

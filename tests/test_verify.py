@@ -104,3 +104,14 @@ def test_sweep_exhaustive_takes_a_non_empty_tuple(monkeypatch, props):
     monkeypatch.setattr("qube.verify.enumerate_cycles", lambda *args, **kw: unread())
     with pytest.raises(ValueError, match="non-empty tuple"):
         sweep_exhaustive(4, props)
+
+
+def test_a_generator_of_properties_is_read_once(q4_cycles):
+    tallies = sweep((prop for prop in ("balance", "squares")), q4_cycles)
+    assert list(tallies) == ["balance", "squares"]
+    assert [t.checked for t in tallies.values()] == [len(q4_cycles)] * 2
+
+
+def test_sweep_exhaustive_takes_a_generator_of_properties():
+    tallies = sweep_exhaustive(3, (prop for prop in ("balance",)))
+    assert list(tallies) == ["balance"] and tallies["balance"].checked == 6
