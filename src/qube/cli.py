@@ -46,6 +46,7 @@ from .enumeration import (
     write_prefixes,
 )
 from .graphs import (
+    BipartiteGraph,
     format_graph,
     hypercube_bipartite,
     parse_bipartite,
@@ -284,13 +285,22 @@ def cmd_squares(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_bipartite(path: str) -> BipartiteGraph:
+    """The bipartite graph of a ``--graph`` file; a parse error names the file."""
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
+    try:
+        return parse_bipartite(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_equiind(args: argparse.Namespace) -> int:
     if args.hypercube is not None:
         b = hypercube_bipartite(args.hypercube)
         source = f"hypercube:{args.hypercube}"
     else:
-        with open(args.graph, "r", encoding="utf-8") as f:
-            b = parse_bipartite(f.read())
+        b = _read_bipartite(args.graph)
         source = f"file:{args.graph}"
     if args.method == "oracle":
         size = brute_force_equi(b)
@@ -306,8 +316,7 @@ def cmd_equiind(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    with open(args.graph, "r", encoding="utf-8") as f:
-        b = parse_bipartite(f.read())
+    b = _read_bipartite(args.graph)
     red = equi_reduction(b)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(format_graph(red.graph))

@@ -105,6 +105,8 @@ MAX_SAMPLE_DIM = 16
 MAX_CONSECUTIVE_FAILURES = 200
 MAX_PREFIX_VERTICES = 1 << 23
 MEMO_MAX_DIM = 6
+# Q6 has about 3.6·10^22 Hamiltonian cycles (Haanpää and Östergård, 2014)
+MAX_WHOLE_CUBE_DIM = 5
 MEMO_CAP = 1 << 16
 NO_CYCLES = (0, 0)  # the memo's shared range for the many states without a cycle
 
@@ -181,6 +183,18 @@ def check_search_args(n: int, prefix: Sequence[int] | None = None) -> None:
             raise ValueError(f"prefix revisits vertex {v}")
         edge_dim(u, v)
         visited.add(v)
+
+
+def check_whole_cube(n: int) -> None:
+    """Raise ValueError unless :func:`check_search_args` accepts ``n`` and a
+    search of every cycle of the n-cube can finish: n <= ``MAX_WHOLE_CUBE_DIM``.
+    A stream, or a count of given prefixes, may run on larger cubes."""
+    check_search_args(n)
+    if n > MAX_WHOLE_CUBE_DIM:
+        raise ValueError(
+            f"a search of every cycle supports n <= {MAX_WHOLE_CUBE_DIM}: "
+            "the 6-cube alone has about 3.6e22 Hamiltonian cycles"
+        )
 
 
 def enumerate_cycles(
@@ -438,8 +452,9 @@ def count_cycles(n: int, prunes: PruneConfig | None = None) -> int:
     the count is n!·words/2.  On cubes of at most ``MEMO_MAX_DIM``
     dimensions the words are counted through the stream's completion
     memo, which holds each state's count of words instead of its cycles.
+    Larger cubes are refused (:func:`check_whole_cube`).
     """
-    check_search_args(n)
+    check_whole_cube(n)
     return factorial(n) * sum(_search(n, prunes, None, first_use=True)) // 2
 
 

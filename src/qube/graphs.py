@@ -63,13 +63,6 @@ class UndirectedGraph:
                 yield (u, low.bit_length() - 1)
                 m ^= low
 
-    def complement(self) -> "UndirectedGraph":
-        g = UndirectedGraph(self.vertex_count)
-        full = (1 << self.vertex_count) - 1
-        for v in range(self.vertex_count):
-            g.adj[v] = full & ~self.adj[v] & ~(1 << v)
-        return g
-
 
 class BipartiteGraph:
     """An undirected graph together with a bipartition; every edge must
@@ -181,50 +174,51 @@ def format_bipartite(b: BipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_lines(text: str) -> tuple[list[str], list[tuple[int, int]]]:
-    header: list[str] | None = None
-    edges: list[tuple[int, int]] = []
+def _parse(text: str, kind: str) -> tuple[list[int], UndirectedGraph]:
+    """The header sizes and the graph of a ``p <kind> ...`` text.  The last
+    size is the edge count and the others add up to the vertex count; an
+    error on a line names that line."""
+    form = {"graph": "<n> <m>", "bipartite": "<n0> <n1> <m>"}[kind]
+    sizes: list[int] = []
+    g: UndirectedGraph | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         fields = line.split()
-        if fields[0] == "p":
-            if header is not None:
-                raise ValueError(f"line {lineno}: duplicate header")
-            header = fields
-        elif fields[0] == "e":
-            if header is None:
-                raise ValueError(f"line {lineno}: edge before header")
-            if len(fields) != 3:
-                raise ValueError(f"line {lineno}: malformed edge line {line!r}")
-            edges.append((int(fields[1]), int(fields[2])))
-        else:
-            raise ValueError(f"line {lineno}: unrecognized line {line!r}")
-    if header is None:
+        try:
+            if fields[0] == "p":
+                if g is not None:
+                    raise ValueError("duplicate header")
+                if fields[1:2] != [kind] or len(fields) != len(form.split()) + 2:
+                    raise ValueError(f"expected 'p {kind} {form}' header, got {line!r}")
+                sizes = [int(f) for f in fields[2:]]
+                if min(sizes) < 0:
+                    raise ValueError(f"negative size in header {line!r}")
+                g = UndirectedGraph(sum(sizes[:-1]))
+            elif fields[0] == "e":
+                if g is None:
+                    raise ValueError("edge before header")
+                if len(fields) != 3:
+                    raise ValueError(f"malformed edge line {line!r}")
+                g.add_edge(int(fields[1]), int(fields[2]))
+            else:
+                raise ValueError(f"unrecognized line {line!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if g is None:
         raise ValueError("missing 'p' header line")
-    return header, edges
+    if g.edge_count != sizes[-1]:
+        raise ValueError(f"header claims {sizes[-1]} edges, file has {g.edge_count}")
+    return sizes, g
 
 
 def parse_graph(text: str) -> UndirectedGraph:
     """Parse the ``p graph <n> <m>`` text format."""
-    header, edges = _parse_lines(text)
-    if len(header) != 4 or header[1] != "graph":
-        raise ValueError(f"expected 'p graph <n> <m>' header, got {header}")
-    n, m = int(header[2]), int(header[3])
-    g = UndirectedGraph(n, edges)
-    if g.edge_count != m:
-        raise ValueError(f"header claims {m} edges, file has {g.edge_count}")
-    return g
+    return _parse(text, "graph")[1]
 
 
 def parse_bipartite(text: str) -> BipartiteGraph:
     """Parse the ``p bipartite <n0> <n1> <m>`` text format."""
-    header, edges = _parse_lines(text)
-    if len(header) != 5 or header[1] != "bipartite":
-        raise ValueError(f"expected 'p bipartite <n0> <n1> <m>' header, got {header}")
-    n0, n1, m = int(header[2]), int(header[3]), int(header[4])
-    g = UndirectedGraph(n0 + n1, edges)
-    if g.edge_count != m:
-        raise ValueError(f"header claims {m} edges, file has {g.edge_count}")
+    (n0, n1, _), g = _parse(text, "bipartite")
     return BipartiteGraph(g, range(n0), range(n0, n0 + n1))

@@ -9,9 +9,13 @@ the rim dimension (the cycle doubles back) and *twisted* when they are
 traversed in the same direction; the classification does not depend on the
 rotation or orientation of the cycle.
 
-Detection is one hash-map pass per dimension over the projected rim
-candidates: two i-edges are rims of a common square exactly when their
-projections into the (n-1)-cube are adjacent there.  O(n * 2**n) per cycle.
+Detection is one pass over the cycle's edges in cycle order: two i-edges
+are rims of a common square exactly when their projections into the
+(n-1)-cube are adjacent there, so each edge's projection is looked up
+against the earlier ones of its dimension (one hash map per dimension).
+``find_squares`` runs the pass to the end, ``has_square`` stops at the
+first pair, and the threshold check runs it over one dimension's edges.
+O(n * 2**n) per cycle.
 
 Above a per-dimension usage threshold a square with that rim dimension is
 forced (``rim_threshold``); ``pigeonhole_report`` is the counting argument
@@ -21,6 +25,7 @@ that forces one in every Hamiltonian cycle of small cubes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Iterable, Iterator
 
 from .cycles import HamiltonianCycle, positions_by_dim
 from .hypercube import drop_entry
@@ -69,49 +74,49 @@ class InscribedSquare:
         }
 
 
+def _rim_pairs(
+    h: HamiltonianCycle, starts: Iterable[int]
+) -> Iterator[tuple[int, int, int, int]]:
+    """Every pair of cycle edges, among those starting at ``starts`` (in
+    increasing order), that are the rims of a square, as (rim dimension i,
+    earlier start, later start, j): the rims' projections into the
+    (n-1)-cube differ in bit j.  A pair is yielded when the pass reaches
+    its later edge, so a caller that stops at the first pair reads no
+    further edge."""
+    seq = h.seq
+    n = h.n
+    size = len(seq)
+    rays = range(n - 1)
+    seen: list[dict[int, int]] = [{} for _ in range(n)]
+    for k in starts:
+        u = seq[k]
+        i = (u ^ seq[(k + 1) % size]).bit_length() - 1
+        p = drop_entry(u, i)
+        earlier = seen[i]
+        for j in rays:
+            q = p ^ (1 << j)
+            if q in earlier:
+                yield i, earlier[q], k, j
+        earlier[p] = k
+
+
 def find_squares(h: HamiltonianCycle) -> list[InscribedSquare]:
     """All inscribed squares of the cycle, ordered by rim dimension and
     then rim start positions."""
     seq = h.seq
-    n = h.n
-    out: list[InscribedSquare] = []
-    for i, positions in enumerate(positions_by_dim(h)):
-        proj_index: dict[int, int] = {}
-        for k in positions:
-            proj_index[drop_entry(seq[k], i)] = k
-        for p, k in proj_index.items():
-            for j in range(n - 1):
-                q = p ^ (1 << j)
-                if q < p:  # handle each unordered projection pair once
-                    continue
-                m = proj_index.get(q)
-                if m is None:
-                    continue
-                a, b = (k, m) if k < m else (m, k)
-                ray = j if j < i else j + 1
-                kind = "straight" if (seq[a] ^ seq[b]) >> i & 1 else "twisted"
-                out.append(InscribedSquare(i, (a, b), kind, ray))
+    out = [
+        InscribedSquare(
+            i, (a, b), "straight" if (seq[a] ^ seq[b]) >> i & 1 else "twisted", j + (j >= i)
+        )
+        for i, a, b, j in _rim_pairs(h, range(len(seq)))
+    ]
     out.sort(key=lambda s: (s.rim_dim, s.rim_indexes))
     return out
 
 
 def has_square(h: HamiltonianCycle) -> bool:
     """Whether the cycle contains any inscribed square (early exit)."""
-    seq = h.seq
-    n = h.n
-    size = len(seq)
-    buckets: list[set[int]] = [set() for _ in range(n)]
-    for k in range(size):
-        u = seq[k]
-        x = u ^ seq[(k + 1) % size]
-        i = x.bit_length() - 1
-        p = drop_entry(u, i)
-        bucket = buckets[i]
-        for j in range(n - 1):
-            if p ^ (1 << j) in bucket:
-                return True
-        bucket.add(p)
-    return False
+    return any(_rim_pairs(h, range(len(h.seq))))
 
 
 def rim_threshold(n: int, mode: str = "equi") -> int:
@@ -160,23 +165,8 @@ def check_threshold_implication(
     thr = rim_threshold(h.n, mode)
     positions = positions_by_dim(h)
     obligated = tuple(i for i, ks in enumerate(positions) if len(ks) > thr)
-    violations = tuple(i for i in obligated if not _has_rim_square(h, i, positions[i]))
+    violations = tuple(i for i in obligated if not any(_rim_pairs(h, positions[i])))
     return ThresholdReport(mode, thr, obligated, violations)
-
-
-def _has_rim_square(h: HamiltonianCycle, i: int, positions: list[int]) -> bool:
-    """Whether two of the cycle's i-edges, starting at ``positions``, are
-    the rims of a square (early exit, as in :func:`has_square`)."""
-    seq = h.seq
-    bits = [1 << j for j in range(h.n - 1)]
-    seen: set[int] = set()
-    for k in positions:
-        p = drop_entry(seq[k], i)
-        for b in bits:
-            if p ^ b in seen:
-                return True
-        seen.add(p)
-    return False
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .cycles import (
     chromatic_vector,
     dimension_profiles,
 )
-from .enumeration import check_search_args, enumerate_cycles, map_shards, path_prefixes
+from .enumeration import check_whole_cube, enumerate_cycles, map_shards, path_prefixes
 from .squares import check_threshold_implication, has_square
 
 # the choices of ``verify --property``; isomorphism is a property of the
@@ -129,8 +129,9 @@ def sweep_exhaustive(
 ) -> dict[str, Tally]:
     """:func:`sweep` over every Hamiltonian cycle of the n-cube, sharded by
     search prefix over ``workers`` processes (1: this process); each
-    property's shard tallies are merged in prefix order."""
-    check_search_args(n)
+    property's shard tallies are merged in prefix order.  Cubes above
+    ``MAX_WHOLE_CUBE_DIM`` dimensions are refused before any search."""
+    check_whole_cube(n)
     tallies = sweep(props, (), mode)  # empty; a bad ``props`` fails here, before any search
     props = tuple(tallies)
     tasks = [(n, props, mode, p) for p in path_prefixes(n, 2 if n <= 4 else 3)]

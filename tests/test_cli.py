@@ -667,6 +667,27 @@ class TestEquiind:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["equiind", "reduce"])
+    @pytest.mark.parametrize(
+        "text,message",
+        [("p bipartite 1 1 1\nc a remark\ne 0 x\n",
+          "line 3: invalid literal for int() with base 10: 'x'"),
+         ("p bipartite 1 1 1\ne 0 9\n", "line 2: vertex 9 out of range"),
+         ("p bipartite 1 y 0\n", "line 1: invalid literal for int() with base 10: 'y'")],
+        ids=["edge-token", "edge-vertex", "header-token"],
+    )
+    def test_a_bad_graph_line_names_its_file_and_line(
+        self, capsys, tmp_path, command, text, message
+    ):
+        src = tmp_path / "g.bip"
+        src.write_text(text)
+        dst = tmp_path / "pairs.graph"
+        argv = ["--graph", str(src)] + (["--out", str(dst)] if command == "reduce" else [])
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, "")
+        assert f"error: {src}: {message}" in err
+        assert not dst.exists()
+
     def test_an_invalid_witness_is_not_a_counterexample(self, capsys, monkeypatch):
         # 0 and 1 are adjacent in the 3-cube: a solver fault, so the run
         # could not finish (exit 3), not a found counterexample (exit 1)
@@ -785,6 +806,39 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["equiind", "--hypercube", "3", "--graph", "x.bip"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["enumerate", "--n", "6", "--count-only"],
+         ["verify", "--n", "6", "--property", "balance", "--exhaustive"],
+         ["verify", "--n", "7", "--property", "squares", "--exhaustive"]],
+        ids=["count-n6", "verify-n6", "verify-n7"],
+    )
+    def test_whole_cube_work_that_cannot_finish_fails_fast(self, capsys, monkeypatch, argv):
+        # Q6 has about 3.6e22 cycles; a search started by mistake fails
+        # the test at once instead of running without end
+        def no_search(*args, **kwargs):
+            raise AssertionError("a whole-cube search was started")
+
+        monkeypatch.setattr("qube.enumeration._search", no_search)
+        monkeypatch.setattr("qube.verify.map_shards", no_search)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "error: a search of every cycle supports n <= 5" in err
+
+    def test_a_count_of_given_prefixes_is_not_whole_cube_work(self, capsys, tmp_path):
+        prefix = gray_cycle(6).seq[:56]
+        pre = tmp_path / "prefixes.txt"
+        pre.write_text(" ".join(map(str, prefix)) + "\n")
+        expected = len(list(enumerate_cycles(6, prefix=prefix)))
+        assert expected > 0
+        code, out, _ = run(
+            capsys, "enumerate", "--n", "6", "--prefixes-in", str(pre), "--count-only"
+        )
+        assert code == 0
+        assert json.loads(out) == {"n": 6, "count": expected}
 
 
 class TestDispatch:

@@ -470,6 +470,18 @@ class TestFirstUseCount:
             with pytest.raises(ValueError):
                 count_cycles(n)
 
+    def test_cubes_beyond_the_whole_cube_cap_are_refused(self, monkeypatch):
+        # the refusal comes before any search; a search started by mistake
+        # fails the test at once instead of running without end
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search was started")
+
+        monkeypatch.setattr(enumeration, "_search", no_search)
+        assert enumeration.MAX_WHOLE_CUBE_DIM == 5
+        for n in (6, 7, 16):
+            with pytest.raises(ValueError, match="supports n <= 5"):
+                count_cycles(n)
+
     @pytest.mark.skipif(
         not os.environ.get("QUBE_ACCEPTANCE_FULL"),
         reason="counts 15,109,096 words: about 100 s in one process (QUBE_ACCEPTANCE_FULL=1)",

@@ -45,14 +45,6 @@ class TestUndirectedGraph:
         with pytest.raises(ValueError):
             UndirectedGraph(-1)
 
-    def test_complement(self):
-        g = UndirectedGraph(4, [(0, 1), (2, 3)])
-        c = g.complement()
-        assert c.edge_count == 6 - 2
-        for u in range(4):
-            for v in range(u + 1, 4):
-                assert c.has_edge(u, v) != g.has_edge(u, v)
-
 
 class TestHypercubeGraphs:
     @pytest.mark.parametrize("n", range(1, 7))
@@ -145,6 +137,19 @@ class TestTextFormat:
     def test_graph_parse_errors(self, text):
         with pytest.raises(ValueError):
             parse_graph(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("p graph 2 1\nc a remark\ne 0 x\n", "line 3: invalid literal for int()"),
+         ("p graph 2 1\ne 0 2\n", "line 2: vertex 2 out of range"),
+         ("p graph 2 1\ne 1 1\n", "line 2: self-loop at 1"),
+         ("p graph -1 0\n", "line 1: negative size in header"),
+         ("p graph 2\n", "line 1: expected 'p graph <n> <m>' header")],
+    )
+    def test_a_line_error_names_its_line(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_graph(text)
+        assert str(exc.value).startswith(message)
 
     def test_bipartite_roundtrip_structure(self):
         b = hypercube_bipartite(3)

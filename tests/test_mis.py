@@ -196,7 +196,9 @@ def reference_max_clique(adj: list[int]) -> tuple[int, list[int]]:
 def reference_reduction(b: BipartiteGraph) -> tuple[int, list[int]]:
     """The reduction route with the reference clique search."""
     red = equi_reduction(b)
-    size, pair_set = reference_max_clique(red.graph.complement().adj)
+    full = (1 << red.graph.vertex_count) - 1
+    complement = [full & ~row & ~(1 << v) for v, row in enumerate(red.graph.adj)]
+    size, pair_set = reference_max_clique(complement)
     return 2 * size, unpack_pair_witness(red, pair_set)
 
 

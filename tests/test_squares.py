@@ -64,8 +64,8 @@ class TestFindSquares:
         for h in q3_cycles:
             assert as_tuples(find_squares(h)) == brute_force_squares(h)
 
-    def test_against_brute_oracle_q4_subset(self, q4_cycles):
-        for h in q4_cycles[:150]:
+    def test_against_brute_oracle_q4(self, q4_cycles):
+        for h in q4_cycles:
             assert as_tuples(find_squares(h)) == brute_force_squares(h)
 
     def test_against_brute_oracle_sampled_q5(self):
@@ -98,8 +98,8 @@ class TestFindSquares:
 
 class TestHasSquare:
     def test_matches_full_detection(self, q3_cycles, q4_cycles):
-        for h in q3_cycles + q4_cycles[:200]:
-            assert has_square(h) == bool(find_squares(h))
+        for h in q3_cycles + q4_cycles + sample_cycles(5, seed=7, k=25):
+            assert has_square(h) == bool(brute_force_squares(h))
 
     def test_reflected_code_of_the_seven_cube(self):
         assert has_square(gray_cycle(7))
@@ -153,16 +153,16 @@ class TestThresholdImplication:
 
 
 def report_from_the_square_list(h: HamiltonianCycle, mode: str, thr: int) -> ThresholdReport:
-    """The threshold report derived from the full list of squares."""
+    """The threshold report derived from the brute-force list of squares."""
     obligated = tuple(i for i, c in enumerate(chromatic_vector(h)) if c > thr)
-    rim_dims = {s.rim_dim for s in find_squares(h)}
+    rim_dims = {s[0] for s in brute_force_squares(h)}
     return ThresholdReport(mode, thr, obligated, tuple(i for i in obligated if i not in rim_dims))
 
 
 class TestThresholdAgainstTheSquareList:
     """``check_threshold_implication`` looks for a square in each obligated
-    dimension on its own; the reports must equal the ones read off
-    :func:`find_squares`."""
+    dimension on its own; the reports must equal the ones read off the
+    brute-force oracle."""
 
     @pytest.mark.parametrize("mode", ["equi", "independence"])
     def test_every_q4_cycle(self, mode, q4_cycles):

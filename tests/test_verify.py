@@ -41,6 +41,16 @@ def test_merged_shards_equal_one_sequential_pass(monkeypatch):
     assert squares.first_counterexample is not None
 
 
+def test_sweep_exhaustive_refuses_cubes_beyond_the_whole_cube_cap(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the shards were searched")
+
+    monkeypatch.setattr("qube.verify.map_shards", no_search)
+    for n in (6, 7):
+        with pytest.raises(ValueError, match="supports n <= 5"):
+            sweep_exhaustive(n, ("balance",))
+
+
 def test_a_recurrence_mismatch_is_caught(monkeypatch):
     # the direct parity word of dimension 2 disagrees with the recurrence's
     def profiles(cyc):
