@@ -11,14 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
+from functools import cached_property
+from operator import xor
 from typing import Sequence
 
-from .hypercube import (
-    check_dimension,
-    edge_dim,
-    gray_code,
-    parity_excluding,
-)
+from .hypercube import check_dimension, edge_dim, gray_code
 
 
 class CycleError(ValueError):
@@ -105,16 +102,16 @@ def validate_cycle(n: int, seq: Sequence[int]) -> HamiltonianCycle:
     size = 1 << n
     if len(values) != size:
         raise WrongLength(f"expected {size} vertices for n={n}, got {len(values)}")
-    for v in values:
-        if not 0 <= v < size:
-            raise InvalidVertex(f"vertex {v} out of range for n={n}")
+    if min(values) < 0 or max(values) >= size:
+        v = next(v for v in values if not 0 <= v < size)
+        raise InvalidVertex(f"vertex {v} out of range for n={n}")
     if len(set(values)) != size:
         dup = next(v for v, c in Counter(values).items() if c > 1)
         raise DuplicateVertex(f"vertex {dup} appears more than once")
-    for k in range(size - 1):
-        u, v = values[k], values[k + 1]
-        if (u ^ v).bit_count() != 1:
-            raise NonAdjacentStep(k, u, v)
+    steps = list(map(int.bit_count, map(xor, values, values[1:])))
+    if steps.count(1) != size - 1:
+        k = next(k for k, c in enumerate(steps) if c != 1)
+        raise NonAdjacentStep(k, values[k], values[k + 1])
     if (values[-1] ^ values[0]).bit_count() != 1:
         raise NotClosed(f"{values[-1]} -> {values[0]} does not close the cycle")
     return HamiltonianCycle(n, values)
@@ -128,8 +125,7 @@ def gray_cycle(n: int) -> HamiltonianCycle:
 def color(h: HamiltonianCycle) -> list[int]:
     """Dimension of the edge starting at each position of the cycle."""
     seq = h.seq
-    size = len(seq)
-    return [edge_dim(seq[k], seq[(k + 1) % size]) for k in range(size)]
+    return list(map(edge_dim, seq, seq[1:] + seq[:1]))
 
 
 def positions_by_dim(h: HamiltonianCycle) -> list[list[int]]:
@@ -209,73 +205,93 @@ def permute_dims(h: HamiltonianCycle, perm: Sequence[int]) -> HamiltonianCycle:
 class DimensionProfile:
     """Everything about one dimension of a cycle, after normalization.
 
-    ``parity_list`` is built by the alternating gap recurrence from the
-    first vertex; ``parity_direct`` reads the class of each i-edge straight
-    off the normalized cycle.  On every valid cycle the two agree.
+    Only the dimension, the cycle, the rotation ``shift`` that normalizes
+    it and the ``index_list`` of i-edge positions in the normalized
+    rotation are stored; every other field is computed on first read and
+    kept.  ``parity_list`` is built by the alternating gap recurrence from
+    the first vertex; ``parity_direct`` reads the class of each i-edge
+    straight off the cycle.  On every valid cycle the two agree.
     ``edge_list`` holds each i-edge as its endpoints, bit i clear first.
     """
 
     dim: int
-    normalized: HamiltonianCycle
+    cycle: HamiltonianCycle
+    shift: int
     index_list: tuple[int, ...]
-    start_vertices: tuple[int, ...]
-    edge_list: tuple[tuple[int, int], ...]
-    segments: tuple[int, ...]
-    parity_list: tuple[int, ...]
-    parity_direct: tuple[int, ...]
+
+    @cached_property
+    def normalized(self) -> HamiltonianCycle:
+        return self.cycle.rotated(self.shift)
+
+    def _starts(self) -> list[int]:
+        seq = self.cycle.seq
+        back = self.shift - len(seq)  # position k of the rotation is seq[k + back]
+        return [seq[k + back] for k in self.index_list]
+
+    @cached_property
+    def start_vertices(self) -> tuple[int, ...]:
+        return tuple(self._starts())
+
+    @cached_property
+    def edge_list(self) -> tuple[tuple[int, int], ...]:
+        bit = 1 << self.dim
+        return tuple([(v & ~bit, v | bit) for v in self.start_vertices])
+
+    @cached_property
+    def segments(self) -> tuple[int, ...]:
+        idx = self.index_list
+        return tuple([b - a for a, b in zip(idx, idx[1:] + (len(self.cycle),))])
+
+    @cached_property
+    def parity_list(self) -> tuple[int, ...]:
+        # bit k+1 = bit k + gap k + 1 (mod 2), and gaps 0..k-1 sum to
+        # index k, so bit k = bit 0 + index k + k (mod 2)
+        first = self.cycle.seq[self.shift].bit_count() & 1  # bit i is clear
+        return tuple([(first + k + x) & 1 for k, x in enumerate(self.index_list)])
+
+    @cached_property
+    def parity_direct(self) -> tuple[int, ...]:
+        i = self.dim  # the weight's parity without bit i
+        return tuple([(v.bit_count() ^ v >> i) & 1 for v in self._starts()])
 
     @property
     def balanced(self) -> bool:
         """The i-edges split evenly between the two classes."""
-        return 2 * sum(self.parity_list) == len(self.parity_list)
+        return 2 * sum(self.parity_list) == len(self.index_list)
 
     @property
     def segment_sums_ok(self) -> bool:
         """The even- and odd-position gap lengths each sum to 2**(n-1)."""
-        half = 1 << (self.normalized.n - 1)
+        half = len(self.cycle) >> 1
         return sum(self.segments[0::2]) == half == sum(self.segments[1::2])
 
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "index_list": list(self.index_list),
-            "start_vertices": list(self.start_vertices),
-            "edge_list": [list(e) for e in self.edge_list],
-            "segments": list(self.segments),
-            "parity_list": list(self.parity_list),
+            "index_list": self.index_list,
+            "start_vertices": self.start_vertices,
+            "edge_list": self.edge_list,
+            "segments": self.segments,
+            "parity_list": self.parity_list,
             "balanced": self.balanced,
             "segment_sums_ok": self.segment_sums_ok,
         }
 
 
 def _profile(h: HamiltonianCycle, i: int, positions: list[int]) -> DimensionProfile:
-    """Dimension i's profile from its edge start positions.  The normalized
-    rotation starts at the earliest i-edge leaving a vertex with bit i
-    clear; valid cycles alternate the direction of their i-edges."""
-    size = len(h)
-    shift = next((k for k in positions if not h.seq[k] >> i & 1), None)
-    if shift is None:
+    """Dimension i's profile from its edge start positions, in increasing
+    order.  The normalized rotation starts at the earliest i-edge leaving a
+    vertex with bit i clear; valid cycles alternate the direction of their
+    i-edges.  Its positions are the tail of ``positions`` from that edge
+    on, then the head wrapped past the end."""
+    seq = h.seq
+    first = next((m for m, k in enumerate(positions) if not seq[k] >> i & 1), None)
+    if first is None:
         raise DimensionUnused(f"no i-edge leaves a vertex with bit i clear (i={i})")
-    norm = h.rotated(shift)
-    idx = sorted((k - shift) % size for k in positions)
-    starts = [norm.seq[k] for k in idx]
-    bit = 1 << i
-    edges = [(v & ~bit, v | bit) for v in starts]
-    gaps = [b - a for a, b in zip(idx, idx[1:] + [size])]
-    bits = [parity_excluding(starts[0], i)]
-    for gap in gaps[:-1]:
-        bits.append((bits[-1] + gap + 1) % 2)
-    direct = [parity_excluding(v, i) for v in starts]
-    return DimensionProfile(
-        dim=i,
-        normalized=norm,
-        index_list=tuple(idx),
-        start_vertices=tuple(starts),
-        edge_list=tuple(edges),
-        segments=tuple(gaps),
-        parity_list=tuple(bits),
-        parity_direct=tuple(direct),
-    )
+    shift = positions[first]
+    wrap = len(seq) - shift
+    idx = [k - shift for k in positions[first:]] + [k + wrap for k in positions[:first]]
+    return DimensionProfile(i, h, shift, tuple(idx))
 
 
 def dimension_profiles(h: HamiltonianCycle) -> list[DimensionProfile]:

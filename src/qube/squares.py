@@ -25,10 +25,9 @@ that forces one in every Hamiltonian cycle of small cubes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .cycles import HamiltonianCycle, positions_by_dim
-from .hypercube import drop_entry
 
 
 class EquiValueUnavailable(LookupError):
@@ -52,8 +51,7 @@ ALPHA_EQUI_HYPERCUBE: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 16, 7:
 ALPHA_EQUI_COMPUTED: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 20, 7: 44}
 
 
-@dataclass(frozen=True)
-class InscribedSquare:
+class InscribedSquare(NamedTuple):
     """Two same-dimension cycle edges forming opposite sides of a 4-cycle.
 
     ``rim_indexes`` are the cycle positions where the two rim edges start,
@@ -75,23 +73,23 @@ class InscribedSquare:
 
 
 def _rim_pairs(
-    h: HamiltonianCycle, starts: Iterable[int]
+    h: HamiltonianCycle, starts: Iterable[int] | None = None
 ) -> Iterator[tuple[int, int, int, int]]:
     """Every pair of cycle edges, among those starting at ``starts`` (in
-    increasing order), that are the rims of a square, as (rim dimension i,
-    earlier start, later start, j): the rims' projections into the
-    (n-1)-cube differ in bit j.  A pair is yielded when the pass reaches
-    its later edge, so a caller that stops at the first pair reads no
-    further edge."""
+    increasing order; by default every edge of the cycle, the closing one
+    included), that are the rims of a square, as (rim dimension i, earlier
+    start, later start, j): the rims' projections into the (n-1)-cube
+    differ in bit j.  A pair is yielded when the pass reaches its later
+    edge, so a caller that stops at the first pair reads no further edge."""
     seq = h.seq
     n = h.n
     size = len(seq)
     rays = range(n - 1)
     seen: list[dict[int, int]] = [{} for _ in range(n)]
-    for k in starts:
+    for k in range(size) if starts is None else starts:
         u = seq[k]
         i = (u ^ seq[(k + 1) % size]).bit_length() - 1
-        p = drop_entry(u, i)
+        p = u & ((1 << i) - 1) | u >> (i + 1) << i  # drop entry i
         earlier = seen[i]
         for j in rays:
             q = p ^ (1 << j)
@@ -102,21 +100,20 @@ def _rim_pairs(
 
 def find_squares(h: HamiltonianCycle) -> list[InscribedSquare]:
     """All inscribed squares of the cycle, ordered by rim dimension and
-    then rim start positions."""
+    then rim start positions (the raw pairs sort in that order, as the
+    rims fix the ray)."""
     seq = h.seq
-    out = [
+    return [
         InscribedSquare(
             i, (a, b), "straight" if (seq[a] ^ seq[b]) >> i & 1 else "twisted", j + (j >= i)
         )
-        for i, a, b, j in _rim_pairs(h, range(len(seq)))
+        for i, a, b, j in sorted(_rim_pairs(h))
     ]
-    out.sort(key=lambda s: (s.rim_dim, s.rim_indexes))
-    return out
 
 
 def has_square(h: HamiltonianCycle) -> bool:
     """Whether the cycle contains any inscribed square (early exit)."""
-    return any(_rim_pairs(h, range(len(h.seq))))
+    return any(_rim_pairs(h))
 
 
 def rim_threshold(n: int, mode: str = "equi") -> int:

@@ -22,8 +22,10 @@ from qube.cycles import (
     dimension_profiles,
     gray_cycle,
     permute_dims,
+    positions_by_dim,
     validate_cycle,
 )
+from qube.enumeration import sample_cycles
 from qube.hypercube import drop_entry, edge_dim, parity, parity_excluding
 
 from conftest import edge_set_of
@@ -59,6 +61,26 @@ class TestValidateCycle:
 
     def test_not_closed(self):
         with pytest.raises(NotClosed):
+            validate_cycle(3, [0, 1, 3, 2, 6, 4, 5, 7])
+
+    def test_the_first_offender_is_reported(self):
+        # of two vertices out of range, the earlier one is named
+        with pytest.raises(InvalidVertex, match=r"^vertex 7 out of range"):
+            validate_cycle(2, [0, 7, -1, 1])
+        with pytest.raises(InvalidVertex, match=r"^vertex -1 out of range"):
+            validate_cycle(2, [0, -1, 7, 1])
+        # range comes before duplicates, and duplicates before steps
+        with pytest.raises(InvalidVertex):
+            validate_cycle(2, [0, 0, 3, 4])
+        with pytest.raises(DuplicateVertex, match=r"^vertex 3 appears"):
+            validate_cycle(2, [3, 0, 3, 1])
+        # bad steps at 4 (6 -> 5) and 6 (7 -> 4): the first one is raised
+        with pytest.raises(NonAdjacentStep) as exc:
+            validate_cycle(3, [0, 1, 3, 2, 6, 5, 7, 4])
+        assert exc.value.index == 4
+        assert str(exc.value) == "step 4: 6 -> 5 is not a hypercube edge"
+        # every inner step is an edge and only the closing one is not
+        with pytest.raises(NotClosed, match=r"^7 -> 0 does not close"):
             validate_cycle(3, [0, 1, 3, 2, 6, 4, 5, 7])
 
     def test_every_error_is_a_cycle_error(self):
@@ -268,6 +290,58 @@ class TestDimensionProfile:
                 assert [len(p.index_list) for p in profiles] == list(
                     chromatic_vector(image)
                 )
+
+
+def eager_profile(h: HamiltonianCycle, i: int, positions: list[int]) -> dict:
+    """Oracle: every field of dimension i's profile by name, computed at
+    once from the rotated cycle, by sorting the rotated positions and
+    running the gap recurrence bit by bit."""
+    size = len(h)
+    shift = next((k for k in positions if not h.seq[k] >> i & 1), None)
+    norm = h.rotated(shift)
+    idx = sorted((k - shift) % size for k in positions)
+    starts = [norm.seq[k] for k in idx]
+    bit = 1 << i
+    edges = [(v & ~bit, v | bit) for v in starts]
+    gaps = [b - a for a, b in zip(idx, idx[1:] + [size])]
+    bits = [parity_excluding(starts[0], i)]
+    for gap in gaps[:-1]:
+        bits.append((bits[-1] + gap + 1) % 2)
+    direct = [parity_excluding(v, i) for v in starts]
+    return {
+        "dim": i,
+        "normalized": norm,
+        "index_list": tuple(idx),
+        "start_vertices": tuple(starts),
+        "edge_list": tuple(edges),
+        "segments": tuple(gaps),
+        "parity_list": tuple(bits),
+        "parity_direct": tuple(direct),
+    }
+
+
+class TestLazyProfile:
+    def test_every_field_matches_the_eager_builder(
+        self, q3_cycles, q4_cycles, q5_samples, q6_samples
+    ):
+        q7_draws = sample_cycles(7, seed=3, k=3)
+        assert len(q7_draws) == 3
+        for h in q3_cycles + q4_cycles + q5_samples[:300] + q6_samples[:100] + q7_draws:
+            for p, positions in zip(dimension_profiles(h), positions_by_dim(h)):
+                expected = eager_profile(h, p.dim, positions)
+                assert {name: getattr(p, name) for name in expected} == expected
+                doc = p.to_dict()
+                assert doc.pop("balanced") and doc.pop("segment_sums_ok")
+                assert doc == {name: expected[name] for name in doc}
+
+    def test_balance_and_segment_sums_build_no_vertex_list(self, q4_cycles, q6_samples):
+        for h in q4_cycles[:100] + q6_samples[:10]:
+            for p in dimension_profiles(h):
+                assert p.balanced and p.segment_sums_ok
+                # the stored fields, and the two lists the verdicts read
+                assert set(p.__dict__) == {
+                    "dim", "cycle", "shift", "index_list", "parity_list", "segments"
+                }
 
 
 class TestBalanceAndSegments:
