@@ -88,8 +88,16 @@ def _of_dimension(n: int, cycles: Iterable[HamiltonianCycle]) -> Iterator[Hamilt
         yield cyc
 
 
+# the bytes of json.dumps for the tree-shaped documents the CLI writes,
+# without the circular-reference bookkeeping
+_encode = json.JSONEncoder(check_circular=False).encode
+
+# one square of a ``squares`` line, the bytes json.dumps gives its to_dict()
+_SQUARE = '{"rim_dim": %d, "kind": "%s", "rim_indexes": [%d, %d], "ray_dim": %d}'
+
+
 def _emit(doc: dict, out) -> None:
-    out.write(json.dumps(doc) + "\n")
+    out.write(_encode(doc) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +277,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_squares(args: argparse.Namespace) -> int:
-    # the whole file is read first, so a bad line leaves no output
+    # the whole file is read first, so a bad line leaves no output; each
+    # line is the json.dumps of {"n", "count", "squares": [to_dict(), ...]}
+    write = sys.stdout.write
     for cyc in list(read_cycles(args.infile)):
         squares = find_squares(cyc)
         if args.first_only:
             squares = squares[:1]
-        _emit(
-            {
-                "n": cyc.n,
-                "count": len(squares),
-                "squares": [s.to_dict() for s in squares],
-            },
-            sys.stdout,
-        )
+        body = ", ".join([_SQUARE % (i, kind, a, b, j) for i, (a, b), kind, j in squares])
+        write('{"n": %d, "count": %d, "squares": [%s]}\n' % (cyc.n, len(squares), body))
     return 0
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import cached_property
 from operator import xor
 from typing import Sequence
 
@@ -201,6 +200,22 @@ def permute_dims(h: HamiltonianCycle, perm: Sequence[int]) -> HamiltonianCycle:
     return HamiltonianCycle(h.n, tuple(remap(v) for v in h.seq))
 
 
+class _lazy:
+    """A field computed on first read and written into the instance's
+    ``__dict__``, where later reads find it before this non-data descriptor.
+    Unlike ``functools.cached_property`` (on Python 3.11) it takes no lock."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class DimensionProfile:
     """Everything about one dimension of a cycle, after normalization.
@@ -219,7 +234,7 @@ class DimensionProfile:
     shift: int
     index_list: tuple[int, ...]
 
-    @cached_property
+    @_lazy
     def normalized(self) -> HamiltonianCycle:
         return self.cycle.rotated(self.shift)
 
@@ -228,28 +243,28 @@ class DimensionProfile:
         back = self.shift - len(seq)  # position k of the rotation is seq[k + back]
         return [seq[k + back] for k in self.index_list]
 
-    @cached_property
+    @_lazy
     def start_vertices(self) -> tuple[int, ...]:
         return tuple(self._starts())
 
-    @cached_property
+    @_lazy
     def edge_list(self) -> tuple[tuple[int, int], ...]:
         bit = 1 << self.dim
         return tuple([(v & ~bit, v | bit) for v in self.start_vertices])
 
-    @cached_property
+    @_lazy
     def segments(self) -> tuple[int, ...]:
         idx = self.index_list
         return tuple([b - a for a, b in zip(idx, idx[1:] + (len(self.cycle),))])
 
-    @cached_property
+    @_lazy
     def parity_list(self) -> tuple[int, ...]:
         # bit k+1 = bit k + gap k + 1 (mod 2), and gaps 0..k-1 sum to
         # index k, so bit k = bit 0 + index k + k (mod 2)
         first = self.cycle.seq[self.shift].bit_count() & 1  # bit i is clear
         return tuple([(first + k + x) & 1 for k, x in enumerate(self.index_list)])
 
-    @cached_property
+    @_lazy
     def parity_direct(self) -> tuple[int, ...]:
         i = self.dim  # the weight's parity without bit i
         return tuple([(v.bit_count() ^ v >> i) & 1 for v in self._starts()])

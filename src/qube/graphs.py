@@ -2,9 +2,10 @@
 for solver input and output.
 
 Text format (DIMACS-like): a header line ``p graph <n> <m>`` or
-``p bipartite <n0> <n1> <m>`` followed by one ``e <u> <v>`` line per edge.
-In the bipartite form, class 0 is vertices ``0..n0-1`` and class 1 is
-``n0..n0+n1-1``.  Lines starting with ``c`` are comments.
+``p bipartite <n0> <n1> <m>`` followed by one ``e <u> <v>`` line per edge
+(no edge twice, in either order).  In the bipartite form, class 0 is
+vertices ``0..n0-1`` and class 1 is ``n0..n0+n1-1``.  Lines starting with
+``c`` are comments.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def format_bipartite(b: BipartiteGraph) -> str:
 def _parse(text: str, kind: str) -> tuple[list[int], UndirectedGraph]:
     """The header sizes and the graph of a ``p <kind> ...`` text.  The last
     size is the edge count and the others add up to the vertex count; an
-    error on a line names that line."""
+    error on a line, a repeated edge among them, names that line."""
     form = {"graph": "<n> <m>", "bipartite": "<n0> <n1> <m>"}[kind]
     sizes: list[int] = []
     g: UndirectedGraph | None = None
@@ -201,7 +202,10 @@ def _parse(text: str, kind: str) -> tuple[list[int], UndirectedGraph]:
                     raise ValueError("edge before header")
                 if len(fields) != 3:
                     raise ValueError(f"malformed edge line {line!r}")
-                g.add_edge(int(fields[1]), int(fields[2]))
+                u, v = int(fields[1]), int(fields[2])
+                if g.has_edge(u, v):
+                    raise ValueError(f"duplicate edge {min(u, v)} {max(u, v)}")
+                g.add_edge(u, v)
             else:
                 raise ValueError(f"unrecognized line {line!r}")
         except ValueError as exc:

@@ -101,12 +101,15 @@ def _rim_pairs(
 def find_squares(h: HamiltonianCycle) -> list[InscribedSquare]:
     """All inscribed squares of the cycle, ordered by rim dimension and
     then rim start positions (the raw pairs sort in that order, as the
-    rims fix the ray)."""
+    rims fix the ray).  Each square is built by ``tuple.__new__``, as
+    ``InscribedSquare._make`` does, without a call of the generated
+    ``__new__``."""
     seq = h.seq
+    new = tuple.__new__
     return [
-        InscribedSquare(
+        new(InscribedSquare, (
             i, (a, b), "straight" if (seq[a] ^ seq[b]) >> i & 1 else "twisted", j + (j >= i)
-        )
+        ))
         for i, a, b, j in sorted(_rim_pairs(h))
     ]
 

@@ -11,7 +11,7 @@ import pytest
 from qube import enumeration
 from qube.cli import build_parser, main
 from qube.cycles import DimensionProfile, gray_cycle, validate_cycle
-from qube.enumeration import enumerate_cycles
+from qube.enumeration import enumerate_cycles, sample_cycles
 from qube.graphs import (
     UndirectedGraph,
     format_bipartite,
@@ -19,6 +19,7 @@ from qube.graphs import (
     parse_graph,
 )
 from qube.independence import brute_force_equi, equi_reduction
+from qube.squares import find_squares
 
 
 def run(capsys, *argv):
@@ -361,6 +362,28 @@ class TestSquares:
             "rim_dim": 0, "kind": "straight", "rim_indexes": [0, 2], "ray_dim": 1,
         }
 
+    def test_each_line_is_the_json_dumps_of_the_square_dicts(
+        self, capsys, tmp_path, q4_cycles
+    ):
+        # every Q4 cycle, Gray cycles whose positions and dimensions reach
+        # two digits, and sampled cycles of Q5 to Q7
+        cycles = (
+            q4_cycles
+            + [gray_cycle(n) for n in range(2, 12)]
+            + [h for n in (5, 6, 7) for h in sample_cycles(n, 1, 3)]
+        )
+        corpus = write_cycles(tmp_path / "mixed.jsonl", cycles)
+        for flags in ([], ["--first-only"]):
+            code, out, _ = run(capsys, "squares", "--in", corpus, *flags)
+            expected = []
+            for h in cycles:
+                squares = find_squares(h)[: 1 if flags else None]
+                doc = {"n": h.n, "count": len(squares),
+                       "squares": [s.to_dict() for s in squares]}
+                expected.append(json.dumps(doc) + "\n")
+            assert code == 0
+            assert out == "".join(expected), flags
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -673,8 +696,10 @@ class TestEquiind:
         [("p bipartite 1 1 1\nc a remark\ne 0 x\n",
           "line 3: invalid literal for int() with base 10: 'x'"),
          ("p bipartite 1 1 1\ne 0 9\n", "line 2: vertex 9 out of range"),
-         ("p bipartite 1 y 0\n", "line 1: invalid literal for int() with base 10: 'y'")],
-        ids=["edge-token", "edge-vertex", "header-token"],
+         ("p bipartite 1 y 0\n", "line 1: invalid literal for int() with base 10: 'y'"),
+         ("p bipartite 1 1 1\ne 0 1\ne 1 0\n", "line 3: duplicate edge 0 1"),
+         ("p bipartite 1 1 2\ne 0 1\ne 0 1\n", "line 3: duplicate edge 0 1")],
+        ids=["edge-token", "edge-vertex", "header-token", "repeat-reversed", "repeat-same"],
     )
     def test_a_bad_graph_line_names_its_file_and_line(
         self, capsys, tmp_path, command, text, message

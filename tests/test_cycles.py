@@ -6,6 +6,7 @@ import pytest
 
 from qube.cycles import (
     CycleError,
+    DimensionProfile,
     DimensionUnused,
     DuplicateVertex,
     HamiltonianCycle,
@@ -342,6 +343,55 @@ class TestLazyProfile:
                 assert set(p.__dict__) == {
                     "dim", "cycle", "shift", "index_list", "parity_list", "segments"
                 }
+
+
+LAZY_FIELDS = (
+    "normalized", "start_vertices", "edge_list", "segments", "parity_list", "parity_direct"
+)
+
+
+class TestLazyFields:
+    def test_each_field_is_computed_once_per_profile(self, monkeypatch):
+        calls = {name: 0 for name in LAZY_FIELDS}
+        for name in LAZY_FIELDS:
+            lazy = DimensionProfile.__dict__[name]
+
+            def counted(p, name=name, func=lazy.func):
+                calls[name] += 1
+                return func(p)
+
+            monkeypatch.setattr(lazy, "func", counted)
+        profiles = dimension_profiles(gray_cycle(4)) + dimension_profiles(gray_cycle(5))
+        for _ in range(3):
+            for p in profiles:
+                p.to_dict()
+                assert p.balanced and p.segment_sums_ok
+                for name in LAZY_FIELDS:
+                    getattr(p, name)
+        assert calls == {name: len(profiles) for name in LAZY_FIELDS}
+
+    def test_profiles_of_one_cycle_keep_separate_caches(self, q4_cycles):
+        for h in q4_cycles[::97]:
+            for i in range(h.n):
+                read, fresh = dimension_profile(h, i), dimension_profile(h, i)
+                values = {name: getattr(read, name) for name in LAZY_FIELDS}
+                assert not set(LAZY_FIELDS) & set(fresh.__dict__)
+                assert values == {name: getattr(fresh, name) for name in LAZY_FIELDS}
+
+    def test_a_field_read_on_the_class_is_its_descriptor(self):
+        for name in LAZY_FIELDS:
+            assert getattr(DimensionProfile, name) is DimensionProfile.__dict__[name]
+        assert callable(DimensionProfile.edge_list.func)
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        h = gray_cycle(5)
+        read, fresh = dimension_profile(h, 3), dimension_profile(h, 3)
+        for name in LAZY_FIELDS:
+            getattr(read, name)
+        assert set(LAZY_FIELDS) <= set(read.__dict__)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert read != dimension_profile(h, 2)
+        assert len({read, fresh}) == 1
 
 
 class TestBalanceAndSegments:

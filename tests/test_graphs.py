@@ -144,7 +144,9 @@ class TestTextFormat:
          ("p graph 2 1\ne 0 2\n", "line 2: vertex 2 out of range"),
          ("p graph 2 1\ne 1 1\n", "line 2: self-loop at 1"),
          ("p graph -1 0\n", "line 1: negative size in header"),
-         ("p graph 2\n", "line 1: expected 'p graph <n> <m>' header")],
+         ("p graph 2\n", "line 1: expected 'p graph <n> <m>' header"),
+         ("p graph 2 1\ne 0 1\ne 1 0\n", "line 3: duplicate edge 0 1"),
+         ("p graph 2 2\ne 1 0\ne 1 0\n", "line 3: duplicate edge 0 1")],
     )
     def test_a_line_error_names_its_line(self, text, message):
         with pytest.raises(ValueError) as exc:
@@ -166,6 +168,15 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             # claims bipartite but the edge stays inside class 0
             parse_bipartite("p bipartite 2 1 1\ne 0 1\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["p bipartite 1 1 1\ne 0 1\ne 1 0\n",  # the count matches the header
+         "p bipartite 1 1 2\ne 0 1\ne 0 1\n"],  # the count would not
+    )
+    def test_a_repeated_edge_is_refused_at_its_line(self, text):
+        with pytest.raises(ValueError, match="^line 3: duplicate edge 0 1$"):
+            parse_bipartite(text)
 
     @given(
         st.integers(min_value=0, max_value=9).flatmap(
