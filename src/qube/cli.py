@@ -54,6 +54,7 @@ from .graphs import (
 from .hypercube import gray_code, isomorphism_violations
 from .independence import (
     brute_force_equi,
+    check_hypercube_caps,
     equi_independence,
     equi_reduction,
     table1_rows,
@@ -301,6 +302,7 @@ def _read_bipartite(path: str) -> BipartiteGraph:
 
 def cmd_equiind(args: argparse.Namespace) -> int:
     if args.hypercube is not None:
+        check_hypercube_caps(args.hypercube, args.method)
         b = hypercube_bipartite(args.hypercube)
         source = f"hypercube:{args.hypercube}"
     else:

@@ -58,6 +58,11 @@ def _check_solver_cap(n: int) -> None:
         raise SizeLimitExceeded(f"{n} vertices exceeds the solver cap {MAX_SOLVER_VERTICES}")
 
 
+def _check_oracle_cap(n: int) -> None:
+    if n > BRUTE_FORCE_LIMIT:
+        raise SizeLimitExceeded(f"{n} vertices exceeds the oracle cap {BRUTE_FORCE_LIMIT}")
+
+
 def _relabel(row: int, pos: list[int]) -> int:
     """``row`` with each set bit w moved to bit ``pos[w]``."""
     acc = 0
@@ -319,14 +324,30 @@ def equi_independence(b: BipartiteGraph, method: str = "direct") -> tuple[int, l
     return size, witness
 
 
+def check_hypercube_caps(n: int, method: str) -> None:
+    """Refuse, before the n-cube is built, a route whose input would exceed
+    its cap: the 4**(n-1) - n * 2**(n-1) cross-class non-edges of the pair
+    graph for ``reduction``, the 2**n vertices for ``oracle`` and
+    ``direct``.  The cube's rows alone take about 4**n / 8 bytes."""
+    check_dimension(n)
+    if method == "reduction":
+        half = 1 << (n - 1)
+        _check_solver_cap(half * half - n * half)
+    elif method == "oracle":
+        _check_oracle_cap(1 << n)
+    elif method == "direct":
+        _check_solver_cap(1 << n)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+
+
 def brute_force_equi(b: BipartiteGraph) -> int:
     """Exhaustive-scan oracle for the largest balanced independent set.
 
     Scans all vertex subsets; usable only for small graphs.
     """
     n = b.vertex_count
-    if n > BRUTE_FORCE_LIMIT:
-        raise SizeLimitExceeded(f"{n} vertices exceeds the oracle cap {BRUTE_FORCE_LIMIT}")
+    _check_oracle_cap(n)
     adj = b.graph.adj
     mask0 = b.mask0
     best = 0

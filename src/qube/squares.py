@@ -9,13 +9,15 @@ the rim dimension (the cycle doubles back) and *twisted* when they are
 traversed in the same direction; the classification does not depend on the
 rotation or orientation of the cycle.
 
-Detection is one pass over the cycle's edges in cycle order: two i-edges
-are rims of a common square exactly when their projections into the
-(n-1)-cube are adjacent there, so each edge's projection is looked up
-against the earlier ones of its dimension (one hash map per dimension).
-``find_squares`` runs the pass to the end, ``has_square`` stops at the
-first pair, and the threshold check runs it over one dimension's edges.
-O(n * 2**n) per cycle.
+Two i-edges are rims of a common square exactly when their projections
+into the (n-1)-cube are adjacent there, that is, when their bases ``u & w``
+differ in one bit.  Both passes walk the edges in cycle order.
+``find_squares`` looks each edge's projection up against the earlier ones
+of its dimension (one dict per dimension), O(n * 2**n) per cycle.  The
+existence test keeps, per dimension, the mask of the bases met so far, and
+an edge closes a square when that mask meets the mask of its base's
+neighbours: one AND per edge.  ``has_square`` stops at the first such
+edge, and the threshold check runs it over one dimension's edges.
 
 Above a per-dimension usage threshold a square with that rim dimension is
 forced (``rim_threshold``); ``pigeonhole_report`` is the counting argument
@@ -25,6 +27,7 @@ that forces one in every Hamiltonian cycle of small cubes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .cycles import HamiltonianCycle, positions_by_dim
@@ -72,21 +75,16 @@ class InscribedSquare(NamedTuple):
         }
 
 
-def _rim_pairs(
-    h: HamiltonianCycle, starts: Iterable[int] | None = None
-) -> Iterator[tuple[int, int, int, int]]:
-    """Every pair of cycle edges, among those starting at ``starts`` (in
-    increasing order; by default every edge of the cycle, the closing one
-    included), that are the rims of a square, as (rim dimension i, earlier
-    start, later start, j): the rims' projections into the (n-1)-cube
-    differ in bit j.  A pair is yielded when the pass reaches its later
-    edge, so a caller that stops at the first pair reads no further edge."""
+def _rim_pairs(h: HamiltonianCycle) -> Iterator[tuple[int, int, int, int]]:
+    """Every pair of cycle edges, the closing one included, that are the
+    rims of a square, as (rim dimension i, earlier start, later start, j):
+    the rims' projections into the (n-1)-cube differ in bit j."""
     seq = h.seq
     n = h.n
     size = len(seq)
     rays = range(n - 1)
     seen: list[dict[int, int]] = [{} for _ in range(n)]
-    for k in range(size) if starts is None else starts:
+    for k in range(size):
         u = seq[k]
         i = (u ^ seq[(k + 1) % size]).bit_length() - 1
         p = u & ((1 << i) - 1) | u >> (i + 1) << i  # drop entry i
@@ -96,6 +94,50 @@ def _rim_pairs(
             if q in earlier:
                 yield i, earlier[q], k, j
         earlier[p] = k
+
+
+# Cubes up to this dimension keep one table of neighbour masks per process:
+# 4**n / 8 bytes, 2 MB at n = 12 (and 512 MB at n = 16).
+NEAR_TABLE_MAX_DIM = 12
+
+
+class _NearMasks:
+    """``near[b]``, the mask of b's neighbours in the n-cube, computed at
+    each lookup."""
+
+    def __init__(self, n: int) -> None:
+        self.steps = [1 << j for j in range(n)]
+
+    def __getitem__(self, b: int) -> int:
+        return sum(1 << (b ^ s) for s in self.steps)
+
+
+@cache
+def _near_table(n: int) -> tuple[int, ...]:
+    return tuple(map(_NearMasks(n).__getitem__, range(1 << n)))
+
+
+def _has_rim_pair(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> bool:
+    """Whether two cycle edges among those starting at ``starts`` (by
+    default every edge, the closing one included) are the rims of a square.
+    ``bases[i]`` holds the bases ``u & w`` of the i-edges met so far, and an
+    i-edge with base b is a later rim exactly when that mask meets
+    ``near[b]``."""
+    seq = h.seq
+    size = len(seq)
+    n = h.n
+    near = _near_table(n) if n <= NEAR_TABLE_MAX_DIM else _NearMasks(n)
+    bases = [0] * n
+    for k in range(size) if starts is None else starts:
+        u = seq[k]
+        w = seq[(k + 1) % size]
+        b = u & w
+        i = (u ^ w).bit_length() - 1
+        seen = bases[i]
+        if seen & near[b]:
+            return True
+        bases[i] = seen | 1 << b
+    return False
 
 
 def find_squares(h: HamiltonianCycle) -> list[InscribedSquare]:
@@ -116,7 +158,7 @@ def find_squares(h: HamiltonianCycle) -> list[InscribedSquare]:
 
 def has_square(h: HamiltonianCycle) -> bool:
     """Whether the cycle contains any inscribed square (early exit)."""
-    return any(_rim_pairs(h))
+    return _has_rim_pair(h)
 
 
 def rim_threshold(n: int, mode: str = "equi") -> int:
@@ -165,7 +207,7 @@ def check_threshold_implication(
     thr = rim_threshold(h.n, mode)
     positions = positions_by_dim(h)
     obligated = tuple(i for i, ks in enumerate(positions) if len(ks) > thr)
-    violations = tuple(i for i in obligated if not any(_rim_pairs(h, positions[i])))
+    violations = tuple(i for i in obligated if not _has_rim_pair(h, positions[i]))
     return ThresholdReport(mode, thr, obligated, violations)
 
 

@@ -685,6 +685,25 @@ class TestEquiind:
         assert out == ""
         assert "error: 257024 vertices exceeds the solver cap 5000" in err
 
+    @pytest.mark.parametrize(
+        "n,method,message",
+        [("10", "reduction", "257024 vertices exceeds the solver cap 5000"),
+         ("5", "oracle", "32 vertices exceeds the oracle cap 20"),
+         ("13", "direct", "8192 vertices exceeds the solver cap 5000")],
+    )
+    def test_each_route_fails_before_the_cube_is_built(
+        self, capsys, monkeypatch, n, method, message
+    ):
+        # the cube's rows take about 4**n / 8 bytes, gigabytes from n = 18
+        def no_build(n):
+            raise AssertionError("the cube was built")
+
+        monkeypatch.setattr("qube.cli.hypercube_bipartite", no_build)
+        code, out, err = run(capsys, "equiind", "--hypercube", n, "--method", method)
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "equiind", "--graph", "missing.bip")
         assert code == 2

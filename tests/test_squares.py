@@ -1,5 +1,7 @@
 """Inscribed-square detection, classification, and forcing thresholds."""
 
+import time
+
 import pytest
 
 from qube import squares
@@ -101,12 +103,48 @@ class TestHasSquare:
         for h in q3_cycles + q4_cycles + sample_cycles(5, seed=7, k=25):
             assert has_square(h) == bool(brute_force_squares(h))
 
+    def test_masks_computed_at_lookup(self, monkeypatch, q3_cycles, q4_cycles):
+        # with no table every neighbour mask is computed when it is read
+        monkeypatch.setattr(squares, "NEAR_TABLE_MAX_DIM", 0)
+        for h in q3_cycles + q4_cycles + sample_cycles(5, seed=7, k=25):
+            assert has_square(h) == bool(brute_force_squares(h))
+
     def test_reflected_code_of_the_seven_cube(self):
         assert has_square(gray_cycle(7))
 
     def test_gray_cycles_always_have_squares(self):
         for n in range(2, 9):
             assert has_square(gray_cycle(n))
+
+    def test_every_rotation_passes_the_closing_edge(self, q3_cycles):
+        # each rim pair meets the closing position in some rotation
+        for h in q3_cycles + [gray_cycle(4), gray_cycle(5)]:
+            for k in range(len(h)):
+                rotated = h.rotated(k)
+                assert has_square(rotated) == bool(brute_force_squares(rotated))
+
+    @pytest.mark.parametrize(
+        "n,seq",
+        [(3, (0, 1, 3, 7, 6, 4)), (4, (0, 1, 3, 7, 15, 14, 12, 8)),
+         (5, (0, 1, 3, 7, 15, 31, 30, 28, 24, 16))],
+    )
+    def test_closed_walks_without_a_square(self, n, seq):
+        h = HamiltonianCycle(n, seq)
+        assert not brute_force_squares(h)
+        assert not has_square(h)
+        assert not find_squares(h)
+
+    def test_large_cubes_build_no_neighbour_table(self, monkeypatch):
+        # a table for n = 16 takes about 4 s and 512 MB to build
+        built = []
+        table = squares._near_table
+        monkeypatch.setattr(squares, "_near_table", lambda n: built.append(n) or table(n))
+        start = time.perf_counter()
+        h = gray_cycle(16)
+        assert has_square(h)
+        assert check_threshold_implication(h, "independence").ok
+        assert time.perf_counter() - start < 1.0
+        assert built == []
 
 
 class TestRimThreshold:
