@@ -31,7 +31,6 @@ from .cycles import (
 )
 from .enumeration import (
     PruneConfig,
-    canonical_form,
     count_cycles,
     enumerate_cycles,
     path_prefixes,

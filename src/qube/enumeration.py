@@ -128,16 +128,6 @@ class PruneConfig:
         return cls(False)
 
 
-def canonical_form(h: HamiltonianCycle) -> HamiltonianCycle:
-    """The unique representative among all rotations and reflections:
-    starts at vertex 0, and the first edge's dimension is smaller than the
-    last edge's dimension."""
-    rot = h.rotated(h.seq.index(0))
-    first = edge_dim(rot.seq[0], rot.seq[1])
-    last = edge_dim(rot.seq[-1], rot.seq[0])
-    return rot if first < last else rot.reversed_cycle()
-
-
 def _neighbour_table(n: int) -> list[tuple[tuple[int, int], ...]]:
     """For each vertex u, its ``(u ^ 1 << i, 2*i + c)`` pairs in increasing i,
     where c is the class of the i-edge at u (``parity_excluding(u, i)``, in
@@ -536,14 +526,16 @@ def sample_cycles(
 
     The stream is fixed for a seed, and seeded corpora are pinned test
     data, so it must not change between versions: the same generator
-    calls (one ``shuffle`` per candidate list of two or more vertices)
-    in the same order, giving the same cycles.  Which attempts are
-    abandoned depends on how nodes are counted, and that rule is fixed
-    too.  One node is either a push of a vertex onto the path, including
-    a push that is undone at once (it fills the path without closing the
-    cycle, or takes vertex 0's last unvisited neighbour), or the retreat
-    from a vertex whose candidates are exhausted.  An attempt is
-    abandoned at the first node past ``max_nodes_per_attempt``.
+    calls (the calls ``Random.shuffle`` makes on each candidate list of
+    two or more vertices) in the same order, giving the same cycles.
+    Which attempts are abandoned depends on how nodes are counted, and
+    that rule is fixed too.  One node is either a push of a vertex onto
+    the path, including a push that is undone at once (it takes vertex
+    0's last unvisited neighbour), or the retreat from a vertex whose
+    candidates are exhausted.  A dead end, a vertex other than a unit
+    vector with no unvisited neighbour, is charged its push and its
+    retreat, two nodes, before its push.  An attempt is abandoned at the
+    first node past ``max_nodes_per_attempt``.
     """
     check_dimension(n)
     if n < 2 or n > MAX_SAMPLE_DIM:
@@ -581,19 +573,24 @@ def _random_cycle(
     sorted by how many of their own neighbours are visited, and the last
     one (the most constrained) is tried first: flushing tight vertices
     early keeps the walk from stranding them.  Lists of fewer than two
-    vertices need neither step, and ``shuffle`` draws nothing for them.
+    vertices need neither step, and ``shuffle`` draws nothing for them: a
+    vertex with one unvisited neighbour steps on to it at once, and its
+    level of the stack is an empty tuple.  A pair is shuffled inline, by
+    the draws ``shuffle`` makes for it.
     """
     size = len(rows)
     seen = bytearray(size)
     seen[0] = 1
     is_seen = seen.__getitem__
     shuffle = rng.shuffle
+    getrandbits = rng.getrandbits
     units = rows[0]  # vertex 0's neighbours
 
     def visited_count(w: int) -> int:
         return sum(map(is_seen, rows[w]))
 
     path = [0]
+    last = size - 1  # the path length before the push that fills it
     cands = list(units)
     shuffle(cands)
     cands.sort(key=visited_count)
@@ -601,41 +598,65 @@ def _random_cycle(
     left = budget
     while True:
         while cands:
-            left -= 1
-            if left < 0:
-                return None
             v = cands.pop()
-            path.append(v)
-            if len(path) == size:
-                if v & (v - 1) == 0:
-                    return HamiltonianCycle(n, tuple(path))
-                path.pop()
-                continue
-            # the walk must be able to re-enter vertex 0 at the very end;
-            # some unit vector is unvisited before every push, so only a
-            # unit vector can take the last one
-            seen[v] = 1
-            if v & (v - 1) == 0 and all(map(is_seen, units)):
-                seen[v] = 0
-                path.pop()
-                continue
-            c = list(filterfalse(is_seen, rows[v]))
-            if not c:
-                # the retreat from v, counted without stacking its empty list
-                left -= 1
-                if left < 0:
-                    return None
-                seen[v] = 0
-                path.pop()
-                continue
-            if len(c) > 1:
-                shuffle(c)
-                if len(c) > 2:
+            while True:
+                c = list(filterfalse(is_seen, rows[v]))
+                if v & (v - 1):
+                    if not c:
+                        # a dead end: its push and its retreat are charged
+                        # at once, and the path is never touched
+                        left -= 2
+                        if left < 0:
+                            return None
+                        break
+                    left -= 1
+                    if left < 0:
+                        return None
+                else:
+                    left -= 1
+                    if left < 0:
+                        return None
+                    # every push leaves a unit vector unvisited (below),
+                    # so the push that fills the path takes one and closes
+                    if len(path) == last:
+                        return HamiltonianCycle(n, (*path, v))
+                    # the walk must be able to re-enter vertex 0 at the
+                    # very end: no push takes its last unvisited neighbour
+                    seen[v] = 1
+                    if all(map(is_seen, units)):
+                        seen[v] = 0
+                        break
+                    if not c:
+                        left -= 1  # the retreat from v
+                        if left < 0:
+                            return None
+                        seen[v] = 0
+                        break
+                seen[v] = 1
+                path.append(v)
+                if len(c) == 1:
+                    # a forced step: its level holds no candidate, and its
+                    # retreat still costs one node
+                    stack.append(())
+                    cands = ()
+                    v = c[0]
+                    continue
+                if len(c) == 2:
+                    # Random.shuffle's draw for a pair, _randbelow(2), then
+                    # the stable sort of the pair
+                    r = getrandbits(2)
+                    while r > 1:
+                        r = getrandbits(2)
+                    if not r:
+                        c.reverse()
+                    if visited_count(c[0]) > visited_count(c[1]):
+                        c.reverse()
+                else:
+                    shuffle(c)
                     c.sort(key=visited_count)
-                elif visited_count(c[0]) > visited_count(c[1]):
-                    c.reverse()  # the stable sort of a pair, without its key list
-            stack.append(c)
-            cands = c
+                stack.append(c)
+                cands = c
+                break
         left -= 1
         if left < 0:
             return None

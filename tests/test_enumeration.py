@@ -12,7 +12,6 @@ from qube.cycles import HamiltonianCycle, validate_cycle
 from qube.enumeration import (
     MAX_CONSECUTIVE_FAILURES,
     PruneConfig,
-    canonical_form,
     count_cycles,
     enumerate_cycles,
     path_prefixes,
@@ -25,6 +24,16 @@ from qube.hypercube import edge_dim, gray_code, parity_excluding
 from conftest import edge_set_of
 
 ALL_PRUNE_CONFIGS = [PruneConfig.all(), PruneConfig.none()]
+
+
+def canonical_form(h: HamiltonianCycle) -> HamiltonianCycle:
+    """The oracle of the stream's canonical form: the unique representative
+    among all rotations and reflections, which starts at vertex 0 and whose
+    first edge's dimension is smaller than its last edge's dimension."""
+    rot = h.rotated(h.seq.index(0))
+    first = edge_dim(rot.seq[0], rot.seq[1])
+    last = edge_dim(rot.seq[-1], rot.seq[0])
+    return rot if first < last else rot.reversed_cycle()
 
 
 def brute_force_cycle_edge_sets(n: int) -> set[frozenset[frozenset[int]]]:
@@ -724,13 +733,23 @@ PINNED_CORPUS_SHA256 = {
     6: "085c047af441abfc0def888364d8f73487e1a82b8a4f12f2b7e88b6357c86e0b",
 }
 
-# (n, seed, k, budget) runs of the sampler.  The budgets of the last group
+# (n, seed, k, budget) runs of the sampler.  The budgets of the last groups
 # abandon attempts; (5, 4, 1, 50) and (7, 3, 1, 130) succeed on exactly the
-# last node of the budget, so one node less abandons the attempt.
+# last node of the budget, so one node less abandons the attempt.  Node 39
+# of the first attempt of seed 4 at n = 5 is a dead end's push, node 40 its
+# retreat and node 41 a forced level's retreat, so the budgets 38 to 42 end
+# one node under, on and over each of them; likewise nodes 116, 117 and 118
+# of seed 15 at n = 6, and node 75 there is a forced level's retreat too.
+# No budget ends on a full path at a vertex other than a unit vector: every
+# push leaves a unit vector unvisited, so the push that fills the path
+# takes one and closes the cycle.
 SAMPLER_RUNS = [
     (2, 0, 3, 500_000), (3, 2, 5, 500_000), (4, 1, 8, 500_000),
     (5, 11, 6, 500_000), (6, 3, 4, 500_000), (7, 3, 2, 500_000),
     (5, 4, 1, 50), (5, 4, 1, 49), (7, 3, 1, 130), (7, 3, 1, 129),
+    (5, 4, 1, 38), (5, 4, 1, 39), (5, 4, 1, 40), (5, 4, 1, 41), (5, 4, 1, 42),
+    (6, 15, 1, 115), (6, 15, 1, 116), (6, 15, 1, 117), (6, 15, 1, 118),
+    (6, 15, 1, 119), (6, 15, 1, 74), (6, 15, 1, 75), (6, 15, 1, 76),
     (4, 9, 5, 16), (5, 8, 5, 40), (6, 0, 5, 100), (6, 2, 5, 200),
     (7, 1, 10, 20_000), (6, 5, 50, 2000), (7, 2, 3, 3000),
 ]
@@ -777,6 +796,29 @@ class TestSampling:
         assert corpus_digest(q5_samples) == PINNED_CORPUS_SHA256[5]
         assert corpus_digest(q6_samples) == PINNED_CORPUS_SHA256[6]
 
+    def test_a_pair_is_shuffled_as_random_shuffle_shuffles_it(self):
+        # The sampler shuffles a pair inline: getrandbits(2) until it is
+        # below 2, as Random._randbelow(2) draws, and a swap when it is 0.
+        # A change to Random.shuffle or _randbelow fails here first.
+        for seed in range(2000):
+            ours, ref = random.Random(seed), random.Random(seed)
+            pair = ["a", "b"]
+            ref.shuffle(pair)
+            r = ours.getrandbits(2)
+            while r > 1:
+                r = ours.getrandbits(2)
+            assert pair == (["b", "a"] if r == 0 else ["a", "b"]), seed
+            assert ours.getstate() == ref.getstate(), seed
+        # Every walk on Q3 shuffles pairs whose vertices have as many
+        # visited neighbours, so the shuffle alone orders them, and the
+        # reference shuffles them with Random.shuffle.
+        rows = [tuple(v ^ 1 << i for i in range(3)) for v in range(8)]
+        for seed in range(500):
+            ours, ref = random.Random(seed), random.Random(seed)
+            cycle = enumeration._random_cycle(3, rows, ours, 100)
+            assert cycle.seq == reference_random_cycle(3, 8, ref, 100).seq, seed
+            assert ours.getstate() == ref.getstate(), seed
+
     @pytest.mark.parametrize("n,seed,k,budget", SAMPLER_RUNS)
     def test_same_stream_and_abandoned_attempts_as_the_reference(
         self, monkeypatch, n, seed, k, budget
@@ -788,6 +830,7 @@ class TestSampling:
     @pytest.mark.parametrize(
         "n,seed,k,budget,abandoned",
         [(5, 4, 1, 50, 0), (5, 4, 1, 49, 1), (7, 3, 1, 130, 0), (7, 3, 1, 129, 2),
+         (5, 4, 1, 38, 1), (6, 15, 1, 75, 1), (6, 15, 1, 76, 2),
          (7, 1, 10, 20_000, 2), (6, 5, 50, 2000, 1)],
     )
     def test_small_budgets_abandon_attempts(self, n, seed, k, budget, abandoned):
