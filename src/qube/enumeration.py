@@ -52,7 +52,7 @@ no later step does any work for the closing-edge rule.  The stack keeps,
 for each depth, the candidate steps not yet tried and the slot of the
 edge into that path vertex, so the path depth 2^n meets no recursion
 limit.  The table has n·2^n entries (about 125 MB at n = 16), so
-enumeration supports 2 <= n <= 16, the sampler's range.
+enumeration supports 2 <= n <= ``MAX_ENUMERATION_DIM`` = 16.
 
 The stream keeps a *completion memo* on cubes of at most
 ``MEMO_MAX_DIM`` = 6 dimensions, where a visited set fits a 64-bit mask
@@ -94,14 +94,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, filterfalse
+from itertools import accumulate
 from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cycles import HamiltonianCycle
-from .hypercube import check_dimension, check_vertex, edge_dim
+from .hypercube import NEAR_TABLE_MAX_DIM, check_dimension, check_vertex, edge_dim, near_table
 
-MAX_SAMPLE_DIM = 16
+MAX_ENUMERATION_DIM = 16
 MAX_CONSECUTIVE_FAILURES = 200
 MAX_PREFIX_VERTICES = 1 << 23
 MEMO_MAX_DIM = 6
@@ -160,8 +160,8 @@ def check_search_args(n: int, prefix: Sequence[int] | None = None) -> None:
     fail before any side effect, such as opening an output file, calls
     this first."""
     check_dimension(n)
-    if not 2 <= n <= MAX_SAMPLE_DIM:
-        raise ValueError(f"enumeration supports 2 <= n <= {MAX_SAMPLE_DIM}")
+    if not 2 <= n <= MAX_ENUMERATION_DIM:
+        raise ValueError(f"enumeration supports 2 <= n <= {MAX_ENUMERATION_DIM}")
     if prefix is None:
         return
     if not prefix or prefix[0] != 0:
@@ -536,10 +536,21 @@ def sample_cycles(
     vector with no unvisited neighbour, is charged its push and its
     retreat, two nodes, before its push.  An attempt is abandoned at the
     first node past ``max_nodes_per_attempt``.
+
+    The search keeps the unvisited vertices as the bits of one integer and
+    reads each vertex's neighbours as a mask from the per-process table of
+    :func:`~qube.hypercube.near_table`, 4**n / 8 bytes.  So sampling
+    supports 2 <= n <= ``NEAR_TABLE_MAX_DIM`` = 12, where that table is
+    kept (2 MB at n = 12), and refuses a larger n before any draw: the
+    table grows fourfold per dimension, to 512 MB at n = 16, and at n = 13
+    and 14 single draws already took from 2 s to 71 s.
     """
     check_dimension(n)
-    if n < 2 or n > MAX_SAMPLE_DIM:
-        raise ValueError(f"sampling supports 2 <= n <= {MAX_SAMPLE_DIM}")
+    if not 2 <= n <= NEAR_TABLE_MAX_DIM:
+        raise ValueError(
+            f"sampling supports 2 <= n <= {NEAR_TABLE_MAX_DIM}, "
+            "the cubes whose neighbour-mask table is kept"
+        )
     if k < 1:
         raise ValueError("k must be positive")
     rng = random.Random(seed)
@@ -577,32 +588,37 @@ def _random_cycle(
     vertex with one unvisited neighbour steps on to it at once, and its
     level of the stack is an empty tuple.  A pair is shuffled inline, by
     the draws ``shuffle`` makes for it.
+
+    The unvisited vertices are the set bits of one integer, ``unseen``, so
+    with the neighbour masks of :func:`near_table` a dead end costs one
+    AND, a forced step is the one bit left, and a neighbour's count of
+    unvisited neighbours, the sort key in reverse, is one ``bit_count``.
+    A list of candidates, in ``rows[v]`` order, is built only for two or
+    more.
     """
-    size = len(rows)
-    seen = bytearray(size)
-    seen[0] = 1
-    is_seen = seen.__getitem__
+    near = near_table(n)
+    unseen = (1 << len(rows)) - 2  # every vertex but 0
     shuffle = rng.shuffle
     getrandbits = rng.getrandbits
-    units = rows[0]  # vertex 0's neighbours
-
-    def visited_count(w: int) -> int:
-        return sum(map(is_seen, rows[w]))
-
+    units = near[0]  # vertex 0's neighbours
     path = [0]
-    last = size - 1  # the path length before the push that fills it
-    cands = list(units)
+    last = len(rows) - 1  # the path length before the push that fills it
+
+    def free_count(w: int) -> int:
+        return (near[w] & unseen).bit_count()
+
+    cands = list(rows[0])
     shuffle(cands)
-    cands.sort(key=visited_count)
+    cands.sort(key=free_count, reverse=True)
     stack = [cands]
     left = budget
     while True:
         while cands:
             v = cands.pop()
             while True:
-                c = list(filterfalse(is_seen, rows[v]))
+                free = near[v] & unseen
                 if v & (v - 1):
-                    if not c:
+                    if not free:
                         # a dead end: its push and its retreat are charged
                         # at once, and the path is never touched
                         left -= 2
@@ -622,25 +638,28 @@ def _random_cycle(
                         return HamiltonianCycle(n, (*path, v))
                     # the walk must be able to re-enter vertex 0 at the
                     # very end: no push takes its last unvisited neighbour
-                    seen[v] = 1
-                    if all(map(is_seen, units)):
-                        seen[v] = 0
+                    if units & unseen == 1 << v:
                         break
-                    if not c:
+                    if not free:
                         left -= 1  # the retreat from v
                         if left < 0:
                             return None
-                        seen[v] = 0
                         break
-                seen[v] = 1
+                unseen ^= 1 << v
                 path.append(v)
-                if len(c) == 1:
+                if not free & (free - 1):
                     # a forced step: its level holds no candidate, and its
                     # retreat still costs one node
                     stack.append(())
                     cands = ()
-                    v = c[0]
+                    v = free.bit_length() - 1
                     continue
+                # a plain loop, cheaper here than a comprehension, which
+                # is a function call of its own in CPython 3.11
+                c = []
+                for w in rows[v]:
+                    if free >> w & 1:
+                        c.append(w)
                 if len(c) == 2:
                     # Random.shuffle's draw for a pair, _randbelow(2), then
                     # the stable sort of the pair
@@ -649,11 +668,11 @@ def _random_cycle(
                         r = getrandbits(2)
                     if not r:
                         c.reverse()
-                    if visited_count(c[0]) > visited_count(c[1]):
+                    if (near[c[0]] & unseen).bit_count() < (near[c[1]] & unseen).bit_count():
                         c.reverse()
                 else:
                     shuffle(c)
-                    c.sort(key=visited_count)
+                    c.sort(key=free_count, reverse=True)
                 stack.append(c)
                 cands = c
                 break
@@ -663,5 +682,5 @@ def _random_cycle(
         stack.pop()
         if not stack:
             return None
-        seen[path.pop()] = 0
+        unseen ^= 1 << path.pop()
         cands = stack[-1]

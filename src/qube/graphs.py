@@ -15,6 +15,10 @@ from typing import Iterable, Iterator, Sequence
 
 from .hypercube import check_dimension, parity
 
+# No solver takes a graph of more vertices, so a bipartite header above it
+# is refused before its graph is allocated.
+MAX_SOLVER_VERTICES = 5000
+
 
 class UndirectedGraph:
     """Loop-free undirected graph on vertices 0..vertex_count-1, stored as
@@ -175,10 +179,13 @@ def format_bipartite(b: BipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse(text: str, kind: str) -> tuple[list[int], UndirectedGraph]:
+def _parse(
+    text: str, kind: str, max_vertices: int | None = None
+) -> tuple[list[int], UndirectedGraph]:
     """The header sizes and the graph of a ``p <kind> ...`` text.  The last
-    size is the edge count and the others add up to the vertex count; an
-    error on a line, a repeated edge among them, names that line."""
+    size is the edge count and the others add up to the vertex count, at
+    most ``max_vertices`` when given; an error on a line, a repeated edge
+    among them, names that line."""
     form = {"graph": "<n> <m>", "bipartite": "<n0> <n1> <m>"}[kind]
     sizes: list[int] = []
     g: UndirectedGraph | None = None
@@ -196,7 +203,12 @@ def _parse(text: str, kind: str) -> tuple[list[int], UndirectedGraph]:
                 sizes = [int(f) for f in fields[2:]]
                 if min(sizes) < 0:
                     raise ValueError(f"negative size in header {line!r}")
-                g = UndirectedGraph(sum(sizes[:-1]))
+                vertices = sum(sizes[:-1])
+                if max_vertices is not None and vertices > max_vertices:
+                    raise ValueError(
+                        f"{vertices} vertices exceeds the solver cap {max_vertices}"
+                    )
+                g = UndirectedGraph(vertices)
             elif fields[0] == "e":
                 if g is None:
                     raise ValueError("edge before header")
@@ -223,6 +235,8 @@ def parse_graph(text: str) -> UndirectedGraph:
 
 
 def parse_bipartite(text: str) -> BipartiteGraph:
-    """Parse the ``p bipartite <n0> <n1> <m>`` text format."""
-    (n0, n1, _), g = _parse(text, "bipartite")
+    """Parse the ``p bipartite <n0> <n1> <m>`` text format.  A header of
+    more than ``MAX_SOLVER_VERTICES`` vertices is refused before the graph
+    is allocated."""
+    (n0, n1, _), g = _parse(text, "bipartite", MAX_SOLVER_VERTICES)
     return BipartiteGraph(g, range(n0), range(n0, n0 + n1))

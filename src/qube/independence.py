@@ -29,6 +29,7 @@ balanced-independence numbers and pair-graph sizes for the n-cube.
 from __future__ import annotations
 
 from .graphs import (
+    MAX_SOLVER_VERTICES,
     BipartiteGraph,
     ReducedGraph,
     UndirectedGraph,
@@ -39,7 +40,6 @@ from .graphs import (
 from .hypercube import check_dimension, parity
 from .squares import ALPHA_EQUI_HYPERCUBE
 
-MAX_SOLVER_VERTICES = 5000
 BRUTE_FORCE_LIMIT = 20
 
 # Reference column of reduced-graph vertex counts as printed alongside the

@@ -27,10 +27,10 @@ that forces one in every Hamiltonian cycle of small cubes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .cycles import HamiltonianCycle, positions_by_dim
+from .hypercube import near_masks
 
 
 class EquiValueUnavailable(LookupError):
@@ -96,27 +96,6 @@ def _rim_pairs(h: HamiltonianCycle) -> Iterator[tuple[int, int, int, int]]:
         earlier[p] = k
 
 
-# Cubes up to this dimension keep one table of neighbour masks per process:
-# 4**n / 8 bytes, 2 MB at n = 12 (and 512 MB at n = 16).
-NEAR_TABLE_MAX_DIM = 12
-
-
-class _NearMasks:
-    """``near[b]``, the mask of b's neighbours in the n-cube, computed at
-    each lookup."""
-
-    def __init__(self, n: int) -> None:
-        self.steps = [1 << j for j in range(n)]
-
-    def __getitem__(self, b: int) -> int:
-        return sum(1 << (b ^ s) for s in self.steps)
-
-
-@cache
-def _near_table(n: int) -> tuple[int, ...]:
-    return tuple(map(_NearMasks(n).__getitem__, range(1 << n)))
-
-
 def _has_rim_pair(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> bool:
     """Whether two cycle edges among those starting at ``starts`` (by
     default every edge, the closing one included) are the rims of a square.
@@ -126,7 +105,7 @@ def _has_rim_pair(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> b
     seq = h.seq
     size = len(seq)
     n = h.n
-    near = _near_table(n) if n <= NEAR_TABLE_MAX_DIM else _NearMasks(n)
+    near = near_masks(n)
     bases = [0] * n
     for k in range(size) if starts is None else starts:
         u = seq[k]

@@ -116,6 +116,17 @@ class TestEnumerate:
         assert out == ""
         assert "error: enumeration supports 2 <= n <= 16" in err
 
+    def test_the_sixteen_cube_is_in_range(self, capsys, monkeypatch, tmp_path):
+        # only the range is checked: the search itself is replaced
+        searched = []
+        monkeypatch.setattr(
+            "qube.cli.enumerate_cycles", lambda n, cfg, prefix: searched.append(n) or iter(())
+        )
+        code, _, err = run(capsys, "enumerate", "--n", "16", "--out", str(tmp_path / "q16"))
+        assert code == 0
+        assert "0 cycles of the 16-cube emitted" in err
+        assert searched == [16]
+
     @pytest.mark.parametrize(
         "argv,prefixes",
         [(["--n", "17"], None), (["--n", "1"], None),
@@ -590,6 +601,18 @@ class TestVerify:
         assert out == ""
         assert "error: no stored balanced-independence number for dimension 9" in err
 
+    def test_sampling_beyond_the_mask_table_fails_before_any_draw(self, capsys, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(enumeration, "_random_cycle", no_search)
+        code, out, err = run(
+            capsys, "verify", "--n", "13", "--property", "balance", "--sample", "1",
+            "--seed", "0",
+        )
+        assert (code, out) == (2, "")
+        assert "error: sampling supports 2 <= n <= 12" in err
+
     def test_sampler_exhaustion_is_not_a_usage_error(self, capsys, monkeypatch):
         # a 2-node budget abandons every search, so the run cannot finish
         monkeypatch.setattr(
@@ -729,6 +752,22 @@ class TestEquiind:
         argv = ["--graph", str(src)] + (["--out", str(dst)] if command == "reduce" else [])
         code, out, err = run(capsys, command, *argv)
         assert (code, out) == (2, "")
+        assert f"error: {src}: {message}" in err
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("command", ["equiind", "reduce"])
+    def test_a_header_beyond_the_solver_cap_is_refused_before_allocation(
+        self, capsys, tmp_path, command
+    ):
+        # a graph of 10^15 vertices would raise MemoryError, and exit 1 is
+        # the code of a found counterexample
+        src = tmp_path / "huge.bip"
+        src.write_text("p bipartite 1000000000000000 1 0\n")
+        dst = tmp_path / "pairs.graph"
+        argv = ["--graph", str(src)] + (["--out", str(dst)] if command == "reduce" else [])
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, "")
+        message = "line 1: 1000000000000001 vertices exceeds the solver cap 5000"
         assert f"error: {src}: {message}" in err
         assert not dst.exists()
 

@@ -113,6 +113,8 @@ class TestEnumerate:
             list(enumerate_cycles(0))
         with pytest.raises(ValueError, match="2 <= n <= 16"):
             next(enumerate_cycles(17))
+        # enumeration keeps its own range, larger than the sampler's
+        enumeration.check_search_args(16, [0, 1, 3])
 
     @pytest.mark.parametrize("n", [7, 10, 12])
     def test_first_cycle_of_a_large_cube(self, monkeypatch, n):
@@ -742,7 +744,9 @@ PINNED_CORPUS_SHA256 = {
 # of seed 15 at n = 6, and node 75 there is a forced level's retreat too.
 # No budget ends on a full path at a vertex other than a unit vector: every
 # push leaves a unit vector unvisited, so the push that fills the path
-# takes one and closes the cycle.
+# takes one and closes the cycle.  The runs at n = 8 and 10, whose masks
+# span several machine words, abandon one, one, none, one and four
+# attempts.
 SAMPLER_RUNS = [
     (2, 0, 3, 500_000), (3, 2, 5, 500_000), (4, 1, 8, 500_000),
     (5, 11, 6, 500_000), (6, 3, 4, 500_000), (7, 3, 2, 500_000),
@@ -752,6 +756,8 @@ SAMPLER_RUNS = [
     (6, 15, 1, 119), (6, 15, 1, 74), (6, 15, 1, 75), (6, 15, 1, 76),
     (4, 9, 5, 16), (5, 8, 5, 40), (6, 0, 5, 100), (6, 2, 5, 200),
     (7, 1, 10, 20_000), (6, 5, 50, 2000), (7, 2, 3, 3000),
+    (8, 3, 1, 600), (8, 1, 1, 400), (10, 0, 1, 500_000), (10, 6, 1, 1100),
+    (10, 4, 1, 1100),
 ]
 
 
@@ -787,6 +793,17 @@ class TestSampling:
             sample_cycles(1, seed=0, k=1)
         with pytest.raises(ValueError):
             sample_cycles(17, seed=0, k=1)
+
+    def test_cubes_beyond_the_mask_table_are_refused_at_once(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(enumeration, "_random_cycle", no_search)
+        with pytest.raises(ValueError, match="sampling supports 2 <= n <= 12"):
+            sample_cycles(13, 0, 1)
+        # the largest cube with a mask table starts its search
+        with pytest.raises(AssertionError, match="a search ran"):
+            sample_cycles(12, 0, 1)
 
     def test_diversity_at_n5(self):
         cycles = sample_cycles(5, seed=123, k=40)
@@ -831,7 +848,8 @@ class TestSampling:
         "n,seed,k,budget,abandoned",
         [(5, 4, 1, 50, 0), (5, 4, 1, 49, 1), (7, 3, 1, 130, 0), (7, 3, 1, 129, 2),
          (5, 4, 1, 38, 1), (6, 15, 1, 75, 1), (6, 15, 1, 76, 2),
-         (7, 1, 10, 20_000, 2), (6, 5, 50, 2000, 1)],
+         (7, 1, 10, 20_000, 2), (6, 5, 50, 2000, 1), (8, 3, 1, 600, 1),
+         (10, 0, 1, 500_000, 0), (10, 4, 1, 1100, 4)],
     )
     def test_small_budgets_abandon_attempts(self, n, seed, k, budget, abandoned):
         assert reference_sample(n, seed, k, budget)[1] == abandoned

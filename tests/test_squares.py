@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from qube import squares
+from qube import hypercube, squares
 from qube.cycles import HamiltonianCycle, chromatic_vector, color, gray_cycle
 from qube.enumeration import sample_cycles
 from qube.squares import (
@@ -107,8 +107,9 @@ class TestHasSquare:
 
     def test_masks_computed_at_lookup(self, monkeypatch, q3_cycles, q4_cycles):
         # with no table every neighbour mask is computed when it is read
-        monkeypatch.setattr(squares, "NEAR_TABLE_MAX_DIM", 0)
-        for h in q3_cycles + q4_cycles + sample_cycles(5, seed=7, k=25):
+        cycles = q3_cycles + q4_cycles + sample_cycles(5, seed=7, k=25)
+        monkeypatch.setattr(hypercube, "NEAR_TABLE_MAX_DIM", 0)
+        for h in cycles:
             assert has_square(h) == bool(brute_force_squares(h))
 
     def test_reflected_code_of_the_seven_cube(self):
@@ -140,8 +141,8 @@ class TestHasSquare:
     def test_large_cubes_build_no_neighbour_table(self, monkeypatch):
         # a table for n = 16 takes about 4 s and 512 MB to build
         built = []
-        table = squares._near_table
-        monkeypatch.setattr(squares, "_near_table", lambda n: built.append(n) or table(n))
+        table = hypercube.near_table
+        monkeypatch.setattr(hypercube, "near_table", lambda n: built.append(n) or table(n))
         start = time.perf_counter()
         h = gray_cycle(16)
         assert has_square(h)
