@@ -55,6 +55,7 @@ from .hypercube import gray_code, isomorphism_violations
 from .independence import (
     brute_force_equi,
     check_hypercube_caps,
+    check_pair_graph_cap,
     equi_independence,
     equi_reduction,
     table1_rows,
@@ -323,6 +324,7 @@ def cmd_equiind(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     b = _read_bipartite(args.graph)
+    check_pair_graph_cap(b)
     red = equi_reduction(b)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(format_graph(red.graph))

@@ -93,7 +93,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import accumulate
 from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
@@ -148,7 +148,7 @@ def _rows(n: int) -> list[tuple[tuple[int, int], ...]]:
     return rows + [rows[1 << j][:j] + rows[1 << j][j + 1 :] for j in range(n)]
 
 
-@lru_cache(maxsize=None)
+@cache
 def _shared_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(_rows(n))
 
@@ -543,7 +543,11 @@ def sample_cycles(
     supports 2 <= n <= ``NEAR_TABLE_MAX_DIM`` = 12, where that table is
     kept (2 MB at n = 12), and refuses a larger n before any draw: the
     table grows fourfold per dimension, to 512 MB at n = 16, and at n = 13
-    and 14 single draws already took from 2 s to 71 s.
+    and 14 single draws already took from 2 s to 71 s.  The rows of
+    neighbours in dimension order, which order each candidate list, are
+    built at the first draw on the n-cube and kept for the process too
+    (14 kB at n = 7, 2.1 MB at n = 12), so a draw does no set-up of its
+    own.
     """
     check_dimension(n)
     if not 2 <= n <= NEAR_TABLE_MAX_DIM:
@@ -554,9 +558,7 @@ def sample_cycles(
     if k < 1:
         raise ValueError("k must be positive")
     rng = random.Random(seed)
-    # rows[v]: the neighbours of v in increasing dimension order
-    bits = [1 << i for i in range(n)]
-    rows = [tuple(map(v.__xor__, bits)) for v in range(1 << n)]
+    rows = _sampler_rows(n)
     out: list[HamiltonianCycle] = []
     failures = 0
     while len(out) < k:
@@ -575,8 +577,25 @@ def sample_cycles(
     return out
 
 
+@cache
+def _sampler_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """``rows[v]``, the neighbours of v in increasing dimension order,
+    built at the first draw on the n-cube and kept for the process."""
+    bits = [1 << i for i in range(n)]
+    return tuple(tuple(map(v.__xor__, bits)) for v in range(1 << n))
+
+
+# Random.shuffle's steps on a list of m items, as (i, k) for i from m - 1
+# down to 1: it swaps item i with item _randbelow(i + 1), which draws
+# getrandbits(k), k = (i + 1).bit_length(), until the value is below i + 1.
+_SHUFFLE_STEPS = tuple(
+    tuple((i, (i + 1).bit_length()) for i in range(m - 1, 0, -1))
+    for m in range(NEAR_TABLE_MAX_DIM + 1)
+)
+
+
 def _random_cycle(
-    n: int, rows: list[tuple[int, ...]], rng: random.Random, budget: int
+    n: int, rows: Sequence[tuple[int, ...]], rng: random.Random, budget: int
 ) -> HamiltonianCycle | None:
     """One search from vertex 0, or None once it passes ``budget`` nodes.
 
@@ -586,8 +605,11 @@ def _random_cycle(
     early keeps the walk from stranding them.  Lists of fewer than two
     vertices need neither step, and ``shuffle`` draws nothing for them: a
     vertex with one unvisited neighbour steps on to it at once, and its
-    level of the stack is an empty tuple.  A pair is shuffled inline, by
-    the draws ``shuffle`` makes for it.
+    level of the stack is an empty tuple.  Every other list, vertex 0's
+    first one included, is shuffled inline by the draws ``Random.shuffle``
+    makes for it (``_SHUFFLE_STEPS``), without its call per list and its
+    call of ``_randbelow`` per item; a pair is also ordered by one
+    comparison in place of the sort.
 
     The unvisited vertices are the set bits of one integer, ``unseen``, so
     with the neighbour masks of :func:`near_table` a dead end costs one
@@ -598,8 +620,8 @@ def _random_cycle(
     """
     near = near_table(n)
     unseen = (1 << len(rows)) - 2  # every vertex but 0
-    shuffle = rng.shuffle
     getrandbits = rng.getrandbits
+    steps = _SHUFFLE_STEPS
     units = near[0]  # vertex 0's neighbours
     path = [0]
     last = len(rows) - 1  # the path length before the push that fills it
@@ -608,7 +630,11 @@ def _random_cycle(
         return (near[w] & unseen).bit_count()
 
     cands = list(rows[0])
-    shuffle(cands)
+    for i, k in steps[n]:
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        cands[i], cands[j] = cands[j], cands[i]
     cands.sort(key=free_count, reverse=True)
     stack = [cands]
     left = budget
@@ -671,7 +697,11 @@ def _random_cycle(
                     if (near[c[0]] & unseen).bit_count() < (near[c[1]] & unseen).bit_count():
                         c.reverse()
                 else:
-                    shuffle(c)
+                    for i, k in steps[len(c)]:
+                        j = getrandbits(k)
+                        while j > i:
+                            j = getrandbits(k)
+                        c[i], c[j] = c[j], c[i]
                     c.sort(key=free_count, reverse=True)
                 stack.append(c)
                 cands = c

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .hypercube import check_dimension, parity
+from .hypercube import check_dimension, near_masks, parity
 
 # No solver takes a graph of more vertices, so a bipartite header above it
 # is refused before its graph is allocated.
@@ -113,14 +113,11 @@ class ReducedGraph:
 
 
 def hypercube_graph(n: int) -> UndirectedGraph:
-    """The n-cube as an UndirectedGraph on vertices 0..2**n-1."""
+    """The n-cube as an UndirectedGraph on vertices 0..2**n-1, whose rows
+    are the neighbour masks of :func:`~qube.hypercube.near_masks`."""
     check_dimension(n)
     g = UndirectedGraph(1 << n)
-    for v in range(1 << n):
-        for i in range(n):
-            u = v ^ (1 << i)
-            if u > v:
-                g.add_edge(v, u)
+    g.adj = list(near_masks(n))
     return g
 
 

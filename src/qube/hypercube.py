@@ -20,6 +20,7 @@ set of vertices for a neighbour of v with one AND.
 from __future__ import annotations
 
 from functools import cache
+from typing import Iterator
 
 MAX_DIM = 24
 # Cubes up to this dimension keep one table of neighbour masks per process:
@@ -123,7 +124,7 @@ def isomorphism_violations(n: int) -> tuple[int, list[dict]]:
 
 class _NearMasks:
     """``near[v]``, the mask of v's neighbours in the n-cube, computed at
-    each lookup."""
+    each lookup; iterating yields the masks of vertices 0 .. 2**n - 1."""
 
     def __init__(self, n: int) -> None:
         self.steps = [1 << j for j in range(n)]
@@ -131,12 +132,18 @@ class _NearMasks:
     def __getitem__(self, v: int) -> int:
         return sum(1 << (v ^ s) for s in self.steps)
 
+    def __len__(self) -> int:
+        return 1 << len(self.steps)
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self.__getitem__, range(len(self)))
+
 
 @cache
 def near_table(n: int) -> tuple[int, ...]:
     """The mask of each vertex's neighbours in the n-cube, built once per
     process; for n <= ``NEAR_TABLE_MAX_DIM``."""
-    return tuple(map(_NearMasks(n).__getitem__, range(1 << n)))
+    return tuple(_NearMasks(n))
 
 
 def near_masks(n: int) -> tuple[int, ...] | _NearMasks:

@@ -58,6 +58,13 @@ def _check_solver_cap(n: int) -> None:
         raise SizeLimitExceeded(f"{n} vertices exceeds the solver cap {MAX_SOLVER_VERTICES}")
 
 
+def check_pair_graph_cap(b: BipartiteGraph) -> None:
+    """Refuse, before it is built, a pair graph of ``b`` above the solver
+    cap: its |class0| * |class1| - |E| vertices have a row of that many
+    bits each, so it takes about pairs**2 / 8 bytes."""
+    _check_solver_cap(len(b.class0) * len(b.class1) - b.graph.edge_count)
+
+
 def _check_oracle_cap(n: int) -> None:
     if n > BRUTE_FORCE_LIMIT:
         raise SizeLimitExceeded(f"{n} vertices exceeds the oracle cap {BRUTE_FORCE_LIMIT}")
@@ -311,7 +318,7 @@ def equi_independence(b: BipartiteGraph, method: str = "direct") -> tuple[int, l
     the pair count against the solver cap before it builds the pair graph.
     """
     if method == "reduction":
-        _check_solver_cap(len(b.class0) * len(b.class1) - b.graph.edge_count)
+        check_pair_graph_cap(b)
         red = equi_reduction(b)
         size, pair_set = max_independent_set(red.graph)
         size, witness = 2 * size, unpack_pair_witness(red, pair_set)

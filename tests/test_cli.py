@@ -795,6 +795,29 @@ class TestReduce:
         assert written.vertex_count == direct.vertex_count
         assert written.adj == direct.adj
 
+    @pytest.mark.parametrize("command", ["reduce", "equiind"])
+    def test_a_pair_graph_beyond_the_solver_cap_is_refused_before_it_is_built(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        # an edgeless 100+100 graph has 10,000 pairs; a 2500+2500 one, which
+        # the header cap admits, would take terabytes, so a build fails the
+        # test at once instead of exhausting memory
+        def no_build(b):
+            raise AssertionError("the pair graph was built")
+
+        monkeypatch.setattr("qube.cli.equi_reduction", no_build)
+        monkeypatch.setattr("qube.independence.equi_reduction", no_build)
+        src = tmp_path / "edgeless.bip"
+        src.write_text("p bipartite 100 100 0\n")
+        dst = tmp_path / "pairs.graph"
+        argv = ["--out", str(dst)] if command == "reduce" else ["--method", "reduction"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--graph", str(src), *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "error: 10000 vertices exceeds the solver cap 5000" in err
+        assert not dst.exists()
+
 
 class TestTable1:
     def test_small_rows(self, capsys):

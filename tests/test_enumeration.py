@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -835,6 +837,44 @@ class TestSampling:
             cycle = enumeration._random_cycle(3, rows, ours, 100)
             assert cycle.seq == reference_random_cycle(3, 8, ref, 100).seq, seed
             assert ours.getstate() == ref.getstate(), seed
+
+    def test_every_list_length_is_shuffled_as_random_shuffle_shuffles_it(self):
+        # The sampler shuffles a list of m items inline, m = 2..12: for i
+        # from m - 1 down to 1, getrandbits(k) with k = (i + 1).bit_length()
+        # until it is below i + 1, as Random._randbelow(i + 1) draws, then a
+        # swap of items i and j.
+        for m in range(2, 13):
+            for seed in range(2000):
+                ours, ref = random.Random(seed), random.Random(seed)
+                items, expected = list(range(m)), list(range(m))
+                ref.shuffle(expected)
+                for i, k in enumeration._SHUFFLE_STEPS[m]:
+                    j = ours.getrandbits(k)
+                    while j > i:
+                        j = ours.getrandbits(k)
+                    items[i], items[j] = items[j], items[i]
+                assert items == expected, (m, seed)
+                assert ours.getstate() == ref.getstate(), (m, seed)
+
+    def test_the_rows_table_is_built_once_per_process_and_n(self):
+        enumeration._sampler_rows.cache_clear()
+        sample_cycles(5, seed=0, k=2)
+        sample_cycles(5, seed=1, k=3)
+        sample_cycles(4, seed=0, k=1)
+        assert enumeration._sampler_rows.cache_info().misses == 2
+
+    def test_importing_builds_no_rows_table(self):
+        # a fresh interpreter, as the table is built at the first draw
+        src = os.path.dirname(os.path.dirname(enumeration.__file__))
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "import qube, qube.enumeration as e; "
+            "print(e._sampler_rows.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "0\n"
 
     @pytest.mark.parametrize("n,seed,k,budget", SAMPLER_RUNS)
     def test_same_stream_and_abandoned_attempts_as_the_reference(

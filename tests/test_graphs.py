@@ -19,6 +19,7 @@ from qube.graphs import (
     parse_bipartite,
     parse_graph,
 )
+from qube.hypercube import near_masks
 
 
 class TestUndirectedGraph:
@@ -60,6 +61,12 @@ class TestHypercubeGraphs:
             for v in range(16):
                 if u != v:
                     assert g.has_edge(u, v) == ((u ^ v).bit_count() == 1)
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_rows_are_the_neighbour_masks(self, n):
+        # n = 13 reads masks computed at lookup, past the kept table
+        rows = [sum(1 << (v ^ 1 << i) for i in range(n)) for v in range(1 << n)]
+        assert hypercube_graph(n).adj == list(near_masks(n)) == rows
 
     def test_bipartition_by_weight_parity(self):
         b = hypercube_bipartite(3)
