@@ -181,8 +181,10 @@ def _parse(
 ) -> tuple[list[int], UndirectedGraph]:
     """The header sizes and the graph of a ``p <kind> ...`` text.  The last
     size is the edge count and the others add up to the vertex count, at
-    most ``max_vertices`` when given; an error on a line, a repeated edge
-    among them, names that line."""
+    most ``max_vertices`` when given.  In the bipartite form each edge must
+    cross from the first ``n0`` vertices to the rest.  An error on a line,
+    a repeated edge or an edge inside a class among them, names that
+    line."""
     form = {"graph": "<n> <m>", "bipartite": "<n0> <n1> <m>"}[kind]
     sizes: list[int] = []
     g: UndirectedGraph | None = None
@@ -215,6 +217,9 @@ def _parse(
                 if g.has_edge(u, v):
                     raise ValueError(f"duplicate edge {min(u, v)} {max(u, v)}")
                 g.add_edge(u, v)
+                if kind == "bipartite" and (u < sizes[0]) == (v < sizes[0]):
+                    side = int(u >= sizes[0])
+                    raise ValueError(f"edge inside class {side} at vertex {min(u, v)}")
             else:
                 raise ValueError(f"unrecognized line {line!r}")
         except ValueError as exc:

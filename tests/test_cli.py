@@ -740,8 +740,10 @@ class TestEquiind:
          ("p bipartite 1 1 1\ne 0 9\n", "line 2: vertex 9 out of range"),
          ("p bipartite 1 y 0\n", "line 1: invalid literal for int() with base 10: 'y'"),
          ("p bipartite 1 1 1\ne 0 1\ne 1 0\n", "line 3: duplicate edge 0 1"),
-         ("p bipartite 1 1 2\ne 0 1\ne 0 1\n", "line 3: duplicate edge 0 1")],
-        ids=["edge-token", "edge-vertex", "header-token", "repeat-reversed", "repeat-same"],
+         ("p bipartite 1 1 2\ne 0 1\ne 0 1\n", "line 3: duplicate edge 0 1"),
+         ("p bipartite 2 2 1\ne 0 1\n", "line 2: edge inside class 0 at vertex 0")],
+        ids=["edge-token", "edge-vertex", "header-token", "repeat-reversed", "repeat-same",
+             "inside-class"],
     )
     def test_a_bad_graph_line_names_its_file_and_line(
         self, capsys, tmp_path, command, text, message

@@ -172,9 +172,11 @@ class TestTextFormat:
     def test_bipartite_parse_errors(self):
         with pytest.raises(ValueError):
             parse_bipartite("p graph 2 1\ne 0 1\n")
-        with pytest.raises(ValueError):
-            # claims bipartite but the edge stays inside class 0
+        # claims bipartite but the edge stays inside one class
+        with pytest.raises(ValueError, match="^line 2: edge inside class 0 at vertex 0$"):
             parse_bipartite("p bipartite 2 1 1\ne 0 1\n")
+        with pytest.raises(ValueError, match="^line 4: edge inside class 1 at vertex 2$"):
+            parse_bipartite("p bipartite 2 2 2\ne 0 2\nc\ne 3 2\n")
 
     @pytest.mark.parametrize(
         "text",

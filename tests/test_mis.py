@@ -474,6 +474,28 @@ class TestDirectSearchMatchesTheReference:
         b = hypercube_bipartite(n)
         assert equi_independence(b, "direct") == reference_direct_balanced(b)
 
+    @pytest.mark.parametrize("n0,n1", [(1, 1), (1, 4), (3, 5), (5, 3), (12, 15), (16, 9)])
+    def test_edgeless_graphs(self, n0, n1):
+        # with no edge, every forward check keeps its whole tail unfiltered
+        b = BipartiteGraph(UndirectedGraph(n0 + n1), range(n0), range(n0, n0 + n1))
+        result = equi_independence(b, "direct")
+        assert result == reference_direct_balanced(b)
+        assert result[0] == 2 * min(n0, n1)
+
+    @pytest.mark.parametrize("n,m", [(6, 40), (7, 48)])
+    def test_graphs_whose_class_one_is_smaller(self, n, m):
+        # the search branches over class 1 then, and relabels class 0
+        rng = random.Random(29 + m)
+        checked = 0
+        while checked < 25:
+            b = induced_cube_subgraph(n, m, rng)
+            small, large = sorted((b.class0, b.class1), key=len)
+            if len(small) == len(large):
+                continue
+            b = BipartiteGraph(b.graph, large, small)
+            assert equi_independence(b, "direct") == reference_direct_balanced(b)
+            checked += 1
+
     def test_direct_equals_reduction_on_induced_subgraphs(self):
         rng = random.Random(404)
         for k in range(12):
