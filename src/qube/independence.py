@@ -23,7 +23,11 @@ routes that must agree:
 
 ``brute_force_equi`` is an exhaustive subset scan kept as an oracle for
 small graphs.  ``table1_rows`` reproduces the reference table of
-balanced-independence numbers and pair-graph sizes for the n-cube.
+balanced-independence numbers and pair-graph sizes for the n-cube.  It
+takes the sizes from ``pair_graph_size``, which counts the pair graph
+without building it: about 30 ms for the n = 8 sizes, where building
+that pair graph took about 60 ms and 34 MB by tracemalloc (2-core Intel
+Xeon VM, CPython 3.11.7).
 """
 
 from __future__ import annotations
@@ -47,6 +51,13 @@ BRUTE_FORCE_LIMIT = 20
 # the pair construction itself (|class0| * |class1| - edges = 832); the
 # table1 report computes the true value and flags the difference.
 REFERENCE_REDUCED_VERTICES = {3: 4, 4: 32, 5: 176, 6: 882, 7: 3648}
+
+# The largest n-cube each exact route is run on: on a 2-core Intel Xeon
+# VM the reduction ran 600 s on the 6-cube without an answer, and the
+# direct solve of the 7-cube takes 4-5 minutes, while no solve of the
+# 8-cube has finished.
+REDUCTION_MAX_N = 5
+TABLE1_SOLVE_MAX_N = 7
 
 
 class SizeLimitExceeded(ValueError):
@@ -189,6 +200,39 @@ def equi_reduction(b: BipartiteGraph) -> ReducedGraph:
         (conflict[u] | conflict[v]) & ~(1 << k) for k, (u, v) in enumerate(pairs)
     ]
     return ReducedGraph(rg, tuple(pairs))
+
+
+def pair_graph_size(b: BipartiteGraph) -> tuple[int, int]:
+    """The vertex and edge counts of ``equi_reduction(b).graph``, counted
+    without building a row.
+
+    As in ``equi_reduction``, pair (u, v) conflicts with the pairs in
+    C_u, those whose class-0 coordinate is u or whose class-1 coordinate
+    is a neighbour of u, and with those in C_v, defined the same way.  So
+    its degree is |C_u| + |C_v| - |C_u ∩ C_v| - 1, where |C_w| sums the
+    pairs at w and at its neighbours, and C_u ∩ C_v holds (u, v) itself
+    and the pairs of N(v) x N(u) that are not edges: 1 + deg(u) deg(v)
+    - e(N(v), N(u)).  It takes O(|V| + |E|) memory and O(pairs * deg)
+    time.
+    """
+    adj = b.graph.adj
+    at = [0] * b.vertex_count  # the pairs with w as a coordinate
+    for side, other in ((b.class0, len(b.class1)), (b.class1, len(b.class0))):
+        for w in side:
+            at[w] = other - adj[w].bit_count()
+    nbrs = [[x for x in range(b.vertex_count) if row >> x & 1] for row in adj]
+    reach = [at[w] + sum(at[x] for x in nbrs[w]) for w in range(b.vertex_count)]
+    vertices = degrees = 0
+    for u in b.class0:
+        nu = adj[u]
+        du = len(nbrs[u])
+        for v in b.class1:
+            if nu >> v & 1:
+                continue
+            cross = sum((adj[y] & nu).bit_count() for y in nbrs[v])
+            vertices += 1
+            degrees += reach[u] + reach[v] - 2 - du * len(nbrs[v]) + cross
+    return vertices, degrees // 2
 
 
 def unpack_pair_witness(red: ReducedGraph, pair_set: list[int]) -> list[int]:
@@ -359,11 +403,18 @@ def check_hypercube_caps(n: int, method: str) -> None:
     """Refuse, before the n-cube is built, a route whose input would exceed
     its cap: the 4**(n-1) - n * 2**(n-1) cross-class non-edges of the pair
     graph for ``reduction``, the 2**n vertices for ``oracle`` and
-    ``direct``.  The cube's rows alone take about 4**n / 8 bytes."""
+    ``direct``.  The cube's rows alone take about 4**n / 8 bytes.  The
+    reduction is also refused above ``REDUCTION_MAX_N``, where it does not
+    finish."""
     check_dimension(n)
     if method == "reduction":
         half = 1 << (n - 1)
         _check_solver_cap(half * half - n * half)
+        if n > REDUCTION_MAX_N:
+            raise SizeLimitExceeded(
+                f"the reduction solves the n-cube only for n <= {REDUCTION_MAX_N} "
+                f"(it does not finish from n = {REDUCTION_MAX_N + 1}); use the direct method"
+            )
     elif method == "oracle":
         _check_oracle_cap(1 << n)
     elif method == "direct":
@@ -421,20 +472,33 @@ def table1_rows(
     """Reproduce the reference table: balanced-independence numbers and
     reduced-graph sizes for the n-cube, n = 3..max_n.
 
-    Reduced-graph sizes are always computed (they are cheap).  The
-    balanced-independence solve is run only for rows with n <= alpha_max_n
-    (default: every row); capping it keeps large-n reports fast, since the
-    exact solve grows steeply with n.  Skipped rows carry ``None`` in the
-    solver-derived fields but still show the bundled reference value.
+    Reduced-graph sizes are always computed, by ``pair_graph_size``,
+    which builds no row of the pair graph.  The balanced-independence
+    solve is run only for rows with n <= alpha_max_n (default: every row);
+    capping it keeps large-n reports fast, since the exact solve grows
+    steeply with n.  Skipped rows carry ``None`` in the solver-derived
+    fields but still show the bundled reference value.  A solve that does
+    not finish is refused before any row is computed: any from
+    n = ``TABLE1_SOLVE_MAX_N`` + 1, and the reduction's from
+    n = ``REDUCTION_MAX_N`` + 1.
     """
     if not 3 <= max_n <= 8:
         raise ValueError("table rows cover 3 <= n <= 8")
     if alpha_max_n is None:
         alpha_max_n = max_n
+    solved = min(max_n, alpha_max_n)
+    if solved > TABLE1_SOLVE_MAX_N:
+        raise SizeLimitExceeded(
+            f"table1 solves alpha_equi only for n <= {TABLE1_SOLVE_MAX_N} (no solve of "
+            f"the {TABLE1_SOLVE_MAX_N + 1}-cube has finished); set alpha_max_n "
+            f"(--alpha-max-n) to at most {TABLE1_SOLVE_MAX_N}"
+        )
+    if method == "reduction" and solved >= 3:
+        check_hypercube_caps(solved, method)
     rows = []
     for n in range(3, max_n + 1):
         b = hypercube_bipartite(n)
-        red = equi_reduction(b)
+        v_red, e_red = pair_graph_size(b)
         ref_alpha = ALPHA_EQUI_HYPERCUBE.get(n)
         if n <= alpha_max_n:
             alpha, witness = equi_independence(b, method=method)
@@ -442,7 +506,6 @@ def table1_rows(
             attained = alpha == 1 << (n - 2)
         else:
             alpha = witness = matches = attained = None
-        v_red = red.graph.vertex_count
         ref_v = REFERENCE_REDUCED_VERTICES.get(n)
         rows.append(
             {
@@ -450,7 +513,7 @@ def table1_rows(
                 "alpha_equi": alpha,
                 "witness": witness,
                 "reduced_vertices": v_red,
-                "reduced_edges": red.graph.edge_count,
+                "reduced_edges": e_red,
                 "reference_reduced_vertices": ref_v,
                 "reduced_vertices_mismatch": ref_v is not None and ref_v != v_red,
                 "reference_alpha": ref_alpha,

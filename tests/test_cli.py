@@ -727,6 +727,22 @@ class TestEquiind:
         assert out == ""
         assert f"error: {message}" in err
 
+    @pytest.mark.parametrize("n", ["6", "7"])
+    def test_reduction_refuses_the_cubes_where_it_does_not_finish(
+        self, capsys, monkeypatch, n
+    ):
+        # their pair graphs are under the solver cap, but the 6-cube's
+        # solve ran for ten minutes without an answer
+        def no_build(n):
+            raise AssertionError("the cube was built")
+
+        monkeypatch.setattr("qube.cli.hypercube_bipartite", no_build)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "equiind", "--hypercube", n, "--method", "reduction")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "error: the reduction solves the n-cube only for n <= 5" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "equiind", "--graph", "missing.bip")
         assert code == 2
@@ -862,6 +878,45 @@ class TestTable1:
         code, _, err = run(capsys, "table1", "--max-n", "9")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(["--max-n", "8"], "table1 solves alpha_equi only for n <= 7"),
+         (["--max-n", "8", "--alpha-max-n", "8"], "table1 solves alpha_equi only for n <= 7"),
+         (["--method", "reduction"], "the reduction solves the n-cube only for n <= 5"),
+         (["--max-n", "6", "--method", "reduction"],
+          "the reduction solves the n-cube only for n <= 5"),
+         (["--max-n", "8", "--alpha-max-n", "6", "--method", "reduction"],
+          "the reduction solves the n-cube only for n <= 5")],
+        ids=["n8-default-solves", "n8-solved", "reduction-default", "reduction-n6",
+             "reduction-n8-sizes"],
+    )
+    def test_solves_that_do_not_finish_are_refused_before_any_row(
+        self, capsys, monkeypatch, argv, message
+    ):
+        # the exact n = 7 solve takes minutes, the 8-cube's has never
+        # finished, and the reduction does not finish from n = 6
+        def no_build(n):
+            raise AssertionError("a cube was built")
+
+        monkeypatch.setattr("qube.independence.hypercube_bipartite", no_build)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "table1", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert f"error: {message}" in err
+
+    def test_sizes_are_counted_without_the_pair_graph(self, capsys, monkeypatch):
+        def no_build(b):
+            raise AssertionError("the pair graph was built")
+
+        monkeypatch.setattr("qube.independence.equi_reduction", no_build)
+        code, out, _ = run(capsys, "table1", "--max-n", "8", "--alpha-max-n", "6")
+        rows = json_lines(out)
+        assert code == 0
+        assert [r["reduced_vertices"] for r in rows] == [4, 32, 176, 832, 3648, 15360]
+        assert rows[-1]["reduced_edges"] == 16103424
+        assert [r["alpha_equi"] for r in rows] == [2, 4, 10, 20, None, None]
 
 
 class TestPigeonhole:

@@ -102,6 +102,7 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "table1_max5": (["table1", "--max-n", "5"], []),
     "table1_max6_alpha4":
         (["table1", "--max-n", "6", "--alpha-max-n", "4", "--method", "reduction"], []),
+    "table1_max8_alpha6": (["table1", "--max-n", "8", "--alpha-max-n", "6"], []),
     "pigeonhole_max8": (["pigeonhole", "--max-n", "8"], []),
     "error_verify_without_corpus": (_verify(4, "balance"), []),
     "error_analyze_dim_out_of_range": (["analyze", "--in", "g5.jsonl", "--dim", "5"], []),

@@ -3,9 +3,12 @@ reduction, the direct balanced search, and the brute-force oracle."""
 
 import itertools
 import random
+import sys
+import types
 
 import pytest
 
+from qube import independence
 from qube.graphs import (
     BipartiteGraph,
     UndirectedGraph,
@@ -22,6 +25,7 @@ from qube.independence import (
     equi_reduction,
     lower_bound_set,
     max_independent_set,
+    pair_graph_size,
     unpack_pair_witness,
 )
 
@@ -363,6 +367,61 @@ class TestEquiReduction:
                 assert red.graph.adj[k] == row, (b.class0, k)
 
 
+def scattered_bipartite(rng: random.Random, size: int, density: float) -> BipartiteGraph:
+    """A random bipartite graph whose vertices join either class at random,
+    so neither class is a contiguous label range (or either may be empty)."""
+    side = [rng.randrange(2) for _ in range(size)]
+    g = UndirectedGraph(size)
+    for u, v in itertools.combinations(range(size), 2):
+        if side[u] != side[v] and rng.random() < density:
+            g.add_edge(u, v)
+    return BipartiteGraph(
+        g, [v for v in range(size) if side[v] == 0], [v for v in range(size) if side[v] == 1]
+    )
+
+
+class TestPairGraphSize:
+    """The census counts what ``equi_reduction`` builds."""
+
+    @staticmethod
+    def built(b: BipartiteGraph) -> tuple[int, int]:
+        g = equi_reduction(b).graph
+        return g.vertex_count, g.edge_count
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_hypercubes(self, n):
+        b = hypercube_bipartite(n)
+        assert pair_graph_size(b) == self.built(b)
+
+    def test_hypercube_values(self):
+        sizes = [pair_graph_size(hypercube_bipartite(n)) for n in range(3, 9)]
+        assert sizes == [(4, 6), (32, 448), (176, 9720), (832, 137536),
+                         (3648, 1577184), (15360, 16103424)]
+
+    @pytest.mark.parametrize("density", [k / 10 for k in range(1, 10)])
+    def test_random_bipartite_graphs(self, density):
+        rng = random.Random(3000 + round(density * 10))
+        for _ in range(170):
+            b = scattered_bipartite(rng, rng.randint(0, 24), density)
+            assert pair_graph_size(b) == self.built(b), (b.class0, b.class1)
+
+    @pytest.mark.parametrize(
+        "n0,n1,edges",
+        [(0, 0, ()), (0, 5, ()), (4, 0, ()), (3, 5, ()), (6, 2, ()),
+         (3, 4, tuple(itertools.product(range(3), range(3, 7)))),
+         (2, 2, ((0, 2),))],
+        ids=["empty", "no-class-0", "no-class-1", "edgeless", "edgeless-wide",
+             "complete", "one-edge"],
+    )
+    def test_extreme_graphs(self, n0, n1, edges):
+        b = BipartiteGraph(UndirectedGraph(n0 + n1, edges), range(n0), range(n0, n0 + n1))
+        assert pair_graph_size(b) == self.built(b)
+        if not edges:
+            # pairs conflict only on a shared coordinate: each of the
+            # n0 * n1 pairs meets n1 - 1 others on u and n0 - 1 on v
+            assert pair_graph_size(b) == (n0 * n1, n0 * n1 * (n0 + n1 - 2) // 2)
+
+
 class TestEquiIndependence:
     def test_hypercubes_both_methods(self):
         for n, expected in ((3, 2), (4, 4), (5, 10)):
@@ -527,6 +586,68 @@ class TestReductionMatchesTheReference:
     def test_hypercubes(self, n):
         b = hypercube_bipartite(n)
         assert equi_independence(b, "reduction") == reference_reduction(b)
+
+
+def nested_calls(func, name: str, args: list) -> int:
+    """How many times the function ``name`` defined inside ``func`` is
+    entered while ``func`` runs once on each of ``args``, counted by a
+    profile hook on its code object."""
+    code = next(
+        c for c in func.__code__.co_consts
+        if isinstance(c, types.CodeType) and c.co_name == name
+    )
+    entered = 0
+
+    def hook(frame, event, arg):
+        nonlocal entered
+        if event == "call" and frame.f_code is code:
+            entered += 1
+
+    sys.setprofile(hook)
+    try:
+        for arg in args:
+            func(arg)
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+def induced_cube_subgraphs(n: int, m: int, count: int) -> list[BipartiteGraph]:
+    rng = random.Random(m)
+    return [induced_cube_subgraph(n, m, rng) for _ in range(count)]
+
+
+class TestSearchNodeCeilings:
+    """Both exact searches visit at most as many nodes on fixed instances as
+    they did when these ceilings were recorded.  A change that only weakens
+    a bound keeps every size and witness, so only a node count shows it:
+    taking the unfiltered tail of ``_direct_balanced`` also at
+    ``slack == maxdeg`` visits 1,506 nodes on the cubes and 13,011 on the
+    Q6-56 graphs, and branching ``max_independent_set`` also on the colour
+    classes that can only tie visits 26,047 on the Q6-20 pair graphs."""
+
+    @pytest.mark.parametrize(
+        "instances,ceiling",
+        [(lambda: [hypercube_bipartite(n) for n in range(3, 7)], 1270),
+         (lambda: induced_cube_subgraphs(6, 56, 40), 12186),
+         (lambda: induced_cube_subgraphs(7, 48, 40), 4335),
+         (lambda: induced_cube_subgraphs(6, 20, 40), 248)],
+        ids=["Q3-Q6", "Q6-56", "Q7-48", "Q6-20"],
+    )
+    def test_direct_balanced_search(self, instances, ceiling):
+        nodes = nested_calls(independence._direct_balanced, "search", instances())
+        assert 0 < nodes <= ceiling
+
+    @pytest.mark.parametrize(
+        "instances,ceiling",
+        [(lambda: [hypercube_bipartite(n) for n in range(3, 6)], 1183),
+         (lambda: induced_cube_subgraphs(6, 20, 40), 25890)],
+        ids=["Q3-Q5", "Q6-20"],
+    )
+    def test_clique_search_on_pair_graphs(self, instances, ceiling):
+        graphs = [equi_reduction(b).graph for b in instances()]
+        nodes = nested_calls(independence.max_independent_set, "expand", graphs)
+        assert 0 < nodes <= ceiling
 
 
 class TestBruteForceEqui:
