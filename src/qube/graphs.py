@@ -188,40 +188,52 @@ def _parse(
     form = {"graph": "<n> <m>", "bipartite": "<n0> <n1> <m>"}[kind]
     sizes: list[int] = []
     g: UndirectedGraph | None = None
+    adj: list[int] = []
+    vertices = n0 = 0
+    bipartite = kind == "bipartite"
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "c":
             continue
-        fields = line.split()
         try:
-            if fields[0] == "p":
+            if fields[0] == "e":
+                if g is None:
+                    raise ValueError("edge before header")
+                # the checks of has_edge and add_edge, inline
+                if len(fields) != 3:
+                    raise ValueError(f"malformed edge line {raw.strip()!r}")
+                u, v = int(fields[1]), int(fields[2])
+                if not 0 <= u < vertices:
+                    raise ValueError(f"vertex {u} out of range")
+                if not 0 <= v < vertices:
+                    raise ValueError(f"vertex {v} out of range")
+                row = adj[u]
+                if row >> v & 1:
+                    raise ValueError(f"duplicate edge {min(u, v)} {max(u, v)}")
+                if u == v:
+                    raise ValueError(f"self-loop at {u}")
+                adj[u] = row | 1 << v
+                adj[v] |= 1 << u
+                if bipartite and (u < n0) == (v < n0):
+                    raise ValueError(f"edge inside class {int(u >= n0)} at vertex {min(u, v)}")
+            elif fields[0] == "p":
                 if g is not None:
                     raise ValueError("duplicate header")
                 if fields[1:2] != [kind] or len(fields) != len(form.split()) + 2:
-                    raise ValueError(f"expected 'p {kind} {form}' header, got {line!r}")
+                    raise ValueError(f"expected 'p {kind} {form}' header, got {raw.strip()!r}")
                 sizes = [int(f) for f in fields[2:]]
                 if min(sizes) < 0:
-                    raise ValueError(f"negative size in header {line!r}")
+                    raise ValueError(f"negative size in header {raw.strip()!r}")
                 vertices = sum(sizes[:-1])
                 if max_vertices is not None and vertices > max_vertices:
                     raise ValueError(
                         f"{vertices} vertices exceeds the solver cap {max_vertices}"
                     )
                 g = UndirectedGraph(vertices)
-            elif fields[0] == "e":
-                if g is None:
-                    raise ValueError("edge before header")
-                if len(fields) != 3:
-                    raise ValueError(f"malformed edge line {line!r}")
-                u, v = int(fields[1]), int(fields[2])
-                if g.has_edge(u, v):
-                    raise ValueError(f"duplicate edge {min(u, v)} {max(u, v)}")
-                g.add_edge(u, v)
-                if kind == "bipartite" and (u < sizes[0]) == (v < sizes[0]):
-                    side = int(u >= sizes[0])
-                    raise ValueError(f"edge inside class {side} at vertex {min(u, v)}")
+                adj = g.adj
+                n0 = sizes[0]
             else:
-                raise ValueError(f"unrecognized line {line!r}")
+                raise ValueError(f"unrecognized line {raw.strip()!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if g is None:

@@ -179,6 +179,32 @@ class TestTextFormat:
             parse_bipartite("p bipartite 2 2 2\ne 0 2\nc\ne 3 2\n")
 
     @pytest.mark.parametrize(
+        "text,message",
+        [("p bipartite 0 2 1\ne 0 1\n", "line 2: edge inside class 1 at vertex 0"),
+         ("p graph 3 1\ne -1 2\n", "line 2: vertex -1 out of range"),
+         ("p graph 3 1\ne 2 3\n", "line 2: vertex 3 out of range"),
+         ("p bipartite 1 1 1\ne 1 1\n", "line 2: self-loop at 1"),
+         ("p graph 2 1\n  e 0 1 \nc\n e 0 1\n", "line 4: duplicate edge 0 1"),
+         ("p graph 2 1\n e 0 1 x\n", "line 2: malformed edge line 'e 0 1 x'"),
+         ("  x 1\n", "line 1: unrecognized line 'x 1'")],
+        ids=["empty-class-0", "negative", "past-the-end", "self-loop-before-class",
+             "indented", "malformed", "unrecognized"],
+    )
+    def test_edge_line_checks(self, text, message):
+        parse = parse_bipartite if text.startswith("p bipartite") else parse_graph
+        with pytest.raises(ValueError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+    def test_bipartite_parse_builds_the_formatted_graph(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            b = random_bipartite(rng, max_vertices=20)
+            b2 = parse_bipartite(format_bipartite(b))
+            assert b2.graph.adj == b.graph.adj
+            assert (b2.class0, b2.class1) == (b.class0, b.class1)
+
+    @pytest.mark.parametrize(
         "text",
         ["p bipartite 1 1 1\ne 0 1\ne 1 0\n",  # the count matches the header
          "p bipartite 1 1 2\ne 0 1\ne 0 1\n"],  # the count would not

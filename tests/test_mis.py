@@ -21,6 +21,7 @@ from qube.graphs import (
 from qube.independence import (
     SizeLimitExceeded,
     brute_force_equi,
+    endpoint_covers,
     equi_independence,
     equi_reduction,
     lower_bound_set,
@@ -588,10 +589,177 @@ class TestReductionMatchesTheReference:
         assert equi_independence(b, "reduction") == reference_reduction(b)
 
 
-def nested_calls(func, name: str, args: list) -> int:
+def relabel_by_bits(row: int, source: list[int]) -> int:
+    """Oracle for ``_permute_rows``: move each set bit of ``row`` that
+    ``source`` names to its position there, one bit at a time."""
+    pos = {w: p for p, w in enumerate(source)}
+    acc = 0
+    while row:
+        low = row & -row
+        w = low.bit_length() - 1
+        if w in pos:
+            acc |= 1 << pos[w]
+        row ^= low
+    return acc
+
+
+class TestPermuteRows:
+    """``_permute_rows`` against the bit-by-bit relabel it replaced."""
+
+    def test_one_vertex(self):
+        # itemgetter of a single index returns a str, not a tuple
+        assert independence._permute_rows([0, 1], [0], 1) == [0, 1]
+        assert max_independent_set(UndirectedGraph(1)) == (1, [0])
+        assert max_independent_set(UndirectedGraph(1), [[1]]) == (1, [0])
+
+    def test_no_source_and_no_rows(self):
+        assert independence._permute_rows([5, 0], [], 3) == [0, 0]
+        assert independence._permute_rows([], [2, 0, 1], 3) == []
+
+    def test_all_zero_rows(self):
+        for width in (1, 2, 7, 64, 65, 200):
+            source = list(range(width))[::-1]
+            assert independence._permute_rows([0] * 3, source, width) == [0] * 3
+
+    def test_random_permutations(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            width = rng.randint(1, 90)
+            source = rng.sample(range(width), width)
+            rows = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(4)]
+            rows.append((1 << width) - 1)
+            expected = [relabel_by_bits(row, source) for row in rows]
+            assert independence._permute_rows(rows, source, width) == expected
+
+    def test_partial_map_onto_class_one(self):
+        # as in _direct_balanced: rows of class-0 vertices, read at the
+        # class-1 positions only, with classes scattered over the labels
+        rng = random.Random(62)
+        for _ in range(200):
+            b = scattered_bipartite(rng, rng.randint(1, 40), rng.random())
+            if not b.class1:
+                continue
+            rows = [b.graph.adj[v] for v in b.class0]
+            expected = [relabel_by_bits(row, list(b.class1)) for row in rows]
+            assert independence._permute_rows(rows, b.class1, b.vertex_count) == expected
+
+
+def clique_partition(g: UndirectedGraph, rng: random.Random) -> list[int]:
+    """A random partition of ``g``'s vertices into cliques, as masks: each
+    vertex in random order joins a random clique that it extends, or
+    starts a new one, so singletons occur."""
+    parts: list[int] = []
+    for v in rng.sample(range(g.vertex_count), g.vertex_count):
+        fits = [k for k, part in enumerate(parts) if part & g.adj[v] == part]
+        if fits and rng.random() < 0.8:
+            parts[rng.choice(fits)] |= 1 << v
+        else:
+            parts.append(1 << v)
+    return parts
+
+
+def planted_clique_graph(rng: random.Random, n: int) -> tuple[UndirectedGraph, list[int]]:
+    """A random graph on n vertices that holds a random partition into
+    cliques, and that partition, so that covers have cliques to cut on."""
+    group = [rng.randrange(max(1, n // 3)) for _ in range(n)]
+    p = rng.choice((0.1, 0.3, 0.6))
+    g = UndirectedGraph(n)
+    for u, v in itertools.combinations(range(n), 2):
+        if group[u] == group[v] or rng.random() < p:
+            g.add_edge(u, v)
+    planted: dict[int, int] = {}
+    for v in range(n):
+        planted[group[v]] = planted.get(group[v], 0) | 1 << v
+    return g, list(planted.values())
+
+
+class TestCliqueCovers:
+    """The cover bound of ``max_independent_set`` only cuts nodes that
+    cannot beat the incumbent: with covers or without, the size and the
+    witness are the same."""
+
+    def test_random_graphs_with_random_partitions(self):
+        rng = random.Random(63)
+        for _ in range(300):
+            n = rng.randint(0, 30)
+            g, planted = planted_clique_graph(rng, n)
+            plain = max_independent_set(g)
+            for covers in ([planted], [clique_partition(g, rng)],
+                           [planted, clique_partition(g, rng)]):
+                assert max_independent_set(g, covers) == plain
+
+    def test_sparse_graphs_past_the_greedy_seeds(self):
+        # the greedy seed starts from 16 vertices, so on sparse graphs of
+        # more the search reaches nodes with kmin <= 0 (cur already longer
+        # than the incumbent), where a cover must not cut
+        rng = random.Random(65)
+        for _ in range(60):
+            n = rng.randint(32, 40)
+            g = UndirectedGraph(n)
+            for u, v in itertools.combinations(range(n), 2):
+                if rng.random() < 0.1:
+                    g.add_edge(u, v)
+            assert max_independent_set(g, [clique_partition(g, rng)]) == max_independent_set(g)
+
+    def test_against_subset_oracle(self):
+        rng = random.Random(64)
+        for _ in range(100):
+            g, planted = planted_clique_graph(rng, rng.randint(1, 12))
+            size, witness = max_independent_set(g, [planted, clique_partition(g, rng)])
+            assert size == brute_force_mis(g) == len(witness)
+            assert is_independent(g, witness)
+
+    @pytest.mark.parametrize(
+        "instances",
+        [lambda: [hypercube_bipartite(n) for n in range(3, 6)],
+         lambda: induced_cube_subgraphs(6, 20, 40)],
+        ids=["Q3-Q5", "Q6-20"],
+    )
+    def test_pair_graphs(self, instances):
+        for b in instances():
+            red = equi_reduction(b)
+            g = red.graph
+            assert max_independent_set(g, endpoint_covers(red)) == max_independent_set(g)
+
+    def test_covers_cut_nodes(self):
+        reds = [equi_reduction(b) for b in induced_cube_subgraphs(6, 20, 10)]
+        plain = nested_calls(independence.max_independent_set, "expand",
+                             [(red.graph,) for red in reds])
+        covered = nested_calls(independence.max_independent_set, "expand",
+                               [(red.graph, endpoint_covers(red)) for red in reds])
+        assert covered < plain
+
+    def test_endpoint_covers(self):
+        b = hypercube_bipartite(4)
+        red = equi_reduction(b)
+        for side, cover in enumerate(endpoint_covers(red)):
+            independence._check_clique_cover(red.graph, cover)
+            # 8 cliques of 4 pairs, one per vertex of the side, disjoint
+            assert sorted(mask.bit_count() for mask in cover) == [4] * 8
+            assert sum(cover) == (1 << red.graph.vertex_count) - 1
+            for mask in cover:
+                ends = {red.pair_labels[k][side] for k in range(len(red.pair_labels))
+                        if mask >> k & 1}
+                assert len(ends) == 1
+        assert endpoint_covers(equi_reduction(BipartiteGraph(UndirectedGraph(0), [], []))) == [[], []]
+
+    @pytest.mark.parametrize(
+        "cover,message",
+        [([0b011, 0b100], "not a clique"),
+         ([0b001, 0b010], "misses a vertex"),
+         ([0b001, 0b010, 0b1100], "outside the graph")],
+        ids=["not-a-clique", "missing-vertex", "out-of-range"],
+    )
+    def test_a_bad_cover_is_refused(self, cover, message):
+        path = UndirectedGraph(3, [(1, 2)])  # 0 is isolated
+        with pytest.raises(ValueError, match=message):
+            max_independent_set(path, [[0b001, 0b110], cover])
+
+
+def nested_calls(func, name: str, calls: list[tuple]) -> int:
     """How many times the function ``name`` defined inside ``func`` is
-    entered while ``func`` runs once on each of ``args``, counted by a
-    profile hook on its code object."""
+    entered while ``func`` runs once on each argument tuple of ``calls``,
+    counted by a profile hook on its code object."""
     code = next(
         c for c in func.__code__.co_consts
         if isinstance(c, types.CodeType) and c.co_name == name
@@ -605,8 +773,8 @@ def nested_calls(func, name: str, args: list) -> int:
 
     sys.setprofile(hook)
     try:
-        for arg in args:
-            func(arg)
+        for args in calls:
+            func(*args)
     finally:
         sys.setprofile(None)
     return entered
@@ -624,7 +792,9 @@ class TestSearchNodeCeilings:
     taking the unfiltered tail of ``_direct_balanced`` also at
     ``slack == maxdeg`` visits 1,506 nodes on the cubes and 13,011 on the
     Q6-56 graphs, and branching ``max_independent_set`` also on the colour
-    classes that can only tie visits 26,047 on the Q6-20 pair graphs."""
+    classes that can only tie visits 26,047 on the Q6-20 pair graphs.
+    The endpoint covers cut nothing on the cube pair graphs that the
+    colouring does not, and 27% of the nodes on the Q6-20 ones."""
 
     @pytest.mark.parametrize(
         "instances,ceiling",
@@ -635,7 +805,8 @@ class TestSearchNodeCeilings:
         ids=["Q3-Q6", "Q6-56", "Q7-48", "Q6-20"],
     )
     def test_direct_balanced_search(self, instances, ceiling):
-        nodes = nested_calls(independence._direct_balanced, "search", instances())
+        calls = [(b,) for b in instances()]
+        nodes = nested_calls(independence._direct_balanced, "search", calls)
         assert 0 < nodes <= ceiling
 
     @pytest.mark.parametrize(
@@ -645,8 +816,21 @@ class TestSearchNodeCeilings:
         ids=["Q3-Q5", "Q6-20"],
     )
     def test_clique_search_on_pair_graphs(self, instances, ceiling):
-        graphs = [equi_reduction(b).graph for b in instances()]
-        nodes = nested_calls(independence.max_independent_set, "expand", graphs)
+        calls = [(equi_reduction(b).graph,) for b in instances()]
+        nodes = nested_calls(independence.max_independent_set, "expand", calls)
+        assert 0 < nodes <= ceiling
+
+    @pytest.mark.parametrize(
+        "instances,ceiling",
+        [(lambda: [hypercube_bipartite(n) for n in range(3, 6)], 1183),
+         (lambda: induced_cube_subgraphs(6, 20, 40), 18950)],
+        ids=["Q3-Q5", "Q6-20"],
+    )
+    def test_clique_search_with_endpoint_covers(self, instances, ceiling):
+        # the route equi_independence(method="reduction") takes
+        reds = [equi_reduction(b) for b in instances()]
+        calls = [(red.graph, endpoint_covers(red)) for red in reds]
+        nodes = nested_calls(independence.max_independent_set, "expand", calls)
         assert 0 < nodes <= ceiling
 
 
