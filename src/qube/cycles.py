@@ -5,6 +5,19 @@ leaving position ``k`` (to position ``k+1``, cyclically) is said to *start*
 at ``k``; its dimension is the *color* of position ``k``.  Analysis of one
 dimension always happens on the normalized rotation, whose first edge runs
 along that dimension out of a vertex with that bit clear.
+
+Parity balance (``DimensionProfile.balanced``) holds for every 2-factor
+of the n-cube, a spanning subgraph in which every vertex has degree 2, not
+only for Hamiltonian cycles.  Fix a dimension i and let H0 be the
+vertices with bit i clear, half of them even and half odd.  An i-edge's
+class is the parity of its endpoint in H0.  In a 2-factor F each vertex v
+of H0 has 2 = (F-edges at v inside H0) + d_i(v), where d_i(v) is 0 or 1
+i-edges.  Each F-edge inside H0 has one even and one odd endpoint, so the
+first terms sum to the same total over the even and over the odd vertices
+of H0, and so do the d_i.  The same count covers any spanning subgraph
+whose degree sums over the even and the odd vertices of H0 agree, such as
+a perfect matching.  The balance belongs to the whole 2-factor: a single
+cycle of it may be unbalanced.
 """
 
 from __future__ import annotations

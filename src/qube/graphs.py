@@ -15,8 +15,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .hypercube import check_dimension, near_masks, parity
 
-# No solver takes a graph of more vertices, so a bipartite header above it
-# is refused before its graph is allocated.
+# No solver takes a graph of more vertices, so a header above it is refused
+# before its graph is allocated.
 MAX_SOLVER_VERTICES = 5000
 
 
@@ -106,10 +106,14 @@ class BipartiteGraph:
 @dataclass(frozen=True)
 class ReducedGraph:
     """Pair graph of a bipartite graph: one vertex per cross-class
-    non-edge, labelled by the pair it stands for."""
+    non-edge, labelled by the pair it stands for.  ``covers`` holds its two
+    covers by cliques, as vertex masks: the pairs at each class-0 vertex,
+    then the pairs at each class-1 vertex, for each vertex that has any.
+    Pairs that share a coordinate conflict, so each mask is a clique."""
 
     graph: UndirectedGraph
     pair_labels: tuple[tuple[int, int], ...]
+    covers: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def hypercube_graph(n: int) -> UndirectedGraph:
@@ -176,12 +180,11 @@ def format_bipartite(b: BipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse(
-    text: str, kind: str, max_vertices: int | None = None
-) -> tuple[list[int], UndirectedGraph]:
+def _parse(text: str, kind: str) -> tuple[list[int], UndirectedGraph]:
     """The header sizes and the graph of a ``p <kind> ...`` text.  The last
     size is the edge count and the others add up to the vertex count, at
-    most ``max_vertices`` when given.  In the bipartite form each edge must
+    most ``MAX_SOLVER_VERTICES``: a larger header is refused before its
+    graph is allocated.  In the bipartite form each edge must
     cross from the first ``n0`` vertices to the rest.  An error on a line,
     a repeated edge or an edge inside a class among them, names that
     line."""
@@ -225,9 +228,9 @@ def _parse(
                 if min(sizes) < 0:
                     raise ValueError(f"negative size in header {raw.strip()!r}")
                 vertices = sum(sizes[:-1])
-                if max_vertices is not None and vertices > max_vertices:
+                if vertices > MAX_SOLVER_VERTICES:
                     raise ValueError(
-                        f"{vertices} vertices exceeds the solver cap {max_vertices}"
+                        f"{vertices} vertices exceeds the solver cap {MAX_SOLVER_VERTICES}"
                     )
                 g = UndirectedGraph(vertices)
                 adj = g.adj
@@ -249,8 +252,6 @@ def parse_graph(text: str) -> UndirectedGraph:
 
 
 def parse_bipartite(text: str) -> BipartiteGraph:
-    """Parse the ``p bipartite <n0> <n1> <m>`` text format.  A header of
-    more than ``MAX_SOLVER_VERTICES`` vertices is refused before the graph
-    is allocated."""
-    (n0, n1, _), g = _parse(text, "bipartite", MAX_SOLVER_VERTICES)
+    """Parse the ``p bipartite <n0> <n1> <m>`` text format."""
+    (n0, n1, _), g = _parse(text, "bipartite")
     return BipartiteGraph(g, range(n0), range(n0, n0 + n1))

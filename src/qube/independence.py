@@ -238,7 +238,8 @@ def equi_reduction(b: BipartiteGraph) -> ReducedGraph:
     Each original vertex w gets the mask of pairs that have w as a
     coordinate; OR-ing in its neighbours' masks gives the pairs that
     conflict through w, so a pair's row is the union over its two
-    coordinates, less the pair itself.
+    coordinates, less the pair itself.  The nonzero masks of each class
+    are the pair graph's endpoint covers.
     """
     adj = b.graph.adj
     pairs = [
@@ -258,7 +259,8 @@ def equi_reduction(b: BipartiteGraph) -> ReducedGraph:
     rg.adj = [
         (conflict[u] | conflict[v]) & ~(1 << k) for k, (u, v) in enumerate(pairs)
     ]
-    return ReducedGraph(rg, tuple(pairs))
+    covers = tuple(tuple(touching[w] for w in side if touching[w]) for side in (b.class0, b.class1))
+    return ReducedGraph(rg, tuple(pairs), covers)
 
 
 def pair_graph_size(b: BipartiteGraph) -> tuple[int, int]:
@@ -292,19 +294,6 @@ def pair_graph_size(b: BipartiteGraph) -> tuple[int, int]:
             vertices += 1
             degrees += reach[u] + reach[v] - 2 - du * len(nbrs[v]) + cross
     return vertices, degrees // 2
-
-
-def endpoint_covers(red: ReducedGraph) -> list[list[int]]:
-    """Two covers of the pair graph by cliques, as vertex masks: the pairs
-    at each class-0 coordinate, and the pairs at each class-1 coordinate.
-    Pairs that share a coordinate conflict, so each mask is a clique."""
-    covers: list[list[int]] = []
-    for side in (0, 1):
-        at: dict[int, int] = {}
-        for k, pair in enumerate(red.pair_labels):
-            at[pair[side]] = at.get(pair[side], 0) | 1 << k
-        covers.append(list(at.values()))
-    return covers
 
 
 def unpack_pair_witness(red: ReducedGraph, pair_set: list[int]) -> list[int]:
@@ -458,7 +447,7 @@ def equi_independence(b: BipartiteGraph, method: str = "direct") -> tuple[int, l
     if method == "reduction":
         check_pair_graph_cap(b)
         red = equi_reduction(b)
-        size, pair_set = max_independent_set(red.graph, endpoint_covers(red))
+        size, pair_set = max_independent_set(red.graph, red.covers)
         size, witness = 2 * size, unpack_pair_witness(red, pair_set)
     elif method == "direct":
         size, witness = _direct_balanced(b)

@@ -11,13 +11,15 @@ rotation or orientation of the cycle.
 
 Two i-edges are rims of a common square exactly when their projections
 into the (n-1)-cube are adjacent there, that is, when their bases ``u & w``
-differ in one bit.  Both passes walk the edges in cycle order.
-``find_squares`` looks each edge's projection up against the earlier ones
-of its dimension (one dict per dimension), O(n * 2**n) per cycle.  The
-existence test keeps, per dimension, the mask of the bases met so far, and
-an edge closes a square when that mask meets the mask of its base's
-neighbours: one AND per edge.  ``has_square`` stops at the first such
-edge, and the threshold check runs it over one dimension's edges.
+differ in one bit.  One scan answers every square question.  It walks the
+edges in cycle order and keeps, per dimension, the mask of the bases met
+so far; an edge closes a square with each earlier rim whose base lies in
+the mask of its base's neighbours: one AND per edge.  ``has_square``
+stops at the first such edge, and the threshold check runs the scan over
+one dimension's edges.  ``find_squares`` lets it run to the end, keeping
+each closing edge with the mask of its earlier rims, and maps each
+earlier base back to its start position through the cycle's
+vertex-to-position array.
 
 Above a per-dimension usage threshold a square with that rim dimension is
 forced (``rim_threshold``); ``pigeonhole_report`` is the counting argument
@@ -27,7 +29,7 @@ that forces one in every Hamiltonian cycle of small cubes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .cycles import HamiltonianCycle, positions_by_dim
 from .hypercube import near_masks
@@ -75,38 +77,20 @@ class InscribedSquare(NamedTuple):
         }
 
 
-def _rim_pairs(h: HamiltonianCycle) -> Iterator[tuple[int, int, int, int]]:
-    """Every pair of cycle edges, the closing one included, that are the
-    rims of a square, as (rim dimension i, earlier start, later start, j):
-    the rims' projections into the (n-1)-cube differ in bit j."""
-    seq = h.seq
-    n = h.n
-    size = len(seq)
-    rays = range(n - 1)
-    seen: list[dict[int, int]] = [{} for _ in range(n)]
-    for k in range(size):
-        u = seq[k]
-        i = (u ^ seq[(k + 1) % size]).bit_length() - 1
-        p = u & ((1 << i) - 1) | u >> (i + 1) << i  # drop entry i
-        earlier = seen[i]
-        for j in rays:
-            q = p ^ (1 << j)
-            if q in earlier:
-                yield i, earlier[q], k, j
-        earlier[p] = k
-
-
-def _has_rim_pair(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> bool:
+def _rim_scan(
+    h: HamiltonianCycle, starts: Iterable[int] | None = None, found: list | None = None
+) -> bool:
     """Whether two cycle edges among those starting at ``starts`` (by
     default every edge, the closing one included) are the rims of a square.
     ``bases[i]`` holds the bases ``u & w`` of the i-edges met so far, and an
     i-edge with base b is a later rim exactly when that mask meets
-    ``near[b]``."""
+    ``near[b]``.  The scan stops at the first such edge, unless ``found``
+    is given: then it appends (i, start k, b, mask of the earlier rims'
+    bases) for every such edge."""
     seq = h.seq
     size = len(seq)
-    n = h.n
-    near = near_masks(n)
-    bases = [0] * n
+    near = near_masks(h.n)
+    bases = [0] * h.n
     for k in range(size) if starts is None else starts:
         u = seq[k]
         w = seq[(k + 1) % size]
@@ -114,30 +98,49 @@ def _has_rim_pair(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> b
         i = (u ^ w).bit_length() - 1
         seen = bases[i]
         if seen & near[b]:
-            return True
+            if found is None:
+                return True
+            found.append((i, k, b, seen & near[b]))
         bases[i] = seen | 1 << b
-    return False
+    return bool(found)
 
 
 def find_squares(h: HamiltonianCycle) -> list[InscribedSquare]:
     """All inscribed squares of the cycle, ordered by rim dimension and
-    then rim start positions (the raw pairs sort in that order, as the
-    rims fix the ray).  Each square is built by ``tuple.__new__``, as
-    ``InscribedSquare._make`` does, without a call of the generated
-    ``__new__``."""
+    then rim start positions (the rims fix the ray).  An earlier rim with
+    base e starts where e stands, or one step before when the cycle enters
+    it from e's upper end; the ray is the bit where the two bases differ.
+    Each square is built by ``tuple.__new__``, as ``InscribedSquare._make``
+    does, without a call of the generated ``__new__``."""
+    found: list[tuple[int, int, int, int]] = []
+    _rim_scan(h, found=found)
     seq = h.seq
+    at = [0] * (1 << h.n)  # a closed walk may miss vertices of its cube
+    for k, v in enumerate(seq):
+        at[v] = k
+    pairs = []
+    for i, k, b, hit in found:
+        while hit:
+            low = hit & -hit
+            e = low.bit_length() - 1
+            a = at[e]
+            if seq[a - 1] == e | 1 << i:  # a > 0: the closing edge is scanned last
+                a -= 1
+            pairs.append((i, a, k, (b ^ e).bit_length() - 1))
+            hit ^= low
+    pairs.sort()
     new = tuple.__new__
     return [
         new(InscribedSquare, (
-            i, (a, b), "straight" if (seq[a] ^ seq[b]) >> i & 1 else "twisted", j + (j >= i)
+            i, (a, k), "straight" if (seq[a] ^ seq[k]) >> i & 1 else "twisted", j
         ))
-        for i, a, b, j in sorted(_rim_pairs(h))
+        for i, a, k, j in pairs
     ]
 
 
 def has_square(h: HamiltonianCycle) -> bool:
     """Whether the cycle contains any inscribed square (early exit)."""
-    return _has_rim_pair(h)
+    return _rim_scan(h)
 
 
 def rim_threshold(n: int, mode: str = "equi") -> int:
@@ -186,7 +189,7 @@ def check_threshold_implication(
     thr = rim_threshold(h.n, mode)
     positions = positions_by_dim(h)
     obligated = tuple(i for i, ks in enumerate(positions) if len(ks) > thr)
-    violations = tuple(i for i in obligated if not _has_rim_pair(h, positions[i]))
+    violations = tuple(i for i in obligated if not _rim_scan(h, positions[i]))
     return ThresholdReport(mode, thr, obligated, violations)
 
 

@@ -420,3 +420,104 @@ class TestBalanceAndSegments:
                 assert p.segment_sums_ok
                 assert check_segment_sums(h, p.dim)
 
+
+
+def regular_spanning_subgraphs(n: int, d: int) -> list[list[tuple[int, int]]]:
+    """Every spanning subgraph of Q_n in which each vertex has degree d, as
+    its edges (u, v) with v = u | 1 << i: include or exclude each edge in
+    turn, and drop a branch once a vertex is past its last edge with a
+    degree other than d."""
+    edges = [(u, u | 1 << i) for u in range(1 << n) for i in range(n) if not u >> i & 1]
+    last = [0] * (1 << n)
+    for k, (u, v) in enumerate(edges):
+        last[u] = last[v] = k
+    degree = [0] * (1 << n)
+    chosen: list[tuple[int, int]] = []
+    found: list[list[tuple[int, int]]] = []
+
+    def settled(k: int) -> bool:
+        return all(last[w] > k or degree[w] == d for w in edges[k])
+
+    def grow(k: int) -> None:
+        if k == len(edges):
+            found.append(chosen.copy())
+            return
+        u, v = edges[k]
+        if degree[u] < d and degree[v] < d:
+            degree[u] += 1
+            degree[v] += 1
+            chosen.append((u, v))
+            if settled(k):
+                grow(k + 1)
+            chosen.pop()
+            degree[u] -= 1
+            degree[v] -= 1
+        if settled(k):
+            grow(k + 1)
+
+    grow(0)
+    return found
+
+
+def unbalanced_dims(edges: list[tuple[int, int]], n: int) -> list[int]:
+    """The dimensions whose edges do not split evenly between the two
+    classes of ``parity_excluding``."""
+    out = []
+    for i in range(n):
+        classes = [parity_excluding(u, i) for u, v in edges if u ^ v == 1 << i]
+        if 2 * sum(classes) != len(classes):
+            out.append(i)
+    return out
+
+
+def cycle_edges(walk: list[int]) -> list[tuple[int, int]]:
+    return [tuple(sorted(pair)) for pair in zip(walk, walk[1:] + walk[:1])]
+
+
+def components(edges: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """The edge sets of the connected components of a 2-factor."""
+    around: dict[int, list[tuple[int, int]]] = {}
+    for e in edges:
+        for w in e:
+            around.setdefault(w, []).append(e)
+    parts, seen = [], set()
+    for start in around:
+        if start in seen:
+            continue
+        part, stack = set(), [start]
+        seen.add(start)
+        while stack:
+            for e in around[stack.pop()]:
+                part.add(e)
+                for w in e:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        parts.append(sorted(part))
+    return parts
+
+
+class TestBalanceOfTwoFactors:
+    """Parity balance is a degree count, so it holds on every 2-factor and
+    every perfect matching of the cube (see the ``cycles`` docstring), but
+    not on each cycle of a 2-factor."""
+
+    @pytest.mark.parametrize("n,d,count", [(3, 1, 9), (3, 2, 9), (4, 1, 272), (4, 2, 2970)])
+    def test_every_perfect_matching_and_2_factor_is_balanced(self, n, d, count):
+        factors = regular_spanning_subgraphs(n, d)
+        assert len(factors) == count
+        assert not any(unbalanced_dims(f, n) for f in factors)
+
+    def test_a_balanced_2_factor_with_unbalanced_cycles(self):
+        ten = cycle_edges([0, 1, 3, 7, 15, 13, 5, 4, 6, 2])
+        six = cycle_edges([8, 9, 11, 10, 14, 12])
+        assert sorted(ten + six) in regular_spanning_subgraphs(4, 2)
+        assert unbalanced_dims(ten + six, 4) == []
+        assert unbalanced_dims(ten, 4) == unbalanced_dims(six, 4) == [1]
+
+    def test_many_2_factors_of_q4_have_an_unbalanced_cycle(self):
+        split = [
+            f for f in regular_spanning_subgraphs(4, 2)
+            if any(unbalanced_dims(part, 4) for part in components(f))
+        ]
+        assert len(split) == 624

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qube import graphs
 from qube.graphs import (
     BipartiteGraph,
     UndirectedGraph,
@@ -159,6 +160,17 @@ class TestTextFormat:
         with pytest.raises(ValueError) as exc:
             parse_graph(text)
         assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("text", ["p graph 5001 0\n", "p bipartite 5000 1 0\n"])
+    def test_a_header_above_the_solver_cap_builds_no_graph(self, monkeypatch, text):
+        # a 10^9-vertex header would ask for about 8 GB before any edge
+        def refuse(*args):
+            raise AssertionError("a graph was built past the cap")
+
+        monkeypatch.setattr(graphs, "UndirectedGraph", refuse)
+        parse = parse_bipartite if text.startswith("p bipartite") else parse_graph
+        with pytest.raises(ValueError, match="^line 1: 5001 vertices exceeds the solver cap 5000$"):
+            parse(text)
 
     def test_bipartite_roundtrip_structure(self):
         b = hypercube_bipartite(3)

@@ -21,7 +21,6 @@ from qube.graphs import (
 from qube.independence import (
     SizeLimitExceeded,
     brute_force_equi,
-    endpoint_covers,
     equi_independence,
     equi_reduction,
     lower_bound_set,
@@ -719,20 +718,20 @@ class TestCliqueCovers:
         for b in instances():
             red = equi_reduction(b)
             g = red.graph
-            assert max_independent_set(g, endpoint_covers(red)) == max_independent_set(g)
+            assert max_independent_set(g, red.covers) == max_independent_set(g)
 
     def test_covers_cut_nodes(self):
         reds = [equi_reduction(b) for b in induced_cube_subgraphs(6, 20, 10)]
         plain = nested_calls(independence.max_independent_set, "expand",
                              [(red.graph,) for red in reds])
         covered = nested_calls(independence.max_independent_set, "expand",
-                               [(red.graph, endpoint_covers(red)) for red in reds])
+                               [(red.graph, red.covers) for red in reds])
         assert covered < plain
 
     def test_endpoint_covers(self):
         b = hypercube_bipartite(4)
         red = equi_reduction(b)
-        for side, cover in enumerate(endpoint_covers(red)):
+        for side, cover in enumerate(red.covers):
             independence._check_clique_cover(red.graph, cover)
             # 8 cliques of 4 pairs, one per vertex of the side, disjoint
             assert sorted(mask.bit_count() for mask in cover) == [4] * 8
@@ -741,7 +740,20 @@ class TestCliqueCovers:
                 ends = {red.pair_labels[k][side] for k in range(len(red.pair_labels))
                         if mask >> k & 1}
                 assert len(ends) == 1
-        assert endpoint_covers(equi_reduction(BipartiteGraph(UndirectedGraph(0), [], []))) == [[], []]
+        assert equi_reduction(BipartiteGraph(UndirectedGraph(0), [], [])).covers == ((), ())
+
+    def test_covers_group_the_pairs_by_endpoint(self):
+        # a vertex with no pair gets no clique, and class 0 comes first
+        rng = random.Random(66)
+        graphs = [hypercube_bipartite(n) for n in range(1, 6)]
+        graphs += [random_bipartite(rng, max_vertices=14) for _ in range(60)]
+        for b in graphs:
+            red = equi_reduction(b)
+            for side, cover in enumerate(red.covers):
+                at: dict[int, int] = {}
+                for k, pair in enumerate(red.pair_labels):
+                    at[pair[side]] = at.get(pair[side], 0) | 1 << k
+                assert sorted(cover) == sorted(at.values())
 
     @pytest.mark.parametrize(
         "cover,message",
@@ -829,7 +841,7 @@ class TestSearchNodeCeilings:
     def test_clique_search_with_endpoint_covers(self, instances, ceiling):
         # the route equi_independence(method="reduction") takes
         reds = [equi_reduction(b) for b in instances()]
-        calls = [(red.graph, endpoint_covers(red)) for red in reds]
+        calls = [(red.graph, red.covers) for red in reds]
         nodes = nested_calls(independence.max_independent_set, "expand", calls)
         assert 0 < nodes <= ceiling
 

@@ -120,11 +120,14 @@ class TestHasSquare:
             assert has_square(gray_cycle(n))
 
     def test_every_rotation_passes_the_closing_edge(self, q3_cycles):
-        # each rim pair meets the closing position in some rotation
+        # each rim pair meets the closing position in some rotation, and
+        # each earlier rim is entered from its upper vertex in some walk
         for h in q3_cycles + [gray_cycle(4), gray_cycle(5)]:
             for k in range(len(h)):
-                rotated = h.rotated(k)
-                assert has_square(rotated) == bool(brute_force_squares(rotated))
+                for walk in (h.rotated(k), h.rotated(k).reversed_cycle()):
+                    expected = brute_force_squares(walk)
+                    assert has_square(walk) == bool(expected)
+                    assert as_tuples(find_squares(walk)) == expected
 
     # the closed walk (0, 1) on Q1 reads its one edge twice, which is no square
     @pytest.mark.parametrize(
