@@ -13,10 +13,7 @@ without a stored balanced-independence number), 3 when the run could not
 finish (a ``RuntimeError``, such as a sampler that abandoned too many
 searches in a row, or a solver witness that fails its check, and any other
 ``LookupError``, such as a ``KeyError`` or ``IndexError`` from a fault in
-the program).  The
-environment variable ``QUBE_THREADS`` sets the worker count for
-``verify --exhaustive`` (default 1, capped at the CPU count; anything but
-a positive integer is a usage error); no other command reads it.
+the program).  No command reads an environment variable.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from typing import Iterable, Iterator
@@ -106,13 +102,6 @@ def _emit(doc: dict, out) -> None:
 # verify
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QUBE_THREADS") or "1"
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise ValueError(f"QUBE_THREADS must be a positive integer, got {raw!r}")
-    return min(int(raw), os.cpu_count() or 1)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     prop = args.property
     n = args.n
@@ -137,7 +126,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.exhaustive:
             corpus = "exhaustive"
-            tally = sweep_exhaustive(n, (prop,), mode, _thread_count())[prop]
+            tally = sweep_exhaustive(n, (prop,), mode)[prop]
         elif args.sample is not None:
             if args.seed is None:
                 raise ValueError("--sample requires --seed")

@@ -4,7 +4,7 @@ Cycles are counted as undirected edge sets: every cycle is emitted exactly
 once, in canonical form, by a deterministic backtracking search from
 vertex 0 that tries neighbors in increasing dimension order.  The search
 tree can be partitioned into fixed-depth path prefixes for splitting work
-across processes; the union of the per-prefix emissions equals the
+across runs or machines; the union of the per-prefix emissions equals the
 sequential stream.
 
 Four sound rules are applied, all or none as :class:`PruneConfig` says
@@ -96,7 +96,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from math import factorial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .cycles import HamiltonianCycle
 from .hypercube import NEAR_TABLE_MAX_DIM, check_dimension, check_vertex, edge_dim, near_table
@@ -446,19 +446,6 @@ def count_cycles(n: int, prunes: PruneConfig | None = None) -> int:
     """
     check_whole_cube(n)
     return factorial(n) * sum(_search(n, prunes, None, first_use=True)) // 2
-
-
-def map_shards(func: Callable, tasks: Sequence, workers: int) -> Iterable:
-    """``func`` over ``tasks``, in order: lazily in this process when
-    ``workers`` is 1, otherwise in a pool of that many worker processes
-    (at most one per task) that hand out one task at a time."""
-    if workers == 1:
-        return map(func, tasks)
-    import multiprocessing  # only a pool needs it, not every import of qube
-
-    # spawned workers import qube afresh and share no state with this process
-    with multiprocessing.get_context("spawn").Pool(min(workers, len(tasks))) as pool:
-        return pool.map(func, tasks, chunksize=1)
 
 
 def path_prefixes(n: int, depth: int) -> list[list[int]]:

@@ -15,9 +15,14 @@ from typing import Iterable, Iterator, Sequence
 
 from .hypercube import check_dimension, near_masks, parity
 
-# No solver takes a graph of more vertices, so a header above it is refused
-# before its graph is allocated.
+# No solver takes a graph of more vertices, so a header or a cube above it
+# is refused before its graph is allocated.
 MAX_SOLVER_VERTICES = 5000
+
+
+def _check_vertex_cap(vertices: int) -> None:
+    if vertices > MAX_SOLVER_VERTICES:
+        raise ValueError(f"{vertices} vertices exceeds the solver cap {MAX_SOLVER_VERTICES}")
 
 
 class UndirectedGraph:
@@ -118,8 +123,11 @@ class ReducedGraph:
 
 def hypercube_graph(n: int) -> UndirectedGraph:
     """The n-cube as an UndirectedGraph on vertices 0..2**n-1, whose rows
-    are the neighbour masks of :func:`~qube.hypercube.near_masks`."""
+    are the neighbour masks of :func:`~qube.hypercube.near_masks`.  The
+    rows take about 4**n / 8 bytes, so a cube above
+    ``MAX_SOLVER_VERTICES`` vertices is refused before any row is built."""
     check_dimension(n)
+    _check_vertex_cap(1 << n)
     g = UndirectedGraph(1 << n)
     g.adj = list(near_masks(n))
     return g
@@ -228,10 +236,7 @@ def _parse(text: str, kind: str) -> tuple[list[int], UndirectedGraph]:
                 if min(sizes) < 0:
                     raise ValueError(f"negative size in header {raw.strip()!r}")
                 vertices = sum(sizes[:-1])
-                if vertices > MAX_SOLVER_VERTICES:
-                    raise ValueError(
-                        f"{vertices} vertices exceeds the solver cap {MAX_SOLVER_VERTICES}"
-                    )
+                _check_vertex_cap(vertices)
                 g = UndirectedGraph(vertices)
                 adj = g.adj
                 n0 = sizes[0]

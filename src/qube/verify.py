@@ -5,11 +5,8 @@ iterable of cycles, which it reads one cycle at a time; it returns one
 :class:`Tally` per property.  Balance, segment sums and the gap recurrence
 share one :func:`~qube.cycles.dimension_profiles` list per cycle, built only
 when one of them is asked for.  :func:`sweep_exhaustive` checks every
-Hamiltonian cycle of the n-cube: one shard per search prefix, run in this
-process or in a pool of worker processes
-(:func:`~qube.enumeration.map_shards`), and merged property by property
-through :meth:`Tally.merge`, which gives the same tallies as one pass over
-:func:`~qube.enumeration.enumerate_cycles`.
+Hamiltonian cycle of the n-cube in one pass over
+:func:`~qube.enumeration.enumerate_cycles`, in this process.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from .cycles import (
     chromatic_vector,
     dimension_profiles,
 )
-from .enumeration import check_whole_cube, enumerate_cycles, map_shards, path_prefixes
+from .enumeration import check_whole_cube, enumerate_cycles
 from .squares import check_threshold_implication, has_square
 
 # the choices of ``verify --property``; isomorphism is a property of the
@@ -63,9 +60,9 @@ PROFILED = ("balance", "segments", "recurrence")
 class Tally:
     """What a sweep found for one property.  ``first`` pairs a sort key,
     (cycle sequence, first violation record), with the counterexample it
-    names; the least key wins, so merged shards report the same
-    counterexample in any order.  ``square_free`` holds the square-free
-    cycles in sweep order."""
+    names; the least key wins, because ``verify --in`` reports the least
+    counterexample of its file, whatever the order of its lines.
+    ``square_free`` holds the square-free cycles in sweep order."""
 
     checked: int = 0
     violations: int = 0
@@ -75,15 +72,6 @@ class Tally:
     @property
     def first_counterexample(self) -> dict | None:
         return self.first[1] if self.first else None
-
-    def merge(self, other: Tally) -> Tally:
-        """Add ``other``, the tally of the cycles that follow, to this one."""
-        self.checked += other.checked
-        self.violations += other.violations
-        self.square_free += other.square_free
-        if other.first is not None and (self.first is None or other.first[0] < self.first[0]):
-            self.first = other.first
-        return self
 
 
 def sweep(
@@ -119,26 +107,12 @@ def sweep(
     return tallies
 
 
-def _sweep_shard(task: tuple) -> dict[str, Tally]:
-    n, props, mode, prefix = task
-    return sweep(props, enumerate_cycles(n, prefix=prefix), mode)
-
-
-def sweep_exhaustive(
-    n: int, props: Iterable[str], mode: str = "equi", workers: int = 1
-) -> dict[str, Tally]:
-    """:func:`sweep` over every Hamiltonian cycle of the n-cube, sharded by
-    search prefix over ``workers`` processes (1: this process); each
-    property's shard tallies are merged in prefix order.  Cubes above
+def sweep_exhaustive(n: int, props: Iterable[str], mode: str = "equi") -> dict[str, Tally]:
+    """:func:`sweep` over every Hamiltonian cycle of the n-cube, in one pass
+    over :func:`~qube.enumeration.enumerate_cycles`.  Cubes above
     ``MAX_WHOLE_CUBE_DIM`` dimensions are refused before any search."""
     check_whole_cube(n)
-    tallies = sweep(props, (), mode)  # empty; a bad ``props`` fails here, before any search
-    props = tuple(tallies)
-    tasks = [(n, props, mode, p) for p in path_prefixes(n, 2 if n <= 4 else 3)]
-    for shard in map_shards(_sweep_shard, tasks, workers):
-        for prop, tally in shard.items():
-            tallies[prop].merge(tally)
-    return tallies
+    return sweep(props, enumerate_cycles(n), mode)
 
 
 def persist_square_free(n: int, cycles: list[dict]) -> str | None:

@@ -34,8 +34,7 @@ SAMPLE_K = 10_000
 # which replaces these entries of sys.modules when both suites run in one
 # process, in either order.  So the test modules here are imported, and
 # their tests run, with these entries put back: names looked up by module
-# path (monkeypatch targets, classes of pickled results) then resolve to the
-# modules the tests imported.
+# path (monkeypatch targets) then resolve to the modules the tests imported.
 QUBE_MODULES = {
     name: module
     for name, module in sys.modules.items()

@@ -1,5 +1,5 @@
 """Property sweeps: one pass over several properties against one pass per
-property, and sharded exhaustive sweeps against one sequential pass."""
+property, and the exhaustive sweep's refusals and inputs."""
 
 import pytest
 
@@ -25,25 +25,25 @@ def test_one_pass_equals_one_pass_per_property(monkeypatch, q4_cycles):
     assert together["balance"].checked == 1344
 
 
-def test_merged_shards_equal_one_sequential_pass(monkeypatch):
+def test_sweep_exhaustive_equals_one_sequential_pass(monkeypatch):
     # every cycle a violation, so the first counterexample and the order
     # of the square-free list are compared over all 1344 cycles
     monkeypatch.setattr("qube.verify.has_square", lambda cyc: False)
-    sharded = sweep_exhaustive(4, ALL)
+    exhaustive = sweep_exhaustive(4, ALL)
     sequential = sweep(ALL, enumerate_cycles(4))
-    assert sharded.keys() == sequential.keys() == set(ALL)
+    assert exhaustive.keys() == sequential.keys() == set(ALL)
     for prop in ALL:
-        assert outcome(sharded[prop]) == outcome(sequential[prop]), prop
-    squares = sharded["squares"]
+        assert outcome(exhaustive[prop]) == outcome(sequential[prop]), prop
+    squares = exhaustive["squares"]
     assert squares.checked == squares.violations == 1344
     assert squares.first_counterexample is not None
 
 
 def test_sweep_exhaustive_refuses_cubes_beyond_the_whole_cube_cap(monkeypatch):
     def no_search(*args, **kwargs):
-        raise AssertionError("the shards were searched")
+        raise AssertionError("a whole-cube search was started")
 
-    monkeypatch.setattr("qube.verify.map_shards", no_search)
+    monkeypatch.setattr("qube.enumeration._search", no_search)
     for n in (6, 7):
         with pytest.raises(ValueError, match="supports n <= 5"):
             sweep_exhaustive(n, ("balance",))
