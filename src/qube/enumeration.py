@@ -37,22 +37,22 @@ that stops being addable never becomes addable again below that node.
   free-edges rule one push later.
 
 The search is one iterative loop over an explicit stack.  A neighbour
-table, a new list per call, gives, for each vertex, its neighbours in
-dimension order together with each edge's *slot* ``2*i + class``; the
-used and addable edge counts are two flat lists indexed by slot, and a
-third list counts each vertex's free edges.  A step changes at most one slot per
-dimension and only the free counts of the open neighbours of the vertex
-it makes interior, and the node it extends passed the prunes, so only
-what the step changed is re-checked; the full check over every slot and
-vertex runs once, after a prefix has been pushed.  The table also holds,
-after the rows of the vertices, one row per unit vector e_j without its
-edge to vertex 0; the first step swaps it in for e_j's own row while
-{0, e_j} is retired, so no later step retires or restores that edge and
-no later step does any work for the closing-edge rule.  The stack keeps,
-for each depth, the candidate steps not yet tried and the slot of the
-edge into that path vertex, so the path depth 2^n meets no recursion
-limit.  The table has n·2^n entries (about 125 MB at n = 16), so
-enumeration supports 2 <= n <= ``MAX_ENUMERATION_DIM`` = 16.
+table, which the search never writes, gives, for each vertex, its
+neighbours in dimension order together with each edge's *slot*
+``2*i + class``; the used and addable edge counts are two flat lists
+indexed by slot, and a third list counts each vertex's free edges.  A
+step changes at most one slot per dimension and only the free counts of
+the open neighbours of the vertex it makes interior, and the node it
+extends passed the prunes, so only what the step changed is re-checked.
+Every push takes this check, the steps of a prefix too, so a prefix is
+cut at its first push that breaks a rule.  While the first step, in
+dimension f, keeps {0, e_j} with j < f retired, the retire and restore
+loops skip the edge from such an e_j (e_j < 2^f) to vertex 0, so no
+later step retires or restores it twice.  The stack keeps, for each
+depth, the candidate steps not yet tried and the slot of the edge into
+that path vertex, so the path depth 2^n meets no recursion limit.  The
+table has n·2^n entries (about 125 MB at n = 16), so enumeration
+supports 2 <= n <= ``MAX_ENUMERATION_DIM`` = 16.
 
 The stream keeps a *completion memo* on cubes of at most
 ``MEMO_MAX_DIM`` = 6 dimensions, where a visited set fits a 64-bit mask
@@ -63,12 +63,12 @@ it; when a later step would push the same state, the search yields those
 cycles again behind the current path, in the same order, and does not
 search the state.  The replay is exact: a state's completions and their
 branch order depend only on the visited set, the end and the first step
-(the leaf's canonical test and the closing-edge rows read it), and the
+(the leaf's canonical test and the closing-edge rule read it), and the
 prunes cut only subtrees without a completion.  So the memo lives for one
 first step and is cleared when the search pops back to vertex 0.  It is
 dropped once its states plus the cycles it holds pass ``MEMO_CAP``, and
 states pushed before a drop are not recorded, which bounds its memory.
-Those cubes also build their neighbour rows once per process.
+Those cubes also share one neighbour table per process.
 
 :func:`count_cycles` runs the same kernel in *first-use* mode, one S_n
 orbit at a time (orderly generation, McKay 1998).  Coordinate
@@ -103,6 +103,7 @@ from .hypercube import NEAR_TABLE_MAX_DIM, check_dimension, check_vertex, edge_d
 
 MAX_ENUMERATION_DIM = 16
 MAX_CONSECUTIVE_FAILURES = 200
+MAX_NODES_PER_ATTEMPT = 500_000
 MAX_PREFIX_VERTICES = 1 << 23
 MEMO_MAX_DIM = 6
 # Q6 has about 3.6·10^22 Hamiltonian cycles (Haanpää and Östergård, 2014)
@@ -128,24 +129,22 @@ class PruneConfig:
         return cls(False)
 
 
-def _neighbour_table(n: int) -> list[tuple[tuple[int, int], ...]]:
+def _neighbour_table(n: int) -> Sequence[tuple[tuple[int, int], ...]]:
     """For each vertex u, its ``(u ^ 1 << i, 2*i + c)`` pairs in increasing i,
     where c is the class of the i-edge at u (``parity_excluding(u, i)``, in
-    closed form); ``2*i + c`` is the edge's slot in the tally lists.  Row
-    ``2^n + j`` follows: the row of e_j without its pair for vertex 0.
+    closed form); ``2*i + c`` is the edge's slot in the tally lists.
 
-    Each call returns a new list, because the search swaps rows in it; the
-    rows of a cube of at most ``MEMO_MAX_DIM`` dimensions are built once
-    per process."""
-    return list(_shared_rows(n)) if n <= MEMO_MAX_DIM else _rows(n)
+    The search only reads the table, so the rows of a cube of at most
+    ``MEMO_MAX_DIM`` dimensions are built once per process and every call
+    returns that same tuple."""
+    return _shared_rows(n) if n <= MEMO_MAX_DIM else _rows(n)
 
 
 def _rows(n: int) -> list[tuple[tuple[int, int], ...]]:
-    rows = [
+    return [
         tuple((u ^ 1 << i, 2 * i + ((u.bit_count() ^ u >> i) & 1)) for i in range(n))
         for u in range(1 << n)
     ]
-    return rows + [rows[1 << j][:j] + rows[1 << j][j + 1 :] for j in range(n)]
 
 
 @cache
@@ -238,16 +237,18 @@ def _search(
     seen = bytearray(size)
     seen[0] = 1
     # tries[k] yields the candidate steps from path[k] not yet tried: the
-    # forced prefix step within the prefix, the neighbours in order beyond.
+    # prefix step within the prefix, unless a push broke a rule, and the
+    # neighbours in order beyond.
     tries: list[Iterator[tuple[int, int]] | None] = [None] * size
     tries[0] = iter(moves[:1]) if moves else iter(table[0][:1] if first_use else table[0])
     # width[k]: how many dimensions path[0..k] uses, kept in first-use
     # mode, where a step from path[k] may take only a used dimension or
     # dimension width[k], the next one
     width = [0] * size
-    if first_use:
-        for k, (_, s) in enumerate(moves, 1):
-            width[k] = width[k - 1] + (s >> 1 == width[k - 1])
+    # lim: 1 << f while the first step, in dimension f, keeps the closing
+    # edges {0, e_j} with j < f retired, else 0.  The edge from such an e_j,
+    # e_j < lim, to vertex 0 is then neither retired nor restored again.
+    lim = 0
     # The completion memo on small cubes: memo[mask << 6 | v] is the range
     # (a, b) of the running count ``count`` of closing paths that the search
     # found below the state whose visited set less v is ``mask`` and whose
@@ -297,7 +298,7 @@ def _search(
             if memo is not None:
                 if k == 1:
                     # the next first step changes the canonical test at the
-                    # leaf and the closing-edge rows
+                    # leaf and the retired closing edges
                     memo.clear()
                     emitted.clear()
                     count = 0
@@ -321,15 +322,15 @@ def _search(
             if u:
                 pred = path[k - 1]
                 for w, t in table[u]:
-                    if w != v and w != pred and (not w or not seen[w]):
+                    if w != v and w != pred and (not seen[w] or not w and u >= lim):
                         addable[t] += 1
                         free[w] += 1
             elif prune:
                 # back at vertex 0: the closing edges the first step retired
-                # return, and so do e_j's own rows
+                # return
                 f = s >> 1
+                lim = 0
                 for j in range(f):
-                    table[1 << j], table[size + j] = table[size + j], table[1 << j]
                     addable[2 * j] += 1
                     free[1 << j] += 1
                 free[0] += f
@@ -349,7 +350,7 @@ def _search(
             # u becomes interior: its unused edges to open vertices retire
             pred = path[k - 1]
             for w, t in table[u]:
-                if w != v and w != pred and (not w or not seen[w]):
+                if w != v and w != pred and (not seen[w] or not w and u >= lim):
                     left = addable[t] - 1
                     addable[t] = left
                     rest = free[w] - 1
@@ -359,13 +360,13 @@ def _search(
         elif prune:
             # The first step fixes f.  A canonical cycle closes through some
             # {e_j, 0} with j > f, so the edges {0, e_j} with j < f (slot 2j:
-            # class 0 at both ends) retire, and e_j's row swaps for the one
-            # without vertex 0 until the pop back to vertex 0.  Slot 2j + 1
-            # is unused and e_j keeps n - 1 free edges, fewer than two only
+            # class 0 at both ends) retire until the pop back to vertex 0,
+            # and ``lim`` keeps the retire loop off them.  Slot 2j + 1 is
+            # unused and e_j keeps n - 1 free edges, fewer than two only
             # when n = 2 and f = 1, so vertex 0, left with n - f, decides.
             f = s >> 1
+            lim = 1 << f
             for j in range(f):
-                table[1 << j], table[size + j] = table[size + j], table[1 << j]
                 addable[2 * j] -= 1
                 free[1 << j] -= 1
             free[0] -= f
@@ -377,17 +378,12 @@ def _search(
         if memo is not None:
             keys[k] = keys[k - 1] | 64 << v
             start[k] = count
+        if first_use:
+            w = width[k - 1]
+            width[k] = w + (s >> 1 == w)
         if k < base:
-            tries[k] = iter(moves[k : k + 1])
+            tries[k] = iter(moves[k : k + 1] if ok else ())
             continue
-        if k == base:
-            # each slot's edges, less the other class's, fit in what the
-            # other class can still add, and each open vertex keeps two
-            # free edges
-            ok = not prune or (
-                all(used[t] - used[t ^ 1] <= addable[t ^ 1] for t in range(2 * n))
-                and all(free[w] >= 2 for w in range(size) if not w or not seen[w])
-            )
         if ok and k == size - 1:
             # a full path closes to vertex 0 when v is a unit vector, and is
             # canonical when its first dimension is below its last
@@ -424,9 +420,7 @@ def _search(
             # step is one of them: the path stays in the subcube of the used
             # dimensions, a neighbour outside it keeps all n of its edges,
             # and at n = 2 the one such neighbour is in the next dimension.
-            w = width[k - 1]
-            w = width[k] = w + (s >> 1 == w)
-            cands = cands[: w + 1]
+            cands = cands[: width[k] + 1]
         tries[k] = iter(cands)
 
 
@@ -498,18 +492,17 @@ def read_prefixes(text: str) -> list[list[int]]:
     return out
 
 
-def sample_cycles(
-    n: int, seed: int, k: int, max_nodes_per_attempt: int = 500_000
-) -> list[HamiltonianCycle]:
+def sample_cycles(n: int, seed: int, k: int) -> list[HamiltonianCycle]:
     """k Hamiltonian cycles found by randomized-order backtracking, one
     fresh randomized search per cycle.
 
     The sampling distribution is *not* uniform over Hamiltonian cycles:
     cycles reachable through luckier early branch choices are favored, and
     independent attempts may repeat a cycle.  Searches that exceed the node
-    budget are abandoned and restarted with the next draws from the same
-    generator; a long streak of abandoned attempts means the budget is too
-    small and raises RuntimeError instead of looping forever.
+    budget ``MAX_NODES_PER_ATTEMPT`` are abandoned and restarted with the
+    next draws from the same generator; ``MAX_CONSECUTIVE_FAILURES``
+    abandoned attempts in a row mean the budget is too small and raise
+    RuntimeError instead of looping forever.
 
     The stream is fixed for a seed, and seeded corpora are pinned test
     data, so it must not change between versions: the same generator
@@ -522,7 +515,7 @@ def sample_cycles(
     candidates are exhausted.  A dead end, a vertex other than a unit
     vector with no unvisited neighbour, is charged its push and its
     retreat, two nodes, before its push.  An attempt is abandoned at the
-    first node past ``max_nodes_per_attempt``.
+    first node past ``MAX_NODES_PER_ATTEMPT``.
 
     The search keeps the unvisited vertices as the bits of one integer and
     reads each vertex's neighbours as a mask from the per-process table of
@@ -546,10 +539,11 @@ def sample_cycles(
         raise ValueError("k must be positive")
     rng = random.Random(seed)
     rows = _sampler_rows(n)
+    budget = MAX_NODES_PER_ATTEMPT
     out: list[HamiltonianCycle] = []
     failures = 0
     while len(out) < k:
-        cyc = _random_cycle(n, rows, rng, max_nodes_per_attempt)
+        cyc = _random_cycle(n, rows, rng, budget)
         if cyc is not None:
             out.append(cyc)
             failures = 0
@@ -557,9 +551,9 @@ def sample_cycles(
             failures += 1
             if failures >= MAX_CONSECUTIVE_FAILURES:
                 raise RuntimeError(
-                    f"{failures} abandoned searches in a row; "
-                    f"max_nodes_per_attempt={max_nodes_per_attempt} is too "
-                    f"small to sample cycles of the {n}-cube"
+                    f"{failures} abandoned searches in a row; a budget of "
+                    f"{budget} nodes per attempt is too small to sample "
+                    f"cycles of the {n}-cube"
                 )
     return out
 

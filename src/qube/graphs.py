@@ -20,9 +20,15 @@ from .hypercube import check_dimension, near_masks, parity
 MAX_SOLVER_VERTICES = 5000
 
 
-def _check_vertex_cap(vertices: int) -> None:
+class SizeLimitExceeded(ValueError):
+    """The input is larger than the solver is rated for."""
+
+
+def check_solver_cap(vertices: int) -> None:
+    """Raise SizeLimitExceeded for a graph of more vertices than any solver
+    takes."""
     if vertices > MAX_SOLVER_VERTICES:
-        raise ValueError(f"{vertices} vertices exceeds the solver cap {MAX_SOLVER_VERTICES}")
+        raise SizeLimitExceeded(f"{vertices} vertices exceeds the solver cap {MAX_SOLVER_VERTICES}")
 
 
 class UndirectedGraph:
@@ -127,7 +133,7 @@ def hypercube_graph(n: int) -> UndirectedGraph:
     rows take about 4**n / 8 bytes, so a cube above
     ``MAX_SOLVER_VERTICES`` vertices is refused before any row is built."""
     check_dimension(n)
-    _check_vertex_cap(1 << n)
+    check_solver_cap(1 << n)
     g = UndirectedGraph(1 << n)
     g.adj = list(near_masks(n))
     return g
@@ -236,14 +242,15 @@ def _parse(text: str, kind: str) -> tuple[list[int], UndirectedGraph]:
                 if min(sizes) < 0:
                     raise ValueError(f"negative size in header {raw.strip()!r}")
                 vertices = sum(sizes[:-1])
-                _check_vertex_cap(vertices)
+                check_solver_cap(vertices)
                 g = UndirectedGraph(vertices)
                 adj = g.adj
                 n0 = sizes[0]
             else:
                 raise ValueError(f"unrecognized line {raw.strip()!r}")
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            # the cap's SizeLimitExceeded keeps its type
+            raise type(exc)(f"line {lineno}: {exc}") from None
     if g is None:
         raise ValueError("missing 'p' header line")
     if g.edge_count != sizes[-1]:

@@ -46,10 +46,11 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .graphs import (
-    MAX_SOLVER_VERTICES,
     BipartiteGraph,
     ReducedGraph,
+    SizeLimitExceeded,
     UndirectedGraph,
+    check_solver_cap,
     hypercube_bipartite,
     is_balanced,
     is_independent,
@@ -73,20 +74,11 @@ REDUCTION_MAX_N = 5
 TABLE1_SOLVE_MAX_N = 7
 
 
-class SizeLimitExceeded(ValueError):
-    """The input is larger than the solver is rated for."""
-
-
-def _check_solver_cap(n: int) -> None:
-    if n > MAX_SOLVER_VERTICES:
-        raise SizeLimitExceeded(f"{n} vertices exceeds the solver cap {MAX_SOLVER_VERTICES}")
-
-
 def check_pair_graph_cap(b: BipartiteGraph) -> None:
     """Refuse, before it is built, a pair graph of ``b`` above the solver
     cap: its |class0| * |class1| - |E| vertices have a row of that many
     bits each, so it takes about pairs**2 / 8 bytes."""
-    _check_solver_cap(len(b.class0) * len(b.class1) - b.graph.edge_count)
+    check_solver_cap(len(b.class0) * len(b.class1) - b.graph.edge_count)
 
 
 def _check_oracle_cap(n: int) -> None:
@@ -166,7 +158,7 @@ def max_independent_set(
     without covers; only the nodes below a cut node go.
     """
     n = g.vertex_count
-    _check_solver_cap(n)
+    check_solver_cap(n)
     for cover in covers:
         _check_clique_cover(g, cover)
     if n == 0:
@@ -468,7 +460,7 @@ def check_hypercube_caps(n: int, method: str) -> None:
     check_dimension(n)
     if method == "reduction":
         half = 1 << (n - 1)
-        _check_solver_cap(half * half - n * half)
+        check_solver_cap(half * half - n * half)
         if n > REDUCTION_MAX_N:
             raise SizeLimitExceeded(
                 f"the reduction solves the n-cube only for n <= {REDUCTION_MAX_N} "
@@ -477,7 +469,7 @@ def check_hypercube_caps(n: int, method: str) -> None:
     elif method == "oracle":
         _check_oracle_cap(1 << n)
     elif method == "direct":
-        _check_solver_cap(1 << n)
+        check_solver_cap(1 << n)
     else:
         raise ValueError(f"unknown method {method!r}")
 

@@ -1,7 +1,6 @@
 """End-to-end command-line behavior: JSON output, exit codes, corpus
 files, and the counterexample persistence path."""
 
-import functools
 import json
 import time
 import warnings
@@ -606,10 +605,7 @@ class TestVerify:
 
     def test_sampler_exhaustion_is_not_a_usage_error(self, capsys, monkeypatch):
         # a 2-node budget abandons every search, so the run cannot finish
-        monkeypatch.setattr(
-            "qube.cli.sample_cycles",
-            functools.partial(enumeration.sample_cycles, max_nodes_per_attempt=2),
-        )
+        monkeypatch.setattr(enumeration, "MAX_NODES_PER_ATTEMPT", 2)
         code, out, err = run(
             capsys, "verify", "--n", "4", "--sample", "1", "--seed", "0",
             "--property", "balance",

@@ -162,6 +162,17 @@ class TestPrefixSplitting:
         ]
         assert merged == [h.seq for h in q4_cycles]
 
+    @pytest.mark.parametrize("depth", [4, 8, 10])
+    def test_every_q4_prefix_has_the_same_stream_under_every_prune_config(
+        self, depth
+    ):
+        # a prefix step takes the same check as any other push, so a prefix
+        # is cut where the prunes find it dead, and never loses a cycle
+        for p in path_prefixes(4, depth):
+            pruned = [h.seq for h in enumerate_cycles(4, PruneConfig.all(), p)]
+            plain = [h.seq for h in enumerate_cycles(4, PruneConfig.none(), p)]
+            assert pruned == plain, p
+
     def test_prefix_validation(self):
         with pytest.raises(ValueError):
             list(enumerate_cycles(3, prefix=[1, 0]))
@@ -293,16 +304,25 @@ class TestFreeEdges:
         # 80,089
         assert rows_read(monkeypatch, 4, PruneConfig.all())[1] < 31_621
 
-    def test_a_prefix_is_checked_in_full(self, monkeypatch):
-        # 0 1 3 7 6 4 12 leaves vertex 5 one addable edge, {5, 13}; the last
-        # step 12 -> 14 touches no edge at 5 and keeps every dimension
-        # balanced, so only the check over every vertex after the prefix
-        # rejects it.  The prefix is pushed and popped, each push and pop
-        # from a vertex other than 0 reads its row once, and nothing beyond
-        # the prefix is searched.
+    def test_a_prefix_is_cut_at_the_push_that_breaks_the_rule(self, monkeypatch):
+        # the push of 12 makes 4 interior and leaves vertex 5 one addable
+        # edge, {5, 13}, so the prefix step 12 -> 14 is never taken.  Each
+        # push and pop from a vertex other than 0 reads its row once: the
+        # five pushes from 1, 3, 7, 6 and 4 and their pops read 10 rows.
         prefix = [0, 1, 3, 7, 6, 4, 12, 14]
         found = rows_read(monkeypatch, 4, PruneConfig.all(), prefix)
-        assert found == ([], 2 * (len(prefix) - 2))
+        assert found == ([], 2 * (prefix.index(12) - 1))
+
+    def test_a_prefix_that_walks_into_a_dead_vertex_is_not_searched(
+        self, monkeypatch
+    ):
+        # the push of 13 makes 5 interior and leaves vertex 1 one addable
+        # edge, {1, 9}: {0, 1} is retired by the first step in dimension 1.
+        # The prefix then walks into 1 through that edge, so a check of the
+        # open vertices after the prefix would pass and search below 1.
+        # The four pushes from 2, 3, 7 and 5 and their pops read 8 rows.
+        prefix = [0, 2, 3, 7, 5, 13, 9, 1]
+        assert rows_read(monkeypatch, 4, PruneConfig.all(), prefix) == ([], 8)
 
 
 class TestForcedStep:
@@ -375,11 +395,10 @@ class TestCanonicalClosingEdge:
     def test_a_first_step_in_the_last_dimension_is_cut_at_once(
         self, monkeypatch, prefix
     ):
-        # vertex 0 keeps only the edge it leaves by, so the check after the
-        # prefix rejects it: the pushes and pops of the prefix read the rows
-        # of its interior vertices, and no row past the prefix is read
+        # vertex 0 keeps only the edge it leaves by, so the first push is
+        # cut: it and its pop are steps from vertex 0, which read no row
         found = rows_read(monkeypatch, 5, PruneConfig.all(), prefix)
-        assert found == ([], 2 * (len(prefix) - 2))
+        assert found == ([], 0)
 
     @pytest.mark.parametrize("f", range(5))
     def test_q5_streams_agree_for_every_first_dimension(self, f):
@@ -388,6 +407,34 @@ class TestCanonicalClosingEdge:
         plain = [h.seq for h in enumerate_cycles(5, PruneConfig.none(), prefix)]
         assert pruned == plain
         assert len(pruned) == (1344, 1344, 1344, 672, 0)[f]
+
+
+class TestNeighbourTable:
+    """The search only reads its neighbour table, so cubes of at most
+    ``MEMO_MAX_DIM`` dimensions share one per process."""
+
+    @pytest.mark.parametrize("n", range(2, enumeration.MEMO_MAX_DIM + 1))
+    def test_one_table_of_vertex_rows_per_cube(self, n):
+        table = enumeration._neighbour_table(n)
+        assert table is enumeration._neighbour_table(n)
+        assert len(table) == 1 << n
+
+    def test_a_pruned_stream_writes_no_row(self, monkeypatch):
+        # the first step 0 -> 4 retires the closing edges {0, 1} and {0, 2};
+        # the table the search got stays the rows, below that step and after
+        tables = []
+        table = enumeration._neighbour_table
+
+        def recorded(n):
+            tables.append(table(n))
+            return tables[-1]
+
+        monkeypatch.setattr(enumeration, "_neighbour_table", recorded)
+        stream = enumerate_cycles(4, PruneConfig.all(), [0, 4])
+        next(stream)
+        assert list(tables[0]) == enumeration._rows(4)
+        assert len(list(stream)) > 0
+        assert list(tables[0]) == enumeration._rows(4)
 
 
 def is_first_use(path: list[int]) -> bool:
@@ -695,8 +742,9 @@ def reference_random_cycle(
 
 
 def reference_sample(n: int, seed: int, k: int, budget: int) -> tuple[list, int]:
-    """The seqs of ``sample_cycles(n, seed, k, budget)`` by the reference
-    search, and how many attempts it abandoned on the way."""
+    """The seqs of ``sample_cycles(n, seed, k)`` with a budget of ``budget``
+    nodes per attempt by the reference search, and how many attempts it
+    abandoned on the way."""
     rng = random.Random(seed)
     seqs, abandoned = [], 0
     while len(seqs) < k:
@@ -720,7 +768,8 @@ def sample_counting_abandoned(monkeypatch, n: int, seed: int, k: int, budget: in
         return cyc
 
     monkeypatch.setattr(enumeration, "_random_cycle", counting)
-    seqs = [h.seq for h in sample_cycles(n, seed, k, max_nodes_per_attempt=budget)]
+    monkeypatch.setattr(enumeration, "MAX_NODES_PER_ATTEMPT", budget)
+    seqs = [h.seq for h in sample_cycles(n, seed, k)]
     return seqs, len(abandoned)
 
 
@@ -783,9 +832,10 @@ class TestSampling:
         for h in sample_cycles(2, seed=9, k=4):
             assert canonical_form(h) == unique
 
-    def test_budget_guard_raises_instead_of_spinning(self):
-        with pytest.raises(RuntimeError, match="too small"):
-            sample_cycles(4, seed=0, k=1, max_nodes_per_attempt=2)
+    def test_budget_guard_raises_instead_of_spinning(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "MAX_NODES_PER_ATTEMPT", 2)
+        with pytest.raises(RuntimeError, match="abandoned searches in a row.*too small"):
+            sample_cycles(4, seed=0, k=1)
         assert MAX_CONSECUTIVE_FAILURES >= 100
 
     def test_argument_validation(self):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qube import graphs
+import qube
+from qube import graphs, independence
 from qube.graphs import (
     BipartiteGraph,
+    SizeLimitExceeded,
     UndirectedGraph,
     format_bipartite,
     format_graph,
@@ -80,8 +82,14 @@ class TestHypercubeGraphs:
             raise AssertionError("a row was built past the cap")
 
         monkeypatch.setattr(graphs, "near_masks", refuse)
-        with pytest.raises(ValueError, match="^8192 vertices exceeds the solver cap 5000$"):
+        with pytest.raises(SizeLimitExceeded, match="^8192 vertices exceeds the solver cap 5000$"):
             build(13)
+
+    def test_one_solver_cap_error(self):
+        # the solvers raise the graphs' cap error, which the package exports
+        assert independence.SizeLimitExceeded is SizeLimitExceeded
+        assert qube.SizeLimitExceeded is SizeLimitExceeded
+        assert issubclass(SizeLimitExceeded, ValueError)
 
     def test_bipartition_by_weight_parity(self):
         b = hypercube_bipartite(3)
@@ -183,7 +191,9 @@ class TestTextFormat:
 
         monkeypatch.setattr(graphs, "UndirectedGraph", refuse)
         parse = parse_bipartite if text.startswith("p bipartite") else parse_graph
-        with pytest.raises(ValueError, match="^line 1: 5001 vertices exceeds the solver cap 5000$"):
+        with pytest.raises(
+            SizeLimitExceeded, match="^line 1: 5001 vertices exceeds the solver cap 5000$"
+        ):
             parse(text)
 
     def test_bipartite_roundtrip_structure(self):
