@@ -36,10 +36,10 @@ that stops being addable never becomes addable again below that node.
   and Culberson, JAIR 9, 1998).  A wrong step would only fail the
   free-edges rule one push later.
 
-The search is one iterative loop over an explicit stack.  A neighbour
-table, which the search never writes, gives, for each vertex, its
-neighbours in dimension order together with each edge's *slot*
-``2*i + class``; the used and addable edge counts are two flat lists
+The search is one iterative loop over an explicit stack.  It reads the
+cube's :func:`~qube.hypercube.edge_rows`, and never writes them: for each
+vertex, its neighbours in dimension order together with each edge's
+*slot* ``2*i + class``; the used and addable edge counts are two flat lists
 indexed by slot, and a third list counts each vertex's free edges.  A
 step changes at most one slot per dimension and only the free counts of
 the open neighbours of the vertex it makes interior, and the node it
@@ -51,8 +51,10 @@ loops skip the edge from such an e_j (e_j < 2^f) to vertex 0, so no
 later step retires or restores it twice.  The stack keeps, for each
 depth, the candidate steps not yet tried and the slot of the edge into
 that path vertex, so the path depth 2^n meets no recursion limit.  The
-table has n·2^n entries (about 125 MB at n = 16), so enumeration
-supports 2 <= n <= ``MAX_ENUMERATION_DIM`` = 16.
+rows are kept per process up to ``NEAR_TABLE_MAX_DIM`` = 12 dimensions,
+so a search of another prefix of such a cube builds nothing, and are
+built at each call above: n·2^n entries, about 104 MB and 0.4 s at
+n = 16, so enumeration supports 2 <= n <= ``MAX_ENUMERATION_DIM`` = 16.
 
 The stream keeps a *completion memo* on cubes of at most
 ``MEMO_MAX_DIM`` = 6 dimensions, where a visited set fits a 64-bit mask
@@ -68,7 +70,6 @@ prunes cut only subtrees without a completion.  So the memo lives for one
 first step and is cleared when the search pops back to vertex 0.  It is
 dropped once its states plus the cycles it holds pass ``MEMO_CAP``, and
 states pushed before a drop are not recorded, which bounds its memory.
-Those cubes also share one neighbour table per process.
 
 :func:`count_cycles` runs the same kernel in *first-use* mode, one S_n
 orbit at a time (orderly generation, McKay 1998).  Coordinate
@@ -93,13 +94,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 from math import factorial
 from typing import Iterator, Sequence
 
 from .cycles import HamiltonianCycle
-from .hypercube import NEAR_TABLE_MAX_DIM, check_dimension, check_vertex, edge_dim, near_table
+from .hypercube import (
+    NEAR_TABLE_MAX_DIM, check_dimension, check_vertex, edge_dim, edge_rows, near_table,
+)
 
 MAX_ENUMERATION_DIM = 16
 MAX_CONSECUTIVE_FAILURES = 200
@@ -127,29 +129,6 @@ class PruneConfig:
     @classmethod
     def none(cls) -> "PruneConfig":
         return cls(False)
-
-
-def _neighbour_table(n: int) -> Sequence[tuple[tuple[int, int], ...]]:
-    """For each vertex u, its ``(u ^ 1 << i, 2*i + c)`` pairs in increasing i,
-    where c is the class of the i-edge at u (``parity_excluding(u, i)``, in
-    closed form); ``2*i + c`` is the edge's slot in the tally lists.
-
-    The search only reads the table, so the rows of a cube of at most
-    ``MEMO_MAX_DIM`` dimensions are built once per process and every call
-    returns that same tuple."""
-    return _shared_rows(n) if n <= MEMO_MAX_DIM else _rows(n)
-
-
-def _rows(n: int) -> list[tuple[tuple[int, int], ...]]:
-    return [
-        tuple((u ^ 1 << i, 2 * i + ((u.bit_count() ^ u >> i) & 1)) for i in range(n))
-        for u in range(1 << n)
-    ]
-
-
-@cache
-def _shared_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple(_rows(n))
 
 
 def check_search_args(n: int, prefix: Sequence[int] | None = None) -> None:
@@ -214,7 +193,7 @@ def _search(
     steps = [0] if prefix is None else list(prefix)
     check_search_args(n, steps)
     prune = (PruneConfig() if prunes is None else prunes).enabled
-    table = _neighbour_table(n)
+    table = edge_rows(n)
     # moves[k]: the table entry of the prefix step from depth k to k + 1
     moves = [table[u][(u ^ v).bit_length() - 1] for u, v in zip(steps, steps[1:])]
 
@@ -525,9 +504,9 @@ def sample_cycles(n: int, seed: int, k: int) -> list[HamiltonianCycle]:
     table grows fourfold per dimension, to 512 MB at n = 16, and at n = 13
     and 14 single draws already took from 2 s to 71 s.  The rows of
     neighbours in dimension order, which order each candidate list, are
-    built at the first draw on the n-cube and kept for the process too
-    (14 kB at n = 7, 2.1 MB at n = 12), so a draw does no set-up of its
-    own.
+    the search's :func:`~qube.hypercube.edge_rows`, read without their
+    slots and kept for the process too (0.05 MB at n = 7, 4.7 MB at
+    n = 12), so a draw does no set-up of its own.
     """
     check_dimension(n)
     if not 2 <= n <= NEAR_TABLE_MAX_DIM:
@@ -538,7 +517,7 @@ def sample_cycles(n: int, seed: int, k: int) -> list[HamiltonianCycle]:
     if k < 1:
         raise ValueError("k must be positive")
     rng = random.Random(seed)
-    rows = _sampler_rows(n)
+    rows = edge_rows(n)
     budget = MAX_NODES_PER_ATTEMPT
     out: list[HamiltonianCycle] = []
     failures = 0
@@ -558,14 +537,6 @@ def sample_cycles(n: int, seed: int, k: int) -> list[HamiltonianCycle]:
     return out
 
 
-@cache
-def _sampler_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """``rows[v]``, the neighbours of v in increasing dimension order,
-    built at the first draw on the n-cube and kept for the process."""
-    bits = [1 << i for i in range(n)]
-    return tuple(tuple(map(v.__xor__, bits)) for v in range(1 << n))
-
-
 # Random.shuffle's steps on a list of m items, as (i, k) for i from m - 1
 # down to 1: it swaps item i with item _randbelow(i + 1), which draws
 # getrandbits(k), k = (i + 1).bit_length(), until the value is below i + 1.
@@ -576,7 +547,7 @@ _SHUFFLE_STEPS = tuple(
 
 
 def _random_cycle(
-    n: int, rows: Sequence[tuple[int, ...]], rng: random.Random, budget: int
+    n: int, rows: Sequence[tuple[tuple[int, int], ...]], rng: random.Random, budget: int
 ) -> HamiltonianCycle | None:
     """One search from vertex 0, or None once it passes ``budget`` nodes.
 
@@ -610,7 +581,7 @@ def _random_cycle(
     def free_count(w: int) -> int:
         return (near[w] & unseen).bit_count()
 
-    cands = list(rows[0])
+    cands = [w for w, _ in rows[0]]
     for i, k in steps[n]:
         j = getrandbits(k)
         while j > i:
@@ -664,7 +635,7 @@ def _random_cycle(
                 # a plain loop, cheaper here than a comprehension, which
                 # is a function call of its own in CPython 3.11
                 c = []
-                for w in rows[v]:
+                for w, _ in rows[v]:
                     if free >> w & 1:
                         c.append(w)
                 if len(c) == 2:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .hypercube import check_dimension, near_masks, parity
+from .hypercube import check_dimension, near_table, parity
 
 # No solver takes a graph of more vertices, so a header or a cube above it
 # is refused before its graph is allocated.
@@ -129,13 +129,13 @@ class ReducedGraph:
 
 def hypercube_graph(n: int) -> UndirectedGraph:
     """The n-cube as an UndirectedGraph on vertices 0..2**n-1, whose rows
-    are the neighbour masks of :func:`~qube.hypercube.near_masks`.  The
+    are the neighbour masks of :func:`~qube.hypercube.near_table`.  The
     rows take about 4**n / 8 bytes, so a cube above
     ``MAX_SOLVER_VERTICES`` vertices is refused before any row is built."""
     check_dimension(n)
     check_solver_cap(1 << n)
     g = UndirectedGraph(1 << n)
-    g.adj = list(near_masks(n))
+    g.adj = list(near_table(n))
     return g
 
 

@@ -13,18 +13,20 @@ adjacent when they differ in exactly one entry.  An *i-edge* joins ``b`` and
 machine word and per-dimension tables stay small.
 
 A vertex's neighbours are also one integer, the mask with bit ``v ^ 1 << i``
-set for each i (``near_table``): square detection and the sampler test a
-set of vertices for a neighbour of v with one AND.
+set for each i (``near_table``): square detection, the sampler and the
+cube's graph test a set of vertices for a neighbour of v with one AND.
+They are also one row of ``edge_rows``, each with its edge's dimension
+and class, which the search and the sampler walk.  A process keeps both
+tables for n <= ``NEAR_TABLE_MAX_DIM`` only.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterator
 
 MAX_DIM = 24
-# Cubes up to this dimension keep one table of neighbour masks per process:
-# 4**n / 8 bytes, 2 MB at n = 12 (and 512 MB at n = 16).
+# Cubes up to this dimension keep both tables per process: the masks take
+# 4**n / 8 bytes (2 MB at n = 12, 512 MB at n = 16), the rows 4.7 MB at 12.
 NEAR_TABLE_MAX_DIM = 12
 
 
@@ -124,7 +126,7 @@ def isomorphism_violations(n: int) -> tuple[int, list[dict]]:
 
 class _NearMasks:
     """``near[v]``, the mask of v's neighbours in the n-cube, computed at
-    each lookup; iterating yields the masks of vertices 0 .. 2**n - 1."""
+    each lookup."""
 
     def __init__(self, n: int) -> None:
         self.steps = [1 << j for j in range(n)]
@@ -132,18 +134,13 @@ class _NearMasks:
     def __getitem__(self, v: int) -> int:
         return sum(1 << (v ^ s) for s in self.steps)
 
-    def __len__(self) -> int:
-        return 1 << len(self.steps)
-
-    def __iter__(self) -> Iterator[int]:
-        return map(self.__getitem__, range(len(self)))
-
 
 @cache
 def near_table(n: int) -> tuple[int, ...]:
     """The mask of each vertex's neighbours in the n-cube, built once per
     process; for n <= ``NEAR_TABLE_MAX_DIM``."""
-    return tuple(_NearMasks(n))
+    near = _NearMasks(n)
+    return tuple([near[v] for v in range(1 << n)])
 
 
 def near_masks(n: int) -> tuple[int, ...] | _NearMasks:
@@ -151,3 +148,19 @@ def near_masks(n: int) -> tuple[int, ...] | _NearMasks:
     up to ``NEAR_TABLE_MAX_DIM`` dimensions, each mask computed when it is
     read above."""
     return near_table(n) if n <= NEAR_TABLE_MAX_DIM else _NearMasks(n)
+
+
+def edge_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each vertex u of the n-cube, its ``(u ^ 1 << i, 2*i + c)`` pairs
+    in increasing i, where c is the class of the i-edge at u
+    (:func:`parity_excluding`, in closed form).  Built once per process
+    for n <= ``NEAR_TABLE_MAX_DIM``, and at each call above."""
+    return _edge_rows(n) if n <= NEAR_TABLE_MAX_DIM else _edge_rows.__wrapped__(n)
+
+
+@cache
+def _edge_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    return tuple([
+        tuple([(u ^ 1 << i, 2 * i + ((u.bit_count() ^ u >> i) & 1)) for i in range(n)])
+        for u in range(1 << n)
+    ])

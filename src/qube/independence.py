@@ -88,12 +88,10 @@ def _check_oracle_cap(n: int) -> None:
 
 def _permute_rows(rows: Iterable[int], source: Sequence[int], width: int) -> list[int]:
     """Each row of ``width`` bits rewritten so that its bit p is its bit
-    ``source[p]``; bits that ``source`` does not name are dropped.  A row
+    ``source[p]``, for a permutation ``source`` of 0..width-1.  A row
     takes four C calls and no Python loop: it is written as a binary
     string, its characters are picked in the new order and joined, and
     the result is read back.  A row must have no bit from ``width`` up."""
-    if not source:
-        return [0 for _ in rows]
     # bin(row | top) is "0b1" and then the row's bits from width - 1 down,
     # so bit w is character width + 2 - w; the picked string ends in bit 0
     pick = itemgetter(*[width + 2 - w for w in reversed(source)])
@@ -307,7 +305,9 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     vertex.  Any (sel, tmask) yields a balanced independent set of size
     2 * min(|sel|, |tmask|), and both quantities only shrink along a
     branch, which gives the first pruning bound, min(|sel| + |cands|,
-    |tmask|).
+    |tmask|).  The masks are the graph's rows shifted down by ``lo``, the
+    other class's lowest vertex, so bit p of ``tmask`` is vertex lo + p:
+    that keeps them narrow when the class is last, as in a parsed file.
 
     The second is König's.  A completion adds some S' of ``cands`` and
     keeps some T' of ``tmask`` with no edge between them, so S' ∪ T' is
@@ -337,15 +337,15 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     (|sel| + 1 + max(|tail|, |t2|)) // 2; when that beats best, the
     matching could not cut and is not built.
     """
-    side0 = list(b.class0)
-    side1 = list(b.class1)
+    side0, side1, full1 = b.class0, b.class1, b.mask1
     if len(side1) < len(side0):
-        side0, side1 = side1, side0
+        side0, side1, full1 = side1, side0, b.mask0
     if not side0:
         return 0, []
     k1 = len(side1)
-    full1 = (1 << k1) - 1
-    neigh = _permute_rows([b.graph.adj[v] for v in side0], side1, b.vertex_count)
+    lo = side1[0]
+    full1 >>= lo
+    neigh = [b.graph.adj[v] >> lo for v in side0]
     nonadj = [full1 & ~m for m in neigh]
     n0 = len(side0)
 
@@ -419,7 +419,7 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     mask = best_state[1]
     while mask and len(chosen1) < best:
         low = mask & -mask
-        chosen1.append(side1[low.bit_length() - 1])
+        chosen1.append(lo + low.bit_length() - 1)
         mask ^= low
     return 2 * best, sorted(chosen0 + chosen1)
 

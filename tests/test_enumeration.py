@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qube import enumeration
+from qube import enumeration, hypercube
 from qube.cycles import HamiltonianCycle, validate_cycle
 from qube.enumeration import (
     MAX_CONSECUTIVE_FAILURES,
@@ -409,32 +409,81 @@ class TestCanonicalClosingEdge:
         assert len(pruned) == (1344, 1344, 1344, 672, 0)[f]
 
 
-class TestNeighbourTable:
-    """The search only reads its neighbour table, so cubes of at most
-    ``MEMO_MAX_DIM`` dimensions share one per process."""
+def rows_from_scratch(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Each vertex's neighbours in increasing dimension, each with the slot
+    ``2*i + class`` of its edge."""
+    return [
+        tuple((u ^ 1 << i, 2 * i + parity_excluding(u, i)) for i in range(n))
+        for u in range(1 << n)
+    ]
 
-    @pytest.mark.parametrize("n", range(2, enumeration.MEMO_MAX_DIM + 1))
+
+class TestNeighbourTable:
+    """The search and the sampler only read the cube's edge rows, so cubes
+    of at most ``NEAR_TABLE_MAX_DIM`` dimensions keep one table per
+    process, and a larger cube's rows are built at each call."""
+
+    @pytest.mark.parametrize("n", range(2, hypercube.NEAR_TABLE_MAX_DIM + 1))
     def test_one_table_of_vertex_rows_per_cube(self, n):
-        table = enumeration._neighbour_table(n)
-        assert table is enumeration._neighbour_table(n)
-        assert len(table) == 1 << n
+        table = hypercube.edge_rows(n)
+        assert table is hypercube.edge_rows(n)
+        assert list(table) == rows_from_scratch(n)
+
+    @pytest.mark.parametrize("n", range(2, hypercube.NEAR_TABLE_MAX_DIM + 1))
+    def test_the_search_and_the_sampler_read_one_table(self, monkeypatch, n):
+        tables = []
+        read = enumeration.edge_rows
+
+        def drawn(n, rows, rng, budget):
+            tables.append(rows)
+            return "drawn"
+
+        monkeypatch.setattr(enumeration, "edge_rows", lambda n: tables.append(read(n)) or tables[-1])
+        monkeypatch.setattr(enumeration, "_random_cycle", drawn)
+        assert next(enumerate_cycles(n, prefix=gray_code(n))).seq == tuple(gray_code(n))
+        assert sample_cycles(n, 0, 1) == ["drawn"]
+        assert len(tables) == 3
+        assert all(table is hypercube.edge_rows(n) for table in tables)
+
+    def test_a_second_prefix_stream_builds_nothing(self, monkeypatch):
+        # above MEMO_MAX_DIM the rows are kept too: a search of each prefix
+        # reads the one table and builds none
+        tables = []
+        read = enumeration.edge_rows
+        monkeypatch.setattr(enumeration, "edge_rows", lambda n: tables.append(read(n)) or tables[-1])
+        assert next(enumerate_cycles(8, prefix=gray_code(8))).seq == tuple(gray_code(8))
+        built = hypercube._edge_rows.cache_info().misses
+        assert next(enumerate_cycles(8, prefix=gray_code(8)[:200]), None) is not None
+        assert hypercube._edge_rows.cache_info().misses == built
+        assert tables[1] is tables[0]
+
+    def test_a_cube_above_the_kept_ones_is_not_kept(self, monkeypatch):
+        tables = []
+        read = enumeration.edge_rows
+        monkeypatch.setattr(enumeration, "edge_rows", lambda n: tables.append(read(n)) or tables[-1])
+        kept = hypercube._edge_rows.cache_info().currsize
+        for _ in range(2):
+            assert next(enumerate_cycles(13, prefix=gray_code(13))).seq == tuple(gray_code(13))
+        assert hypercube._edge_rows.cache_info().currsize == kept
+        assert tables[1] is not tables[0]
+        assert list(tables[1]) == rows_from_scratch(13)
 
     def test_a_pruned_stream_writes_no_row(self, monkeypatch):
         # the first step 0 -> 4 retires the closing edges {0, 1} and {0, 2};
         # the table the search got stays the rows, below that step and after
         tables = []
-        table = enumeration._neighbour_table
+        read = enumeration.edge_rows
 
         def recorded(n):
-            tables.append(table(n))
+            tables.append(read(n))
             return tables[-1]
 
-        monkeypatch.setattr(enumeration, "_neighbour_table", recorded)
+        monkeypatch.setattr(enumeration, "edge_rows", recorded)
         stream = enumerate_cycles(4, PruneConfig.all(), [0, 4])
         next(stream)
-        assert list(tables[0]) == enumeration._rows(4)
+        assert list(tables[0]) == rows_from_scratch(4)
         assert len(list(stream)) > 0
-        assert list(tables[0]) == enumeration._rows(4)
+        assert list(tables[0]) == rows_from_scratch(4)
 
 
 def is_first_use(path: list[int]) -> bool:
@@ -563,9 +612,9 @@ def rows_read(monkeypatch, n, cfg, prefix=None) -> tuple[list, int]:
             count[0] += 1
             return super().__iter__()
 
-    table = enumeration._neighbour_table
+    table = enumeration.edge_rows
     with monkeypatch.context() as m:
-        m.setattr(enumeration, "_neighbour_table",
+        m.setattr(enumeration, "edge_rows",
                   lambda n: [CountedRow(row) for row in table(n)])
         seqs = [h.seq for h in enumerate_cycles(n, cfg, prefix)]
     return seqs, count[0]
@@ -881,7 +930,7 @@ class TestSampling:
         # Every walk on Q3 shuffles pairs whose vertices have as many
         # visited neighbours, so the shuffle alone orders them, and the
         # reference shuffles them with Random.shuffle.
-        rows = [tuple(v ^ 1 << i for i in range(3)) for v in range(8)]
+        rows = rows_from_scratch(3)
         for seed in range(500):
             ours, ref = random.Random(seed), random.Random(seed)
             cycle = enumeration._random_cycle(3, rows, ours, 100)
@@ -907,24 +956,25 @@ class TestSampling:
                 assert ours.getstate() == ref.getstate(), (m, seed)
 
     def test_the_rows_table_is_built_once_per_process_and_n(self):
-        enumeration._sampler_rows.cache_clear()
+        hypercube._edge_rows.cache_clear()
         sample_cycles(5, seed=0, k=2)
         sample_cycles(5, seed=1, k=3)
         sample_cycles(4, seed=0, k=1)
-        assert enumeration._sampler_rows.cache_info().misses == 2
+        assert hypercube._edge_rows.cache_info().misses == 2
 
     def test_importing_builds_no_rows_table(self):
-        # a fresh interpreter, as the table is built at the first draw
+        # a fresh interpreter, as each table of the cube, the edge rows and
+        # the neighbour masks, is built at its first use
         src = os.path.dirname(os.path.dirname(enumeration.__file__))
         probe = (
             f"import sys; sys.path.insert(0, {src!r}); "
-            "import qube, qube.enumeration as e; "
-            "print(e._sampler_rows.cache_info().currsize)"
+            "import qube, qube.hypercube as h; "
+            "print(h._edge_rows.cache_info().currsize, h.near_table.cache_info().currsize)"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         ).stdout
-        assert out == "0\n"
+        assert out == "0 0\n"
 
     @pytest.mark.parametrize("n,seed,k,budget", SAMPLER_RUNS)
     def test_same_stream_and_abandoned_attempts_as_the_reference(

@@ -70,7 +70,8 @@ class TestHypercubeGraphs:
         # n = 13 reads masks computed at lookup, past the kept table; its
         # 8192 vertices are past the solver cap, so it builds no graph
         rows = [sum(1 << (v ^ 1 << i) for i in range(n)) for v in range(1 << n)]
-        assert list(near_masks(n)) == rows
+        near = near_masks(n)
+        assert [near[v] for v in range(1 << n)] == rows
         if n <= 12:
             assert hypercube_graph(n).adj == rows
 
@@ -81,7 +82,7 @@ class TestHypercubeGraphs:
         def refuse(n):
             raise AssertionError("a row was built past the cap")
 
-        monkeypatch.setattr(graphs, "near_masks", refuse)
+        monkeypatch.setattr(graphs, "near_table", refuse)
         with pytest.raises(SizeLimitExceeded, match="^8192 vertices exceeds the solver cap 5000$"):
             build(13)
 
