@@ -418,6 +418,14 @@ def rows_from_scratch(n: int) -> list[tuple[tuple[int, int], ...]]:
     ]
 
 
+def record_tables(monkeypatch) -> list:
+    """Patch ``enumeration.edge_rows`` to record each table it hands out."""
+    tables = []
+    read = enumeration.edge_rows
+    monkeypatch.setattr(enumeration, "edge_rows", lambda n: tables.append(read(n)) or tables[-1])
+    return tables
+
+
 class TestNeighbourTable:
     """The search and the sampler only read the cube's edge rows, so cubes
     of at most ``NEAR_TABLE_MAX_DIM`` dimensions keep one table per
@@ -431,14 +439,12 @@ class TestNeighbourTable:
 
     @pytest.mark.parametrize("n", range(2, hypercube.NEAR_TABLE_MAX_DIM + 1))
     def test_the_search_and_the_sampler_read_one_table(self, monkeypatch, n):
-        tables = []
-        read = enumeration.edge_rows
+        tables = record_tables(monkeypatch)
 
         def drawn(n, rows, rng, budget):
             tables.append(rows)
             return "drawn"
 
-        monkeypatch.setattr(enumeration, "edge_rows", lambda n: tables.append(read(n)) or tables[-1])
         monkeypatch.setattr(enumeration, "_random_cycle", drawn)
         assert next(enumerate_cycles(n, prefix=gray_code(n))).seq == tuple(gray_code(n))
         assert sample_cycles(n, 0, 1) == ["drawn"]
@@ -448,9 +454,7 @@ class TestNeighbourTable:
     def test_a_second_prefix_stream_builds_nothing(self, monkeypatch):
         # above MEMO_MAX_DIM the rows are kept too: a search of each prefix
         # reads the one table and builds none
-        tables = []
-        read = enumeration.edge_rows
-        monkeypatch.setattr(enumeration, "edge_rows", lambda n: tables.append(read(n)) or tables[-1])
+        tables = record_tables(monkeypatch)
         assert next(enumerate_cycles(8, prefix=gray_code(8))).seq == tuple(gray_code(8))
         built = hypercube._edge_rows.cache_info().misses
         assert next(enumerate_cycles(8, prefix=gray_code(8)[:200]), None) is not None
@@ -458,9 +462,7 @@ class TestNeighbourTable:
         assert tables[1] is tables[0]
 
     def test_a_cube_above_the_kept_ones_is_not_kept(self, monkeypatch):
-        tables = []
-        read = enumeration.edge_rows
-        monkeypatch.setattr(enumeration, "edge_rows", lambda n: tables.append(read(n)) or tables[-1])
+        tables = record_tables(monkeypatch)
         kept = hypercube._edge_rows.cache_info().currsize
         for _ in range(2):
             assert next(enumerate_cycles(13, prefix=gray_code(13))).seq == tuple(gray_code(13))
@@ -471,14 +473,7 @@ class TestNeighbourTable:
     def test_a_pruned_stream_writes_no_row(self, monkeypatch):
         # the first step 0 -> 4 retires the closing edges {0, 1} and {0, 2};
         # the table the search got stays the rows, below that step and after
-        tables = []
-        read = enumeration.edge_rows
-
-        def recorded(n):
-            tables.append(read(n))
-            return tables[-1]
-
-        monkeypatch.setattr(enumeration, "edge_rows", recorded)
+        tables = record_tables(monkeypatch)
         stream = enumerate_cycles(4, PruneConfig.all(), [0, 4])
         next(stream)
         assert list(tables[0]) == rows_from_scratch(4)
