@@ -2,7 +2,8 @@
 
 Every case runs ``qube.cli.main`` in-process on deterministic inputs (all
 cycles of the 3-cube, a slice of the 4-cube enumeration, rotated, reversed
-and relabelled Gray cycles, and small graph files) and compares stdout,
+and relabelled Gray cycles, rotated and reversed seeded samples of the 6-
+and 7-cube, and small graph files) and compares stdout,
 the exit code and any written files byte for byte with
 ``data/golden_cli.json``.  The only field left out is the timing
 ``"seconds"`` of ``verify`` reports.
@@ -27,7 +28,7 @@ import pytest
 
 from qube.cli import main
 from qube.cycles import gray_cycle, permute_dims
-from qube.enumeration import enumerate_cycles, path_prefixes, write_prefixes
+from qube.enumeration import enumerate_cycles, path_prefixes, sample_cycles, write_prefixes
 from qube.graphs import format_bipartite, hypercube_bipartite
 
 GOLDEN = Path(__file__).with_name("data") / "golden_cli.json"
@@ -58,6 +59,10 @@ def write_inputs(root: Path) -> None:
     g6 = gray_cycle(6)
     cycles("g6.jsonl", [g6.rotated(13).reversed_cycle(),
                         permute_dims(g6, [5, 2, 0, 4, 1, 3]).rotated(30)])
+    s6 = sample_cycles(6, 3, 2)
+    cycles("s6.jsonl", [s6[0], s6[1].rotated(17).reversed_cycle()])
+    s7 = sample_cycles(7, 3, 2)
+    cycles("s7.jsonl", [s7[0].rotated(45), s7[1].reversed_cycle()])
     (root / "pre.txt").write_text(write_prefixes(path_prefixes(4, 3)), encoding="utf-8")
     (root / "q3.graph").write_text(format_bipartite(hypercube_bipartite(3)), encoding="utf-8")
     (root / "small.graph").write_text(SMALL_BIPARTITE, encoding="utf-8")
@@ -91,6 +96,12 @@ CASES: dict[str, tuple[list[str], list[str]]] = {
     "squares_q4_first_only": (["squares", "--in", "q4.jsonl", "--first-only"], []),
     "squares_g5": (["squares", "--in", "g5.jsonl"], []),
     "squares_g6_first_only": (["squares", "--in", "g6.jsonl", "--first-only"], []),
+    "analyze_s6": (["analyze", "--in", "s6.jsonl"], []),
+    "analyze_s7": (["analyze", "--in", "s7.jsonl"], []),
+    "squares_s6": (["squares", "--in", "s6.jsonl"], []),
+    "squares_s7": (["squares", "--in", "s7.jsonl"], []),
+    "squares_s6_first_only": (["squares", "--in", "s6.jsonl", "--first-only"], []),
+    "squares_s7_first_only": (["squares", "--in", "s7.jsonl", "--first-only"], []),
     "equiind_q3_direct": (["equiind", "--hypercube", "3", "--method", "direct"], []),
     "equiind_q3_reduction": (["equiind", "--hypercube", "3", "--method", "reduction"], []),
     "equiind_q3_oracle": (["equiind", "--hypercube", "3", "--method", "oracle"], []),
