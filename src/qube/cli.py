@@ -56,7 +56,7 @@ from .independence import (
     equi_reduction,
     table1_rows,
 )
-from .squares import EquiValueUnavailable, find_squares, pigeonhole_report, rim_threshold
+from .squares import EquiValueUnavailable, pigeonhole_report, rim_threshold, square_rows
 from .verify import PROPERTIES, persist_square_free, sweep, sweep_exhaustive
 
 # ---------------------------------------------------------------------------
@@ -272,11 +272,11 @@ def cmd_squares(args: argparse.Namespace) -> int:
     # line is the json.dumps of {"n", "count", "squares": [to_dict(), ...]}
     write = sys.stdout.write
     for cyc in list(read_cycles(args.infile)):
-        squares = find_squares(cyc)
+        rows = square_rows(cyc)
         if args.first_only:
-            squares = squares[:1]
-        body = ", ".join([_SQUARE % (i, kind, a, b, j) for i, (a, b), kind, j in squares])
-        write('{"n": %d, "count": %d, "squares": [%s]}\n' % (cyc.n, len(squares), body))
+            rows = rows[:1]
+        body = ", ".join([_SQUARE % (i, kind, a, k, j) for i, a, k, kind, j in rows])
+        write('{"n": %d, "count": %d, "squares": [%s]}\n' % (cyc.n, len(rows), body))
     return 0
 
 

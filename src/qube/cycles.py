@@ -309,17 +309,27 @@ class DimensionProfile:
 def _profile(h: HamiltonianCycle, i: int, positions: list[int]) -> DimensionProfile:
     """Dimension i's profile from its edge start positions, in increasing
     order.  The normalized rotation starts at the earliest i-edge leaving a
-    vertex with bit i clear; valid cycles alternate the direction of their
-    i-edges.  Its positions are the tail of ``positions`` from that edge
-    on, then the head wrapped past the end."""
-    seq = h.seq
-    first = next((m for m, k in enumerate(positions) if not seq[k] >> i & 1), None)
-    if first is None:
+    vertex with bit i clear.  Bit i changes only along i-edges, so on any
+    closed walk they alternate direction: that edge is the first i-edge or
+    else the second, and a walk without i-edges raises DimensionUnused.
+    Its positions are the tail of ``positions`` from that edge on, then
+    the head wrapped past the end.  The fields go straight into the
+    instance dict, where :class:`_lazy` also writes, without the frozen
+    dataclass's ``__init__`` and its ``object.__setattr__`` per field."""
+    if not positions:
         raise DimensionUnused(f"no i-edge leaves a vertex with bit i clear (i={i})")
+    seq = h.seq
+    first = seq[positions[0]] >> i & 1
     shift = positions[first]
     wrap = len(seq) - shift
     idx = [k - shift for k in positions[first:]] + [k + wrap for k in positions[:first]]
-    return DimensionProfile(i, h, shift, tuple(idx))
+    profile = object.__new__(DimensionProfile)
+    attrs = profile.__dict__
+    attrs["dim"] = i
+    attrs["cycle"] = h
+    attrs["shift"] = shift
+    attrs["index_list"] = tuple(idx)
+    return profile
 
 
 def dimension_profiles(h: HamiltonianCycle) -> list[DimensionProfile]:

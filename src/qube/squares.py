@@ -16,10 +16,11 @@ edges in cycle order and keeps, per dimension, the mask of the bases met
 so far; an edge closes a square with each earlier rim whose base lies in
 the mask of its base's neighbours: one AND per edge.  ``has_square``
 stops at the first such edge, and the threshold check runs the scan over
-one dimension's edges.  ``find_squares`` lets it run to the end, keeping
-each closing edge with the mask of its earlier rims, and maps each
-earlier base back to its start position through the cycle's
-vertex-to-position array.
+one dimension's edges.  ``square_rows`` is the one listing: it runs the
+scan to the end, records where each rim starts as it passes, and emits
+each square as a plain row when its later rim closes it.  The ``squares``
+command formats those rows, and ``find_squares`` wraps them as
+:class:`InscribedSquare`.
 
 Above a per-dimension usage threshold a square with that rim dimension is
 forced (``rim_threshold``); ``pigeonhole_report`` is the counting argument
@@ -29,10 +30,11 @@ that forces one in every Hamiltonian cycle of small cubes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .cycles import HamiltonianCycle, positions_by_dim
-from .hypercube import near_masks
+from .hypercube import NEAR_TABLE_MAX_DIM, near_masks
 
 
 class EquiValueUnavailable(LookupError):
@@ -56,6 +58,10 @@ ALPHA_EQUI_HYPERCUBE: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 16, 7:
 ALPHA_EQUI_COMPUTED: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 20, 7: 44}
 
 
+# the sort key of a square row: where its earlier rim starts
+_EARLIER_START = itemgetter(1)
+
+
 class InscribedSquare(NamedTuple):
     """Two same-dimension cycle edges forming opposite sides of a 4-cycle.
 
@@ -77,16 +83,12 @@ class InscribedSquare(NamedTuple):
         }
 
 
-def _rim_scan(
-    h: HamiltonianCycle, starts: Iterable[int] | None = None, found: list | None = None
-) -> bool:
+def _rim_scan(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> bool:
     """Whether two cycle edges among those starting at ``starts`` (by
     default every edge, the closing one included) are the rims of a square.
     ``bases[i]`` holds the bases ``u & w`` of the i-edges met so far, and an
     i-edge with base b is a later rim exactly when that mask meets
-    ``near[b]``.  The scan stops at the first such edge, unless ``found``
-    is given: then it appends (i, start k, b, mask of the earlier rims'
-    bases) for every such edge."""
+    ``near[b]``.  The scan stops at the first such edge."""
     seq = h.seq
     size = len(seq)
     near = near_masks(h.n)
@@ -98,44 +100,63 @@ def _rim_scan(
         i = (u ^ w).bit_length() - 1
         seen = bases[i]
         if seen & near[b]:
-            if found is None:
-                return True
-            found.append((i, k, b, seen & near[b]))
+            return True
         bases[i] = seen | 1 << b
-    return bool(found)
+    return False
+
+
+def square_rows(h: HamiltonianCycle) -> list[tuple[int, int, int, str, int]]:
+    """All inscribed squares of the cycle as plain rows ``(rim_dim,
+    earlier rim start, later rim start, kind, ray_dim)``, sorted.  The scan
+    of :func:`_rim_scan` runs to the end and records where the i-edge with
+    base b starts at ``start[i << n | b]`` as it passes, so each later rim
+    emits a row for every earlier rim in its hit mask at once; the ray is
+    the bit where the two bases differ.  Rows go to one list per rim
+    dimension in the order of their later rims, so a stable sort on the
+    earlier start orders each list.  (A closed walk that reads an i-edge
+    twice keeps its latest start, so a later rim pairs with that reading
+    only.)  ``start`` is a list of n * 2**n slots up to
+    ``NEAR_TABLE_MAX_DIM`` dimensions (7 KB at n = 7, 0.4 MB at n = 12),
+    and above that a dict of one entry per cycle edge, as the list would
+    take 3.2 GB at n = 24."""
+    seq = h.seq
+    n = h.n
+    near = near_masks(n)
+    bases = [0] * n
+    start: list[int] | dict[int, int] = [0] * (n << n) if n <= NEAR_TABLE_MAX_DIM else {}
+    by_dim = [[] for _ in range(n)]
+    for k, u, w in zip(range(len(seq)), seq, seq[1:] + seq[:1]):
+        b = u & w
+        i = (u ^ w).bit_length() - 1
+        seen = bases[i]
+        hit = seen & near[b]
+        key = i << n
+        if hit:
+            emit = by_dim[i].append
+            while hit:
+                low = hit & -hit
+                e = low.bit_length() - 1
+                a = start[key | e]
+                kind = "straight" if (seq[a] ^ u) >> i & 1 else "twisted"
+                emit((i, a, k, kind, (b ^ e).bit_length() - 1))
+                hit ^= low
+        bases[i] = seen | 1 << b
+        start[key | b] = k
+    rows = []
+    for dim_rows in by_dim:
+        dim_rows.sort(key=_EARLIER_START)
+        rows += dim_rows
+    return rows
 
 
 def find_squares(h: HamiltonianCycle) -> list[InscribedSquare]:
     """All inscribed squares of the cycle, ordered by rim dimension and
-    then rim start positions (the rims fix the ray).  An earlier rim with
-    base e starts where e stands, or one step before when the cycle enters
-    it from e's upper end; the ray is the bit where the two bases differ.
-    Each square is built by ``tuple.__new__``, as ``InscribedSquare._make``
-    does, without a call of the generated ``__new__``."""
-    found: list[tuple[int, int, int, int]] = []
-    _rim_scan(h, found=found)
-    seq = h.seq
-    at = [0] * (1 << h.n)  # a closed walk may miss vertices of its cube
-    for k, v in enumerate(seq):
-        at[v] = k
-    pairs = []
-    for i, k, b, hit in found:
-        while hit:
-            low = hit & -hit
-            e = low.bit_length() - 1
-            a = at[e]
-            if seq[a - 1] == e | 1 << i:  # a > 0: the closing edge is scanned last
-                a -= 1
-            pairs.append((i, a, k, (b ^ e).bit_length() - 1))
-            hit ^= low
-    pairs.sort()
+    then rim start positions (the rims fix the ray): the rows of
+    :func:`square_rows`, each built by ``tuple.__new__`` as
+    ``InscribedSquare._make`` does, without a call of the generated
+    ``__new__``."""
     new = tuple.__new__
-    return [
-        new(InscribedSquare, (
-            i, (a, k), "straight" if (seq[a] ^ seq[k]) >> i & 1 else "twisted", j
-        ))
-        for i, a, k, j in pairs
-    ]
+    return [new(InscribedSquare, (i, (a, k), kind, j)) for i, a, k, kind, j in square_rows(h)]
 
 
 def has_square(h: HamiltonianCycle) -> bool:

@@ -234,6 +234,62 @@ class TestNormalize:
             dimension_profiles(fake)
 
 
+def earliest_edge_leaving_bit_clear(h: HamiltonianCycle, i: int, positions: list[int]) -> int:
+    """Oracle: the index in ``positions`` of the earliest i-edge that
+    leaves a vertex with bit i clear, found by scanning them all."""
+    return next(m for m, k in enumerate(positions) if not h.seq[k] >> i & 1)
+
+
+class TestNormalizingEdge:
+    """The profiles read their normalizing edge among the first two
+    i-edges; on valid cycles that is the edge a full scan finds."""
+
+    def test_first_or_second_edge_is_the_earliest_one(self, q3_cycles, q4_cycles,
+                                                       q5_samples, q6_samples):
+        cycles = (q3_cycles + q4_cycles + q5_samples[:2000] + q6_samples[:2000]
+                  + sample_cycles(7, 3, 8))
+        for h in cycles + [h.rotated(5).reversed_cycle() for h in cycles]:
+            for i, (p, positions) in enumerate(zip(dimension_profiles(h), positions_by_dim(h))):
+                m = earliest_edge_leaving_bit_clear(h, i, positions)
+                assert m in (0, 1)
+                assert p.shift == positions[m]
+                assert p.index_list[0] == 0
+
+    def test_closed_walks_alternate_their_edge_directions(self):
+        # bit i changes only along i-edges, so the reading holds on closed
+        # walks that are not cycles too; a dimension without edges is unused
+        walk_rng = random.Random(36)
+        for _ in range(200):
+            n = walk_rng.randrange(2, 6)
+            seq = [0]
+            for _ in range(walk_rng.randrange(1, 12)):
+                seq.append(seq[-1] ^ 1 << walk_rng.randrange(n))
+            v = seq.pop()
+            for i in range(n):  # close the walk, one bit at a time
+                if v >> i & 1:
+                    seq.append(v)
+                    v ^= 1 << i
+            h = HamiltonianCycle(n, tuple(seq))
+            for i, positions in enumerate(positions_by_dim(h)):
+                if not positions:
+                    with pytest.raises(DimensionUnused):
+                        dimension_profile(h, i)
+                    continue
+                m = earliest_edge_leaving_bit_clear(h, i, positions)
+                assert m in (0, 1)
+                assert dimension_profile(h, i).shift == positions[m]
+
+    def test_both_first_edges_are_read(self):
+        # dimension 0 of the reflected code leaves 0 first; started one
+        # step later, its first 0-edge runs 3 -> 2 and the second, at
+        # position 3, 6 -> 7
+        h = gray_cycle(3)
+        assert dimension_profile(h, 0).shift == 0
+        later = dimension_profile(h.rotated(1), 0)
+        assert later.shift == 3
+        assert later.normalized.seq[:2] == (6, 7)
+
+
 class TestDimensionProfile:
     def test_hand_checked_dim0(self):
         p = dimension_profile(gray_cycle(3), 0)

@@ -17,6 +17,7 @@ from qube.squares import (
     find_squares,
     has_square,
     rim_threshold,
+    square_rows,
 )
 
 
@@ -56,6 +57,17 @@ def as_tuples(squares: list[InscribedSquare]) -> set[tuple]:
     return {(s.rim_dim, s.rim_indexes, s.kind, s.ray_dim) for s in squares}
 
 
+def assert_listings_match_the_oracle(h: HamiltonianCycle) -> None:
+    """``square_rows`` and ``find_squares`` both list exactly the squares
+    of the brute-force oracle, sorted, and ``find_squares`` wraps the rows."""
+    expected = brute_force_squares(h)
+    rows = square_rows(h)
+    assert rows == sorted(rows)
+    assert {(i, (a, k), kind, j) for i, a, k, kind, j in rows} == expected
+    assert len(rows) == len(expected)
+    assert find_squares(h) == [InscribedSquare(i, (a, k), kind, j) for i, a, k, kind, j in rows]
+
+
 class TestFindSquares:
     def test_two_cube_both_rim_pairs(self):
         squares = find_squares(gray_cycle(2))
@@ -75,6 +87,36 @@ class TestFindSquares:
     def test_against_brute_oracle_sampled_q5(self):
         for h in sample_cycles(5, seed=7, k=25):
             assert as_tuples(find_squares(h)) == brute_force_squares(h)
+
+    def test_rows_against_brute_oracle_seeded_q6_and_q7(self, q6_samples):
+        # the cycles perfbench's corpus reads are of the 6- and 7-cube
+        for h in q6_samples[:300] + sample_cycles(7, 3, 8):
+            r = h.rotated(37)
+            for walk in (h, r, h.reversed_cycle(), r.reversed_cycle()):
+                assert_listings_match_the_oracle(walk)
+
+    def test_rows_of_a_walk_that_reads_an_edge_twice(self):
+        # 3 -> 7 -> 3 reads the 2-edge 3-7 twice, which is no square
+        h = HamiltonianCycle(3, (0, 1, 3, 7, 3, 2))
+        assert_listings_match_the_oracle(h)
+        assert square_rows(h) == [(0, 0, 4, "straight", 1), (1, 1, 5, "straight", 0)]
+
+    def test_an_edge_read_twice_keeps_its_latest_start(self):
+        # not a cycle: the 0-edge 2-3 is read at 2 and 3, and a later rim
+        # pairs with its latest reading only, so (2, 5) of the oracle is
+        # not listed
+        h = HamiltonianCycle(2, (0, 1, 3, 2, 3, 1))
+        assert square_rows(h) == [
+            (0, 0, 2, "straight", 1), (0, 0, 3, "twisted", 1), (0, 3, 5, "straight", 1),
+        ]
+        assert brute_force_squares(h) - as_tuples(find_squares(h)) == {(0, (2, 5), "twisted", 1)}
+
+    def test_rim_starts_in_a_dict_above_the_kept_tables(self, monkeypatch, q4_cycles):
+        # above NEAR_TABLE_MAX_DIM the starts are kept per cycle edge in a
+        # dict, not in a list of n * 2**n slots
+        monkeypatch.setattr(squares, "NEAR_TABLE_MAX_DIM", 0)
+        for h in q4_cycles[::20] + sample_cycles(6, 3, 4):
+            assert_listings_match_the_oracle(h)
 
     def test_output_is_sorted(self, q4_cycles):
         for h in q4_cycles[:50]:
@@ -139,6 +181,7 @@ class TestHasSquare:
         h = HamiltonianCycle(n, seq)
         assert not brute_force_squares(h)
         assert not has_square(h)
+        assert not square_rows(h)
         assert not find_squares(h)
 
     def test_large_cubes_build_no_neighbour_table(self, monkeypatch):
