@@ -574,13 +574,14 @@ def _random_cycle(
     unvisited neighbour that is not vertex 0's last one: not over every
     shuffle outcome of an attempt at n = 3 and 4 (48 and 1,990,656
     outcomes), nor in the draws of seeds 0-29,999 at n = 3, 4 and 5,
-    0-9,999 at n = 6, 0-2,999 at n = 7 and 0-199 at n = 8.  In those
-    draws a unit vector other than vertex 0's last unvisited neighbour was
-    left with one unvisited neighbour only next to the path's end, and was
-    tried there before every candidate that is not a dead end, so it was
-    never left with none.  That is an observation, not a proof, so the
-    branch stays and charges the retreat as the node rule says: the
-    pinned stream would not move if a draw reached it.
+    0-9,999 at n = 6, 0-2,999 at n = 7 and 0-199 at n = 8.  In the draws
+    of seeds 0-29,999 at n = 3, 4 and 5, 0-9,999 at n = 6, 0-299 at n = 7
+    and 0-49 at n = 8, a unit vector other than vertex 0's last unvisited
+    neighbour was left with one unvisited neighbour only next to the
+    path's end, and was tried there before every candidate that is not a
+    dead end, so it was never left with none.  That is an observation,
+    not a proof, so the branch stays and charges the retreat as the node
+    rule says: the pinned stream would not move if a draw reached it.
     """
     near = near_table(n)
     unseen = (1 << len(rows)) - 2  # every vertex but 0

@@ -108,10 +108,10 @@ def _rim_scan(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> bool:
 def square_rows(h: HamiltonianCycle) -> list[tuple[int, int, int, str, int]]:
     """All inscribed squares of the cycle as plain rows ``(rim_dim,
     earlier rim start, later rim start, kind, ray_dim)``, sorted.  The scan
-    of :func:`_rim_scan` runs to the end and records where the i-edge with
-    base b starts at ``start[i << n | b]`` as it passes, so each later rim
-    emits a row for every earlier rim in its hit mask at once; the ray is
-    the bit where the two bases differ.  Rows go to one list per rim
+    of :func:`_rim_scan` runs here to the end and records where the i-edge
+    with base b starts at ``start[i << n | b]`` as it passes, so each later
+    rim emits a row for every earlier rim in its hit mask at once; the ray
+    is the bit where the two bases differ.  Rows go to one list per rim
     dimension in the order of their later rims, so a stable sort on the
     earlier start orders each list.  (A closed walk that reads an i-edge
     twice keeps its latest start, so a later rim pairs with that reading

@@ -242,7 +242,7 @@ def earliest_edge_leaving_bit_clear(h: HamiltonianCycle, i: int, positions: list
 
 class TestNormalizingEdge:
     """The profiles read their normalizing edge among the first two
-    i-edges; on valid cycles that is the edge a full scan finds."""
+    i-edges; on every closed walk that is the edge a full scan finds."""
 
     def test_first_or_second_edge_is_the_earliest_one(self, q3_cycles, q4_cycles,
                                                        q5_samples, q6_samples):
