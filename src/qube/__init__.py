@@ -71,7 +71,6 @@ from .squares import (
     ALPHA_EQUI_COMPUTED,
     ALPHA_EQUI_HYPERCUBE,
     EquiValueUnavailable,
-    InscribedSquare,
     check_threshold_implication,
     find_squares,
     has_square,

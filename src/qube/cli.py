@@ -56,7 +56,7 @@ from .independence import (
     equi_reduction,
     table1_rows,
 )
-from .squares import EquiValueUnavailable, pigeonhole_report, rim_threshold, square_rows
+from .squares import EquiValueUnavailable, find_squares, pigeonhole_report, rim_threshold
 from .verify import PROPERTIES, persist_square_free, sweep, sweep_exhaustive
 
 # ---------------------------------------------------------------------------
@@ -90,8 +90,13 @@ def _of_dimension(n: int, cycles: Iterable[HamiltonianCycle]) -> Iterator[Hamilt
 # without the circular-reference bookkeeping
 _encode = json.JSONEncoder(check_circular=False).encode
 
-# one square of a ``squares`` line, the bytes json.dumps gives its to_dict()
+# one square of a ``squares`` line, the bytes json.dumps gives the dict
+# {"rim_dim", "kind", "rim_indexes": [earlier, later], "ray_dim"}
 _SQUARE = '{"rim_dim": %d, "kind": "%s", "rim_indexes": [%d, %d], "ray_dim": %d}'
+
+# the squares of a ``squares`` line are formatted and written this many at
+# a time, so no whole line is built (a Q16 cycle can have 500k squares)
+_SQUARE_SLICE = 4096
 
 
 def _emit(doc: dict, out) -> None:
@@ -269,14 +274,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_squares(args: argparse.Namespace) -> int:
     # the whole file is read first, so a bad line leaves no output; each
-    # line is the json.dumps of {"n", "count", "squares": [to_dict(), ...]}
+    # line is the json.dumps of {"n", "count", "squares": [...]}
     write = sys.stdout.write
     for cyc in list(read_cycles(args.infile)):
-        rows = square_rows(cyc)
+        rows = find_squares(cyc)
         if args.first_only:
             rows = rows[:1]
-        body = ", ".join([_SQUARE % (i, kind, a, k, j) for i, a, k, kind, j in rows])
-        write('{"n": %d, "count": %d, "squares": [%s]}\n' % (cyc.n, len(rows), body))
+        write('{"n": %d, "count": %d, "squares": [' % (cyc.n, len(rows)))
+        for s in range(0, len(rows), _SQUARE_SLICE):
+            if s:
+                write(", ")
+            part = rows[s : s + _SQUARE_SLICE]
+            write(", ".join([_SQUARE % (i, kind, a, k, j) for i, a, k, kind, j in part]))
+        write("]}\n")
     return 0
 
 

@@ -16,11 +16,10 @@ edges in cycle order and keeps, per dimension, the mask of the bases met
 so far; an edge closes a square with each earlier rim whose base lies in
 the mask of its base's neighbours: one AND per edge.  ``has_square``
 stops at the first such edge, and the threshold check runs the scan over
-one dimension's edges.  ``square_rows`` is the one listing: it runs the
+one dimension's edges.  ``find_squares`` is the one listing: it runs the
 scan to the end, records where each rim starts as it passes, and emits
 each square as a plain row when its later rim closes it.  The ``squares``
-command formats those rows, and ``find_squares`` wraps them as
-:class:`InscribedSquare`.
+command writes those rows.
 
 Above a per-dimension usage threshold a square with that rim dimension is
 forced (``rim_threshold``); ``pigeonhole_report`` is the counting argument
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .cycles import HamiltonianCycle, positions_by_dim
 from .hypercube import NEAR_TABLE_MAX_DIM, near_masks
@@ -62,27 +61,6 @@ ALPHA_EQUI_COMPUTED: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 20, 7: 
 _EARLIER_START = itemgetter(1)
 
 
-class InscribedSquare(NamedTuple):
-    """Two same-dimension cycle edges forming opposite sides of a 4-cycle.
-
-    ``rim_indexes`` are the cycle positions where the two rim edges start,
-    in increasing order.
-    """
-
-    rim_dim: int
-    rim_indexes: tuple[int, int]
-    kind: str  # "straight" or "twisted"
-    ray_dim: int
-
-    def to_dict(self) -> dict:
-        return {
-            "rim_dim": self.rim_dim,
-            "kind": self.kind,
-            "rim_indexes": list(self.rim_indexes),
-            "ray_dim": self.ray_dim,
-        }
-
-
 def _rim_scan(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> bool:
     """Whether two cycle edges among those starting at ``starts`` (by
     default every edge, the closing one included) are the rims of a square.
@@ -105,7 +83,7 @@ def _rim_scan(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> bool:
     return False
 
 
-def square_rows(h: HamiltonianCycle) -> list[tuple[int, int, int, str, int]]:
+def find_squares(h: HamiltonianCycle) -> list[tuple[int, int, int, str, int]]:
     """All inscribed squares of the cycle as plain rows ``(rim_dim,
     earlier rim start, later rim start, kind, ray_dim)``, sorted.  The scan
     of :func:`_rim_scan` runs here to the end and records where the i-edge
@@ -147,16 +125,6 @@ def square_rows(h: HamiltonianCycle) -> list[tuple[int, int, int, str, int]]:
         dim_rows.sort(key=_EARLIER_START)
         rows += dim_rows
     return rows
-
-
-def find_squares(h: HamiltonianCycle) -> list[InscribedSquare]:
-    """All inscribed squares of the cycle, ordered by rim dimension and
-    then rim start positions (the rims fix the ray): the rows of
-    :func:`square_rows`, each built by ``tuple.__new__`` as
-    ``InscribedSquare._make`` does, without a call of the generated
-    ``__new__``."""
-    new = tuple.__new__
-    return [new(InscribedSquare, (i, (a, k), kind, j)) for i, a, k, kind, j in square_rows(h)]
 
 
 def has_square(h: HamiltonianCycle) -> bool:

@@ -387,9 +387,12 @@ class TestSquares:
             code, out, _ = run(capsys, "squares", "--in", corpus, *flags)
             expected = []
             for h in cycles:
-                squares = find_squares(h)[: 1 if flags else None]
-                doc = {"n": h.n, "count": len(squares),
-                       "squares": [s.to_dict() for s in squares]}
+                rows = find_squares(h)[: 1 if flags else None]
+                squares = [
+                    {"rim_dim": i, "kind": kind, "rim_indexes": [a, k], "ray_dim": j}
+                    for i, a, k, kind, j in rows
+                ]
+                doc = {"n": h.n, "count": len(rows), "squares": squares}
                 expected.append(json.dumps(doc) + "\n")
             assert code == 0
             assert out == "".join(expected), flags

@@ -11,13 +11,11 @@ from qube.squares import (
     ALPHA_EQUI_COMPUTED,
     ALPHA_EQUI_HYPERCUBE,
     EquiValueUnavailable,
-    InscribedSquare,
     ThresholdReport,
     check_threshold_implication,
     find_squares,
     has_square,
     rim_threshold,
-    square_rows,
 )
 
 
@@ -53,19 +51,19 @@ def brute_force_squares(h: HamiltonianCycle) -> set[tuple]:
     return out
 
 
-def as_tuples(squares: list[InscribedSquare]) -> set[tuple]:
-    return {(s.rim_dim, s.rim_indexes, s.kind, s.ray_dim) for s in squares}
+def as_tuples(rows: list[tuple[int, int, int, str, int]]) -> set[tuple]:
+    """The rows of ``find_squares`` in the oracle's shape."""
+    return {(i, (a, k), kind, j) for i, a, k, kind, j in rows}
 
 
 def assert_listings_match_the_oracle(h: HamiltonianCycle) -> None:
-    """``square_rows`` and ``find_squares`` both list exactly the squares
-    of the brute-force oracle, sorted, and ``find_squares`` wraps the rows."""
+    """``find_squares`` lists exactly the squares of the brute-force
+    oracle, sorted."""
     expected = brute_force_squares(h)
-    rows = square_rows(h)
+    rows = find_squares(h)
     assert rows == sorted(rows)
-    assert {(i, (a, k), kind, j) for i, a, k, kind, j in rows} == expected
+    assert as_tuples(rows) == expected
     assert len(rows) == len(expected)
-    assert find_squares(h) == [InscribedSquare(i, (a, k), kind, j) for i, a, k, kind, j in rows]
 
 
 class TestFindSquares:
@@ -99,14 +97,14 @@ class TestFindSquares:
         # 3 -> 7 -> 3 reads the 2-edge 3-7 twice, which is no square
         h = HamiltonianCycle(3, (0, 1, 3, 7, 3, 2))
         assert_listings_match_the_oracle(h)
-        assert square_rows(h) == [(0, 0, 4, "straight", 1), (1, 1, 5, "straight", 0)]
+        assert find_squares(h) == [(0, 0, 4, "straight", 1), (1, 1, 5, "straight", 0)]
 
     def test_an_edge_read_twice_keeps_its_latest_start(self):
         # not a cycle: the 0-edge 2-3 is read at 2 and 3, and a later rim
         # pairs with its latest reading only, so (2, 5) of the oracle is
         # not listed
         h = HamiltonianCycle(2, (0, 1, 3, 2, 3, 1))
-        assert square_rows(h) == [
+        assert find_squares(h) == [
             (0, 0, 2, "straight", 1), (0, 0, 3, "twisted", 1), (0, 3, 5, "straight", 1),
         ]
         assert brute_force_squares(h) - as_tuples(find_squares(h)) == {(0, (2, 5), "twisted", 1)}
@@ -120,26 +118,17 @@ class TestFindSquares:
 
     def test_output_is_sorted(self, q4_cycles):
         for h in q4_cycles[:50]:
-            keys = [(s.rim_dim, s.rim_indexes) for s in find_squares(h)]
+            keys = [(i, a, k) for i, a, k, _, _ in find_squares(h)]
             assert keys == sorted(keys)
 
     def test_kind_multiset_is_rotation_invariant(self):
         h = gray_cycle(4)
-        base = sorted((s.rim_dim, s.kind) for s in find_squares(h))
+        base = sorted((i, kind) for i, _, _, kind, _ in find_squares(h))
         for k in (1, 5, 9):
             rot = HamiltonianCycle(4, h.rotated(k).seq)
-            assert sorted((s.rim_dim, s.kind) for s in find_squares(rot)) == base
+            assert sorted((i, kind) for i, _, _, kind, _ in find_squares(rot)) == base
         rev = h.reversed_cycle()
-        assert sorted((s.rim_dim, s.kind) for s in find_squares(rev)) == base
-
-    def test_to_dict(self):
-        s = find_squares(gray_cycle(2))[0]
-        assert s.to_dict() == {
-            "rim_dim": 0,
-            "kind": "straight",
-            "rim_indexes": [0, 2],
-            "ray_dim": 1,
-        }
+        assert sorted((i, kind) for i, _, _, kind, _ in find_squares(rev)) == base
 
 
 class TestHasSquare:
@@ -181,7 +170,6 @@ class TestHasSquare:
         h = HamiltonianCycle(n, seq)
         assert not brute_force_squares(h)
         assert not has_square(h)
-        assert not square_rows(h)
         assert not find_squares(h)
 
     def test_large_cubes_build_no_neighbour_table(self, monkeypatch):
