@@ -2,8 +2,10 @@
 files, and the counterexample persistence path."""
 
 import json
+import sys
 import time
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -372,6 +374,17 @@ class TestSquares:
             "rim_dim": 0, "kind": "straight", "rim_indexes": [0, 2], "ray_dim": 1,
         }
 
+    def test_a_line_is_written_in_slices(self, monkeypatch, tmp_path):
+        # the 9,218 squares of the Gray Q11 line reach stdout at most 4,096
+        # at a time, so no whole line is built
+        corpus = write_cycles(tmp_path / "g11.jsonl", [gray_cycle(11)])
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        assert main(["squares", "--in", corpus]) == 0
+        per_write = [w.count('"rim_dim"') for w in writes]
+        assert sum(per_write) == 9218
+        assert max(per_write) == 4096
+
     def test_each_line_is_the_json_dumps_of_the_square_dicts(
         self, capsys, tmp_path, q4_cycles
     ):
@@ -395,7 +408,9 @@ class TestSquares:
                 doc = {"n": h.n, "count": len(rows), "squares": squares}
                 expected.append(json.dumps(doc) + "\n")
             assert code == 0
-            assert out == "".join(expected), flags
+            # line by line: a diff of the 2.7 MB output as one string takes
+            # pytest minutes to report
+            assert out.splitlines(keepends=True) == expected, flags
 
 
 class TestVerify:
