@@ -11,15 +11,15 @@ rotation or orientation of the cycle.
 
 Two i-edges are rims of a common square exactly when their projections
 into the (n-1)-cube are adjacent there, that is, when their bases ``u & w``
-differ in one bit.  One scan answers every square question.  It walks the
-edges in cycle order and keeps, per dimension, the mask of the bases met
-so far; an edge closes a square with each earlier rim whose base lies in
-the mask of its base's neighbours: one AND per edge.  ``has_square``
-stops at the first such edge, and the threshold check runs the scan over
-one dimension's edges.  ``find_squares`` is the one listing: it runs the
-scan to the end, records where each rim starts as it passes, and emits
-each square as a plain row when its later rim closes it.  The ``squares``
-command writes those rows.
+differ in one bit.  Two scans walk the edges in cycle order.  The
+existence scan behind ``has_square`` and the threshold check keeps, per
+dimension, the mask of the bases met so far; an edge closes a square when
+that mask meets the mask of its base's neighbours (one AND per edge), and
+the scan stops at the first such edge.  ``find_squares``, the one
+listing, keeps per dimension a dict from each base met so far to where
+its edge starts, probes it at the n neighbours of each new base, and
+emits a plain row for each hit.  The ``squares`` command writes those
+rows.
 
 Above a per-dimension usage threshold a square with that rim dimension is
 forced (``rim_threshold``); ``pigeonhole_report`` is the counting argument
@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .cycles import HamiltonianCycle, positions_by_dim
-from .hypercube import NEAR_TABLE_MAX_DIM, near_masks
+from .hypercube import near_masks
 
 
 class EquiValueUnavailable(LookupError):
@@ -85,41 +85,30 @@ def _rim_scan(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> bool:
 
 def find_squares(h: HamiltonianCycle) -> list[tuple[int, int, int, str, int]]:
     """All inscribed squares of the cycle as plain rows ``(rim_dim,
-    earlier rim start, later rim start, kind, ray_dim)``, sorted.  The scan
-    of :func:`_rim_scan` runs here to the end and records where the i-edge
-    with base b starts at ``start[i << n | b]`` as it passes, so each later
-    rim emits a row for every earlier rim in its hit mask at once; the ray
-    is the bit where the two bases differ.  Rows go to one list per rim
-    dimension in the order of their later rims, so a stable sort on the
-    earlier start orders each list.  (A closed walk that reads an i-edge
-    twice keeps its latest start, so a later rim pairs with that reading
-    only.)  ``start`` is a list of n * 2**n slots up to
-    ``NEAR_TABLE_MAX_DIM`` dimensions (7 KB at n = 7, 0.4 MB at n = 12),
-    and above that a dict of one entry per cycle edge, as the list would
-    take 3.2 GB at n = 24."""
+    earlier rim start, later rim start, kind, ray_dim)``, sorted.  One scan
+    in cycle order keeps, per dimension i, a dict from the base of each
+    i-edge met so far to where it starts.  An i-edge with base b probes
+    that dict at ``b ^ 1 << j`` for each j, and each hit is an earlier rim
+    with ray dimension j (``b ^ 1 << i`` is never a key, as bases have bit
+    i clear).  Rows go to one list per rim dimension in the order of their
+    later rims, so a stable sort on the earlier start orders each list.
+    (A closed walk that reads an i-edge twice keeps its latest start, so a
+    later rim pairs with that reading only.)"""
     seq = h.seq
     n = h.n
-    near = near_masks(n)
-    bases = [0] * n
-    start: list[int] | dict[int, int] = [0] * (n << n) if n <= NEAR_TABLE_MAX_DIM else {}
+    rays = [(1 << j, j) for j in range(n)]
+    starts = [{} for _ in range(n)]
     by_dim = [[] for _ in range(n)]
     for k, u, w in zip(range(len(seq)), seq, seq[1:] + seq[:1]):
         b = u & w
         i = (u ^ w).bit_length() - 1
-        seen = bases[i]
-        hit = seen & near[b]
-        key = i << n
-        if hit:
-            emit = by_dim[i].append
-            while hit:
-                low = hit & -hit
-                e = low.bit_length() - 1
-                a = start[key | e]
+        start = starts[i]
+        for f, j in rays:
+            a = start.get(b ^ f)
+            if a is not None:
                 kind = "straight" if (seq[a] ^ u) >> i & 1 else "twisted"
-                emit((i, a, k, kind, (b ^ e).bit_length() - 1))
-                hit ^= low
-        bases[i] = seen | 1 << b
-        start[key | b] = k
+                by_dim[i].append((i, a, k, kind, j))
+        start[b] = k
     rows = []
     for dim_rows in by_dim:
         dim_rows.sort(key=_EARLIER_START)

@@ -109,11 +109,12 @@ class TestFindSquares:
         ]
         assert brute_force_squares(h) - as_tuples(find_squares(h)) == {(0, (2, 5), "twisted", 1)}
 
-    def test_rim_starts_in_a_dict_above_the_kept_tables(self, monkeypatch, q4_cycles):
-        # above NEAR_TABLE_MAX_DIM the starts are kept per cycle edge in a
-        # dict, not in a list of n * 2**n slots
-        monkeypatch.setattr(squares, "NEAR_TABLE_MAX_DIM", 0)
-        for h in q4_cycles[::20] + sample_cycles(6, 3, 4):
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_gray_cycle_square_counts(self, n):
+        # the reflected code has (n - 2) * 2**(n - 1) + 2 squares
+        h = gray_cycle(n)
+        assert len(find_squares(h)) == (n - 2) * 2 ** (n - 1) + 2
+        if n <= 6:
             assert_listings_match_the_oracle(h)
 
     def test_output_is_sorted(self, q4_cycles):
