@@ -73,9 +73,6 @@ class HamiltonianCycle:
     def __len__(self) -> int:
         return len(self.seq)
 
-    def __getitem__(self, k: int) -> int:
-        return self.seq[k]
-
     def rotated(self, k: int) -> "HamiltonianCycle":
         """The same cycle started k positions later."""
         k %= len(self.seq)
@@ -229,7 +226,7 @@ class _lazy:
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class DimensionProfile:
     """Everything about one dimension of a cycle, after normalization.
 
@@ -313,9 +310,7 @@ def _profile(h: HamiltonianCycle, i: int, positions: list[int]) -> DimensionProf
     closed walk they alternate direction: that edge is the first i-edge or
     else the second, and a walk without i-edges raises DimensionUnused.
     Its positions are the tail of ``positions`` from that edge on, then
-    the head wrapped past the end.  The fields go straight into the
-    instance dict, where :class:`_lazy` also writes, without the frozen
-    dataclass's ``__init__`` and its ``object.__setattr__`` per field."""
+    the head wrapped past the end."""
     if not positions:
         raise DimensionUnused(f"no i-edge leaves a vertex with bit i clear (i={i})")
     seq = h.seq
@@ -323,13 +318,7 @@ def _profile(h: HamiltonianCycle, i: int, positions: list[int]) -> DimensionProf
     shift = positions[first]
     wrap = len(seq) - shift
     idx = [k - shift for k in positions[first:]] + [k + wrap for k in positions[:first]]
-    profile = object.__new__(DimensionProfile)
-    attrs = profile.__dict__
-    attrs["dim"] = i
-    attrs["cycle"] = h
-    attrs["shift"] = shift
-    attrs["index_list"] = tuple(idx)
-    return profile
+    return DimensionProfile(i, h, shift, tuple(idx))
 
 
 def dimension_profiles(h: HamiltonianCycle) -> list[DimensionProfile]:

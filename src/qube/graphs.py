@@ -11,7 +11,7 @@ vertices ``0..n0-1`` and class 1 is ``n0..n0+n1-1``.  Lines starting with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .hypercube import check_dimension, near_table, parity
 

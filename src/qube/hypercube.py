@@ -17,7 +17,9 @@ set for each i (``near_table``): square detection, the sampler and the
 cube's graph test a set of vertices for a neighbour of v with one AND.
 They are also one row of ``edge_rows``, each with its edge's dimension
 and class, which the search and the sampler walk.  A process keeps both
-tables for n <= ``NEAR_TABLE_MAX_DIM`` only.
+tables for n <= ``NEAR_TABLE_MAX_DIM`` only.  No mask is built above
+that: there square detection holds its vertices in a set and probes the
+n integers ``v ^ 1 << i``.
 """
 
 from __future__ import annotations
@@ -124,30 +126,12 @@ def isomorphism_violations(n: int) -> tuple[int, list[dict]]:
     return n, out
 
 
-class _NearMasks:
-    """``near[v]``, the mask of v's neighbours in the n-cube, computed at
-    each lookup."""
-
-    def __init__(self, n: int) -> None:
-        self.steps = [1 << j for j in range(n)]
-
-    def __getitem__(self, v: int) -> int:
-        return sum(1 << (v ^ s) for s in self.steps)
-
-
 @cache
 def near_table(n: int) -> tuple[int, ...]:
     """The mask of each vertex's neighbours in the n-cube, built once per
     process; for n <= ``NEAR_TABLE_MAX_DIM``."""
-    near = _NearMasks(n)
-    return tuple([near[v] for v in range(1 << n)])
-
-
-def near_masks(n: int) -> tuple[int, ...] | _NearMasks:
-    """``near[v]`` for the vertices v of the n-cube: :func:`near_table`
-    up to ``NEAR_TABLE_MAX_DIM`` dimensions, each mask computed when it is
-    read above."""
-    return near_table(n) if n <= NEAR_TABLE_MAX_DIM else _NearMasks(n)
+    steps = [1 << j for j in range(n)]
+    return tuple([sum(1 << (v ^ s) for s in steps) for v in range(1 << n)])
 
 
 def edge_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:

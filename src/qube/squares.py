@@ -13,9 +13,11 @@ Two i-edges are rims of a common square exactly when their projections
 into the (n-1)-cube are adjacent there, that is, when their bases ``u & w``
 differ in one bit.  Two scans walk the edges in cycle order.  The
 existence scan behind ``has_square`` and the threshold check keeps, per
-dimension, the mask of the bases met so far; an edge closes a square when
-that mask meets the mask of its base's neighbours (one AND per edge), and
-the scan stops at the first such edge.  ``find_squares``, the one
+dimension, the bases met so far; an edge closes a square when one of them
+is a neighbour of its base, and the scan stops at the first such edge.
+Up to ``NEAR_TABLE_MAX_DIM`` dimensions the bases are one mask, which
+meets the mask of the base's neighbours (one AND per edge); above it they
+are a set, probed at the base's n neighbours.  ``find_squares``, the one
 listing, keeps per dimension a dict from each base met so far to where
 its edge starts, probes it at the n neighbours of each new base, and
 emits a plain row for each hit.  The ``squares`` command writes those
@@ -33,7 +35,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .cycles import HamiltonianCycle, positions_by_dim
-from .hypercube import near_masks
+from .hypercube import NEAR_TABLE_MAX_DIM, near_table
 
 
 class EquiValueUnavailable(LookupError):
@@ -65,21 +67,38 @@ def _rim_scan(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> bool:
     """Whether two cycle edges among those starting at ``starts`` (by
     default every edge, the closing one included) are the rims of a square.
     ``bases[i]`` holds the bases ``u & w`` of the i-edges met so far, and an
-    i-edge with base b is a later rim exactly when that mask meets
-    ``near[b]``.  The scan stops at the first such edge."""
+    i-edge with base b is a later rim exactly when one of them is a
+    neighbour of b.  Up to ``NEAR_TABLE_MAX_DIM`` dimensions ``bases[i]``
+    is a mask that meets ``near_table(n)[b]``; above it, where no mask
+    table is kept, it is a set probed at ``b ^ 1 << j`` for each j.  The
+    scan stops at the first such edge."""
     seq = h.seq
     size = len(seq)
-    near = near_masks(h.n)
-    bases = [0] * h.n
+    n = h.n
+    if n <= NEAR_TABLE_MAX_DIM:
+        near = near_table(n)
+        bases = [0] * n
+        for k in range(size) if starts is None else starts:
+            u = seq[k]
+            w = seq[(k + 1) % size]
+            b = u & w
+            i = (u ^ w).bit_length() - 1
+            seen = bases[i]
+            if seen & near[b]:
+                return True
+            bases[i] = seen | 1 << b
+        return False
+    rays = [1 << j for j in range(n)]
+    bases = [set() for _ in range(n)]
     for k in range(size) if starts is None else starts:
         u = seq[k]
         w = seq[(k + 1) % size]
         b = u & w
-        i = (u ^ w).bit_length() - 1
-        seen = bases[i]
-        if seen & near[b]:
-            return True
-        bases[i] = seen | 1 << b
+        seen = bases[(u ^ w).bit_length() - 1]
+        for f in rays:
+            if b ^ f in seen:
+                return True
+        seen.add(b)
     return False
 
 

@@ -289,6 +289,14 @@ class TestAnalyze:
         assert [p["dim"] for p in doc["profiles"]] == [2]
         assert doc["profiles"][0]["index_list"] == [0, 4]
 
+    def test_a_line_that_is_not_json_names_its_file_and_line(self, capsys, tmp_path):
+        corpus = write_cycles(tmp_path / "g3.jsonl", [gray_cycle(3)])
+        with open(corpus, "a", encoding="utf-8") as f:
+            f.write("{not json\n")
+        code, out, err = run(capsys, "analyze", "--in", corpus)
+        assert (code, out) == (2, "")
+        assert f"error: {corpus}:2: invalid JSON: " in err
+
     def test_a_dimension_out_of_range_for_a_later_cycle_leaves_no_output(
         self, capsys, tmp_path
     ):

@@ -22,7 +22,7 @@ from qube.graphs import (
     parse_bipartite,
     parse_graph,
 )
-from qube.hypercube import near_masks
+from qube.hypercube import near_table
 
 
 class TestUndirectedGraph:
@@ -65,15 +65,11 @@ class TestHypercubeGraphs:
                 if u != v:
                     assert g.has_edge(u, v) == ((u ^ v).bit_count() == 1)
 
-    @pytest.mark.parametrize("n", range(1, 14))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_rows_are_the_neighbour_masks(self, n):
-        # n = 13 reads masks computed at lookup, past the kept table; its
-        # 8192 vertices are past the solver cap, so it builds no graph
         rows = [sum(1 << (v ^ 1 << i) for i in range(n)) for v in range(1 << n)]
-        near = near_masks(n)
-        assert [near[v] for v in range(1 << n)] == rows
-        if n <= 12:
-            assert hypercube_graph(n).adj == rows
+        assert list(near_table(n)) == rows
+        assert hypercube_graph(n).adj == rows
 
     @pytest.mark.parametrize("build", [hypercube_graph, hypercube_bipartite])
     def test_a_cube_above_the_solver_cap_builds_no_row(self, monkeypatch, build):
@@ -111,6 +107,9 @@ class TestBipartiteGraph:
         g2 = UndirectedGraph(3, [(0, 1)])
         with pytest.raises(ValueError):
             BipartiteGraph(g2, [0, 1], [2])  # edge inside class 0
+        g3 = UndirectedGraph(3, [(1, 2)])
+        with pytest.raises(ValueError, match="^edge inside class 1 at vertex 1$"):
+            BipartiteGraph(g3, [0], [1, 2])
 
 
 class TestSetPredicates:

@@ -21,6 +21,7 @@ from qube.graphs import (
 from qube.independence import (
     SizeLimitExceeded,
     brute_force_equi,
+    check_hypercube_caps,
     equi_independence,
     equi_reduction,
     lower_bound_set,
@@ -432,6 +433,10 @@ class TestEquiIndependence:
                 assert is_independent(b.graph, witness)
                 assert is_balanced(b, witness)
                 assert len(witness) == size
+
+    def test_caps_refuse_an_unknown_method(self):
+        with pytest.raises(ValueError, match="^unknown method 'greedy'$"):
+            check_hypercube_caps(3, "greedy")
 
     def test_six_cube_direct(self):
         b = hypercube_bipartite(6)

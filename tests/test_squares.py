@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from qube import hypercube, squares
+from qube import squares
 from qube.cycles import HamiltonianCycle, chromatic_vector, color, gray_cycle
 from qube.enumeration import sample_cycles
 from qube.squares import (
@@ -137,12 +137,20 @@ class TestHasSquare:
         for h in q3_cycles + q4_cycles + sample_cycles(5, seed=7, k=25):
             assert has_square(h) == bool(brute_force_squares(h))
 
-    def test_masks_computed_at_lookup(self, monkeypatch, q3_cycles, q4_cycles):
-        # with no table every neighbour mask is computed when it is read
+    def test_set_probes_past_the_table(self, monkeypatch, q3_cycles, q4_cycles):
+        # with the switch at 0 every cube takes the set probes that serve
+        # n > NEAR_TABLE_MAX_DIM and reads no mask; with no threshold the
+        # check scans each used dimension's edges on their own
+        def refuse(n):
+            raise AssertionError("a mask table was read")
+
         cycles = q3_cycles + q4_cycles + sample_cycles(5, seed=7, k=25)
-        monkeypatch.setattr(hypercube, "NEAR_TABLE_MAX_DIM", 0)
+        monkeypatch.setattr(squares, "NEAR_TABLE_MAX_DIM", 0)
+        monkeypatch.setattr(squares, "near_table", refuse)
+        monkeypatch.setattr(squares, "rim_threshold", lambda n, mode: 0)
         for h in cycles:
             assert has_square(h) == bool(brute_force_squares(h))
+            assert check_threshold_implication(h) == report_from_the_square_list(h, "equi", 0)
 
     def test_reflected_code_of_the_seven_cube(self):
         assert has_square(gray_cycle(7))
@@ -176,8 +184,8 @@ class TestHasSquare:
     def test_large_cubes_build_no_neighbour_table(self, monkeypatch):
         # a table for n = 16 takes about 4 s and 512 MB to build
         built = []
-        table = hypercube.near_table
-        monkeypatch.setattr(hypercube, "near_table", lambda n: built.append(n) or table(n))
+        table = squares.near_table
+        monkeypatch.setattr(squares, "near_table", lambda n: built.append(n) or table(n))
         start = time.perf_counter()
         h = gray_cycle(16)
         assert has_square(h)
