@@ -75,10 +75,11 @@ def _rim_scan(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> bool:
     seq = h.seq
     size = len(seq)
     n = h.n
+    ks = range(size) if starts is None else starts
     if n <= NEAR_TABLE_MAX_DIM:
         near = near_table(n)
         bases = [0] * n
-        for k in range(size) if starts is None else starts:
+        for k in ks:
             u = seq[k]
             w = seq[(k + 1) % size]
             b = u & w
@@ -90,7 +91,7 @@ def _rim_scan(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> bool:
         return False
     rays = [1 << j for j in range(n)]
     bases = [set() for _ in range(n)]
-    for k in range(size) if starts is None else starts:
+    for k in ks:
         u = seq[k]
         w = seq[(k + 1) % size]
         b = u & w

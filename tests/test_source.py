@@ -11,20 +11,10 @@ import qube
 MODULES = sorted(p.name for p in Path(qube.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 
-def _annotations(tree: ast.AST):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
-            yield node.returns
-        elif isinstance(node, ast.arg) and node.annotation:
-            yield node.annotation
-        elif isinstance(node, ast.AnnAssign):
-            yield node.annotation
-
-
 def unused_imports(source: str) -> list[str]:
     """The names a module imports and never reads, in source order.
     ``__future__`` imports and statements marked ``# noqa: F401`` on any of
-    their lines are skipped; a quoted annotation counts as a read."""
+    their lines are skipped."""
     tree = ast.parse(source)
     lines = source.splitlines()
     imported = []
@@ -37,11 +27,6 @@ def unused_imports(source: str) -> list[str]:
             continue
         imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for ann in _annotations(tree):
-        for c in ast.walk(ann):
-            if isinstance(c, ast.Constant) and isinstance(c.value, str):
-                expr = ast.parse(c.value, mode="eval")
-                read |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
     return [name for _, name in sorted(imported) if name not in read]
 
 
@@ -60,7 +45,7 @@ class TestUnusedImports:
             "    check_balance,\n"
             ")\n"
             "import json as j\n"
-            "def f(x: Iterable[int]) -> 'Counter':\n"
+            "def f(x: Iterable[int]) -> Counter:\n"
             "    return os.path.join(x)\n"
             "from collections import Counter\n"
         )
