@@ -237,6 +237,9 @@ class DimensionProfile:
     the first vertex; ``parity_direct`` reads the class of each i-edge
     straight off the cycle.  On every valid cycle the two agree.
     ``edge_list`` holds each i-edge as its endpoints, bit i clear first.
+    The class is not frozen, so its ``__init__`` is a plain one, but a
+    profile must not be changed once built: its hash and its kept fields
+    are computed from the four stored ones.
     """
 
     dim: int

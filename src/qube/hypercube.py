@@ -13,13 +13,11 @@ adjacent when they differ in exactly one entry.  An *i-edge* joins ``b`` and
 machine word and per-dimension tables stay small.
 
 A vertex's neighbours are also one integer, the mask with bit ``v ^ 1 << i``
-set for each i (``near_table``): square detection, the sampler and the
-cube's graph test a set of vertices for a neighbour of v with one AND.
-They are also one row of ``edge_rows``, each with its edge's dimension
-and class, which the search and the sampler walk.  A process keeps both
-tables for n <= ``NEAR_TABLE_MAX_DIM`` only.  No mask is built above
-that: there square detection holds its vertices in a set and probes the
-n integers ``v ^ 1 << i``.
+set for each i (``near_table``): the sampler and the cube's graph test a
+set of vertices for a neighbour of v with one AND.  They are also one row
+of ``edge_rows``, each with its edge's dimension and class, which the
+search and the sampler walk.  A process keeps both tables for
+n <= ``NEAR_TABLE_MAX_DIM`` only.
 """
 
 from __future__ import annotations

@@ -11,17 +11,14 @@ rotation or orientation of the cycle.
 
 Two i-edges are rims of a common square exactly when their projections
 into the (n-1)-cube are adjacent there, that is, when their bases ``u & w``
-differ in one bit.  Two scans walk the edges in cycle order.  The
-existence scan behind ``has_square`` and the threshold check keeps, per
-dimension, the bases met so far; an edge closes a square when one of them
-is a neighbour of its base, and the scan stops at the first such edge.
-Up to ``NEAR_TABLE_MAX_DIM`` dimensions the bases are one mask, which
-meets the mask of the base's neighbours (one AND per edge); above it they
-are a set, probed at the base's n neighbours.  ``find_squares``, the one
-listing, keeps per dimension a dict from each base met so far to where
-its edge starts, probes it at the n neighbours of each new base, and
-emits a plain row for each hit.  The ``squares`` command writes those
-rows.
+differ in one bit.  Two scans walk the edges in cycle order, keep the
+bases of the edges met so far and probe them at the n neighbours of
+each new base; neither reads a table of the cube.  The existence scan
+behind ``has_square`` and the threshold check keeps one set of bases,
+each tagged with its edge's dimension, and stops at the first hit.
+``find_squares``, the one listing, keeps per dimension a dict from each
+base to where its edge starts and emits a plain row for each hit.  The
+``squares`` command writes those rows.
 
 Above a per-dimension usage threshold a square with that rim dimension is
 forced (``rim_threshold``); ``pigeonhole_report`` is the counting argument
@@ -35,7 +32,6 @@ from operator import itemgetter
 from typing import Iterable
 
 from .cycles import HamiltonianCycle, positions_by_dim
-from .hypercube import NEAR_TABLE_MAX_DIM, near_table
 
 
 class EquiValueUnavailable(LookupError):
@@ -66,40 +62,24 @@ _EARLIER_START = itemgetter(1)
 def _rim_scan(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> bool:
     """Whether two cycle edges among those starting at ``starts`` (by
     default every edge, the closing one included) are the rims of a square.
-    ``bases[i]`` holds the bases ``u & w`` of the i-edges met so far, and an
-    i-edge with base b is a later rim exactly when one of them is a
-    neighbour of b.  Up to ``NEAR_TABLE_MAX_DIM`` dimensions ``bases[i]``
-    is a mask that meets ``near_table(n)[b]``; above it, where no mask
-    table is kept, it is a set probed at ``b ^ 1 << j`` for each j.  The
-    scan stops at the first such edge."""
+    An i-edge with base b is kept as the key ``b | 1 << i << n`` (its base
+    below bit n, its dimension above), and it is a later rim exactly when
+    the keys met so far hold ``key ^ 1 << j`` for some j: flipping bit i
+    gives no key, as bases have bit i clear.  The scan stops at the first
+    such edge."""
     seq = h.seq
     size = len(seq)
     n = h.n
-    ks = range(size) if starts is None else starts
-    if n <= NEAR_TABLE_MAX_DIM:
-        near = near_table(n)
-        bases = [0] * n
-        for k in ks:
-            u = seq[k]
-            w = seq[(k + 1) % size]
-            b = u & w
-            i = (u ^ w).bit_length() - 1
-            seen = bases[i]
-            if seen & near[b]:
-                return True
-            bases[i] = seen | 1 << b
-        return False
-    rays = [1 << j for j in range(n)]
-    bases = [set() for _ in range(n)]
-    for k in ks:
+    dims = range(n)
+    seen = set()
+    for k in range(size) if starts is None else starts:
         u = seq[k]
         w = seq[(k + 1) % size]
-        b = u & w
-        seen = bases[(u ^ w).bit_length() - 1]
-        for f in rays:
-            if b ^ f in seen:
+        key = u & w | (u ^ w) << n
+        for j in dims:
+            if key ^ 1 << j in seen:
                 return True
-        seen.add(b)
+        seen.add(key)
     return False
 
 

@@ -7,6 +7,7 @@ import pytest
 from qube import squares
 from qube.cycles import HamiltonianCycle, chromatic_vector, color, gray_cycle
 from qube.enumeration import sample_cycles
+from qube.hypercube import near_table
 from qube.squares import (
     ALPHA_EQUI_COMPUTED,
     ALPHA_EQUI_HYPERCUBE,
@@ -137,19 +138,11 @@ class TestHasSquare:
         for h in q3_cycles + q4_cycles + sample_cycles(5, seed=7, k=25):
             assert has_square(h) == bool(brute_force_squares(h))
 
-    def test_set_probes_past_the_table(self, monkeypatch, q3_cycles, q4_cycles):
-        # with the switch at 0 every cube takes the set probes that serve
-        # n > NEAR_TABLE_MAX_DIM and reads no mask; with no threshold the
-        # check scans each used dimension's edges on their own
-        def refuse(n):
-            raise AssertionError("a mask table was read")
-
-        cycles = q3_cycles + q4_cycles + sample_cycles(5, seed=7, k=25)
-        monkeypatch.setattr(squares, "NEAR_TABLE_MAX_DIM", 0)
-        monkeypatch.setattr(squares, "near_table", refuse)
+    def test_each_dimension_scanned_alone(self, monkeypatch, q3_cycles, q4_cycles):
+        # with no threshold the check scans each used dimension's edges on
+        # their own
         monkeypatch.setattr(squares, "rim_threshold", lambda n, mode: 0)
-        for h in cycles:
-            assert has_square(h) == bool(brute_force_squares(h))
+        for h in q3_cycles + q4_cycles + sample_cycles(5, seed=7, k=25):
             assert check_threshold_implication(h) == report_from_the_square_list(h, "equi", 0)
 
     def test_reflected_code_of_the_seven_cube(self):
@@ -181,17 +174,15 @@ class TestHasSquare:
         assert not has_square(h)
         assert not find_squares(h)
 
-    def test_large_cubes_build_no_neighbour_table(self, monkeypatch):
+    def test_large_cubes_build_no_neighbour_table(self):
         # a table for n = 16 takes about 4 s and 512 MB to build
-        built = []
-        table = squares.near_table
-        monkeypatch.setattr(squares, "near_table", lambda n: built.append(n) or table(n))
+        before = near_table.cache_info()
         start = time.perf_counter()
         h = gray_cycle(16)
         assert has_square(h)
         assert check_threshold_implication(h, "independence").ok
         assert time.perf_counter() - start < 1.0
-        assert built == []
+        assert near_table.cache_info() == before
 
 
 class TestRimThreshold:
