@@ -352,8 +352,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
                 f"computed alpha {row['alpha_equi']} differs from the "
                 f"reference value {row['reference_alpha']}"
             )
-        alpha = row["alpha_equi"]
-        shown = f"({row['reference_alpha']})" if alpha is None else str(alpha)
+        alpha, ref = row["alpha_equi"], row["reference_alpha"]
+        shown = str(alpha) if alpha is not None else f"({ref})" if ref is not None else "-"
         note = f"  << {'; '.join(notes)}" if notes else ""
         print(
             f"{row['n']:>2} {shown:>6} {row['reduced_vertices']:>8} "

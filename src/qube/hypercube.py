@@ -13,8 +13,9 @@ adjacent when they differ in exactly one entry.  An *i-edge* joins ``b`` and
 machine word and per-dimension tables stay small.
 
 A vertex's neighbours are also one integer, the mask with bit ``v ^ 1 << i``
-set for each i (``near_table``): the sampler and the cube's graph test a
-set of vertices for a neighbour of v with one AND.  They are also one row
+set for each i (``near_table``): the sampler tests a set of vertices for
+a neighbour of v with one AND, and ``graphs.hypercube_graph`` takes the
+masks as the cube's rows.  They are also one row
 of ``edge_rows``, each with its edge's dimension and class, which the
 search and the sampler walk.  A process keeps both tables for
 n <= ``NEAR_TABLE_MAX_DIM`` only.

@@ -34,14 +34,13 @@ routes that must agree:
 ``brute_force_equi`` is an exhaustive subset scan kept as an oracle for
 small graphs.  ``table1_rows`` reproduces the reference table of
 balanced-independence numbers and pair-graph sizes for the n-cube.  It
-takes the sizes from ``pair_graph_size``, which counts the pair graph
-without building it: about 30 ms for the n = 8 sizes, where building
-that pair graph took about 60 ms and 34 MB by tracemalloc (2-core Intel
-Xeon VM, CPython 3.11.7).
+takes the sizes from ``cube_pair_graph_size``, a closed form in n, and
+builds the cube only for the rows it solves.
 """
 
 from __future__ import annotations
 
+from math import comb
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -253,37 +252,26 @@ def equi_reduction(b: BipartiteGraph) -> ReducedGraph:
     return ReducedGraph(rg, tuple(pairs), covers)
 
 
-def pair_graph_size(b: BipartiteGraph) -> tuple[int, int]:
-    """The vertex and edge counts of ``equi_reduction(b).graph``, counted
-    without building a row.
+def cube_pair_graph_size(n: int) -> tuple[int, int]:
+    """The vertex and edge counts of the n-cube's pair graph,
+    ``equi_reduction(hypercube_bipartite(n)).graph``, in closed form.
 
-    As in ``equi_reduction``, pair (u, v) conflicts with the pairs in
-    C_u, those whose class-0 coordinate is u or whose class-1 coordinate
-    is a neighbour of u, and with those in C_v, defined the same way.  So
-    its degree is |C_u| + |C_v| - |C_u ∩ C_v| - 1, where |C_w| sums the
-    pairs at w and at its neighbours, and C_u ∩ C_v holds (u, v) itself
-    and the pairs of N(v) x N(u) that are not edges: 1 + deg(u) deg(v)
-    - e(N(v), N(u)).  It takes O(|V| + |E|) memory and O(pairs * deg)
-    time.
+    Write h = 2**(n-1).  Each of the h even vertices u is adjacent to n
+    of the h odd vertices, so there are V' = h * (h - n) pairs (u, v).
+    As in ``equi_reduction``, (u, v) conflicts with the h - n - 1 other
+    pairs at u, the h - n - 1 other pairs at v, the n * (h - n) pairs
+    whose class-0 coordinate is a neighbour of v, and the n * (h - n)
+    whose class-1 coordinate is a neighbour of u.  Only the last two sets
+    meet, in the non-edges of N(v) x N(u).  u and v lie an odd distance
+    of at least 3 apart; at distance 3 that product holds one edge for
+    each of the 3! shortest paths from u to v, so n**2 - 6 non-edges,
+    and farther apart none, so n**2.  Each even vertex has C(n, 3) odd
+    vertices 3 apart, so the degrees sum to
+    V' * (2 (n + 1) (h - n) - n**2 - 2) + 6 h C(n, 3), twice E'.
     """
-    adj = b.graph.adj
-    at = [0] * b.vertex_count  # the pairs with w as a coordinate
-    for side, other in ((b.class0, len(b.class1)), (b.class1, len(b.class0))):
-        for w in side:
-            at[w] = other - adj[w].bit_count()
-    nbrs = [[x for x in range(b.vertex_count) if row >> x & 1] for row in adj]
-    reach = [at[w] + sum(at[x] for x in nbrs[w]) for w in range(b.vertex_count)]
-    vertices = degrees = 0
-    for u in b.class0:
-        nu = adj[u]
-        du = len(nbrs[u])
-        for v in b.class1:
-            if nu >> v & 1:
-                continue
-            cross = sum((adj[y] & nu).bit_count() for y in nbrs[v])
-            vertices += 1
-            degrees += reach[u] + reach[v] - 2 - du * len(nbrs[v]) + cross
-    return vertices, degrees // 2
+    h = 1 << (n - 1)
+    vertices = h * (h - n)
+    return vertices, (vertices * (2 * (n + 1) * (h - n) - n * n - 2) + 6 * h * comb(n, 3)) // 2
 
 
 def unpack_pair_witness(red: ReducedGraph, pair_set: list[int]) -> list[int]:
@@ -452,15 +440,14 @@ def equi_independence(b: BipartiteGraph, method: str = "direct") -> tuple[int, l
 
 def check_hypercube_caps(n: int, method: str) -> None:
     """Refuse, before the n-cube is built, a route whose input would exceed
-    its cap: the 4**(n-1) - n * 2**(n-1) cross-class non-edges of the pair
-    graph for ``reduction``, the 2**n vertices for ``oracle`` and
-    ``direct``.  The cube's rows alone take about 4**n / 8 bytes.  The
-    reduction is also refused above ``REDUCTION_MAX_N``, where it does not
-    finish."""
+    its cap: the pair graph's vertices (``cube_pair_graph_size``) for
+    ``reduction``, the 2**n vertices for ``oracle``.  The reduction is
+    also refused above ``REDUCTION_MAX_N``, where it does not finish.
+    ``direct`` needs no check here: ``hypercube_graph`` refuses a cube
+    above the solver cap before it builds a row."""
     check_dimension(n)
     if method == "reduction":
-        half = 1 << (n - 1)
-        check_solver_cap(half * half - n * half)
+        check_solver_cap(cube_pair_graph_size(n)[0])
         if n > REDUCTION_MAX_N:
             raise SizeLimitExceeded(
                 f"the reduction solves the n-cube only for n <= {REDUCTION_MAX_N} "
@@ -468,9 +455,7 @@ def check_hypercube_caps(n: int, method: str) -> None:
             )
     elif method == "oracle":
         _check_oracle_cap(1 << n)
-    elif method == "direct":
-        check_solver_cap(1 << n)
-    else:
+    elif method != "direct":
         raise ValueError(f"unknown method {method!r}")
 
 
@@ -523,11 +508,11 @@ def table1_rows(
     """Reproduce the reference table: balanced-independence numbers and
     reduced-graph sizes for the n-cube, n = 3..max_n.
 
-    Reduced-graph sizes are always computed, by ``pair_graph_size``,
-    which builds no row of the pair graph.  The balanced-independence
-    solve is run only for rows with n <= alpha_max_n (default: every row);
-    capping it keeps large-n reports fast, since the exact solve grows
-    steeply with n.  Skipped rows carry ``None`` in the solver-derived
+    Reduced-graph sizes are always computed, by ``cube_pair_graph_size``,
+    which builds neither the cube nor its pair graph.  The cube is built
+    and the balanced-independence solve run only for rows with
+    n <= alpha_max_n (default: every row); capping it keeps large-n
+    reports fast, since the exact solve grows steeply with n.  Skipped rows carry ``None`` in the solver-derived
     fields but still show the bundled reference value.  A solve that does
     not finish is refused before any row is computed: any from
     n = ``TABLE1_SOLVE_MAX_N`` + 1, and the reduction's from
@@ -548,11 +533,10 @@ def table1_rows(
         check_hypercube_caps(solved, method)
     rows = []
     for n in range(3, max_n + 1):
-        b = hypercube_bipartite(n)
-        v_red, e_red = pair_graph_size(b)
+        v_red, e_red = cube_pair_graph_size(n)
         ref_alpha = ALPHA_EQUI_HYPERCUBE.get(n)
         if n <= alpha_max_n:
-            alpha, witness = equi_independence(b, method=method)
+            alpha, witness = equi_independence(hypercube_bipartite(n), method=method)
             matches = ref_alpha is None or ref_alpha == alpha
             attained = alpha == 1 << (n - 2)
         else:

@@ -722,19 +722,21 @@ class TestEquiind:
         assert "error: 257024 vertices exceeds the solver cap 5000" in err
 
     @pytest.mark.parametrize(
-        "n,method,message",
-        [("10", "reduction", "257024 vertices exceeds the solver cap 5000"),
-         ("5", "oracle", "32 vertices exceeds the oracle cap 20"),
-         ("13", "direct", "8192 vertices exceeds the solver cap 5000")],
+        "n,method,builder,message",
+        [("10", "reduction", "qube.cli.hypercube_bipartite",
+          "257024 vertices exceeds the solver cap 5000"),
+         ("5", "oracle", "qube.cli.hypercube_bipartite", "32 vertices exceeds the oracle cap 20"),
+         ("13", "direct", "qube.graphs.near_table", "8192 vertices exceeds the solver cap 5000")],
     )
     def test_each_route_fails_before_the_cube_is_built(
-        self, capsys, monkeypatch, n, method, message
+        self, capsys, monkeypatch, n, method, builder, message
     ):
-        # the cube's rows take about 4**n / 8 bytes, gigabytes from n = 18
+        # the cube's rows take about 4**n / 8 bytes, gigabytes from n = 18;
+        # the direct route's cap is checked in hypercube_graph, before them
         def no_build(n):
             raise AssertionError("the cube was built")
 
-        monkeypatch.setattr("qube.cli.hypercube_bipartite", no_build)
+        monkeypatch.setattr(builder, no_build)
         code, out, err = run(capsys, "equiind", "--hypercube", n, "--method", method)
         assert code == 2
         assert out == ""
@@ -930,6 +932,25 @@ class TestTable1:
         assert [r["reduced_vertices"] for r in rows] == [4, 32, 176, 832, 3648, 15360]
         assert rows[-1]["reduced_edges"] == 16103424
         assert [r["alpha_equi"] for r in rows] == [2, 4, 10, 20, None, None]
+
+    def test_only_the_solved_cubes_are_built(self, capsys, monkeypatch):
+        built = []
+
+        def record(n):
+            built.append(n)
+            return hypercube_bipartite(n)
+
+        monkeypatch.setattr("qube.independence.hypercube_bipartite", record)
+        code, _, _ = run(capsys, "table1", "--max-n", "8", "--alpha-max-n", "6")
+        assert code == 0
+        assert built == [3, 4, 5, 6]
+
+    def test_a_row_with_no_alpha_shows_a_dash(self, capsys):
+        code, _, err = run(capsys, "table1", "--max-n", "8", "--alpha-max-n", "6")
+        lines = err.splitlines()
+        assert code == 0
+        assert lines[-2].split()[:2] == ["7", "(40)"]
+        assert lines[-1].split() == ["8", "-", "15360", "16103424"]
 
 
 class TestPigeonhole:
