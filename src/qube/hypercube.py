@@ -15,8 +15,8 @@ machine word and per-dimension tables stay small.
 A vertex's neighbours are also one integer, the mask with bit ``v ^ 1 << i``
 set for each i (``near_table``): the sampler tests a set of vertices for
 a neighbour of v with one AND, and ``graphs.hypercube_graph`` takes the
-masks as the cube's rows.  They are also one row
-of ``edge_rows``, each with its edge's dimension and class, which the
+masks as the cube's rows.  The neighbours are also one row of
+``edge_rows``, each with its edge's dimension and class, which the
 search and the sampler walk.  A process keeps both tables for
 n <= ``NEAR_TABLE_MAX_DIM`` only.
 """

@@ -512,11 +512,11 @@ def table1_rows(
     which builds neither the cube nor its pair graph.  The cube is built
     and the balanced-independence solve run only for rows with
     n <= alpha_max_n (default: every row); capping it keeps large-n
-    reports fast, since the exact solve grows steeply with n.  Skipped rows carry ``None`` in the solver-derived
-    fields but still show the bundled reference value.  A solve that does
-    not finish is refused before any row is computed: any from
-    n = ``TABLE1_SOLVE_MAX_N`` + 1, and the reduction's from
-    n = ``REDUCTION_MAX_N`` + 1.
+    reports fast, since the exact solve grows steeply with n.  Skipped
+    rows carry ``None`` in the solver-derived fields but still show the
+    bundled reference value.  A solve that does not finish is refused
+    before any row is computed: any from n = ``TABLE1_SOLVE_MAX_N`` + 1,
+    and the reduction's from n = ``REDUCTION_MAX_N`` + 1.
     """
     if not 3 <= max_n <= 8:
         raise ValueError("table rows cover 3 <= n <= 8")
