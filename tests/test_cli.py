@@ -722,21 +722,24 @@ class TestEquiind:
         assert "error: 257024 vertices exceeds the solver cap 5000" in err
 
     @pytest.mark.parametrize(
-        "n,method,builder,message",
-        [("10", "reduction", "qube.cli.hypercube_bipartite",
-          "257024 vertices exceeds the solver cap 5000"),
-         ("5", "oracle", "qube.cli.hypercube_bipartite", "32 vertices exceeds the oracle cap 20"),
-         ("13", "direct", "qube.graphs.near_table", "8192 vertices exceeds the solver cap 5000")],
+        "n,method,message",
+        [("10", "reduction", "257024 vertices exceeds the solver cap 5000"),
+         ("5", "oracle", "32 vertices exceeds the oracle cap 20"),
+         ("13", "direct", "8192 vertices exceeds the solver cap 5000")],
     )
     def test_each_route_fails_before_the_cube_is_built(
-        self, capsys, monkeypatch, n, method, builder, message
+        self, capsys, monkeypatch, n, method, message
     ):
         # the cube's rows take about 4**n / 8 bytes, gigabytes from n = 18;
-        # the direct route's cap is checked in hypercube_graph, before them
+        # the direct route's cap is checked in hypercube_graph, before
+        # near_table builds them
         def no_build(n):
             raise AssertionError("the cube was built")
 
-        monkeypatch.setattr(builder, no_build)
+        if method == "direct":
+            monkeypatch.setattr("qube.graphs.near_table", no_build)
+        else:
+            monkeypatch.setattr("qube.cli.hypercube_bipartite", no_build)
         code, out, err = run(capsys, "equiind", "--hypercube", n, "--method", method)
         assert code == 2
         assert out == ""

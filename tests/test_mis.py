@@ -368,8 +368,50 @@ class TestEquiReduction:
                 assert red.graph.adj[k] == row, (b.class0, k)
 
 
+def scattered_bipartite(rng: random.Random, size: int, density: float) -> BipartiteGraph:
+    """A random bipartite graph whose vertices join either class at random,
+    so neither class is a contiguous label range (or either may be empty)."""
+    side = [rng.randrange(2) for _ in range(size)]
+    g = UndirectedGraph(size)
+    for u, v in itertools.combinations(range(size), 2):
+        if side[u] != side[v] and rng.random() < density:
+            g.add_edge(u, v)
+    return BipartiteGraph(
+        g, [v for v in range(size) if side[v] == 0], [v for v in range(size) if side[v] == 1]
+    )
+
+
+def degree_rule(b: BipartiteGraph) -> list[int]:
+    """Each pair's degree in ``equi_reduction(b).graph``, in its order, by
+    the rule ``cube_pair_graph_size`` specialises to the cube: pair (u, v)
+    has degree |C_u| + |C_v| - |C_u ∩ C_v| - 1.  C_w holds the pairs at w
+    and those whose other coordinate is a neighbour of w; C_u ∩ C_v holds
+    (u, v) itself and the pairs of N(v) x N(u) that are not edges."""
+    adj = b.graph.adj
+    nbrs = [[x for x in range(b.vertex_count) if row >> x & 1] for row in adj]
+    at = [0] * b.vertex_count  # the pairs with w as a coordinate
+    for side, other in ((b.class0, len(b.class1)), (b.class1, len(b.class0))):
+        for w in side:
+            at[w] = other - len(nbrs[w])
+    reach = [at[w] + sum(at[x] for x in nbrs[w]) for w in range(b.vertex_count)]
+    degrees = []
+    for u in b.class0:
+        for v in b.class1:
+            if adj[u] >> v & 1:
+                continue
+            cross = sum((adj[y] & adj[u]).bit_count() for y in nbrs[v])
+            shared = 1 + len(nbrs[u]) * len(nbrs[v]) - cross
+            degrees.append(reach[u] + reach[v] - shared - 1)
+    return degrees
+
+
 class TestPairGraphSize:
-    """The closed form counts what ``equi_reduction`` builds."""
+    """The closed form counts what ``equi_reduction`` builds, and the degree
+    rule it is derived from holds on any bipartite graph."""
+
+    @staticmethod
+    def built_degrees(b: BipartiteGraph) -> list[int]:
+        return [row.bit_count() for row in equi_reduction(b).graph.adj]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_hypercubes(self, n):
@@ -386,6 +428,29 @@ class TestPairGraphSize:
         # graphs themselves take hundreds of MB and more to build
         assert cube_pair_graph_size(9) == (63232, 153623424)
         assert cube_pair_graph_size(10) == (257024, 1406362624)
+
+    @pytest.mark.parametrize("density", [k / 10 for k in range(1, 10)])
+    def test_random_bipartite_graphs(self, density):
+        rng = random.Random(3000 + round(density * 10))
+        for _ in range(170):
+            b = scattered_bipartite(rng, rng.randint(0, 24), density)
+            assert self.built_degrees(b) == degree_rule(b), (b.class0, b.class1)
+
+    @pytest.mark.parametrize(
+        "n0,n1,edges",
+        [(0, 0, ()), (0, 5, ()), (4, 0, ()), (3, 5, ()), (6, 2, ()),
+         (3, 4, tuple(itertools.product(range(3), range(3, 7)))),
+         (2, 2, ((0, 2),))],
+        ids=["empty", "no-class-0", "no-class-1", "edgeless", "edgeless-wide",
+             "complete", "one-edge"],
+    )
+    def test_extreme_graphs(self, n0, n1, edges):
+        b = BipartiteGraph(UndirectedGraph(n0 + n1, edges), range(n0), range(n0, n0 + n1))
+        assert self.built_degrees(b) == degree_rule(b)
+        if not edges:
+            # pairs conflict only on a shared coordinate: each of the
+            # n0 * n1 pairs meets n1 - 1 others on u and n0 - 1 on v
+            assert self.built_degrees(b) == [n0 + n1 - 2] * (n0 * n1)
 
 
 class TestEquiIndependence:
