@@ -20,6 +20,17 @@ each tagged with its edge's dimension, and stops at the first hit.
 base to where its edge starts and emits a plain row for each hit.  The
 ``squares`` command writes those rows.
 
+The commonest square is a *U-turn*: the cycle walks three sides of one
+2-face, so ``seq[k] ^ seq[k+3]`` is a unit vector.  Consecutive edges of
+a cycle differ in dimension, so the XOR d_k ^ d_(k+1) ^ d_(k+2) of three
+edge dimensions is a unit only when d_k = d_(k+2); edges k and k+2 are
+then the rims of a straight square with ray dimension d_(k+1).
+``has_square`` looks for one in a single pass before it runs the scan,
+which stays the one complete route.  A cycle without a U-turn is a Gray
+code whose bit runs all have length at least 3 (Goddyn and Gvozdjak,
+"Binary Gray codes with long bit runs", Electron. J. Combin. 10 (2003)
+#R27); every cycle of Q4 has a U-turn.
+
 Above a per-dimension usage threshold a square with that rim dimension is
 forced (``rim_threshold``); ``pigeonhole_report`` is the counting argument
 that forces one in every Hamiltonian cycle of small cubes.
@@ -28,7 +39,7 @@ that forces one in every Hamiltonian cycle of small cubes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from operator import itemgetter
+from operator import itemgetter, xor
 from typing import Iterable
 
 from .cycles import HamiltonianCycle, positions_by_dim
@@ -117,8 +128,21 @@ def find_squares(h: HamiltonianCycle) -> list[tuple[int, int, int, str, int]]:
 
 
 def has_square(h: HamiltonianCycle) -> bool:
-    """Whether the cycle contains any inscribed square (early exit)."""
-    return _rim_scan(h)
+    """Whether the cycle contains any inscribed square (early exit).
+
+    A U-turn answers first: if some ``seq[k] ^ seq[k+3]`` (cyclically) is
+    a unit vector e_j, the edges at k and k+2 share their dimension, since
+    consecutive edges differ in it, and with the two j-steps between their
+    ends they close a 2-face: a straight square with ray dimension j.  One
+    C-level pass finds such a k; only a cycle without one pays for the
+    full ``_rim_scan``.  The probe assumes the walk never steps straight
+    back (``seq[k+2] == seq[k]``), which holds for every closed walk
+    through distinct vertices and so for every validated cycle; a walk
+    that does would read as a U-turn.  ``seq[3:] + seq[:3]`` is the
+    rotation by 3 for every walk of length at least 3, and leaves the
+    2-position walk of Q1 unrotated, so that walk reads no U-turn."""
+    seq = h.seq
+    return 1 in map(int.bit_count, map(xor, seq, seq[3:] + seq[:3])) or _rim_scan(h)
 
 
 def rim_threshold(n: int, mode: str = "equi") -> int:

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from qube import squares
-from qube.cycles import HamiltonianCycle, chromatic_vector, color, gray_cycle
+from qube.cycles import HamiltonianCycle, chromatic_vector, color, gray_cycle, validate_cycle
 from qube.enumeration import sample_cycles
 from qube.hypercube import near_table
 from qube.squares import (
@@ -133,10 +133,41 @@ class TestFindSquares:
         assert sorted((i, kind) for i, _, _, kind, _ in find_squares(rev)) == base
 
 
+def u_turns(seq: tuple[int, ...]) -> list[int]:
+    """The positions k where the walk covers three sides of a 2-face:
+    ``seq[k] ^ seq[k+3]`` (cyclically) is a unit vector."""
+    size = len(seq)
+    return [k for k in range(size) if (seq[k] ^ seq[(k + 3) % size]).bit_count() == 1]
+
+
+# A valid Q5 cycle without a U-turn, found by a U-turn-avoiding search: it
+# has 16 squares of both kinds and chromatic vector (8, 6, 6, 6, 6), so it
+# is a second witness that Q5's fewest squares is 16 (ROADMAP item 12).
+NO_U_TURN_Q5 = tuple(
+    int(v) for v in "0 1 3 7 6 4 12 8 9 25 29 28 20 22 23 31 27 11 10 2 18 19 17 21 5 13 15 14 30 26 24 16".split()
+)
+
+
 class TestHasSquare:
     def test_matches_full_detection(self, q3_cycles, q4_cycles):
+        # the U-turn probe answers for all of these, so the scan behind it is
+        # checked against the oracle on its own
         for h in q3_cycles + q4_cycles + sample_cycles(5, seed=7, k=25):
-            assert has_square(h) == bool(brute_force_squares(h))
+            expected = bool(brute_force_squares(h))
+            assert has_square(h) == expected
+            assert squares._rim_scan(h) == expected
+
+    def test_a_cycle_without_a_u_turn_falls_back_to_the_scan(self, monkeypatch):
+        h = validate_cycle(5, NO_U_TURN_Q5)
+        assert not u_turns(h.seq)
+        rows = find_squares(h)
+        assert len(rows) == 16
+        assert {kind for _, _, _, kind, _ in rows} == {"straight", "twisted"}
+        assert chromatic_vector(h) == (8, 6, 6, 6, 6)
+        assert has_square(h) == bool(brute_force_squares(h))
+        # with the scan gone the answer must change: the probe found nothing
+        monkeypatch.setattr(squares, "_rim_scan", lambda h, starts=None: False)
+        assert has_square(h) is False
 
     def test_each_dimension_scanned_alone(self, monkeypatch, q3_cycles, q4_cycles):
         # with no threshold the check scans each used dimension's edges on
@@ -160,6 +191,7 @@ class TestHasSquare:
                 for walk in (h.rotated(k), h.rotated(k).reversed_cycle()):
                     expected = brute_force_squares(walk)
                     assert has_square(walk) == bool(expected)
+                    assert squares._rim_scan(walk) == bool(expected)
                     assert as_tuples(find_squares(walk)) == expected
 
     # the closed walk (0, 1) on Q1 reads its one edge twice, which is no square
@@ -183,6 +215,26 @@ class TestHasSquare:
         assert check_threshold_implication(h, "independence").ok
         assert time.perf_counter() - start < 1.0
         assert near_table.cache_info() == before
+
+
+class TestUTurn:
+    """A U-turn at k is the straight square whose rims start at k and
+    k + 2, with the rim dimension of edge k and the ray dimension of edge
+    k + 1; ``has_square`` answers from the first one it meets."""
+
+    def test_each_u_turn_is_a_listed_straight_square(self, q3_cycles, q4_cycles, q6_samples):
+        cycles = q3_cycles + q4_cycles + sample_cycles(5, seed=7, k=25)
+        for h in cycles + q6_samples[:300] + sample_cycles(7, 3, 8):
+            size = len(h)
+            cols = color(h)
+            rows = set(find_squares(h))
+            for k in u_turns(h.seq):
+                a, b = sorted((k, (k + 2) % size))
+                assert (cols[k], a, b, "straight", cols[(k + 1) % size]) in rows
+
+    def test_every_q4_cycle_has_a_u_turn(self, q4_cycles):
+        assert len(q4_cycles) == 1344
+        assert all(u_turns(h.seq) for h in q4_cycles)
 
 
 class TestRimThreshold:
