@@ -223,8 +223,8 @@ class TestUTurn:
     k + 1; ``has_square`` answers from the first one it meets."""
 
     def test_each_u_turn_is_a_listed_straight_square(self, q3_cycles, q4_cycles, q6_samples):
-        cycles = q3_cycles + q4_cycles + sample_cycles(5, seed=7, k=25)
-        for h in cycles + q6_samples[:300] + sample_cycles(7, 3, 8):
+        samples = sample_cycles(5, seed=7, k=25) + q6_samples[:300] + sample_cycles(7, 3, 8)
+        for h in q3_cycles + q4_cycles + samples:
             size = len(h)
             cols = color(h)
             rows = set(find_squares(h))
