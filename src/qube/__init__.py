@@ -2,14 +2,23 @@
 
 The package models hypercube vertices as integers (entry i = bit i), and
 provides: validated Hamiltonian cycles with per-dimension profiles and
-balance checks (:mod:`qube.cycles`), inscribed-square detection and
-square-forcing thresholds (:mod:`qube.squares`), exact maximum-independent
-and balanced-independent set solvers with the pair-graph reduction
-(:mod:`qube.independence`), exhaustive pruned enumeration and randomized
-sampling of cycles (:mod:`qube.enumeration`), property sweeps over a corpus
+balance checks (:mod:`qube.cycles`), inscribed-square detection
+(:mod:`qube.squares`), exact maximum-independent and balanced-independent
+set solvers with the pair-graph reduction (:mod:`qube.independence`), the
+paper's bounds: the balanced-independence tables, square-forcing
+thresholds, the counting argument and table 1 (:mod:`qube.bounds`),
+exhaustive pruned enumeration and randomized sampling of cycles
+(:mod:`qube.enumeration`), property sweeps over a corpus
 (:mod:`qube.verify`), and a command-line interface (:mod:`qube.cli`).
 """
 
+from .bounds import (
+    ALPHA_EQUI_COMPUTED,
+    ALPHA_EQUI_HYPERCUBE,
+    EquiValueUnavailable,
+    lower_bound_set,
+    rim_threshold,
+)
 from .cycles import (
     CycleError,
     DimensionUnused,
@@ -63,19 +72,10 @@ from .independence import (
     brute_force_equi,
     equi_independence,
     equi_reduction,
-    lower_bound_set,
     max_independent_set,
     unpack_pair_witness,
 )
-from .squares import (
-    ALPHA_EQUI_COMPUTED,
-    ALPHA_EQUI_HYPERCUBE,
-    EquiValueUnavailable,
-    check_threshold_implication,
-    find_squares,
-    has_square,
-    rim_threshold,
-)
+from .squares import check_threshold_implication, find_squares, has_square
 
 __version__ = "0.1.0"
 

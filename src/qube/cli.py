@@ -25,6 +25,7 @@ import sys
 import time
 from typing import Iterable, Iterator
 
+from .bounds import EquiValueUnavailable, pigeonhole_report, rim_threshold, table1_rows
 from .cycles import (  # noqa: F401 -- check_balance stays a public name of qube.cli
     HamiltonianCycle,
     check_balance,
@@ -54,9 +55,8 @@ from .independence import (
     check_pair_graph_cap,
     equi_independence,
     equi_reduction,
-    table1_rows,
 )
-from .squares import EquiValueUnavailable, find_squares, pigeonhole_report, rim_threshold
+from .squares import find_squares
 from .verify import PROPERTIES, persist_square_free, sweep, sweep_exhaustive
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,8 @@ routes that must agree:
   |candidates| + |compatible| - |M| together.
 
 ``brute_force_equi`` is an exhaustive subset scan kept as an oracle for
-small graphs.  ``table1_rows`` reproduces the reference table of
-balanced-independence numbers and pair-graph sizes for the n-cube.  It
-takes the sizes from ``cube_pair_graph_size``, a closed form in n, and
-builds the cube only for the rows it solves.
+small graphs.  ``cube_pair_graph_size`` counts the n-cube's pair graph in
+closed form, without building it.
 """
 
 from __future__ import annotations
@@ -50,27 +48,16 @@ from .graphs import (
     SizeLimitExceeded,
     UndirectedGraph,
     check_solver_cap,
-    hypercube_bipartite,
     is_balanced,
     is_independent,
 )
-from .hypercube import check_dimension, parity
-from .squares import ALPHA_EQUI_HYPERCUBE
+from .hypercube import check_dimension
 
 BRUTE_FORCE_LIMIT = 20
 
-# Reference column of reduced-graph vertex counts as printed alongside the
-# known balanced-independence numbers.  The n=6 entry is inconsistent with
-# the pair construction itself (|class0| * |class1| - edges = 832); the
-# table1 report computes the true value and flags the difference.
-REFERENCE_REDUCED_VERTICES = {3: 4, 4: 32, 5: 176, 6: 882, 7: 3648}
-
-# The largest n-cube each exact route is run on: on a 2-core Intel Xeon
-# VM the reduction ran 600 s on the 6-cube without an answer, and the
-# direct solve of the 7-cube takes 4-5 minutes, while no solve of the
-# 8-cube has finished.
+# The largest n-cube the reduction is run on: on a 2-core Intel Xeon VM
+# it ran 600 s on the 6-cube without an answer.
 REDUCTION_MAX_N = 5
-TABLE1_SOLVE_MAX_N = 7
 
 
 def check_pair_graph_cap(b: BipartiteGraph) -> None:
@@ -484,77 +471,3 @@ def brute_force_equi(b: BipartiteGraph) -> int:
         if ok:
             best = size
     return best
-
-
-def lower_bound_set(n: int) -> list[int]:
-    """A balanced maximal independent set of size 2**(n-2) in the n-cube.
-
-    Construction: take the vertices whose first two entries are both b and
-    whose total parity is b, for b = 0 and b = 1.  Needs n >= 3.
-    """
-    check_dimension(n)
-    if n < 3:
-        raise ValueError("the construction needs n >= 3")
-    return [
-        v
-        for v in range(1 << n)
-        if (v & 3) in (0, 3) and parity(v) == (v & 1)
-    ]
-
-
-def table1_rows(
-    max_n: int, method: str = "direct", alpha_max_n: int | None = None
-) -> list[dict]:
-    """Reproduce the reference table: balanced-independence numbers and
-    reduced-graph sizes for the n-cube, n = 3..max_n.
-
-    Reduced-graph sizes are always computed, by ``cube_pair_graph_size``,
-    which builds neither the cube nor its pair graph.  The cube is built
-    and the balanced-independence solve run only for rows with
-    n <= alpha_max_n (default: every row); capping it keeps large-n
-    reports fast, since the exact solve grows steeply with n.  Skipped
-    rows carry ``None`` in the solver-derived fields but still show the
-    bundled reference value.  A solve that does not finish is refused
-    before any row is computed: any from n = ``TABLE1_SOLVE_MAX_N`` + 1,
-    and the reduction's from n = ``REDUCTION_MAX_N`` + 1.
-    """
-    if not 3 <= max_n <= 8:
-        raise ValueError("table rows cover 3 <= n <= 8")
-    if alpha_max_n is None:
-        alpha_max_n = max_n
-    solved = min(max_n, alpha_max_n)
-    if solved > TABLE1_SOLVE_MAX_N:
-        raise SizeLimitExceeded(
-            f"table1 solves alpha_equi only for n <= {TABLE1_SOLVE_MAX_N} (no solve of "
-            f"the {TABLE1_SOLVE_MAX_N + 1}-cube has finished); set alpha_max_n "
-            f"(--alpha-max-n) to at most {TABLE1_SOLVE_MAX_N}"
-        )
-    if method == "reduction" and solved >= 3:
-        check_hypercube_caps(solved, method)
-    rows = []
-    for n in range(3, max_n + 1):
-        v_red, e_red = cube_pair_graph_size(n)
-        ref_alpha = ALPHA_EQUI_HYPERCUBE.get(n)
-        if n <= alpha_max_n:
-            alpha, witness = equi_independence(hypercube_bipartite(n), method=method)
-            matches = ref_alpha is None or ref_alpha == alpha
-            attained = alpha == 1 << (n - 2)
-        else:
-            alpha = witness = matches = attained = None
-        ref_v = REFERENCE_REDUCED_VERTICES.get(n)
-        rows.append(
-            {
-                "n": n,
-                "alpha_equi": alpha,
-                "witness": witness,
-                "reduced_vertices": v_red,
-                "reduced_edges": e_red,
-                "reference_reduced_vertices": ref_v,
-                "reduced_vertices_mismatch": ref_v is not None and ref_v != v_red,
-                "reference_alpha": ref_alpha,
-                "alpha_matches_reference": matches,
-                "lower_bound": 1 << (n - 2),
-                "lower_bound_attained": attained,
-            }
-        )
-    return rows

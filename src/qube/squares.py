@@ -31,39 +31,18 @@ code whose bit runs all have length at least 3 (Goddyn and Gvozdjak,
 "Binary Gray codes with long bit runs", Electron. J. Combin. 10 (2003)
 #R27); every cycle of Q4 has a U-turn.
 
-Above a per-dimension usage threshold a square with that rim dimension is
-forced (``rim_threshold``); ``pigeonhole_report`` is the counting argument
-that forces one in every Hamiltonian cycle of small cubes.
+The threshold check reads its per-dimension usage threshold from
+:func:`qube.bounds.rim_threshold`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import itemgetter, xor
 from typing import Iterable
 
+from .bounds import rim_threshold
 from .cycles import HamiltonianCycle, positions_by_dim
-
-
-class EquiValueUnavailable(LookupError):
-    """No stored balanced-independence number for the requested dimension."""
-
-
-# Bundled reference table of balanced-independence numbers for the n-cube.
-# The 1- and 2-cube have no balanced independent set at all (every
-# cross-class pair is an edge), and the solvers in :mod:`qube.independence`
-# confirm the entries for n <= 5.  For n = 6 and 7 the solvers find strictly
-# larger values (20 and 44; explicit witnesses are checked in the test
-# suite), so those two reference entries are understated.  The table is kept
-# verbatim because downstream thresholds and reports are defined against it;
-# ``table1`` output flags the disagreement wherever a computed value is
-# available.
-ALPHA_EQUI_HYPERCUBE: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 16, 7: 40}
-
-# Balanced-independence numbers actually computed by this package's solvers
-# (direct branch-and-bound, cross-checked by the pair-graph reduction for
-# n <= 5 and by explicit layered witnesses for n = 6, 7).
-ALPHA_EQUI_COMPUTED: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 20, 7: 44}
 
 
 # the sort key of a square row: where its earlier rim starts
@@ -145,28 +124,6 @@ def has_square(h: HamiltonianCycle) -> bool:
     return 1 in map(int.bit_count, map(xor, seq, seq[3:] + seq[:3])) or _rim_scan(h)
 
 
-def rim_threshold(n: int, mode: str = "equi") -> int:
-    """Dimension-usage count above which an inscribed square with that rim
-    dimension is forced.
-
-    ``independence`` mode uses the quarter-order bound 2**(n-2);
-    ``equi`` mode sharpens it to the balanced-independence number of the
-    (n-1)-cube, which must be stored in ALPHA_EQUI_HYPERCUBE.
-    """
-    if n < 2:
-        raise ValueError("thresholds need n >= 2")
-    if mode == "independence":
-        return 1 << (n - 2)
-    if mode == "equi":
-        try:
-            return ALPHA_EQUI_HYPERCUBE[n - 1]
-        except KeyError:
-            raise EquiValueUnavailable(
-                f"no stored balanced-independence number for dimension {n - 1}"
-            ) from None
-    raise ValueError(f"unknown threshold mode {mode!r}")
-
-
 @dataclass(frozen=True)
 class ThresholdReport:
     """Which dimensions exceed the square-forcing threshold, and which of
@@ -193,31 +150,3 @@ def check_threshold_implication(
     obligated = tuple(i for i, ks in enumerate(positions) if len(ks) > thr)
     violations = tuple(i for i in obligated if not _rim_scan(h, positions[i]))
     return ThresholdReport(mode, thr, obligated, violations)
-
-
-@dataclass(frozen=True)
-class PigeonholeReport:
-    """The counting argument for dimension n: if n times the balanced-
-    independence number of the (n-1)-cube is still below the cycle length
-    2**n, every Hamiltonian cycle must use some dimension often enough to
-    force an inscribed square."""
-
-    n: int
-    threshold: int
-    product: int
-    order: int
-
-    @property
-    def forced(self) -> bool:
-        return self.product < self.order
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "forced": self.forced}
-
-
-def pigeonhole_report(n: int) -> PigeonholeReport:
-    """The counting argument at dimension n, with the ``equi`` rim
-    threshold (the stored balanced-independence number of the next cube
-    down)."""
-    alpha = rim_threshold(n, "equi")
-    return PigeonholeReport(n, alpha, n * alpha, 1 << n)

@@ -79,7 +79,7 @@ def sweep(
 ) -> dict[str, Tally]:
     """Check every property of ``props`` on each cycle, in one pass, and
     return each property's tally; ``mode`` is the threshold flavour of the
-    ``threshold`` property (see :func:`~qube.squares.rim_threshold`)."""
+    ``threshold`` property (see :func:`~qube.bounds.rim_threshold`)."""
     names = () if isinstance(props, str) else tuple(props)  # read a generator once
     if not names:
         raise ValueError(f"props must be a non-empty tuple of property names, got {props!r}")

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from qube.bounds import ALPHA_EQUI_HYPERCUBE, lower_bound_set, pigeonhole_report, table1_rows
 from qube.cycles import check_chromatic_conditions, chromatic_vector, permute_dims
 from qube.enumeration import PruneConfig, count_cycles, enumerate_cycles
 from qube.graphs import (
@@ -32,12 +33,10 @@ from qube.independence import (
     brute_force_equi,
     equi_independence,
     equi_reduction,
-    lower_bound_set,
     max_independent_set,
-    table1_rows,
     unpack_pair_witness,
 )
-from qube.squares import ALPHA_EQUI_HYPERCUBE, check_threshold_implication, pigeonhole_report
+from qube.squares import check_threshold_implication
 from qube.verify import persist_square_free
 
 from _registry import record

@@ -917,7 +917,7 @@ class TestTable1:
         def no_build(n):
             raise AssertionError("a cube was built")
 
-        monkeypatch.setattr("qube.independence.hypercube_bipartite", no_build)
+        monkeypatch.setattr("qube.bounds.hypercube_bipartite", no_build)
         start = time.perf_counter()
         code, out, err = run(capsys, "table1", *argv)
         assert time.perf_counter() - start < 1.0
@@ -943,7 +943,7 @@ class TestTable1:
             built.append(n)
             return hypercube_bipartite(n)
 
-        monkeypatch.setattr("qube.independence.hypercube_bipartite", record)
+        monkeypatch.setattr("qube.bounds.hypercube_bipartite", record)
         code, _, _ = run(capsys, "table1", "--max-n", "8", "--alpha-max-n", "6")
         assert code == 0
         assert built == [3, 4, 5, 6]

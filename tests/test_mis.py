@@ -9,6 +9,7 @@ import types
 import pytest
 
 from qube import independence
+from qube.bounds import lower_bound_set
 from qube.graphs import (
     BipartiteGraph,
     UndirectedGraph,
@@ -25,7 +26,6 @@ from qube.independence import (
     cube_pair_graph_size,
     equi_independence,
     equi_reduction,
-    lower_bound_set,
     max_independent_set,
     unpack_pair_witness,
 )

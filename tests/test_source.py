@@ -7,8 +7,9 @@ import pytest
 
 import qube
 
+PACKAGE = Path(qube.__file__).parent
 # ``__init__`` imports names to re-export them
-MODULES = sorted(p.name for p in Path(qube.__file__).parent.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -30,12 +31,9 @@ def unused_imports(source: str) -> list[str]:
     return [name for _, name in sorted(imported) if name not in read]
 
 
-def unread_private_names(source: str) -> list[str]:
-    """The private names (``_name``, not dunder) a module binds at its top
-    level by ``def``, ``class`` or assignment and never reads, in source
-    order.  A read anywhere counts, a decorator's or the name's own body's
-    included."""
-    tree = ast.parse(source)
+def top_level_names(tree: ast.Module) -> list[str]:
+    """The names a module binds at its top level by ``def``, ``class`` or
+    assignment, in source order."""
     bound = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -43,13 +41,25 @@ def unread_private_names(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return bound
+
+
+def is_private(name: str) -> bool:
+    """Whether ``name`` is private: ``_name``, not a dunder."""
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unread_private_names(source: str) -> list[str]:
+    """The private names (``_name``, not dunder) a module binds at its top
+    level by ``def``, ``class`` or assignment and never reads, in source
+    order.  A read anywhere counts, a decorator's or the name's own body's
+    included."""
+    tree = ast.parse(source)
+    bound = top_level_names(tree)
     read = {
         n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
     }
-    return [
-        name for name in bound
-        if name.startswith("_") and not name.startswith("__") and name not in read
-    ]
+    return [name for name in bound if is_private(name) and name not in read]
 
 
 class TestUnreadPrivateNames:
@@ -101,3 +111,104 @@ class TestUnusedImports:
             "from collections import Counter\n"
         )
         assert unused_imports(source) == ["Sequence", "j"]
+
+
+def qube_imports(source: str) -> list[tuple[str, str | None]]:
+    """What a module of the package imports from its sibling modules, as
+    ``(module, name)`` pairs: ``from .squares import f`` and
+    ``from qube.squares import f`` give ("squares", "f"), while
+    ``from . import squares`` and ``import qube.squares`` give ("squares",
+    None), the whole module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [
+                (a.name.split(".")[1], None)
+                for a in node.names if a.name.startswith("qube.")
+            ]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif node.module and node.module.startswith("qube."):
+                module = node.module.split(".")[1]
+            else:
+                continue
+            found += [
+                (module, a.name) if module else (a.name, None) for a in node.names
+            ]
+    return found
+
+
+ALPHA_TABLES = {"ALPHA_EQUI_HYPERCUBE", "ALPHA_EQUI_COMPUTED"}
+BOUNDS_NAMES = ALPHA_TABLES | {"EquiValueUnavailable"}
+
+
+def layering_faults(sources: dict[str, str]) -> list[str]:
+    """Where the package's sources, keyed by file name, break its layering,
+    one line per fault:
+
+    * the balanced-independence tables and ``EquiValueUnavailable`` are
+      bound anywhere but in ``bounds.py``, or imported from anywhere else;
+    * a table is imported by a module other than ``__init__.py``, the
+      bounds' readers living in ``bounds.py`` itself;
+    * ``independence.py`` imports from ``squares`` or ``bounds``, the two
+      modules built on it;
+    * a module imports a private name from another module of the package.
+    """
+    faults = []
+    for file, source in sorted(sources.items()):
+        for name in top_level_names(ast.parse(source)):
+            if name in BOUNDS_NAMES and file != "bounds.py":
+                faults.append(f"{file} binds {name}")
+        for module, name in qube_imports(source):
+            if name in BOUNDS_NAMES and module != "bounds":
+                faults.append(f"{file} imports {name} from {module}")
+            if name in ALPHA_TABLES and file != "__init__.py":
+                faults.append(f"{file} imports {name}")
+            if file == "independence.py" and module in ("squares", "bounds"):
+                faults.append(f"{file} imports from {module}")
+            if name is not None and is_private(name):
+                faults.append(f"{file} imports {name} from {module}")
+    return faults
+
+
+class TestLayering:
+    def test_the_package_keeps_its_layers(self):
+        sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+        assert "bounds.py" in sources
+        assert layering_faults(sources) == []
+
+    def test_the_check_finds_each_fault(self):
+        sources = {
+            "bounds.py": (
+                "class EquiValueUnavailable(LookupError):\n"
+                "    pass\n"
+                "ALPHA_EQUI_HYPERCUBE = {}\n"
+            ),
+            "__init__.py": "from .bounds import ALPHA_EQUI_HYPERCUBE, EquiValueUnavailable\n",
+            "cli.py": "from .bounds import EquiValueUnavailable\n",
+            "squares.py": (
+                "from .bounds import ALPHA_EQUI_HYPERCUBE\n"
+                "ALPHA_EQUI_COMPUTED: dict = {}\n"
+            ),
+            "independence.py": (
+                "from . import squares\n"
+                "from qube.bounds import rim_threshold\n"
+                "from .graphs import hypercube_bipartite\n"
+            ),
+            "verify.py": (
+                "import qube.cycles\n"
+                "from .squares import _rim_scan, find_squares\n"
+                "from .cli import EquiValueUnavailable\n"
+                "from .squares import __doc__\n"
+            ),
+        }
+        assert layering_faults(sources) == [
+            "independence.py imports from squares",
+            "independence.py imports from bounds",
+            "squares.py binds ALPHA_EQUI_COMPUTED",
+            "squares.py imports ALPHA_EQUI_HYPERCUBE",
+            "verify.py imports _rim_scan from squares",
+            "verify.py imports EquiValueUnavailable from cli",
+        ]
+        assert qube_imports(sources["verify.py"])[0] == ("cycles", None)

@@ -5,19 +5,24 @@ import time
 import pytest
 
 from qube import squares
-from qube.cycles import HamiltonianCycle, chromatic_vector, color, gray_cycle, validate_cycle
-from qube.enumeration import sample_cycles
-from qube.hypercube import near_table
-from qube.squares import (
+from qube.bounds import (
     ALPHA_EQUI_COMPUTED,
     ALPHA_EQUI_HYPERCUBE,
     EquiValueUnavailable,
-    ThresholdReport,
-    check_threshold_implication,
-    find_squares,
-    has_square,
     rim_threshold,
 )
+from qube.cycles import (
+    HamiltonianCycle,
+    chromatic_vector,
+    color,
+    gray_cycle,
+    positions_by_dim,
+    validate_cycle,
+)
+from qube.enumeration import sample_cycles
+from qube.graphs import hypercube_bipartite, is_balanced, is_independent
+from qube.hypercube import near_table
+from qube.squares import ThresholdReport, check_threshold_implication, find_squares, has_square
 
 
 def brute_force_squares(h: HamiltonianCycle) -> set[tuple]:
@@ -145,6 +150,20 @@ def u_turns(seq: tuple[int, ...]) -> list[int]:
 # is a second witness that Q5's fewest squares is 16 (ROADMAP item 12).
 NO_U_TURN_Q5 = tuple(
     int(v) for v in "0 1 3 7 6 4 12 8 9 25 29 28 20 22 23 31 27 11 10 2 18 19 17 21 5 13 15 14 30 26 24 16".split()
+)
+
+# A Hamiltonian cycle of Q7 whose dimension-6 edges are the rungs at a
+# balanced independent 20-set of Q6, found by a search for a cycle with
+# prescribed rungs: no two of those edges are the rims of a square.
+RIM_FREE_Q7 = tuple(
+    int(v)
+    for v in (
+        "0 64 80 112 96 97 33 1 9 73 65 81 17 16 18 82 114 98 34 32 48 50 58 26 24 25 27 "
+        "19 51 49 57 56 120 104 105 121 113 115 83 67 3 2 10 74 66 70 6 7 23 22 30 31 95 "
+        "91 89 88 72 76 78 79 75 107 99 103 71 87 119 55 54 38 39 35 43 11 15 14 46 42 40 "
+        "41 45 47 111 127 123 59 63 62 126 118 86 94 90 122 106 110 102 100 68 84 92 28 60 "
+        "44 108 124 116 52 36 37 53 61 125 117 101 109 77 93 85 69 5 13 29 21 20 4 12 8"
+    ).split()
 )
 
 
@@ -322,3 +341,18 @@ class TestReferenceTable:
     def test_large_entries_are_understated(self):
         assert ALPHA_EQUI_COMPUTED[6] == 20 > ALPHA_EQUI_HYPERCUBE[6] == 16
         assert ALPHA_EQUI_COMPUTED[7] == 44 > ALPHA_EQUI_HYPERCUBE[7] == 40
+
+    def test_a_square_free_dimension_of_a_q7_cycle_attains_the_computed_value(self):
+        # the cycle's 20 dimension-6 edges are the rims of no square, so their
+        # bases are a balanced independent set of Q6: 20 > 16 with no solver
+        h = validate_cycle(7, RIM_FREE_Q7)
+        assert chromatic_vector(h) == (18, 12, 14, 24, 24, 16, 20)
+        assert all(row[0] != 6 for row in find_squares(h))
+        starts = positions_by_dim(h)[6]
+        assert squares._rim_scan(h, starts) is False
+        seq = h.seq
+        bases = sorted(seq[k] & seq[(k + 1) % len(seq)] for k in starts)
+        b = hypercube_bipartite(6)
+        assert len(set(bases)) == len(bases) == ALPHA_EQUI_COMPUTED[6]
+        assert is_independent(b.graph, bases)
+        assert is_balanced(b, bases)
