@@ -41,7 +41,8 @@ ALPHA_EQUI_HYPERCUBE: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 16, 7:
 
 # Balanced-independence numbers actually computed by this package's solvers
 # (direct branch-and-bound, cross-checked by the pair-graph reduction for
-# n <= 5 and by explicit layered witnesses for n = 6, 7).
+# n <= 5, and for n = 6 in an opt-in test, and by explicit layered
+# witnesses for n = 6, 7).
 ALPHA_EQUI_COMPUTED: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 20, 7: 44}
 
 # Reference column of reduced-graph vertex counts as printed alongside the
@@ -134,9 +135,10 @@ def table1_rows(
     n <= alpha_max_n (default: every row); capping it keeps large-n
     reports fast, since the exact solve grows steeply with n.  Skipped
     rows carry ``None`` in the solver-derived fields but still show the
-    bundled reference value.  A solve that does not finish is refused
+    bundled reference value.  A solve that is out of reach is refused
     before any row is computed: any from n = ``TABLE1_SOLVE_MAX_N`` + 1,
-    and the reduction's from n = ``REDUCTION_MAX_N`` + 1.
+    where none has finished, and the reduction's from n =
+    ``REDUCTION_MAX_N`` + 1, where it takes more than half a minute.
     """
     if not 3 <= max_n <= 8:
         raise ValueError("table rows cover 3 <= n <= 8")

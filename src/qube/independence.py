@@ -15,6 +15,26 @@ the branch order does not depend on the bounds.  On the pair graphs of 40
 seeded 20-vertex induced subgraphs of Q6 the covers cut the clique search
 from 25,890 to 18,950 nodes; on those of Q3-Q5 it keeps its 1,183 nodes.
 
+The route also passes the pair labels, which turn on the pair-swap rule.
+Pairs (a, c) and (b, d) with no conflict unpack to the same four vertices
+as (a, d) and (b, c), and a set holding either two has a twin of the same
+size holding the other two.  So when a branch x = (a, c) follows an
+earlier sibling (a, v') at its node, every pair (u', v') is blocked in
+x's subtree; after a sibling (u', c), every pair (u', v'') is.  A set
+holding x and a blocked pair y has a twin holding the sibling, and the
+twin lies in a subtree searched before x's (at this node, or at the
+first ancestor where an earlier sibling is in it), so the incumbent is
+at least its size when x is branched.  Blocked pairs are not branched
+on and do not count towards the covers, but they stay in the coloring,
+so the branch order, every size and every witness are those of the
+search without labels.  A blocked sibling blocks nothing more: the
+blocked pairs are whole coordinate classes, so the class it would block
+is blocked already, or it shares the blocked class with the later
+sibling, which is blocked too.  The rule cuts the Q6-20 pair graphs
+above from 18,950 nodes to 3,298 and those of Q3-Q5 from 1,183 to 627,
+and the route solves the 6-cube's 832-vertex pair graph: 20, with a
+checked witness, in 34-38 s at a 17 MB peak on a 2-core Intel Xeon VM.
+
 ``equi_independence`` computes the largest *balanced* independent set of a
 bipartite graph (equally many vertices from each class) by two separate
 routes that must agree:
@@ -56,7 +76,8 @@ from .hypercube import check_dimension
 BRUTE_FORCE_LIMIT = 20
 
 # The largest n-cube the reduction is run on: on a 2-core Intel Xeon VM
-# it ran 600 s on the 6-cube without an answer.
+# it solves the 6-cube in 34-38 s, where the direct route takes 0.03 s,
+# and it has not been run on the 7-cube's 3,648-vertex pair graph.
 REDUCTION_MAX_N = 5
 
 
@@ -119,8 +140,47 @@ def _check_clique_cover(g: UndirectedGraph, cover: Sequence[int]) -> None:
         raise ValueError("a cover misses a vertex of the graph")
 
 
+def _pairs_at(
+    g: UndirectedGraph, pairs: Sequence[tuple[int, int]]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The masks of the vertices of ``g`` at each class-0 coordinate and at
+    each class-1 coordinate of ``pairs``, its vertex labels.  Refuses a
+    graph that is not the pair graph of its labels: (u, v) and (u', v')
+    must be adjacent exactly when they share a coordinate or (u, v') or
+    (u', v) is no label, as ``equi_reduction`` builds it."""
+    n = g.vertex_count
+    if len(pairs) != n or len(set(pairs)) != n:
+        raise ValueError("the pair labels must be one distinct pair per vertex")
+    at_u: dict[int, int] = {}
+    at_v: dict[int, int] = {}
+    bit = 1
+    for u, v in pairs:
+        at_u[u] = at_u.get(u, 0) | bit
+        at_v[v] = at_v.get(v, 0) | bit
+        bit <<= 1
+    # reach_u[u]: the pairs (u', v') with (u, v') a label; reach_v alike
+    reach_u = dict.fromkeys(at_u, 0)
+    reach_v = dict.fromkeys(at_v, 0)
+    for u, v in pairs:
+        reach_u[u] |= at_v[v]
+        reach_v[v] |= at_u[u]
+    # (u, v)'s non-neighbours are the pairs that share no coordinate with it
+    # and are in both reaches
+    free_u = {u: mask & ~at_u[u] for u, mask in reach_u.items()}
+    free_v = {v: mask & ~at_v[v] for v, mask in reach_v.items()}
+    full = (1 << n) - 1
+    bit = 1
+    for (u, v), row in zip(pairs, g.adj):
+        if row ^ full != free_u[u] & free_v[v] | bit:
+            raise ValueError("the graph is not the pair graph of its labels")
+        bit <<= 1
+    return at_u, at_v
+
+
 def max_independent_set(
-    g: UndirectedGraph, covers: Sequence[Sequence[int]] = ()
+    g: UndirectedGraph,
+    covers: Sequence[Sequence[int]] = (),
+    pairs: Sequence[tuple[int, int]] | None = None,
 ) -> tuple[int, list[int]]:
     """Exact maximum independent set (size and one witness), computed as a
     maximum clique of the complement graph by branch and bound with a
@@ -140,11 +200,25 @@ def max_independent_set(
     beats the incumbent, and the incumbent changes only on a strict
     improvement, so the size and the witness are the same with or
     without covers; only the nodes below a cut node go.
+
+    ``pairs`` labels each vertex of a pair graph with its pair (u, v), as
+    ``equi_reduction`` builds it; a graph that is not the pair graph of
+    its labels is refused.  The labels turn on the pair-swap rule: when a
+    branch (a, c) follows an earlier sibling (a, v') at its node, the
+    pairs (u', v') are blocked in its subtree, and after a sibling
+    (u', c) the pairs (u', v'') are.  A set holding (a, c) and a blocked
+    pair has a twin of the same size, the two pairs re-paired, that holds
+    the earlier sibling and was searched before.  Blocked candidates are
+    not branched on and are left out of the cover count, but they are
+    still colored, so the branch order, the size and the witness are the
+    same as without labels.
     """
     n = g.vertex_count
     check_solver_cap(n)
     for cover in covers:
         _check_clique_cover(g, cover)
+    if pairs is not None:
+        at_u, at_v = _pairs_at(g, pairs)
     if n == 0:
         return 0, []
     degree = [row.bit_count() for row in g.adj]
@@ -154,19 +228,25 @@ def max_independent_set(
     full = (1 << n) - 1
     adj = [full & ~row & ~(1 << p) for p, row in enumerate(nonadj)]
     cliques = [_permute_rows(cover, order, n) for cover in covers]
+    ends: list[tuple[int, int]] = []
+    if pairs is not None:
+        ends = [pairs[v] for v in order]
+        at_u = dict(zip(at_u, _permute_rows(at_u.values(), order, n)))
+        at_v = dict(zip(at_v, _permute_rows(at_v.values(), order, n)))
 
     best_clique = _greedy_clique(adj)
     best = len(best_clique)
     cur: list[int] = []
 
-    def expand(cand: int) -> None:
+    def expand(cand: int, blocked: int) -> None:
         nonlocal best, best_clique
         kmin = best - len(cur) + 1
-        if kmin > 1:  # cand meets at least one clique of each cover
+        if kmin > 1:  # the live candidates meet kmin cliques of each cover
+            live = cand & ~blocked
             for cover in cliques:
                 met = 0
                 for clique in cover:
-                    if cand & clique:
+                    if live & clique:
                         met += 1
                         if met == kmin:
                             break
@@ -188,21 +268,34 @@ def max_independent_set(
                     out_c.append(color)
                 rest ^= low
                 avail = (avail ^ low) & nonadj[v]
+        # twin_u[a]: the pairs blocked below a branch (a, c) by the earlier
+        # branches at a; twin_v[c] likewise by those at c
+        twin_u: dict[int, int] = {}
+        twin_v: dict[int, int] = {}
         for idx in range(len(out_v) - 1, -1, -1):
             if len(cur) + out_c[idx] <= best:
                 return
             v = out_v[idx]
+            below = blocked
+            if ends:
+                if blocked >> v & 1:
+                    cand ^= 1 << v
+                    continue
+                a, c = ends[v]
+                below |= twin_u.get(a, 0) | twin_v.get(c, 0)
+                twin_u[a] = twin_u.get(a, 0) | at_v[c]
+                twin_v[c] = twin_v.get(c, 0) | at_u[a]
             cur.append(v)
             nxt = cand & adj[v]
             if nxt:
-                expand(nxt)
+                expand(nxt, below)
             elif len(cur) > best:
                 best = len(cur)
                 best_clique = cur.copy()
             cur.pop()
             cand ^= 1 << v
 
-    expand(full)
+    expand(full, 0)
     return best, sorted(order[p] for p in best_clique)
 
 
@@ -414,7 +507,7 @@ def equi_independence(b: BipartiteGraph, method: str = "direct") -> tuple[int, l
     if method == "reduction":
         check_pair_graph_cap(b)
         red = equi_reduction(b)
-        size, pair_set = max_independent_set(red.graph, red.covers)
+        size, pair_set = max_independent_set(red.graph, red.covers, pairs=red.pair_labels)
         size, witness = 2 * size, unpack_pair_witness(red, pair_set)
     elif method == "direct":
         size, witness = _direct_balanced(b)
@@ -429,7 +522,8 @@ def check_hypercube_caps(n: int, method: str) -> None:
     """Refuse, before the n-cube is built, a route whose input would exceed
     its cap: the pair graph's vertices (``cube_pair_graph_size``) for
     ``reduction``, the 2**n vertices for ``oracle``.  The reduction is
-    also refused above ``REDUCTION_MAX_N``, where it does not finish.
+    also refused above ``REDUCTION_MAX_N``: it takes more than half a
+    minute on the 6-cube and has not been run on the 7-cube.
     ``direct`` needs no check here: ``hypercube_graph`` refuses a cube
     above the solver cap before it builds a row."""
     check_dimension(n)
@@ -438,7 +532,8 @@ def check_hypercube_caps(n: int, method: str) -> None:
         if n > REDUCTION_MAX_N:
             raise SizeLimitExceeded(
                 f"the reduction solves the n-cube only for n <= {REDUCTION_MAX_N} "
-                f"(it does not finish from n = {REDUCTION_MAX_N + 1}); use the direct method"
+                f"(it takes more than half a minute on the {REDUCTION_MAX_N + 1}-cube); "
+                "use the direct method"
             )
     elif method == "oracle":
         _check_oracle_cap(1 << n)

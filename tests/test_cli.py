@@ -749,8 +749,8 @@ class TestEquiind:
     def test_reduction_refuses_the_cubes_where_it_does_not_finish(
         self, capsys, monkeypatch, n
     ):
-        # their pair graphs are under the solver cap, but the 6-cube's
-        # solve ran for ten minutes without an answer
+        # their pair graphs are under the solver cap, but the reduction
+        # takes more than half a minute on the 6-cube
         def no_build(n):
             raise AssertionError("the cube was built")
 
@@ -913,7 +913,7 @@ class TestTable1:
         self, capsys, monkeypatch, argv, message
     ):
         # the exact n = 7 solve takes minutes, the 8-cube's has never
-        # finished, and the reduction does not finish from n = 6
+        # finished, and the reduction takes more than half a minute at n = 6
         def no_build(n):
             raise AssertionError("a cube was built")
 

@@ -2,6 +2,7 @@
 reduction, the direct balanced search, and the brute-force oracle."""
 
 import itertools
+import os
 import random
 import sys
 import types
@@ -475,6 +476,18 @@ class TestEquiIndependence:
         assert is_independent(b.graph, witness)
         assert is_balanced(b, witness)
 
+    @pytest.mark.skipif(
+        not os.environ.get("QUBE_ACCEPTANCE_FULL"),
+        reason="solves the 832-vertex pair graph: about 45 s (QUBE_ACCEPTANCE_FULL=1)",
+    )
+    def test_six_cube_reduction(self):
+        # REDUCTION_MAX_N caps only `equiind --hypercube` and table 1
+        b = hypercube_bipartite(6)
+        size, witness = equi_independence(b, method="reduction")
+        assert size == len(witness) == 20
+        assert is_independent(b.graph, witness)
+        assert is_balanced(b, witness)
+
     def test_six_cube_layered_witness_is_maximal(self):
         # evens: the empty set and the 2-sets meeting {0,1}; odds: the
         # 3-sets inside {2,3,4,5} and all 5-sets -- ten of each
@@ -731,14 +744,22 @@ class TestCliqueCovers:
     @pytest.mark.parametrize(
         "instances",
         [lambda: [hypercube_bipartite(n) for n in range(3, 6)],
-         lambda: induced_cube_subgraphs(6, 20, 40)],
-        ids=["Q3-Q5", "Q6-20"],
+         lambda: induced_cube_subgraphs(6, 20, 40),
+         lambda: [hypercube_bipartite(n) for n in range(1, 3)],
+         lambda: induced_cube_subgraphs(6, 24, 60),
+         lambda: scattered_bipartites(67, 300, 16)],
+        ids=["Q3-Q5", "Q6-20", "Q1-Q2", "Q6-24", "scattered"],
     )
     def test_pair_graphs(self, instances):
+        # with the pair labels, the pair-swap rule skips twins on top of
+        # the covers, and still neither the size nor the witness moves
         for b in instances():
             red = equi_reduction(b)
             g = red.graph
-            assert max_independent_set(g, red.covers) == max_independent_set(g)
+            plain = max_independent_set(g)
+            assert max_independent_set(g, red.covers) == plain
+            assert max_independent_set(g, red.covers, pairs=red.pair_labels) == plain
+            assert max_independent_set(g, pairs=red.pair_labels) == plain
 
     def test_covers_cut_nodes(self):
         reds = [equi_reduction(b) for b in induced_cube_subgraphs(6, 20, 10)]
@@ -747,6 +768,39 @@ class TestCliqueCovers:
         covered = nested_calls(independence.max_independent_set, "expand",
                                [(red.graph, red.covers) for red in reds])
         assert covered < plain
+
+    @pytest.mark.parametrize(
+        "instances",
+        [lambda: [hypercube_bipartite(n) for n in range(3, 6)],
+         lambda: induced_cube_subgraphs(6, 20, 10)],
+        ids=["Q3-Q5", "Q6-20"],
+    )
+    def test_pair_swaps_cut_nodes(self, instances):
+        reds = [equi_reduction(b) for b in instances()]
+        covered = nested_calls(independence.max_independent_set, "expand",
+                               [(red.graph, red.covers) for red in reds])
+        swapped = nested_calls(independence.max_independent_set, "expand",
+                               [(red.graph, red.covers, red.pair_labels) for red in reds])
+        assert swapped < covered
+
+    def test_pair_labels_of_another_graph_are_refused(self):
+        # the rule's twins exist only in a pair graph, so other labels or
+        # another graph would let it skip optimal sets
+        red = equi_reduction(hypercube_bipartite(3))  # 4 pairs, all in conflict
+        labels = red.pair_labels
+        with pytest.raises(ValueError, match="one distinct pair per vertex"):
+            max_independent_set(red.graph, pairs=labels[:3])
+        with pytest.raises(ValueError, match="one distinct pair per vertex"):
+            max_independent_set(red.graph, pairs=labels[:3] + labels[:1])
+        for g in (UndirectedGraph(4), hypercube_graph(2), UndirectedGraph(4, [(0, 1)])):
+            with pytest.raises(ValueError, match="not the pair graph of its labels"):
+                max_independent_set(g, pairs=labels)
+        # the edgeless 2+2 graph's pairs (0, 2), (0, 3), (1, 2), (1, 3) form
+        # a 4-cycle; relabelling the last as (2, 3) breaks the conflict rule
+        free = equi_reduction(BipartiteGraph(UndirectedGraph(4), [0, 1], [2, 3]))
+        assert max_independent_set(free.graph, pairs=free.pair_labels)[0] == 2
+        with pytest.raises(ValueError, match="not the pair graph of its labels"):
+            max_independent_set(free.graph, pairs=[(0, 2), (0, 3), (1, 2), (2, 3)])
 
     def test_endpoint_covers(self):
         b = hypercube_bipartite(4)
@@ -817,6 +871,16 @@ def induced_cube_subgraphs(n: int, m: int, count: int) -> list[BipartiteGraph]:
     return [induced_cube_subgraph(n, m, rng) for _ in range(count)]
 
 
+def scattered_bipartites(seed: int, count: int, max_size: int) -> list[BipartiteGraph]:
+    """Seeded ``scattered_bipartite`` graphs of 0..max_size vertices at
+    mixed densities, so some have an empty class or no vertex at all."""
+    rng = random.Random(seed)
+    return [
+        scattered_bipartite(rng, rng.randint(0, max_size), rng.choice((0.1, 0.3, 0.5, 0.8)))
+        for _ in range(count)
+    ]
+
+
 class TestSearchNodeCeilings:
     """Both exact searches visit at most as many nodes on fixed instances as
     they did when these ceilings were recorded.  A change that only weakens
@@ -826,7 +890,10 @@ class TestSearchNodeCeilings:
     Q6-56 graphs, and branching ``max_independent_set`` also on the colour
     classes that can only tie visits 26,047 on the Q6-20 pair graphs.
     The endpoint covers cut nothing on the cube pair graphs that the
-    colouring does not, and 27% of the nodes on the Q6-20 ones."""
+    colouring does not, and 27% of the nodes on the Q6-20 ones (25,890 to
+    18,950).  The pair-swap rule, which the reduction route adds, cuts
+    the cube pair graphs from 1,183 nodes to 627 and the Q6-20 ones
+    further to 3,298."""
 
     @pytest.mark.parametrize(
         "instances,ceiling",
@@ -854,14 +921,15 @@ class TestSearchNodeCeilings:
 
     @pytest.mark.parametrize(
         "instances,ceiling",
-        [(lambda: [hypercube_bipartite(n) for n in range(3, 6)], 1183),
-         (lambda: induced_cube_subgraphs(6, 20, 40), 18950)],
+        [(lambda: [hypercube_bipartite(n) for n in range(3, 6)], 627),
+         (lambda: induced_cube_subgraphs(6, 20, 40), 3298)],
         ids=["Q3-Q5", "Q6-20"],
     )
     def test_clique_search_with_endpoint_covers(self, instances, ceiling):
-        # the route equi_independence(method="reduction") takes
+        # the route equi_independence(method="reduction") takes: the covers
+        # and the pair labels
         reds = [equi_reduction(b) for b in instances()]
-        calls = [(red.graph, red.covers) for red in reds]
+        calls = [(red.graph, red.covers, red.pair_labels) for red in reds]
         nodes = nested_calls(independence.max_independent_set, "expand", calls)
         assert 0 < nodes <= ceiling
 
