@@ -241,7 +241,10 @@ def max_independent_set(
     def expand(cand: int, blocked: int) -> None:
         nonlocal best, best_clique
         kmin = best - len(cur) + 1
-        if kmin > 1:  # the live candidates meet kmin cliques of each cover
+        # the unblocked candidates must meet kmin cliques of each cover; at
+        # kmin <= 1 none is blocked (a blocked twin holds best >= len(cur) + 1)
+        # and cand meets one clique of each
+        if kmin > 1:
             live = cand & ~blocked
             for cover in cliques:
                 met = 0
