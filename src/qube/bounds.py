@@ -52,8 +52,8 @@ ALPHA_EQUI_COMPUTED: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 20, 7: 
 REFERENCE_REDUCED_VERTICES = {3: 4, 4: 32, 5: 176, 6: 882, 7: 3648}
 
 # The largest n-cube table 1 solves: on a 2-core Intel Xeon VM the direct
-# solve of the 7-cube takes 4-5 minutes, while no solve of the 8-cube has
-# finished.
+# solve of the 7-cube takes about 3.5 minutes, while no solve of the
+# 8-cube has finished.
 TABLE1_SOLVE_MAX_N = 7
 
 

@@ -7,15 +7,16 @@ greedy coloring upper bound; only the color classes that could still beat
 the incumbent are branched on.  Given covers of the graph by cliques, it
 also cuts a node whose candidates meet fewer cliques of a cover than a
 better set needs, as an independent set takes at most one vertex of each.
-The reduction route passes the two covers that the pair graph has by
-construction: the pairs at each class-0 vertex, and those at each class-1
-vertex.  Neither bound changes a witness: each only cuts subtrees that
-cannot beat the incumbent, which changes only on a strict improvement, and
-the branch order does not depend on the bounds.  On the pair graphs of 40
-seeded 20-vertex induced subgraphs of Q6 the covers cut the clique search
-from 25,890 to 18,950 nodes; on those of Q3-Q5 it keeps its 1,183 nodes.
+The reduction route gets the two covers that the pair graph has by
+construction from its pair labels: the pairs at each class-0 vertex, and
+those at each class-1 vertex.  Neither bound changes a witness: each only
+cuts subtrees that cannot beat the incumbent, which changes only on a
+strict improvement, and the branch order does not depend on the bounds.
+On the pair graphs of 40 seeded 20-vertex induced subgraphs of Q6 the
+covers cut the clique search from 25,890 to 18,950 nodes; on those of
+Q3-Q5 it keeps its 1,183 nodes.
 
-The route also passes the pair labels, which turn on the pair-swap rule.
+The pair labels also turn on the pair-swap rule.
 Pairs (a, c) and (b, d) with no conflict unpack to the same four vertices
 as (a, d) and (b, c), and a set holding either two has a twin of the same
 size holding the other two.  So when a branch x = (a, c) follows an
@@ -203,7 +204,9 @@ def max_independent_set(
 
     ``pairs`` labels each vertex of a pair graph with its pair (u, v), as
     ``equi_reduction`` builds it; a graph that is not the pair graph of
-    its labels is refused.  The labels turn on the pair-swap rule: when a
+    its labels is refused.  The pairs at each class-0 coordinate, and
+    those at each class-1 coordinate, are then two more covers, checked
+    by that refusal.  The labels also turn on the pair-swap rule: when a
     branch (a, c) follows an earlier sibling (a, v') at its node, the
     pairs (u', v') are blocked in its subtree, and after a sibling
     (u', c) the pairs (u', v'') are.  A set holding (a, c) and a blocked
@@ -233,6 +236,9 @@ def max_independent_set(
         ends = [pairs[v] for v in order]
         at_u = dict(zip(at_u, _permute_rows(at_u.values(), order, n)))
         at_v = dict(zip(at_v, _permute_rows(at_v.values(), order, n)))
+        # the pairs at each coordinate are cliques, so the labels give the
+        # two endpoint covers
+        cliques += [list(at_u.values()), list(at_v.values())]
 
     best_clique = _greedy_clique(adj)
     best = len(best_clique)
@@ -376,9 +382,12 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     vertex.  Any (sel, tmask) yields a balanced independent set of size
     2 * min(|sel|, |tmask|), and both quantities only shrink along a
     branch, which gives the first pruning bound, min(|sel| + |cands|,
-    |tmask|).  The masks are the graph's rows shifted down by ``lo``, the
-    other class's lowest vertex, so bit p of ``tmask`` is vertex lo + p:
-    that keeps them narrow when the class is last, as in a parsed file.
+    |tmask|).  Bit p of a mask stands for the other class's p-th vertex,
+    so the masks are as wide as that class: when it is one run of labels,
+    as in a parsed file, they are the graph's rows shifted down by its
+    lowest vertex, and otherwise, as in the cube's parity classes, the
+    rows' bits are gathered (Q6's masks take 32 bits instead of 63).  The
+    positions keep label order, so the witness is the same either way.
 
     The second is König's.  A completion adds some S' of ``cands`` and
     keeps some T' of ``tmask`` with no edge between them, so S' ∪ T' is
@@ -407,16 +416,43 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     |M| <= min(|tail|, |t2|), König's bound is at least
     (|sel| + 1 + max(|tail|, |t2|)) // 2; when that beats best, the
     matching could not cut and is not built.
+
+    Both passes over a child's candidates are plain loops that stop once
+    the cut is certain, and each stop decides as the full pass does.
+    The forward check cuts when depth + 1 + |tail| <= best; each candidate
+    it drops lowers the reachable |tail| by one, so the cut is certain at
+    the (limit - pos)-th drop, limit = depth + |cands| - best, and the
+    pass stops there.  The matching cuts when (depth + 1 + |tail| + |t2|
+    - |M|) // 2 <= best; |M| only grows, so the cut is certain once |M|
+    reaches depth + |tail| + |t2| - 2 * best, and the pass stops there.
+    A pass that ends without a stop leaves the child uncut.  The loops
+    are plain, not comprehensions: CPython 3.11 runs each comprehension
+    as a call of its own, and a comprehension filter makes about 400k
+    such calls on 200 induced 56-vertex subgraphs of Q6.
     """
-    side0, side1, full1 = b.class0, b.class1, b.mask1
+    side0, side1 = b.class0, b.class1
     if len(side1) < len(side0):
-        side0, side1, full1 = side1, side0, b.mask0
+        side0, side1 = side1, side0
     if not side0:
         return 0, []
     k1 = len(side1)
+    adj = b.graph.adj
     lo = side1[0]
-    full1 >>= lo
-    neigh = [b.graph.adj[v] >> lo for v in side0]
+    if side1[-1] - lo == k1 - 1:
+        neigh = [adj[v] >> lo for v in side0]
+    else:
+        # bit p stands for side1[p]: the rows' bits are gathered one by one
+        at = {w: 1 << p for p, w in enumerate(side1)}
+        neigh = []
+        for v in side0:
+            row = adj[v]
+            m = 0
+            while row:
+                low = row & -row
+                m |= at[low.bit_length() - 1]
+                row ^= low
+            neigh.append(m)
+    full1 = (1 << k1) - 1
     nonadj = [full1 & ~m for m in neigh]
     n0 = len(side0)
 
@@ -434,9 +470,8 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     maxdeg = max(m.bit_count() for m in neigh)
     sel: list[int] = []
 
-    def search(cands: list[int], tmask: int, tcount: int) -> None:
+    def search(cands: list[int], tmask: int, tcount: int, depth: int) -> None:
         nonlocal best, best_state
-        depth = len(sel)
         cur = depth if depth < tcount else tcount
         if cur > best:
             best = cur
@@ -461,28 +496,40 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
                 # every candidate passes, and pos < limit leaves enough
                 tail = cands[pos + 1 :]
             else:
-                tail = [j for j in cands[pos + 1 :] if (t2 & neigh[j]).bit_count() < slack]
-                if depth1 + len(tail) <= best:
+                # the child is cut once limit - pos candidates are dropped
+                tail = []
+                spare = limit - pos
+                for j in cands[pos + 1 :]:
+                    if (t2 & neigh[j]).bit_count() < slack:
+                        tail.append(j)
+                    else:
+                        spare -= 1
+                        if not spare:
+                            break
+                if not spare:
                     continue
             # König bound with a greedy matching of tail into t2; as
             # matched <= min(ntail, c2), it cannot cut unless this holds
             ntail = len(tail)
             if (depth1 + (ntail if ntail > c2 else c2)) // 2 <= best:
-                matched = 0
+                # the child is cut once need edges are matched
+                need = depth1 + ntail + c2 - 2 * best - 1
                 free = t2
                 for j in tail:
                     hit = neigh[j] & free
                     if hit:
+                        need -= 1
+                        if not need:
+                            break
                         free ^= hit & -hit
-                        matched += 1
-                if (depth1 + ntail + c2 - matched) // 2 <= best:
+                if not need:
                     continue
             sel.append(idx)
-            search(tail, t2, c2)
+            search(tail, t2, c2, depth1)
             sel.pop()
             limit = depth + len(cands) - best
 
-    search(list(range(n0)), full1, k1)
+    search(list(range(n0)), full1, k1, 0)
     if best == 0:
         return 0, []
     chosen0 = [side0[i] for i in best_state[0][:best]]
@@ -490,7 +537,7 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     mask = best_state[1]
     while mask and len(chosen1) < best:
         low = mask & -mask
-        chosen1.append(lo + low.bit_length() - 1)
+        chosen1.append(side1[low.bit_length() - 1])
         mask ^= low
     return 2 * best, sorted(chosen0 + chosen1)
 
@@ -510,7 +557,7 @@ def equi_independence(b: BipartiteGraph, method: str = "direct") -> tuple[int, l
     if method == "reduction":
         check_pair_graph_cap(b)
         red = equi_reduction(b)
-        size, pair_set = max_independent_set(red.graph, red.covers, pairs=red.pair_labels)
+        size, pair_set = max_independent_set(red.graph, pairs=red.pair_labels)
         size, witness = 2 * size, unpack_pair_witness(red, pair_set)
     elif method == "direct":
         size, witness = _direct_balanced(b)

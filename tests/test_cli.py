@@ -746,7 +746,7 @@ class TestEquiind:
         assert f"error: {message}" in err
 
     @pytest.mark.parametrize("n", ["6", "7"])
-    def test_reduction_refuses_the_cubes_where_it_does_not_finish(
+    def test_reduction_refuses_the_cubes_above_n5_before_building_them(
         self, capsys, monkeypatch, n
     ):
         # their pair graphs are under the solver cap, but the reduction
@@ -909,7 +909,7 @@ class TestTable1:
         ids=["n8-default-solves", "n8-solved", "reduction-default", "reduction-n6",
              "reduction-n8-sizes"],
     )
-    def test_solves_that_do_not_finish_are_refused_before_any_row(
+    def test_solves_above_n7_and_reductions_above_n5_are_refused_before_any_row(
         self, capsys, monkeypatch, argv, message
     ):
         # the exact n = 7 solve takes minutes, the 8-cube's has never

@@ -1,7 +1,9 @@
 """Exact independence solvers: maximum independent set, the pair-graph
 reduction, the direct balanced search, and the brute-force oracle."""
 
+import hashlib
 import itertools
+import json
 import os
 import random
 import sys
@@ -926,12 +928,37 @@ class TestSearchNodeCeilings:
         ids=["Q3-Q5", "Q6-20"],
     )
     def test_clique_search_with_endpoint_covers(self, instances, ceiling):
-        # the route equi_independence(method="reduction") takes: the covers
-        # and the pair labels
+        # the route equi_independence(method="reduction") takes: the pair
+        # labels, whose coordinate classes are the endpoint covers
         reds = [equi_reduction(b) for b in instances()]
-        calls = [(red.graph, red.covers, red.pair_labels) for red in reds]
+        calls = [(red.graph, (), red.pair_labels) for red in reds]
         nodes = nested_calls(independence.max_independent_set, "expand", calls)
         assert 0 < nodes <= ceiling
+
+
+class TestDirectWitnessPins:
+    """The direct route's size and witness on fixed instances, one sha256
+    of their JSON list per set, as recorded before the forward check and
+    the König matching of ``_direct_balanced`` stopped at the first
+    certain cut.  The early stops must decide each cut as the full pass
+    did; one that stops a step too soon cuts a child that could still
+    improve the incumbent, which moves a size or a witness here."""
+
+    @pytest.mark.parametrize(
+        "instances,digest",
+        [(lambda: induced_cube_subgraphs(6, 56, 40),
+          "21103bf8e92e38cf6349f566a9c858ab8b3ade10ccdd08c8f96e62452499b4c2"),
+         (lambda: induced_cube_subgraphs(7, 48, 40),
+          "8de606b082621a04619180eefe0bd7d8482ea85fb774e64f74bb4b5ce8c8f4db"),
+         (lambda: induced_cube_subgraphs(6, 20, 40),
+          "bc859872e24cb53eae68e89049c35233891e08329aef82b966c9872b9e60ec3b"),
+         (lambda: [hypercube_bipartite(n) for n in range(1, 7)],
+          "8b04f9ccf8fce6daeb2c8421beca4bb0b6c25b88eba5a7f028d204538d5bd5a9")],
+        ids=["Q6-56", "Q7-48", "Q6-20", "Q1-Q6"],
+    )
+    def test_direct_witnesses(self, instances, digest):
+        solved = [list(equi_independence(b, "direct")) for b in instances()]
+        assert hashlib.sha256(json.dumps(solved).encode()).hexdigest() == digest
 
 
 class TestBruteForceEqui:
