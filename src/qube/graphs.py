@@ -117,14 +117,12 @@ class BipartiteGraph:
 @dataclass(frozen=True)
 class ReducedGraph:
     """Pair graph of a bipartite graph: one vertex per cross-class
-    non-edge, labelled by the pair it stands for.  ``covers`` holds its two
-    covers by cliques, as vertex masks: the pairs at each class-0 vertex,
-    then the pairs at each class-1 vertex, for each vertex that has any.
-    Pairs that share a coordinate conflict, so each mask is a clique."""
+    non-edge, labelled by the pair it stands for.  Pairs that share a
+    coordinate conflict, so the pairs at each vertex are a clique, and
+    the labels give the clique search two covers by cliques."""
 
     graph: UndirectedGraph
     pair_labels: tuple[tuple[int, int], ...]
-    covers: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def hypercube_graph(n: int) -> UndirectedGraph:

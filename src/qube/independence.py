@@ -4,17 +4,15 @@
 order, one C-level string permutation per row, complements them in the
 new labels, and runs branch and bound for a maximum clique there, with a
 greedy coloring upper bound; only the color classes that could still beat
-the incumbent are branched on.  Given covers of the graph by cliques, it
-also cuts a node whose candidates meet fewer cliques of a cover than a
-better set needs, as an independent set takes at most one vertex of each.
-The reduction route gets the two covers that the pair graph has by
-construction from its pair labels: the pairs at each class-0 vertex, and
-those at each class-1 vertex.  Neither bound changes a witness: each only
-cuts subtrees that cannot beat the incumbent, which changes only on a
-strict improvement, and the branch order does not depend on the bounds.
-On the pair graphs of 40 seeded 20-vertex induced subgraphs of Q6 the
-covers cut the clique search from 25,890 to 18,950 nodes; on those of
-Q3-Q5 it keeps its 1,183 nodes.
+the incumbent are branched on.  Given the pair labels of a pair graph,
+as the reduction route passes them, it reads two covers by cliques off
+them: the pairs at each class-0 coordinate, and those at each class-1
+coordinate, since pairs that share a coordinate conflict.  It then also
+cuts a node whose candidates meet fewer cliques of a cover than a
+better set needs, as an independent set takes at most one vertex of
+each.  Neither bound changes a witness: each only cuts subtrees that
+cannot beat the incumbent, which changes only on a strict improvement,
+and the branch order does not depend on the bounds.
 
 The pair labels also turn on the pair-swap rule.
 Pairs (a, c) and (b, d) with no conflict unpack to the same four vertices
@@ -31,9 +29,11 @@ so the branch order, every size and every witness are those of the
 search without labels.  A blocked sibling blocks nothing more: the
 blocked pairs are whole coordinate classes, so the class it would block
 is blocked already, or it shares the blocked class with the later
-sibling, which is blocked too.  The rule cuts the Q6-20 pair graphs
-above from 18,950 nodes to 3,298 and those of Q3-Q5 from 1,183 to 627,
-and the route solves the 6-cube's 832-vertex pair graph: 20, with a
+sibling, which is blocked too.  With the labels, the clique search
+visits 3,298 nodes on the pair graphs of 40 seeded 20-vertex induced
+subgraphs of Q6, against 25,890 without, and 627 on those of Q3-Q5,
+against 1,183; without the cover cut it would visit 6,369 and 662.
+The route solves the 6-cube's 832-vertex pair graph: 20, with a
 checked witness, in 34-38 s at a 17 MB peak on a 2-core Intel Xeon VM.
 
 ``equi_independence`` computes the largest *balanced* independent set of a
@@ -122,36 +122,14 @@ def _greedy_clique(adj: list[int]) -> list[int]:
     return best
 
 
-def _check_clique_cover(g: UndirectedGraph, cover: Sequence[int]) -> None:
-    """Refuse a cover that is not a set of cliques of ``g`` holding every
-    vertex: the bound it gives would cut optimal sets."""
-    held = 0
-    for clique in cover:
-        if clique >> g.vertex_count:
-            raise ValueError(f"cover mask {clique:#x} names a vertex outside the graph")
-        held |= clique
-        rest = clique
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            if (g.adj[v] | low) & clique != clique:
-                raise ValueError(f"cover mask {clique:#x} is not a clique of the graph")
-            rest ^= low
-    if held != (1 << g.vertex_count) - 1:
-        raise ValueError("a cover misses a vertex of the graph")
-
-
 def _pairs_at(
-    g: UndirectedGraph, pairs: Sequence[tuple[int, int]]
+    rows: Sequence[int], pairs: Sequence[tuple[int, int]]
 ) -> tuple[dict[int, int], dict[int, int]]:
-    """The masks of the vertices of ``g`` at each class-0 coordinate and at
-    each class-1 coordinate of ``pairs``, its vertex labels.  Refuses a
-    graph that is not the pair graph of its labels: (u, v) and (u', v')
-    must be adjacent exactly when they share a coordinate or (u, v') or
-    (u', v) is no label, as ``equi_reduction`` builds it."""
-    n = g.vertex_count
-    if len(pairs) != n or len(set(pairs)) != n:
-        raise ValueError("the pair labels must be one distinct pair per vertex")
+    """The masks of the vertices at each class-0 coordinate and at each
+    class-1 coordinate of ``pairs``, one label per row of ``rows``.
+    Refuses rows that are not the pair graph of their labels: (u, v) and
+    (u', v') must be adjacent exactly when they share a coordinate or
+    (u, v') or (u', v) is no label, as ``equi_reduction`` builds it."""
     at_u: dict[int, int] = {}
     at_v: dict[int, int] = {}
     bit = 1
@@ -169,9 +147,9 @@ def _pairs_at(
     # and are in both reaches
     free_u = {u: mask & ~at_u[u] for u, mask in reach_u.items()}
     free_v = {v: mask & ~at_v[v] for v, mask in reach_v.items()}
-    full = (1 << n) - 1
+    full = (1 << len(rows)) - 1
     bit = 1
-    for (u, v), row in zip(pairs, g.adj):
+    for (u, v), row in zip(pairs, rows):
         if row ^ full != free_u[u] & free_v[v] | bit:
             raise ValueError("the graph is not the pair graph of its labels")
         bit <<= 1
@@ -179,9 +157,7 @@ def _pairs_at(
 
 
 def max_independent_set(
-    g: UndirectedGraph,
-    covers: Sequence[Sequence[int]] = (),
-    pairs: Sequence[tuple[int, int]] | None = None,
+    g: UndirectedGraph, pairs: Sequence[tuple[int, int]] | None = None
 ) -> tuple[int, list[int]]:
     """Exact maximum independent set (size and one witness), computed as a
     maximum clique of the complement graph by branch and bound with a
@@ -193,20 +169,17 @@ def max_independent_set(
     classes below kmin = best - len(cur) + 1 (the k_min rule of Konc and
     Janežič) are colored but not listed; the loop would stop before them.
 
-    Each of ``covers`` is a list of vertex masks, cliques of ``g`` that
-    together hold every vertex.  An independent set takes at most one
-    vertex of each clique, so a node whose candidates meet fewer than
-    kmin cliques of some cover is cut on entry, before it is colored;
-    counting stops at kmin.  Such a node holds no independent set that
-    beats the incumbent, and the incumbent changes only on a strict
-    improvement, so the size and the witness are the same with or
-    without covers; only the nodes below a cut node go.
-
     ``pairs`` labels each vertex of a pair graph with its pair (u, v), as
     ``equi_reduction`` builds it; a graph that is not the pair graph of
-    its labels is refused.  The pairs at each class-0 coordinate, and
-    those at each class-1 coordinate, are then two more covers, checked
-    by that refusal.  The labels also turn on the pair-swap rule: when a
+    its labels is refused, checked in the search's labels.  The pairs at
+    each class-0 coordinate, and those at each class-1 coordinate, are
+    then two covers of the graph by cliques.  An independent set takes
+    at most one vertex of each clique, so a node whose candidates meet
+    fewer than kmin cliques of either cover is cut on entry, before it
+    is colored; counting stops at kmin.  Such a node holds no
+    independent set that beats the incumbent, and the incumbent changes
+    only on a strict improvement, so only the nodes below a cut node go.
+    The labels also turn on the pair-swap rule: when a
     branch (a, c) follows an earlier sibling (a, v') at its node, the
     pairs (u', v') are blocked in its subtree, and after a sibling
     (u', c) the pairs (u', v'') are.  A set holding (a, c) and a blocked
@@ -218,10 +191,8 @@ def max_independent_set(
     """
     n = g.vertex_count
     check_solver_cap(n)
-    for cover in covers:
-        _check_clique_cover(g, cover)
-    if pairs is not None:
-        at_u, at_v = _pairs_at(g, pairs)
+    if pairs is not None and (len(pairs) != n or len(set(pairs)) != n):
+        raise ValueError("the pair labels must be one distinct pair per vertex")
     if n == 0:
         return 0, []
     degree = [row.bit_count() for row in g.adj]
@@ -230,15 +201,14 @@ def max_independent_set(
     nonadj = _permute_rows([g.adj[v] for v in order], order, n)
     full = (1 << n) - 1
     adj = [full & ~row & ~(1 << p) for p, row in enumerate(nonadj)]
-    cliques = [_permute_rows(cover, order, n) for cover in covers]
     ends: list[tuple[int, int]] = []
+    cliques: list[list[int]] = []
     if pairs is not None:
         ends = [pairs[v] for v in order]
-        at_u = dict(zip(at_u, _permute_rows(at_u.values(), order, n)))
-        at_v = dict(zip(at_v, _permute_rows(at_v.values(), order, n)))
-        # the pairs at each coordinate are cliques, so the labels give the
-        # two endpoint covers
-        cliques += [list(at_u.values()), list(at_v.values())]
+        # checked in the new labels, so the masks are in them too; the
+        # pairs at each coordinate are cliques, one cover per class
+        at_u, at_v = _pairs_at(nonadj, ends)
+        cliques = [list(at_u.values()), list(at_v.values())]
 
     best_clique = _greedy_clique(adj)
     best = len(best_clique)
@@ -316,8 +286,9 @@ def equi_reduction(b: BipartiteGraph) -> ReducedGraph:
     Each original vertex w gets the mask of pairs that have w as a
     coordinate; OR-ing in its neighbours' masks gives the pairs that
     conflict through w, so a pair's row is the union over its two
-    coordinates, less the pair itself.  The nonzero masks of each class
-    are the pair graph's endpoint covers.
+    coordinates, less the pair itself.  The pair labels are what
+    ``max_independent_set`` needs to cut by the pair graph's endpoint
+    cliques and to skip re-paired twins.
     """
     adj = b.graph.adj
     pairs = [
@@ -337,8 +308,7 @@ def equi_reduction(b: BipartiteGraph) -> ReducedGraph:
     rg.adj = [
         (conflict[u] | conflict[v]) & ~(1 << k) for k, (u, v) in enumerate(pairs)
     ]
-    covers = tuple(tuple(touching[w] for w in side if touching[w]) for side in (b.class0, b.class1))
-    return ReducedGraph(rg, tuple(pairs), covers)
+    return ReducedGraph(rg, tuple(pairs))
 
 
 def cube_pair_graph_size(n: int) -> tuple[int, int]:
@@ -547,7 +517,7 @@ def equi_independence(b: BipartiteGraph, method: str = "direct") -> tuple[int, l
     one witness (empty when no nonempty balanced independent set exists).
 
     ``method`` selects the route: "reduction" (pair graph + maximum
-    independent set, cut by the pair graph's endpoint covers) or "direct"
+    independent set, given the pair labels) or "direct"
     (balanced branch and bound).  The two
     always agree; keeping both is the point.  Either route's witness is
     checked before it is returned; a bad one raises RuntimeError

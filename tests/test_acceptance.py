@@ -85,7 +85,7 @@ def test_criterion_01_balanced_independence_numbers():
     else:
         n7_note = (
             "exact n=7 solve skipped in the default suite (a run on a "
-            "2-core Intel Xeon VM returned 44 in 235s, inside the 60-minute budget; "
+            "2-core Intel Xeon VM returned 44 in 201s, inside the 60-minute budget; "
             "set QUBE_ACCEPTANCE_FULL=1 to rerun it); a verified balanced "
             "independent set of 44 vertices bounds it below regardless"
         )

@@ -657,7 +657,7 @@ class TestPermuteRows:
         # itemgetter of a single index returns a str, not a tuple
         assert independence._permute_rows([0, 1], [0], 1) == [0, 1]
         assert max_independent_set(UndirectedGraph(1)) == (1, [0])
-        assert max_independent_set(UndirectedGraph(1), [[1]]) == (1, [0])
+        assert max_independent_set(UndirectedGraph(1), pairs=[(0, 1)]) == (1, [0])
 
     def test_no_rows(self):
         assert independence._permute_rows([], [2, 0, 1], 3) == []
@@ -678,70 +678,11 @@ class TestPermuteRows:
             assert independence._permute_rows(rows, source, width) == expected
 
 
-def clique_partition(g: UndirectedGraph, rng: random.Random) -> list[int]:
-    """A random partition of ``g``'s vertices into cliques, as masks: each
-    vertex in random order joins a random clique that it extends, or
-    starts a new one, so singletons occur."""
-    parts: list[int] = []
-    for v in rng.sample(range(g.vertex_count), g.vertex_count):
-        fits = [k for k, part in enumerate(parts) if part & g.adj[v] == part]
-        if fits and rng.random() < 0.8:
-            parts[rng.choice(fits)] |= 1 << v
-        else:
-            parts.append(1 << v)
-    return parts
-
-
-def planted_clique_graph(rng: random.Random, n: int) -> tuple[UndirectedGraph, list[int]]:
-    """A random graph on n vertices that holds a random partition into
-    cliques, and that partition, so that covers have cliques to cut on."""
-    group = [rng.randrange(max(1, n // 3)) for _ in range(n)]
-    p = rng.choice((0.1, 0.3, 0.6))
-    g = UndirectedGraph(n)
-    for u, v in itertools.combinations(range(n), 2):
-        if group[u] == group[v] or rng.random() < p:
-            g.add_edge(u, v)
-    planted: dict[int, int] = {}
-    for v in range(n):
-        planted[group[v]] = planted.get(group[v], 0) | 1 << v
-    return g, list(planted.values())
-
-
-class TestCliqueCovers:
-    """The cover bound of ``max_independent_set`` only cuts nodes that
-    cannot beat the incumbent: with covers or without, the size and the
-    witness are the same."""
-
-    def test_random_graphs_with_random_partitions(self):
-        rng = random.Random(63)
-        for _ in range(300):
-            n = rng.randint(0, 30)
-            g, planted = planted_clique_graph(rng, n)
-            plain = max_independent_set(g)
-            for covers in ([planted], [clique_partition(g, rng)],
-                           [planted, clique_partition(g, rng)]):
-                assert max_independent_set(g, covers) == plain
-
-    def test_sparse_graphs_past_the_greedy_seeds(self):
-        # the greedy seed starts from 16 vertices, so on sparse graphs of
-        # more the search reaches nodes with kmin <= 0 (cur already longer
-        # than the incumbent), where a cover must not cut
-        rng = random.Random(65)
-        for _ in range(60):
-            n = rng.randint(32, 40)
-            g = UndirectedGraph(n)
-            for u, v in itertools.combinations(range(n), 2):
-                if rng.random() < 0.1:
-                    g.add_edge(u, v)
-            assert max_independent_set(g, [clique_partition(g, rng)]) == max_independent_set(g)
-
-    def test_against_subset_oracle(self):
-        rng = random.Random(64)
-        for _ in range(100):
-            g, planted = planted_clique_graph(rng, rng.randint(1, 12))
-            size, witness = max_independent_set(g, [planted, clique_partition(g, rng)])
-            assert size == brute_force_mis(g) == len(witness)
-            assert is_independent(g, witness)
+class TestPairLabels:
+    """Given a pair graph's labels, ``max_independent_set`` cuts by the
+    cliques of pairs at each coordinate and skips re-paired twins, and
+    both only cut nodes that cannot beat the incumbent: with labels or
+    without, the size and the witness are the same."""
 
     @pytest.mark.parametrize(
         "instances",
@@ -753,23 +694,9 @@ class TestCliqueCovers:
         ids=["Q3-Q5", "Q6-20", "Q1-Q2", "Q6-24", "scattered"],
     )
     def test_pair_graphs(self, instances):
-        # with the pair labels, the pair-swap rule skips twins on top of
-        # the covers, and still neither the size nor the witness moves
         for b in instances():
             red = equi_reduction(b)
-            g = red.graph
-            plain = max_independent_set(g)
-            assert max_independent_set(g, red.covers) == plain
-            assert max_independent_set(g, red.covers, pairs=red.pair_labels) == plain
-            assert max_independent_set(g, pairs=red.pair_labels) == plain
-
-    def test_covers_cut_nodes(self):
-        reds = [equi_reduction(b) for b in induced_cube_subgraphs(6, 20, 10)]
-        plain = nested_calls(independence.max_independent_set, "expand",
-                             [(red.graph,) for red in reds])
-        covered = nested_calls(independence.max_independent_set, "expand",
-                               [(red.graph, red.covers) for red in reds])
-        assert covered < plain
+            assert max_independent_set(red.graph, pairs=red.pair_labels) == max_independent_set(red.graph)
 
     @pytest.mark.parametrize(
         "instances",
@@ -777,13 +704,24 @@ class TestCliqueCovers:
          lambda: induced_cube_subgraphs(6, 20, 10)],
         ids=["Q3-Q5", "Q6-20"],
     )
-    def test_pair_swaps_cut_nodes(self, instances):
+    def test_labels_cut_nodes(self, instances):
         reds = [equi_reduction(b) for b in instances()]
-        covered = nested_calls(independence.max_independent_set, "expand",
-                               [(red.graph, red.covers) for red in reds])
-        swapped = nested_calls(independence.max_independent_set, "expand",
-                               [(red.graph, red.covers, red.pair_labels) for red in reds])
-        assert swapped < covered
+        plain = nested_calls(independence.max_independent_set, "expand",
+                             [{"g": red.graph} for red in reds])
+        labelled = nested_calls(independence.max_independent_set, "expand",
+                                [{"g": red.graph, "pairs": red.pair_labels} for red in reds])
+        assert labelled < plain
+
+    def test_no_cover_cut_below_kmin_two(self, monkeypatch):
+        # with the greedy seed, no pair graph in a hunt over 39,788 random
+        # ones reached kmin <= 0 (cur longer than the incumbent); without
+        # it, such nodes are common, and a cover cut there would lose
+        # the size
+        monkeypatch.setattr(independence, "_greedy_clique", lambda adj: [])
+        graphs = [hypercube_bipartite(n) for n in range(3, 6)]
+        for b in graphs + scattered_bipartites(67, 300, 16):
+            red = equi_reduction(b)
+            assert max_independent_set(red.graph, pairs=red.pair_labels) == max_independent_set(red.graph)
 
     def test_pair_labels_of_another_graph_are_refused(self):
         # the rule's twins exist only in a pair graph, so other labels or
@@ -794,6 +732,8 @@ class TestCliqueCovers:
             max_independent_set(red.graph, pairs=labels[:3])
         with pytest.raises(ValueError, match="one distinct pair per vertex"):
             max_independent_set(red.graph, pairs=labels[:3] + labels[:1])
+        with pytest.raises(ValueError, match="one distinct pair per vertex"):
+            max_independent_set(UndirectedGraph(0), pairs=labels[:1])
         for g in (UndirectedGraph(4), hypercube_graph(2), UndirectedGraph(4, [(0, 1)])):
             with pytest.raises(ValueError, match="not the pair graph of its labels"):
                 max_independent_set(g, pairs=labels)
@@ -804,50 +744,11 @@ class TestCliqueCovers:
         with pytest.raises(ValueError, match="not the pair graph of its labels"):
             max_independent_set(free.graph, pairs=[(0, 2), (0, 3), (1, 2), (2, 3)])
 
-    def test_endpoint_covers(self):
-        b = hypercube_bipartite(4)
-        red = equi_reduction(b)
-        for side, cover in enumerate(red.covers):
-            independence._check_clique_cover(red.graph, cover)
-            # 8 cliques of 4 pairs, one per vertex of the side, disjoint
-            assert sorted(mask.bit_count() for mask in cover) == [4] * 8
-            assert sum(cover) == (1 << red.graph.vertex_count) - 1
-            for mask in cover:
-                ends = {red.pair_labels[k][side] for k in range(len(red.pair_labels))
-                        if mask >> k & 1}
-                assert len(ends) == 1
-        assert equi_reduction(BipartiteGraph(UndirectedGraph(0), [], [])).covers == ((), ())
 
-    def test_covers_group_the_pairs_by_endpoint(self):
-        # a vertex with no pair gets no clique, and class 0 comes first
-        rng = random.Random(66)
-        graphs = [hypercube_bipartite(n) for n in range(1, 6)]
-        graphs += [random_bipartite(rng, max_vertices=14) for _ in range(60)]
-        for b in graphs:
-            red = equi_reduction(b)
-            for side, cover in enumerate(red.covers):
-                at: dict[int, int] = {}
-                for k, pair in enumerate(red.pair_labels):
-                    at[pair[side]] = at.get(pair[side], 0) | 1 << k
-                assert sorted(cover) == sorted(at.values())
-
-    @pytest.mark.parametrize(
-        "cover,message",
-        [([0b011, 0b100], "not a clique"),
-         ([0b001, 0b010], "misses a vertex"),
-         ([0b001, 0b010, 0b1100], "outside the graph")],
-        ids=["not-a-clique", "missing-vertex", "out-of-range"],
-    )
-    def test_a_bad_cover_is_refused(self, cover, message):
-        path = UndirectedGraph(3, [(1, 2)])  # 0 is isolated
-        with pytest.raises(ValueError, match=message):
-            max_independent_set(path, [[0b001, 0b110], cover])
-
-
-def nested_calls(func, name: str, calls: list[tuple]) -> int:
+def nested_calls(func, name: str, calls: list[dict]) -> int:
     """How many times the function ``name`` defined inside ``func`` is
-    entered while ``func`` runs once on each argument tuple of ``calls``,
-    counted by a profile hook on its code object."""
+    entered while ``func`` runs once on each keyword-argument dict of
+    ``calls``, counted by a profile hook on its code object."""
     code = next(
         c for c in func.__code__.co_consts
         if isinstance(c, types.CodeType) and c.co_name == name
@@ -861,8 +762,8 @@ def nested_calls(func, name: str, calls: list[tuple]) -> int:
 
     sys.setprofile(hook)
     try:
-        for args in calls:
-            func(*args)
+        for kwargs in calls:
+            func(**kwargs)
     finally:
         sys.setprofile(None)
     return entered
@@ -891,11 +792,12 @@ class TestSearchNodeCeilings:
     ``slack == maxdeg`` visits 1,506 nodes on the cubes and 13,011 on the
     Q6-56 graphs, and branching ``max_independent_set`` also on the colour
     classes that can only tie visits 26,047 on the Q6-20 pair graphs.
-    The endpoint covers cut nothing on the cube pair graphs that the
-    colouring does not, and 27% of the nodes on the Q6-20 ones (25,890 to
-    18,950).  The pair-swap rule, which the reduction route adds, cuts
-    the cube pair graphs from 1,183 nodes to 627 and the Q6-20 ones
-    further to 3,298."""
+    Given the pair labels, as the reduction route passes them, the cover
+    cut and the pair-swap rule take the cube pair graphs from 1,183
+    nodes to 627 and the Q6-20 ones from 25,890 to 3,298.  The labelled
+    ceilings catch the loss of either: without the cover cut the search
+    visits 662 and 6,369 nodes, and without the pair-swap rule 1,183 and
+    18,950."""
 
     @pytest.mark.parametrize(
         "instances,ceiling",
@@ -906,7 +808,7 @@ class TestSearchNodeCeilings:
         ids=["Q3-Q6", "Q6-56", "Q7-48", "Q6-20"],
     )
     def test_direct_balanced_search(self, instances, ceiling):
-        calls = [(b,) for b in instances()]
+        calls = [{"b": b} for b in instances()]
         nodes = nested_calls(independence._direct_balanced, "search", calls)
         assert 0 < nodes <= ceiling
 
@@ -917,7 +819,7 @@ class TestSearchNodeCeilings:
         ids=["Q3-Q5", "Q6-20"],
     )
     def test_clique_search_on_pair_graphs(self, instances, ceiling):
-        calls = [(equi_reduction(b).graph,) for b in instances()]
+        calls = [{"g": equi_reduction(b).graph} for b in instances()]
         nodes = nested_calls(independence.max_independent_set, "expand", calls)
         assert 0 < nodes <= ceiling
 
@@ -929,9 +831,9 @@ class TestSearchNodeCeilings:
     )
     def test_clique_search_with_endpoint_covers(self, instances, ceiling):
         # the route equi_independence(method="reduction") takes: the pair
-        # labels, whose coordinate classes are the endpoint covers
+        # labels, whose coordinate classes are the endpoint cliques
         reds = [equi_reduction(b) for b in instances()]
-        calls = [(red.graph, (), red.pair_labels) for red in reds]
+        calls = [{"g": red.graph, "pairs": red.pair_labels} for red in reds]
         nodes = nested_calls(independence.max_independent_set, "expand", calls)
         assert 0 < nodes <= ceiling
 
