@@ -690,8 +690,9 @@ class TestPairLabels:
          lambda: induced_cube_subgraphs(6, 20, 40),
          lambda: [hypercube_bipartite(n) for n in range(1, 3)],
          lambda: induced_cube_subgraphs(6, 24, 60),
-         lambda: scattered_bipartites(67, 300, 16)],
-        ids=["Q3-Q5", "Q6-20", "Q1-Q2", "Q6-24", "scattered"],
+         lambda: scattered_bipartites(67, 300, 16),
+         lambda: [random_bipartite(random.Random(68), max_vertices=14) for _ in range(60)]],
+        ids=["Q3-Q5", "Q6-20", "Q1-Q2", "Q6-24", "scattered", "random"],
     )
     def test_pair_graphs(self, instances):
         for b in instances():
@@ -701,8 +702,9 @@ class TestPairLabels:
     @pytest.mark.parametrize(
         "instances",
         [lambda: [hypercube_bipartite(n) for n in range(3, 6)],
-         lambda: induced_cube_subgraphs(6, 20, 10)],
-        ids=["Q3-Q5", "Q6-20"],
+         lambda: induced_cube_subgraphs(6, 20, 10),
+         lambda: induced_cube_subgraphs(6, 24, 10)],
+        ids=["Q3-Q5", "Q6-20", "Q6-24"],
     )
     def test_labels_cut_nodes(self, instances):
         reds = [equi_reduction(b) for b in instances()]
@@ -711,6 +713,18 @@ class TestPairLabels:
         labelled = nested_calls(independence.max_independent_set, "expand",
                                 [{"g": red.graph, "pairs": red.pair_labels} for red in reds])
         assert labelled < plain
+
+    def test_against_subset_oracle(self):
+        rng = random.Random(64)
+        checked = 0
+        while checked < 100:
+            red = equi_reduction(random_bipartite(rng, max_vertices=10))
+            if red.graph.vertex_count > 16:
+                continue
+            size, witness = max_independent_set(red.graph, pairs=red.pair_labels)
+            assert size == brute_force_mis(red.graph) == len(witness)
+            assert is_independent(red.graph, witness)
+            checked += 1
 
     def test_no_cover_cut_below_kmin_two(self, monkeypatch):
         # with the greedy seed, no pair graph in a hunt over 39,788 random
@@ -743,6 +757,55 @@ class TestPairLabels:
         assert max_independent_set(free.graph, pairs=free.pair_labels)[0] == 2
         with pytest.raises(ValueError, match="not the pair graph of its labels"):
             max_independent_set(free.graph, pairs=[(0, 2), (0, 3), (1, 2), (2, 3)])
+
+    @pytest.mark.parametrize(
+        "change",
+        [lambda edges, labels: (edges - {(0, 1)}, labels),
+         lambda edges, labels: (edges | {(0, 19)}, labels),
+         lambda edges, labels: (edges, [labels[19]] + labels[1:19] + [labels[0]] + labels[20:])],
+        ids=["edge-dropped", "edge-added", "labels-swapped"],
+    )
+    def test_a_changed_pair_graph_is_refused(self, change):
+        # the Q4 pair graph has 32 pairs; pair 0 meets 1 and misses 19.
+        # The check runs in the search's labels, after the relabelling
+        # by degree, and still finds the one changed row
+        red = equi_reduction(hypercube_bipartite(4))
+        g = red.graph
+        edges = {(u, v) for u in range(g.vertex_count) for v in range(u + 1, g.vertex_count)
+                 if g.adj[u] >> v & 1}
+        assert (0, 1) in edges and (0, 19) not in edges
+        edges, labels = change(edges, list(red.pair_labels))
+        with pytest.raises(ValueError, match="not the pair graph of its labels"):
+            max_independent_set(UndirectedGraph(g.vertex_count, sorted(edges)), pairs=labels)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_endpoint_cliques(self, side):
+        # the Q4 pair graph: 8 cliques of 4 pairs per class, one per
+        # vertex of that class, disjoint and covering every pair
+        red = equi_reduction(hypercube_bipartite(4))
+        g = red.graph
+        masks = list(independence._pairs_at(g.adj, red.pair_labels)[side].values())
+        assert sorted(mask.bit_count() for mask in masks) == [4] * 8
+        assert sum(masks) == (1 << g.vertex_count) - 1
+        for mask in masks:
+            members = [k for k in range(g.vertex_count) if mask >> k & 1]
+            assert len({red.pair_labels[k][side] for k in members}) == 1
+            for a, c in itertools.combinations(members, 2):
+                assert g.adj[a] >> c & 1
+
+    def test_endpoint_cliques_group_the_pairs_by_endpoint(self):
+        # a vertex with no pair gets no clique
+        rng = random.Random(66)
+        graphs = [hypercube_bipartite(n) for n in range(1, 6)]
+        graphs += [random_bipartite(rng, max_vertices=14) for _ in range(60)]
+        for b in graphs:
+            red = equi_reduction(b)
+            found = independence._pairs_at(red.graph.adj, red.pair_labels)
+            for side in (0, 1):
+                at: dict[int, int] = {}
+                for k, pair in enumerate(red.pair_labels):
+                    at[pair[side]] = at.get(pair[side], 0) | 1 << k
+                assert found[side] == at
 
 
 def nested_calls(func, name: str, calls: list[dict]) -> int:
