@@ -21,7 +21,7 @@ from .hypercube import check_dimension, parity
 from .independence import check_hypercube_caps, cube_pair_graph_size, equi_independence
 
 
-class EquiValueUnavailable(LookupError):
+class EquiValueUnavailable(ValueError):
     """No stored balanced-independence number for the requested dimension."""
 
 
@@ -33,8 +33,9 @@ class EquiValueUnavailable(LookupError):
 # suite), so those two reference entries are understated.  A valid Q7
 # Hamiltonian cycle whose 20 dimension-6 edges form no square, also pinned
 # in the test suite, shows 20 for n = 6 with no solver: the bases of those
-# edges are a balanced independent set of the 6-cube.  The table is kept
-# verbatim because downstream thresholds and reports are defined against it;
+# edges are a balanced independent set of the 6-cube, and a pinned Q8 cycle
+# does the same for 44 at n = 7.  The table is kept verbatim so the paper's
+# own statements can be reproduced: ``pigeonhole_report`` reads it, and
 # ``table1`` output flags the disagreement wherever a computed value is
 # available.
 ALPHA_EQUI_HYPERCUBE: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 16, 7: 40}
@@ -42,7 +43,7 @@ ALPHA_EQUI_HYPERCUBE: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 16, 7:
 # Balanced-independence numbers actually computed by this package's solvers
 # (direct branch-and-bound, cross-checked by the pair-graph reduction for
 # n <= 5, and for n = 6 in an opt-in test, and by explicit layered
-# witnesses for n = 6, 7).
+# witnesses for n = 6, 7); ``rim_threshold`` reads these.
 ALPHA_EQUI_COMPUTED: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 20, 7: 44}
 
 # Reference column of reduced-graph vertex counts as printed alongside the
@@ -57,25 +58,30 @@ REFERENCE_REDUCED_VERTICES = {3: 4, 4: 32, 5: 176, 6: 882, 7: 3648}
 TABLE1_SOLVE_MAX_N = 7
 
 
+def _stored_alpha(table: dict[int, int], m: int) -> int:
+    """The balanced-independence number of the m-cube in ``table``."""
+    try:
+        return table[m]
+    except KeyError:
+        raise EquiValueUnavailable(
+            f"no stored balanced-independence number for dimension {m}"
+        ) from None
+
+
 def rim_threshold(n: int, mode: str = "equi") -> int:
     """Dimension-usage count above which an inscribed square with that rim
     dimension is forced.
 
     ``independence`` mode uses the quarter-order bound 2**(n-2);
     ``equi`` mode sharpens it to the balanced-independence number of the
-    (n-1)-cube, which must be stored in ALPHA_EQUI_HYPERCUBE.
+    (n-1)-cube, which must be stored in ALPHA_EQUI_COMPUTED.
     """
     if n < 2:
         raise ValueError("thresholds need n >= 2")
     if mode == "independence":
         return 1 << (n - 2)
     if mode == "equi":
-        try:
-            return ALPHA_EQUI_HYPERCUBE[n - 1]
-        except KeyError:
-            raise EquiValueUnavailable(
-                f"no stored balanced-independence number for dimension {n - 1}"
-            ) from None
+        return _stored_alpha(ALPHA_EQUI_COMPUTED, n - 1)
     raise ValueError(f"unknown threshold mode {mode!r}")
 
 
@@ -100,10 +106,9 @@ class PigeonholeReport:
 
 
 def pigeonhole_report(n: int) -> PigeonholeReport:
-    """The counting argument at dimension n, with the ``equi`` rim
-    threshold (the stored balanced-independence number of the next cube
-    down)."""
-    alpha = rim_threshold(n, "equi")
+    """The counting argument at dimension n as the paper states it, with
+    the next cube down's value in ALPHA_EQUI_HYPERCUBE."""
+    alpha = _stored_alpha(ALPHA_EQUI_HYPERCUBE, n - 1)
     return PigeonholeReport(n, alpha, n * alpha, 1 << n)
 
 

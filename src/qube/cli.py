@@ -11,7 +11,7 @@ requested property holds / the command succeeds, 1 when a counterexample
 or violation was found, 2 on usage or input errors (including a dimension
 without a stored balanced-independence number), 3 when the run could not
 finish (a ``RuntimeError``, such as a sampler that abandoned too many
-searches in a row, or a solver witness that fails its check, and any other
+searches in a row, or a solver witness that fails its check, and a
 ``LookupError``, such as a ``KeyError`` or ``IndexError`` from a fault in
 the program).  No command reads an environment variable.
 """
@@ -23,9 +23,9 @@ import functools
 import json
 import sys
 import time
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .bounds import EquiValueUnavailable, pigeonhole_report, rim_threshold, table1_rows
+from .bounds import pigeonhole_report, rim_threshold, table1_rows
 from .cycles import (  # noqa: F401 -- check_balance stays a public name of qube.cli
     HamiltonianCycle,
     check_balance,
@@ -42,12 +42,7 @@ from .enumeration import (
     sample_cycles,
     write_prefixes,
 )
-from .graphs import (
-    BipartiteGraph,
-    format_graph,
-    hypercube_bipartite,
-    parse_bipartite,
-)
+from .graphs import format_graph, hypercube_bipartite, parse_bipartite
 from .hypercube import gray_code, isomorphism_violations
 from .independence import (
     brute_force_equi,
@@ -77,6 +72,16 @@ def read_cycles(path: str) -> Iterator[HamiltonianCycle]:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             yield cyc
+
+
+def _parse_file(path: str, parse: Callable):
+    """``parse`` of a whole file's text; a parse error names the file."""
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _of_dimension(n: int, cycles: Iterable[HamiltonianCycle]) -> Iterator[HamiltonianCycle]:
@@ -208,11 +213,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return 0
 
     if args.prefixes_in is not None:
-        with open(args.prefixes_in, "r", encoding="utf-8") as f:
-            try:
-                prefixes = read_prefixes(f.read())
-            except ValueError as exc:
-                raise ValueError(f"{args.prefixes_in}: {exc}") from None
+        prefixes = _parse_file(args.prefixes_in, read_prefixes)
         if args.prefix_index is not None:
             if not 0 <= args.prefix_index < len(prefixes):
                 raise ValueError(f"--prefix-index out of range 0..{len(prefixes) - 1}")
@@ -290,23 +291,13 @@ def cmd_squares(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_bipartite(path: str) -> BipartiteGraph:
-    """The bipartite graph of a ``--graph`` file; a parse error names the file."""
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    try:
-        return parse_bipartite(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def cmd_equiind(args: argparse.Namespace) -> int:
     if args.hypercube is not None:
         check_hypercube_caps(args.hypercube, args.method)
         b = hypercube_bipartite(args.hypercube)
         source = f"hypercube:{args.hypercube}"
     else:
-        b = _read_bipartite(args.graph)
+        b = _parse_file(args.graph, parse_bipartite)
         source = f"file:{args.graph}"
     if args.method == "oracle":
         size = brute_force_equi(b)
@@ -322,7 +313,7 @@ def cmd_equiind(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    b = _read_bipartite(args.graph)
+    b = _parse_file(args.graph, parse_bipartite)
     check_pair_graph_cap(b)
     red = equi_reduction(b)
     with open(args.out, "w", encoding="utf-8") as f:
@@ -457,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         # looked up by name at call time, so a cmd_* replaced in this
         # module's namespace (by a test or a tracer) is the one that runs
         return globals()[f"cmd_{args.command}"](args)
-    except (OSError, ValueError, EquiValueUnavailable, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, RuntimeError) else 2
     except LookupError as exc:

@@ -251,14 +251,11 @@ class DimensionProfile:
     def normalized(self) -> HamiltonianCycle:
         return self.cycle.rotated(self.shift)
 
-    def _starts(self) -> list[int]:
-        seq = self.cycle.seq
-        back = self.shift - len(seq)  # position k of the rotation is seq[k + back]
-        return [seq[k + back] for k in self.index_list]
-
     @_lazy
     def start_vertices(self) -> tuple[int, ...]:
-        return tuple(self._starts())
+        seq = self.cycle.seq
+        back = self.shift - len(seq)  # position k of the rotation is seq[k + back]
+        return tuple([seq[k + back] for k in self.index_list])
 
     @_lazy
     def edge_list(self) -> tuple[tuple[int, int], ...]:
@@ -280,7 +277,7 @@ class DimensionProfile:
     @_lazy
     def parity_direct(self) -> tuple[int, ...]:
         i = self.dim  # the weight's parity without bit i
-        return tuple([(v.bit_count() ^ v >> i) & 1 for v in self._starts()])
+        return tuple([(v.bit_count() ^ v >> i) & 1 for v in self.start_vertices])
 
     @property
     def balanced(self) -> bool:

@@ -58,11 +58,12 @@ PROFILED = ("balance", "segments", "recurrence")
 
 @dataclass
 class Tally:
-    """What a sweep found for one property.  ``first`` pairs a sort key,
-    (cycle sequence, first violation record), with the counterexample it
-    names; the least key wins, because ``verify --in`` reports the least
-    counterexample of its file, whatever the order of its lines.
-    ``square_free`` holds the square-free cycles in sweep order."""
+    """What a sweep found for one property.  ``first`` pairs a cycle
+    sequence, its sort key, with the counterexample it names; the least
+    sequence wins, because ``verify --in`` reports the least counterexample
+    of its file, whatever the order of its lines (a cycle's violation
+    records depend on the cycle alone).  ``square_free`` holds the
+    square-free cycles in sweep order."""
 
     checked: int = 0
     violations: int = 0
@@ -101,9 +102,8 @@ def sweep(
             tally.violations += len(records)
             if prop == "squares":
                 tally.square_free.append(cyc.to_dict())
-            key = (cyc.seq, json.dumps(records[0], sort_keys=True))
-            if tally.first is None or key < tally.first[0]:
-                tally.first = (key, {"cycle": cyc.to_dict(), **records[0]})
+            if tally.first is None or cyc.seq < tally.first[0]:
+                tally.first = (cyc.seq, {"cycle": cyc.to_dict(), **records[0]})
     return tallies
 
 

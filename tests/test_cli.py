@@ -21,6 +21,7 @@ from qube.graphs import (
 )
 from qube.independence import brute_force_equi, equi_reduction
 from qube.squares import find_squares
+from test_squares import RIM_FREE_Q7, RIM_FREE_Q8
 
 
 def run(capsys, *argv):
@@ -505,6 +506,38 @@ class TestVerify:
         doc = json.loads(out)
         assert code == 0
         assert doc["checked"] == 2
+
+    @pytest.mark.parametrize("n,seq", [(7, RIM_FREE_Q7), (8, RIM_FREE_Q8)], ids=["q7", "q8"])
+    def test_a_top_rim_free_cycle_meets_the_threshold(self, capsys, tmp_path, n, seq):
+        # the top dimension has as many edges as the computed balanced-
+        # independence number of the next cube down, more than the reference
+        # value, and no square has both rims in it: the theorem holds
+        corpus = write_cycles(tmp_path / "rim_free.jsonl", [validate_cycle(n, seq)])
+        code, out, err = run(
+            capsys, "verify", "--n", str(n), "--property", "threshold", "--in", corpus
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["checked"], doc["violations"], doc["first_counterexample"]) == (1, 0, None)
+        assert "holds" in err
+
+    def test_the_least_counterexample_whatever_the_order_of_the_lines(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("qube.verify.has_square", lambda cyc: False)
+        cycles = sample_cycles(4, 5, 6)
+        assert len({h.seq for h in cycles}) == 6
+        least = min(cycles, key=lambda h: h.seq)
+        firsts = []
+        for order in (cycles, cycles[::-1], cycles[3:] + cycles[:3]):
+            corpus = write_cycles(tmp_path / "corpus.jsonl", order)
+            code, out, _ = run(
+                capsys, "verify", "--n", "4", "--property", "squares", "--in", corpus
+            )
+            assert code == 1
+            firsts.append(json.loads(out)["first_counterexample"])
+        assert firsts == [{"cycle": least.to_dict(), "square_free": True}] * 3
 
     def test_isomorphism_property(self, capsys):
         code, out, _ = run(

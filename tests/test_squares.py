@@ -9,6 +9,7 @@ from qube.bounds import (
     ALPHA_EQUI_COMPUTED,
     ALPHA_EQUI_HYPERCUBE,
     EquiValueUnavailable,
+    pigeonhole_report,
     rim_threshold,
 )
 from qube.cycles import (
@@ -166,6 +167,28 @@ RIM_FREE_Q7 = tuple(
     ).split()
 )
 
+# A Hamiltonian cycle of Q8 whose dimension-7 edges are the rungs at a
+# balanced independent 44-set of Q7 (Harper's set, see ROADMAP item 15),
+# found by an edge search with those rungs fixed: no two of the 44 edges
+# are the rims of a square.
+RIM_FREE_Q8 = tuple(
+    int(v)
+    for v in (
+        "0 1 5 133 132 148 20 16 17 145 144 146 18 19 51 49 113 112 114 50 54 22 23 7 15 "
+        "11 27 25 57 41 43 35 34 162 163 167 165 229 228 230 226 227 225 224 96 97 101 "
+        "100 102 98 99 107 235 233 232 234 238 110 108 109 237 236 204 206 202 203 201 "
+        "205 197 196 68 64 65 193 192 200 72 73 77 69 71 70 78 76 92 28 60 44 40 168 160 "
+        "161 33 32 36 164 166 182 150 158 142 174 170 171 169 173 172 188 156 220 212 213 "
+        "215 87 86 82 83 81 85 84 80 208 209 211 210 214 198 199 195 194 66 67 75 74 90 "
+        "88 89 91 219 217 216 218 154 186 184 248 252 124 126 62 190 254 222 94 95 79 207 "
+        "223 221 93 125 61 189 253 255 127 111 103 231 239 175 47 63 31 159 191 183 55 "
+        "119 118 246 244 180 176 48 56 120 122 250 251 187 59 123 115 243 247 245 117 116 "
+        "52 53 21 29 13 45 37 39 38 46 14 30 26 58 42 106 104 105 121 249 241 240 242 178 "
+        "179 147 151 135 143 139 155 153 185 177 181 149 157 141 140 12 4 6 134 130 131 3 "
+        "2 10 138 136 152 24 8 9 137 129 128"
+    ).split()
+)
+
 
 class TestHasSquare:
     def test_matches_full_detection(self, q3_cycles, q4_cycles):
@@ -261,8 +284,8 @@ class TestRimThreshold:
         assert rim_threshold(3, "independence") == 2
         assert rim_threshold(2, "independence") == 1
         assert rim_threshold(4, "equi") == 2
-        assert rim_threshold(7, "equi") == 16
-        assert rim_threshold(8, "equi") == 40
+        assert rim_threshold(7, "equi") == 20
+        assert rim_threshold(8, "equi") == 44
 
     def test_equi_no_larger_than_quarter_order(self):
         for n in range(4, 9):
@@ -275,6 +298,19 @@ class TestRimThreshold:
             rim_threshold(4, "nonsense")
         with pytest.raises(EquiValueUnavailable):
             rim_threshold(9, "equi")
+
+    def test_a_missing_value_is_a_value_error(self):
+        assert issubclass(EquiValueUnavailable, ValueError)
+        with pytest.raises(ValueError, match="for dimension 8$"):
+            rim_threshold(9, "equi")
+        with pytest.raises(ValueError, match="for dimension 8$"):
+            pigeonhole_report(9)
+
+    def test_thresholds_read_the_computed_table_and_counting_the_reference(self):
+        # the counting argument is reproduced as the paper states it
+        for n in range(2, 9):
+            assert rim_threshold(n, "equi") == ALPHA_EQUI_COMPUTED[n - 1]
+            assert pigeonhole_report(n).threshold == ALPHA_EQUI_HYPERCUBE[n - 1]
 
 
 class TestThresholdImplication:
@@ -347,12 +383,27 @@ class TestReferenceTable:
         # bases are a balanced independent set of Q6: 20 > 16 with no solver
         h = validate_cycle(7, RIM_FREE_Q7)
         assert chromatic_vector(h) == (18, 12, 14, 24, 24, 16, 20)
-        assert all(row[0] != 6 for row in find_squares(h))
-        starts = positions_by_dim(h)[6]
-        assert squares._rim_scan(h, starts) is False
-        seq = h.seq
-        bases = sorted(seq[k] & seq[(k + 1) % len(seq)] for k in starts)
-        b = hypercube_bipartite(6)
-        assert len(set(bases)) == len(bases) == ALPHA_EQUI_COMPUTED[6]
-        assert is_independent(b.graph, bases)
-        assert is_balanced(b, bases)
+        assert_top_rim_free_at_the_computed_value(h)
+
+    def test_a_square_free_dimension_of_a_q8_cycle_attains_the_computed_value(self):
+        # 44 dimension-7 edges, the rims of no square: 44 > 40 with no solver
+        h = validate_cycle(8, RIM_FREE_Q8)
+        assert chromatic_vector(h) == (54, 38, 30, 26, 24, 20, 20, 44)
+        assert len(find_squares(h)) == 186
+        assert_top_rim_free_at_the_computed_value(h)
+
+
+def assert_top_rim_free_at_the_computed_value(h: HamiltonianCycle) -> None:
+    """No square of ``h`` has both rims in its top dimension, whose edges'
+    bases are a balanced independent set of the next cube down, as large as
+    the computed balanced-independence number of that cube."""
+    top = h.n - 1
+    assert all(row[0] != top for row in find_squares(h))
+    starts = positions_by_dim(h)[top]
+    assert squares._rim_scan(h, starts) is False
+    seq = h.seq
+    bases = sorted(seq[k] & seq[(k + 1) % len(seq)] for k in starts)
+    b = hypercube_bipartite(top)
+    assert len(set(bases)) == len(bases) == ALPHA_EQUI_COMPUTED[top]
+    assert is_independent(b.graph, bases)
+    assert is_balanced(b, bases)
