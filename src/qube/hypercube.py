@@ -29,6 +29,8 @@ MAX_DIM = 24
 # Cubes up to this dimension keep both tables per process: the masks take
 # 4**n / 8 bytes (2 MB at n = 12, 512 MB at n = 16), the rows 4.7 MB at 12.
 NEAR_TABLE_MAX_DIM = 12
+# 14 s at n = 18, about 6x as long per two dimensions more
+ISOMORPHISM_MAX_DIM = 18
 
 
 def check_dimension(n: int) -> None:
@@ -96,11 +98,14 @@ def isomorphism_violations(n: int) -> tuple[int, list[dict]]:
     Two i-edges are adjacent when one is the translate of the other along
     some dimension j != i, so the projection preserves adjacency exactly
     when that translate lands on the image moved along entry j of the
-    (n-1)-cube, which is entry j - 1 when j > i.
+    (n-1)-cube, which is entry j - 1 when j > i.  Dimensions above
+    ``ISOMORPHISM_MAX_DIM`` are refused before any work.
     """
     check_dimension(n)
     if n < 2:
         raise ValueError("dimension graphs need n >= 2")
+    if n > ISOMORPHISM_MAX_DIM:
+        raise ValueError(f"the isomorphism check runs only for n <= {ISOMORPHISM_MAX_DIM}")
     out = []
     for i in range(n):
         bases = [b for b in range(1 << n) if not b >> i & 1]

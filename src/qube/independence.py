@@ -352,12 +352,11 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     vertex.  Any (sel, tmask) yields a balanced independent set of size
     2 * min(|sel|, |tmask|), and both quantities only shrink along a
     branch, which gives the first pruning bound, min(|sel| + |cands|,
-    |tmask|).  Bit p of a mask stands for the other class's p-th vertex,
-    so the masks are as wide as that class: when it is one run of labels,
-    as in a parsed file, they are the graph's rows shifted down by its
-    lowest vertex, and otherwise, as in the cube's parity classes, the
-    rows' bits are gathered (Q6's masks take 32 bits instead of 63).  The
-    positions keep label order, so the witness is the same either way.
+    |tmask|).  The masks are the graph's rows shifted down by ``lo``, the
+    other class's lowest label, so bit p stands for vertex lo + p; in the
+    cube's parity classes the other parity's labels stay zero bits.  Bits
+    keep label order, so the nodes and the witness do not depend on how
+    the classes are labelled.
 
     The second is König's.  A completion adds some S' of ``cands`` and
     keeps some T' of ``tmask`` with no edge between them, so S' ∪ T' is
@@ -400,29 +399,16 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     as a call of its own, and a comprehension filter makes about 400k
     such calls on 200 induced 56-vertex subgraphs of Q6.
     """
-    side0, side1 = b.class0, b.class1
+    side0, side1, mask1 = b.class0, b.class1, b.mask1
     if len(side1) < len(side0):
-        side0, side1 = side1, side0
+        side0, side1, mask1 = side1, side0, b.mask0
     if not side0:
         return 0, []
     k1 = len(side1)
     adj = b.graph.adj
     lo = side1[0]
-    if side1[-1] - lo == k1 - 1:
-        neigh = [adj[v] >> lo for v in side0]
-    else:
-        # bit p stands for side1[p]: the rows' bits are gathered one by one
-        at = {w: 1 << p for p, w in enumerate(side1)}
-        neigh = []
-        for v in side0:
-            row = adj[v]
-            m = 0
-            while row:
-                low = row & -row
-                m |= at[low.bit_length() - 1]
-                row ^= low
-            neigh.append(m)
-    full1 = (1 << k1) - 1
+    neigh = [adj[v] >> lo for v in side0]
+    full1 = mask1 >> lo
     nonadj = [full1 & ~m for m in neigh]
     n0 = len(side0)
 
@@ -507,7 +493,7 @@ def _direct_balanced(b: BipartiteGraph) -> tuple[int, list[int]]:
     mask = best_state[1]
     while mask and len(chosen1) < best:
         low = mask & -mask
-        chosen1.append(side1[low.bit_length() - 1])
+        chosen1.append(lo + low.bit_length() - 1)
         mask ^= low
     return 2 * best, sorted(chosen0 + chosen1)
 

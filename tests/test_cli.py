@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qube import enumeration
+from qube import enumeration, hypercube
 from qube.cli import build_parser, main
 from qube.cycles import DimensionProfile, gray_cycle, validate_cycle
 from qube.enumeration import enumerate_cycles, sample_cycles
@@ -554,6 +554,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "error: dimension must be an integer in 1..24, got 0" in err
+
+    def test_isomorphism_refused_above_its_cap(self, capsys, monkeypatch):
+        def no_work(v, i):
+            raise AssertionError("the check started")
+
+        monkeypatch.setattr(hypercube, "drop_entry", no_work)
+        code, out, err = run(capsys, "verify", "--n", "19", "--property", "isomorphism")
+        assert code == 2
+        assert out == ""
+        assert "error: the isomorphism check runs only for n <= 18" in err
 
     @pytest.mark.parametrize(
         "corpus",

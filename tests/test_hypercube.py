@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qube import hypercube
 from qube.cycles import validate_cycle
 from qube.hypercube import (
+    ISOMORPHISM_MAX_DIM,
     MAX_DIM,
     check_dimension,
     check_vertex,
@@ -246,6 +247,15 @@ class TestDimensionGraph:
         for n in (0, MAX_DIM + 1):
             with pytest.raises(ValueError, match="dimension must be an integer"):
                 isomorphism_violations(n)
+
+    def test_refused_above_the_cap_before_any_work(self, monkeypatch):
+        def no_work(v, i):
+            raise AssertionError("the check started")
+
+        monkeypatch.setattr(hypercube, "drop_entry", no_work)
+        assert ISOMORPHISM_MAX_DIM == 18 < MAX_DIM
+        with pytest.raises(ValueError, match=r"runs only for n <= 18"):
+            isomorphism_violations(19)
 
     def test_wrong_projection_is_reported(self, monkeypatch):
         def shuffled(v, i):  # a bijection that breaks adjacency

@@ -16,11 +16,13 @@ from qube.bounds import lower_bound_set
 from qube.graphs import (
     BipartiteGraph,
     UndirectedGraph,
+    format_bipartite,
     hypercube_bipartite,
     hypercube_graph,
     is_balanced,
     is_independent,
     is_maximal_independent,
+    parse_bipartite,
 )
 from qube.independence import (
     SizeLimitExceeded,
@@ -924,6 +926,32 @@ class TestDirectWitnessPins:
     def test_direct_witnesses(self, instances, digest):
         solved = [list(equi_independence(b, "direct")) for b in instances()]
         assert hashlib.sha256(json.dumps(solved).encode()).hexdigest() == digest
+
+
+class TestDirectLayouts:
+    """``_direct_balanced`` reads each class in label order, so it runs the
+    same search whether a class is one run of labels or interleaved with
+    the other.  ``format_bipartite`` relabels the classes to contiguous
+    runs, keeping each class's order; the cube's parity classes and
+    ``scattered_bipartite``'s random ones are interleaved."""
+
+    @pytest.mark.parametrize(
+        "instances",
+        [lambda: [hypercube_bipartite(n) for n in range(1, 7)],
+         lambda: scattered_bipartites(47, 150, 22)],
+        ids=["Q1-Q6", "scattered"],
+    )
+    def test_contiguous_relabelling_runs_the_same_search(self, instances):
+        for b in instances():
+            order = b.class0 + b.class1
+            runs = parse_bipartite(format_bipartite(b))
+            size, witness = equi_independence(b, "direct")
+            run_size, run_witness = equi_independence(runs, "direct")
+            assert run_size == size
+            assert sorted(order[k] for k in run_witness) == witness
+            assert nested_calls(independence._direct_balanced, "search", [{"b": runs}]) == (
+                nested_calls(independence._direct_balanced, "search", [{"b": b}])
+            )
 
 
 class TestBruteForceEqui:
