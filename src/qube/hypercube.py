@@ -29,7 +29,7 @@ MAX_DIM = 24
 # Cubes up to this dimension keep both tables per process: the masks take
 # 4**n / 8 bytes (2 MB at n = 12, 512 MB at n = 16), the rows 4.7 MB at 12.
 NEAR_TABLE_MAX_DIM = 12
-# 14 s at n = 18, about 6x as long per two dimensions more
+# 11-14 s at n = 18, four to six times as long per two dimensions more
 ISOMORPHISM_MAX_DIM = 18
 
 
