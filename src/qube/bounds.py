@@ -68,6 +68,11 @@ def _stored_alpha(table: dict[int, int], m: int) -> int:
         ) from None
 
 
+# the table of balanced-independence numbers each threshold mode reads, as
+# ``verify --property threshold`` names it
+THRESHOLD_ALPHA_TABLE = {"equi": "computed", "independence": None}
+
+
 def rim_threshold(n: int, mode: str = "equi") -> int:
     """Dimension-usage count above which an inscribed square with that rim
     dimension is forced.
@@ -102,7 +107,7 @@ class PigeonholeReport:
         return self.product < self.order
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "forced": self.forced}
+        return {**asdict(self), "forced": self.forced, "alpha_table": "reference"}
 
 
 def pigeonhole_report(n: int) -> PigeonholeReport:

@@ -25,7 +25,7 @@ import sys
 import time
 from typing import Callable, Iterable, Iterator
 
-from .bounds import pigeonhole_report, rim_threshold, table1_rows
+from .bounds import THRESHOLD_ALPHA_TABLE, pigeonhole_report, rim_threshold, table1_rows
 from .cycles import (  # noqa: F401 -- check_balance stays a public name of qube.cli
     HamiltonianCycle,
     check_balance,
@@ -121,8 +121,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.mode is not None and prop != "threshold":
         raise ValueError("--mode goes only with --property threshold")
     mode = args.mode or "equi"
+    named_table = {}
     if prop == "threshold":
-        rim_threshold(n, mode)  # no stored value: a usage error before any cycle is drawn
+        # no stored value: a usage error before any cycle is drawn
+        named_table = {"threshold": rim_threshold(n, mode), "alpha_table": THRESHOLD_ALPHA_TABLE[mode]}
 
     if prop == "isomorphism":
         # it checks every dimension graph of the n-cube, which is what
@@ -159,7 +161,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     seconds = time.perf_counter() - start
     _emit(
-        {"property": prop, "n": n, "corpus": corpus, "checked": checked,
+        {"property": prop, "n": n, **named_table, "corpus": corpus, "checked": checked,
          "violations": violations, "first_counterexample": first,
          "seconds": round(seconds, 3)},
         sys.stdout,

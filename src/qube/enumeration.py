@@ -105,7 +105,6 @@ from .hypercube import (
 
 MAX_ENUMERATION_DIM = 16
 MAX_CONSECUTIVE_FAILURES = 200
-MAX_NODES_PER_ATTEMPT = 500_000
 MAX_PREFIX_VERTICES = 1 << 23
 MEMO_MAX_DIM = 6
 # Q6 has about 3.6·10^22 Hamiltonian cycles (Haanpää and Östergård, 2014)
@@ -471,6 +470,21 @@ def read_prefixes(text: str) -> list[list[int]]:
     return out
 
 
+def attempt_budget(n: int) -> int:
+    """The nodes one sampler attempt in the n-cube may take before it is
+    abandoned and restarted: two passes over the 2**n vertices, plus 8192.
+
+    A successful attempt at n = 7 and 8 either finishes in about 2**n to
+    1.25 * 2**n nodes, or takes about 5.7k-7.7k, or about 182k, so a fixed
+    cutoff that keeps the first two kinds and cuts the long tail is the
+    cheap restart policy (Luby, Sinclair and Zuckerman, 1993).  The 8192
+    keeps the pinned n = 5 and 6 corpora, whose largest attempts take 51
+    and 5,720 nodes, and at n = 7 to 12 it left at most 45 abandoned
+    attempts in a row, well under ``MAX_CONSECUTIVE_FAILURES``.
+    """
+    return (2 << n) + 8192
+
+
 def sample_cycles(n: int, seed: int, k: int) -> list[HamiltonianCycle]:
     """k Hamiltonian cycles found by randomized-order backtracking, one
     fresh randomized search per cycle.
@@ -478,23 +492,25 @@ def sample_cycles(n: int, seed: int, k: int) -> list[HamiltonianCycle]:
     The sampling distribution is *not* uniform over Hamiltonian cycles:
     cycles reachable through luckier early branch choices are favored, and
     independent attempts may repeat a cycle.  Searches that exceed the node
-    budget ``MAX_NODES_PER_ATTEMPT`` are abandoned and restarted with the
-    next draws from the same generator; ``MAX_CONSECUTIVE_FAILURES``
-    abandoned attempts in a row mean the budget is too small and raise
-    RuntimeError instead of looping forever.
+    budget ``attempt_budget(n)``, (2 << n) + 8192, are abandoned and
+    restarted with the next draws from the same generator;
+    ``MAX_CONSECUTIVE_FAILURES`` abandoned attempts in a row mean the budget
+    is too small and raise RuntimeError instead of looping forever.
 
     The stream is fixed for a seed, and seeded corpora are pinned test
-    data, so it must not change between versions: the same generator
-    calls (the calls ``Random.shuffle`` makes on each candidate list of
-    two or more vertices) in the same order, giving the same cycles.
-    Which attempts are abandoned depends on how nodes are counted, and
-    that rule is fixed too.  One node is either a push of a vertex onto
-    the path, including a push that is undone at once (it takes vertex
-    0's last unvisited neighbour), or the retreat from a vertex whose
-    candidates are exhausted.  A dead end, a vertex other than a unit
-    vector with no unvisited neighbour, is charged its push and its
+    data: the same generator calls (the calls ``Random.shuffle`` makes on
+    each candidate list of two or more vertices) in the same order give
+    the same cycles.  Which attempts are abandoned depends on the budget
+    and on how nodes are counted.  One node is either a push of a vertex
+    onto the path, including a push that is undone at once (it takes
+    vertex 0's last unvisited neighbour), or the retreat from a vertex
+    whose candidates are exhausted.  A dead end, a vertex other than a
+    unit vector with no unvisited neighbour, is charged its push and its
     retreat, two nodes, before its push.  An attempt is abandoned at the
-    first node past ``MAX_NODES_PER_ATTEMPT``.
+    first node past the budget.  The budget was a flat 500,000 nodes
+    before it became ``attempt_budget(n)``.  That moved a seed's stream
+    only from its first attempt above the new budget on, and kept the
+    pinned n = 5 and 6 corpora, whose attempts all fit in it.
 
     The search keeps the unvisited vertices as the bits of one integer and
     reads each vertex's neighbours as a mask from the per-process table of
@@ -518,7 +534,7 @@ def sample_cycles(n: int, seed: int, k: int) -> list[HamiltonianCycle]:
         raise ValueError("k must be positive")
     rng = random.Random(seed)
     rows = edge_rows(n)
-    budget = MAX_NODES_PER_ATTEMPT
+    budget = attempt_budget(n)
     out: list[HamiltonianCycle] = []
     failures = 0
     while len(out) < k:

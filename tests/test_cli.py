@@ -519,7 +519,25 @@ class TestVerify:
         doc = json.loads(out)
         assert code == 0
         assert (doc["checked"], doc["violations"], doc["first_counterexample"]) == (1, 0, None)
+        assert (doc["threshold"], doc["alpha_table"]) == ({7: 20, 8: 44}[n], "computed")
         assert "holds" in err
+
+    @pytest.mark.parametrize(
+        "prop,mode,named",
+        [("threshold", [], {"threshold": 4, "alpha_table": "computed"}),
+         ("threshold", ["--mode", "independence"], {"threshold": 8, "alpha_table": None}),
+         ("balance", [], {})],
+        ids=["equi", "independence", "balance"],
+    )
+    def test_a_threshold_report_names_its_alpha_table(self, capsys, prop, mode, named):
+        # equi reads the computed table; the quarter-order bound reads none
+        code, out, _ = run(
+            capsys, "verify", "--n", "5", "--property", prop, "--sample", "2", "--seed", "0",
+            *mode,
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert {key: doc[key] for key in ("threshold", "alpha_table") if key in doc} == named
 
     def test_the_least_counterexample_whatever_the_order_of_the_lines(
         self, capsys, tmp_path, monkeypatch
@@ -674,7 +692,7 @@ class TestVerify:
 
     def test_sampler_exhaustion_is_not_a_usage_error(self, capsys, monkeypatch):
         # a 2-node budget abandons every search, so the run cannot finish
-        monkeypatch.setattr(enumeration, "MAX_NODES_PER_ATTEMPT", 2)
+        monkeypatch.setattr(enumeration, "attempt_budget", lambda n: 2)
         code, out, err = run(
             capsys, "verify", "--n", "4", "--sample", "1", "--seed", "0",
             "--property", "balance",
@@ -1009,6 +1027,7 @@ class TestPigeonhole:
         last = docs[-1]
         assert last == {
             "n": 7, "threshold": 16, "product": 112, "order": 128, "forced": True,
+            "alpha_table": "reference",
         }
         assert "112 < 128" in err
 
@@ -1018,6 +1037,7 @@ class TestPigeonhole:
         assert code == 0
         assert docs[-1] == {
             "n": 8, "threshold": 40, "product": 320, "order": 256, "forced": False,
+            "alpha_table": "reference",
         }
         assert "not decided by counting" in err
 

@@ -14,6 +14,7 @@ from qube.cycles import HamiltonianCycle, validate_cycle
 from qube.enumeration import (
     MAX_CONSECUTIVE_FAILURES,
     PruneConfig,
+    attempt_budget,
     count_cycles,
     enumerate_cycles,
     path_prefixes,
@@ -812,7 +813,7 @@ def sample_counting_abandoned(monkeypatch, n: int, seed: int, k: int, budget: in
         return cyc
 
     monkeypatch.setattr(enumeration, "_random_cycle", counting)
-    monkeypatch.setattr(enumeration, "MAX_NODES_PER_ATTEMPT", budget)
+    monkeypatch.setattr(enumeration, "attempt_budget", lambda n: budget)
     seqs = [h.seq for h in sample_cycles(n, seed, k)]
     return seqs, len(abandoned)
 
@@ -841,7 +842,13 @@ PINNED_CORPUS_SHA256 = {
 # push leaves a unit vector unvisited, so the push that fills the path
 # takes one and closes the cycle.  The runs at n = 8 and 10, whose masks
 # span several machine words, abandon one, one, none, one and four
-# attempts.
+# attempts.  The last three runs, at the default budget, are draws that
+# abandoned a 500,000-node attempt before the budget became
+# attempt_budget(n); they abandon two, one and two attempts of it.
+DEFAULT_BUDGET_RUNS = [
+    (7, 22, 1, attempt_budget(7)), (7, 26, 1, attempt_budget(7)),
+    (8, 9, 1, attempt_budget(8)),
+]
 SAMPLER_RUNS = [
     (2, 0, 3, 500_000), (3, 2, 5, 500_000), (4, 1, 8, 500_000),
     (5, 11, 6, 500_000), (6, 3, 4, 500_000), (7, 3, 2, 500_000),
@@ -852,7 +859,7 @@ SAMPLER_RUNS = [
     (4, 9, 5, 16), (5, 8, 5, 40), (6, 0, 5, 100), (6, 2, 5, 200),
     (7, 1, 10, 20_000), (6, 5, 50, 2000), (7, 2, 3, 3000),
     (8, 3, 1, 600), (8, 1, 1, 400), (10, 0, 1, 500_000), (10, 6, 1, 1100),
-    (10, 4, 1, 1100),
+    (10, 4, 1, 1100), *DEFAULT_BUDGET_RUNS,
 ]
 
 
@@ -877,7 +884,7 @@ class TestSampling:
             assert canonical_form(h) == unique
 
     def test_budget_guard_raises_instead_of_spinning(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "MAX_NODES_PER_ATTEMPT", 2)
+        monkeypatch.setattr(enumeration, "attempt_budget", lambda n: 2)
         with pytest.raises(RuntimeError, match="abandoned searches in a row.*too small"):
             sample_cycles(4, seed=0, k=1)
         assert MAX_CONSECUTIVE_FAILURES >= 100
@@ -984,7 +991,18 @@ class TestSampling:
         [(5, 4, 1, 50, 0), (5, 4, 1, 49, 1), (7, 3, 1, 130, 0), (7, 3, 1, 129, 2),
          (5, 4, 1, 38, 1), (6, 15, 1, 75, 1), (6, 15, 1, 76, 2),
          (7, 1, 10, 20_000, 2), (6, 5, 50, 2000, 1), (8, 3, 1, 600, 1),
-         (10, 0, 1, 500_000, 0), (10, 4, 1, 1100, 4)],
+         (10, 0, 1, 500_000, 0), (10, 4, 1, 1100, 4),
+         (8, 9, 1, attempt_budget(8), 2)],
     )
     def test_small_budgets_abandon_attempts(self, n, seed, k, budget, abandoned):
         assert reference_sample(n, seed, k, budget)[1] == abandoned
+
+    @pytest.mark.parametrize("n,seed,k,budget", DEFAULT_BUDGET_RUNS)
+    def test_an_unpatched_draw_uses_the_default_budget(self, n, seed, k, budget):
+        seqs = [h.seq for h in sample_cycles(n, seed, k)]
+        assert seqs == reference_sample(n, seed, k, budget)[0]
+
+    def test_the_default_budget_keeps_the_pinned_q6_attempts(self):
+        # the longest attempt of the pinned n = 6 corpus takes 5,720 nodes
+        assert attempt_budget(6) >= 5720
+        assert [attempt_budget(n) for n in (7, 8, 12)] == [8448, 8704, 16384]
