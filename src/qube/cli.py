@@ -124,7 +124,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     named_table = {}
     if prop == "threshold":
         # no stored value: a usage error before any cycle is drawn
-        named_table = {"threshold": rim_threshold(n, mode), "alpha_table": THRESHOLD_ALPHA_TABLE[mode]}
+        named_table = {
+            "threshold": rim_threshold(n, mode), "alpha_table": THRESHOLD_ALPHA_TABLE[mode],
+        }
 
     if prop == "isomorphism":
         # it checks every dimension graph of the n-cube, which is what

@@ -1003,6 +1003,6 @@ class TestSampling:
         assert seqs == reference_sample(n, seed, k, budget)[0]
 
     def test_the_default_budget_keeps_the_pinned_q6_attempts(self):
-        # the longest attempt of the pinned n = 6 corpus takes 5,720 nodes
-        assert attempt_budget(6) >= 5720
-        assert [attempt_budget(n) for n in (7, 8, 12)] == [8448, 8704, 16384]
+        # n = 6 stays at or above 5,720, the longest attempt of the pinned
+        # corpus
+        assert [attempt_budget(n) for n in (6, 7, 8, 12)] == [8320, 8448, 8704, 16384]
