@@ -106,6 +106,19 @@ class PigeonholeReport:
     def forced(self) -> bool:
         return self.product < self.order
 
+    @property
+    def caveat(self) -> str:
+        """Why a forced verdict does not hold under the package's own value
+        of the (n-1)-cube in ALPHA_EQUI_COMPUTED, or "" where it holds."""
+        alpha = ALPHA_EQUI_COMPUTED[self.n - 1]
+        if not self.forced or self.n * alpha < self.order:
+            return ""
+        return (
+            f"this rests on the reference table: the computed value {alpha} gives "
+            f"{self.n * alpha} >= {self.order}, so the counting argument does not "
+            f"decide n={self.n}"
+        )
+
     def to_dict(self) -> dict:
         return {**asdict(self), "forced": self.forced, "alpha_table": "reference"}
 

@@ -47,7 +47,6 @@ from .hypercube import gray_code, isomorphism_violations
 from .independence import (
     brute_force_equi,
     check_hypercube_caps,
-    check_pair_graph_cap,
     equi_independence,
     equi_reduction,
 )
@@ -318,7 +317,6 @@ def cmd_equiind(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     b = _parse_file(args.graph, parse_bipartite)
-    check_pair_graph_cap(b)
     red = equi_reduction(b)
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(format_graph(red.graph))
@@ -368,6 +366,8 @@ def cmd_pigeonhole(args: argparse.Namespace) -> int:
         _emit(report.to_dict(), sys.stdout)
         relation = "<" if report.forced else ">="
         outcome = "squares forced in every Hamiltonian cycle" if report.forced else "not decided by counting"
+        if report.caveat:
+            outcome += f"; {report.caveat}"
         print(
             f"n={report.n}: {report.n} * {report.threshold} = {report.product} {relation} "
             f"{report.order} -> {outcome}",

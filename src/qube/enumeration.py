@@ -505,21 +505,17 @@ def sample_cycles(n: int, seed: int, k: int) -> list[HamiltonianCycle]:
     and on how nodes are counted.  One node is either a push of a vertex
     onto the path, including a push that is undone at once (it takes
     vertex 0's last unvisited neighbour), or the retreat from a vertex
-    whose candidates are exhausted.  A dead end, a vertex other than a
-    unit vector with no unvisited neighbour, is charged its push and its
-    retreat, two nodes, before its push.  An attempt is abandoned at the
-    first node past the budget.  The budget was a flat 500,000 nodes
-    before it became ``attempt_budget(n)``.  That moved a seed's stream
-    only from its first attempt above the new budget on, and kept the
-    pinned n = 5 and 6 corpora, whose attempts all fit in it.
+    whose candidates are exhausted.  The push that fills the path closes
+    the cycle; a dead end, a vertex with no unvisited neighbour, is
+    charged its push and its retreat, two nodes, and never touches the
+    path.  An attempt is abandoned at the first node past the budget.
 
     The search keeps the unvisited vertices as the bits of one integer and
     reads each vertex's neighbours as a mask from the per-process table of
     :func:`~qube.hypercube.near_table`, 4**n / 8 bytes.  So sampling
     supports 2 <= n <= ``NEAR_TABLE_MAX_DIM`` = 12, where that table is
     kept (2 MB at n = 12), and refuses a larger n before any draw: the
-    table grows fourfold per dimension, to 512 MB at n = 16, and at n = 13
-    and 14 single draws already took from 2 s to 71 s.  The rows of
+    table grows fourfold per dimension, to 512 MB at n = 16.  The rows of
     neighbours in dimension order, which order each candidate list, are
     the search's :func:`~qube.hypercube.edge_rows`, read without their
     slots and kept for the process too (0.05 MB at n = 7, 4.7 MB at
@@ -586,19 +582,6 @@ def _random_cycle(
     unvisited neighbours, the sort key in reverse, is one ``bit_count``.
     A list of candidates, in ``rows[v]`` order, is built only for two or
     more.
-
-    No draw is known to reach the retreat from a unit vector with no
-    unvisited neighbour that is not vertex 0's last one: not over every
-    shuffle outcome of an attempt at n = 3 and 4 (48 and 1,990,656
-    outcomes), nor in the draws of seeds 0-29,999 at n = 3, 4 and 5,
-    0-9,999 at n = 6, 0-2,999 at n = 7 and 0-199 at n = 8.  In the draws
-    of seeds 0-29,999 at n = 3, 4 and 5, 0-9,999 at n = 6, 0-299 at n = 7
-    and 0-49 at n = 8, a unit vector other than vertex 0's last unvisited
-    neighbour was left with one unvisited neighbour only next to the
-    path's end, and was tried there before every candidate that is not a
-    dead end, so it was never left with none.  That is an observation,
-    not a proof, so the branch stays and charges the retreat as the node
-    rule says: the pinned stream would not move if a draw reached it.
     """
     near = near_table(n)
     unseen = (1 << len(rows)) - 2  # every vertex but 0
@@ -624,22 +607,10 @@ def _random_cycle(
         while cands:
             v = cands.pop()
             while True:
-                free = near[v] & unseen
-                if v & (v - 1):
-                    if not free:
-                        # a dead end: its push and its retreat are charged
-                        # at once, and the path is never touched
-                        left -= 2
-                        if left < 0:
-                            return None
-                        break
-                    left -= 1
-                    if left < 0:
-                        return None
-                else:
-                    left -= 1
-                    if left < 0:
-                        return None
+                left -= 1  # the push of v
+                if left < 0:
+                    return None
+                if not v & (v - 1):
                     # every push leaves a unit vector unvisited (below),
                     # so the push that fills the path takes one and closes
                     if len(path) == last:
@@ -648,11 +619,14 @@ def _random_cycle(
                     # very end: no push takes its last unvisited neighbour
                     if units & unseen == 1 << v:
                         break
-                    if not free:
-                        left -= 1  # the retreat from v
-                        if left < 0:
-                            return None
-                        break
+                free = near[v] & unseen
+                if not free:
+                    # a dead end: its retreat is charged at once, and the
+                    # path is never touched
+                    left -= 1
+                    if left < 0:
+                        return None
+                    break
                 unseen ^= 1 << v
                 path.append(v)
                 if not free & (free - 1):

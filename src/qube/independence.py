@@ -82,13 +82,6 @@ BRUTE_FORCE_LIMIT = 20
 REDUCTION_MAX_N = 5
 
 
-def check_pair_graph_cap(b: BipartiteGraph) -> None:
-    """Refuse, before it is built, a pair graph of ``b`` above the solver
-    cap: its |class0| * |class1| - |E| vertices have a row of that many
-    bits each, so it takes about pairs**2 / 8 bytes."""
-    check_solver_cap(len(b.class0) * len(b.class1) - b.graph.edge_count)
-
-
 def _check_oracle_cap(n: int) -> None:
     if n > BRUTE_FORCE_LIMIT:
         raise SizeLimitExceeded(f"{n} vertices exceeds the oracle cap {BRUTE_FORCE_LIMIT}")
@@ -289,7 +282,12 @@ def equi_reduction(b: BipartiteGraph) -> ReducedGraph:
     coordinates, less the pair itself.  The pair labels are what
     ``max_independent_set`` needs to cut by the pair graph's endpoint
     cliques and to skip re-paired twins.
+
+    A pair graph above the solver cap is refused before any pair is
+    listed: its |class0| * |class1| - |E| vertices have a row of that
+    many bits each, so it takes about pairs**2 / 8 bytes.
     """
+    check_solver_cap(len(b.class0) * len(b.class1) - b.graph.edge_count)
     adj = b.graph.adj
     pairs = [
         (u, v) for u in b.class0 for v in b.class1 if not adj[u] >> v & 1
@@ -507,11 +505,10 @@ def equi_independence(b: BipartiteGraph, method: str = "direct") -> tuple[int, l
     (balanced branch and bound).  The two
     always agree; keeping both is the point.  Either route's witness is
     checked before it is returned; a bad one raises RuntimeError
-    (a fault in the solver, not in its input).  The reduction route checks
-    the pair count against the solver cap before it builds the pair graph.
+    (a fault in the solver, not in its input).  The reduction route's
+    ``equi_reduction`` refuses a pair graph above the solver cap.
     """
     if method == "reduction":
-        check_pair_graph_cap(b)
         red = equi_reduction(b)
         size, pair_set = max_independent_set(red.graph, pairs=red.pair_labels)
         size, witness = 2 * size, unpack_pair_witness(red, pair_set)

@@ -899,11 +899,10 @@ class TestReduce:
         # an edgeless 100+100 graph has 10,000 pairs; a 2500+2500 one, which
         # the header cap admits, would take terabytes, so a build fails the
         # test at once instead of exhausting memory
-        def no_build(b):
+        def no_build(*args):
             raise AssertionError("the pair graph was built")
 
-        monkeypatch.setattr("qube.cli.equi_reduction", no_build)
-        monkeypatch.setattr("qube.independence.equi_reduction", no_build)
+        monkeypatch.setattr("qube.independence.UndirectedGraph", no_build)
         src = tmp_path / "edgeless.bip"
         src.write_text("p bipartite 100 100 0\n")
         dst = tmp_path / "pairs.graph"
@@ -1040,6 +1039,18 @@ class TestPigeonhole:
             "alpha_table": "reference",
         }
         assert "not decided by counting" in err
+
+    def test_only_the_verdict_the_computed_table_overturns_names_the_table(self, capsys):
+        code, _, err = run(capsys, "pigeonhole", "--max-n", "8")
+        lines = err.splitlines()
+        assert code == 0
+        assert [line.split(":")[0] for line in lines] == [f"n={n}" for n in range(2, 9)]
+        assert lines[5] == (
+            "n=7: 7 * 16 = 112 < 128 -> squares forced in every Hamiltonian cycle; "
+            "this rests on the reference table: the computed value 20 gives 140 >= 128, "
+            "so the counting argument does not decide n=7"
+        )
+        assert not any("table" in line for line in lines[:5] + lines[6:])
 
     def test_nine_cube_needs_a_stored_value(self, capsys):
         code, out, err = run(capsys, "pigeonhole", "--max-n", "9")

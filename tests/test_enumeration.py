@@ -22,7 +22,7 @@ from qube.enumeration import (
     sample_cycles,
     write_prefixes,
 )
-from qube.hypercube import edge_dim, gray_code, parity_excluding
+from qube.hypercube import edge_dim, edge_rows, gray_code, parity_excluding
 
 from conftest import edge_set_of
 
@@ -985,6 +985,23 @@ class TestSampling:
         assert sample_counting_abandoned(monkeypatch, n, seed, k, budget) == (
             reference_sample(n, seed, k, budget)
         )
+
+    def test_every_attempt_matches_the_reference_across_budgets(self):
+        # Budgets 1, 8, ..., 295 end attempts on pushes, dead ends and
+        # retreats alike, where the hand-picked runs above name only a few
+        # such nodes; each attempt goes on with the generator the last one
+        # left, and must leave it where the reference leaves it.
+        for n in range(3, 7):
+            rows = edge_rows(n)
+            for seed in range(10):
+                for budget in range(1, 301, 7):
+                    ours, ref = random.Random(seed), random.Random(seed)
+                    for attempt in range(2):
+                        got = enumeration._random_cycle(n, rows, ours, budget)
+                        want = reference_random_cycle(n, 1 << n, ref, budget)
+                        where = (n, seed, budget, attempt)
+                        assert (got and got.seq) == (want and want.seq), where
+                        assert ours.getstate() == ref.getstate(), where
 
     @pytest.mark.parametrize(
         "n,seed,k,budget,abandoned",

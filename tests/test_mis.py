@@ -335,6 +335,16 @@ class TestEquiReduction:
         b = BipartiteGraph(g, [0, 1], [2, 3])
         assert equi_reduction(b).graph.vertex_count == 0
 
+    def test_a_pair_graph_above_the_cap_is_refused_before_any_row(self, monkeypatch):
+        # an edgeless 71 + 71 graph has 5,041 pairs, one over the cap
+        def no_build(*args):
+            raise AssertionError("the pair graph was built")
+
+        monkeypatch.setattr("qube.independence.UndirectedGraph", no_build)
+        b = BipartiteGraph(UndirectedGraph(142), range(71), range(71, 142))
+        with pytest.raises(SizeLimitExceeded, match="^5041 vertices exceeds the solver cap 5000$"):
+            equi_reduction(b)
+
     def test_rows_follow_the_conflict_rule(self):
         # reference: compare every pair with every other pair
         rng = random.Random(77)
@@ -419,7 +429,10 @@ class TestPairGraphSize:
         return [row.bit_count() for row in equi_reduction(b).graph.adj]
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_hypercubes(self, n):
+    def test_hypercubes(self, monkeypatch, n):
+        # the 8-cube's 15,360 pairs are over the solver cap that
+        # equi_reduction enforces, and this count needs them built
+        monkeypatch.setattr("qube.graphs.MAX_SOLVER_VERTICES", 15360)
         g = equi_reduction(hypercube_bipartite(n)).graph
         assert cube_pair_graph_size(n) == (g.vertex_count, g.edge_count)
 
@@ -535,10 +548,10 @@ class TestEquiIndependence:
     def test_reduction_checks_the_cap_before_building_the_pair_graph(self, monkeypatch):
         # Q_9 has 256 * 256 - 2304 = 63232 pairs; building them takes
         # seconds and hundreds of MB, so the cap must be checked first
-        def no_build(b):
+        def no_build(*args):
             raise AssertionError("the pair graph was built")
 
-        monkeypatch.setattr("qube.independence.equi_reduction", no_build)
+        monkeypatch.setattr("qube.independence.UndirectedGraph", no_build)
         with pytest.raises(SizeLimitExceeded, match="63232 vertices exceeds the solver cap 5000"):
             equi_independence(hypercube_bipartite(9), method="reduction")
 

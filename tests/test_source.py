@@ -113,6 +113,59 @@ class TestUnusedImports:
         assert unused_imports(source) == ["Sequence", "j"]
 
 
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """Where a module reaches the process environment, in source order: each
+    ``os.<name>`` (``os`` under any name it is imported as) and each
+    ``from os import <name>`` of a name in ``ENVIRONMENT_NAMES``."""
+    tree = ast.parse(source)
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for a in node.names if a.name == "os"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [
+                (node.lineno, f"os.{a.name}") for a in node.names if a.name in ENVIRONMENT_NAMES
+            ]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+class TestNoEnvironment:
+    # the CLI promises that no command reads an environment variable
+    @pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+    def test_no_module_reads_the_environment(self, module):
+        assert environment_reads((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+    def test_the_check_finds_each_read(self):
+        source = (
+            "import os\n"
+            "import os as system\n"
+            "from os import getenv, path\n"
+            "from os import putenv as put\n"
+            "seed = os.environ.get('SEED')\n"
+            "def f(env=system.environ):\n"
+            "    return getenv('X'), os.path.join('a'), os.getenv('Y')\n"
+            "class Environ:\n"
+            "    environ = {}\n"
+            "Environ.environ.get('Z')\n"
+        )
+        assert environment_reads(source) == [
+            "line 3: os.getenv",
+            "line 4: os.putenv",
+            "line 5: os.environ",
+            "line 6: os.environ",
+            "line 7: os.getenv",
+        ]
+
+
 def qube_imports(source: str) -> list[tuple[str, str | None]]:
     """What a module of the package imports from its sibling modules, as
     ``(module, name)`` pairs: ``from .squares import f`` and
