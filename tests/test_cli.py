@@ -17,10 +17,12 @@ from qube.graphs import (
     UndirectedGraph,
     format_bipartite,
     hypercube_bipartite,
+    parse_bipartite,
     parse_graph,
 )
 from qube.independence import brute_force_equi, equi_reduction
 from qube.squares import find_squares
+from test_mis import rowless
 from test_squares import RIM_FREE_Q7, RIM_FREE_Q8
 
 
@@ -897,12 +899,10 @@ class TestReduce:
         self, capsys, tmp_path, monkeypatch, command
     ):
         # an edgeless 100+100 graph has 10,000 pairs; a 2500+2500 one, which
-        # the header cap admits, would take terabytes, so a build fails the
-        # test at once instead of exhausting memory
-        def no_build(*args):
-            raise AssertionError("the pair graph was built")
-
-        monkeypatch.setattr("qube.independence.UndirectedGraph", no_build)
+        # the header cap admits, would take terabytes, so the parsed graph's
+        # rows cannot be read, and any pair-graph work before the cap check
+        # fails the test at once instead of exhausting memory
+        monkeypatch.setattr("qube.cli.parse_bipartite", lambda text: rowless(parse_bipartite(text)))
         src = tmp_path / "edgeless.bip"
         src.write_text("p bipartite 100 100 0\n")
         dst = tmp_path / "pairs.graph"
