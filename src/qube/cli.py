@@ -50,7 +50,7 @@ from .independence import (
     equi_independence,
     equi_reduction,
 )
-from .squares import find_squares
+from .squares import check_squares_dim, find_squares
 from .verify import PROPERTIES, persist_square_free, sweep, sweep_exhaustive
 
 # ---------------------------------------------------------------------------
@@ -277,10 +277,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_squares(args: argparse.Namespace) -> int:
-    # the whole file is read first, so a bad line leaves no output; each
-    # line is the json.dumps of {"n", "count", "squares": [...]}
+    # the whole file is read and every cube checked first, so a bad line or
+    # a cube too large to list leaves no output; each line is the
+    # json.dumps of {"n", "count", "squares": [...]}
+    cycles = list(read_cycles(args.infile))
+    for cyc in cycles:
+        check_squares_dim(cyc.n)
     write = sys.stdout.write
-    for cyc in list(read_cycles(args.infile)):
+    for cyc in cycles:
         rows = find_squares(cyc)
         if args.first_only:
             rows = rows[:1]

@@ -472,18 +472,22 @@ def read_prefixes(text: str) -> list[list[int]]:
 
 def attempt_budget(n: int) -> int:
     """The nodes one sampler attempt in the n-cube may take before it is
-    abandoned and restarted: two passes over the 2**n vertices, plus 8192.
+    abandoned and restarted: one pass over the 2**n vertices plus 256 from
+    n = 7, and two passes plus 8192 up to n = 6.
 
-    A successful attempt at n = 7 and 8 either finishes in about 2**n to
-    1.25 * 2**n nodes, or takes about 5.7k-7.7k, or about 180k-190k, so
-    a fixed cutoff that keeps the first two kinds and cuts the long tail
-    is the cheap restart policy (Luby, Sinclair and Zuckerman, 1993).  The
-    8192 keeps the pinned n = 5 and 6 corpora, whose largest attempts take
-    51 and 5,720 nodes.  In the draws of seeds 0-199 at n = 7 down to 0-19
-    at n = 12, at most 45 attempts in a row were abandoned, well under
+    A successful attempt at n = 7..12 takes about 2**n nodes, or about
+    2**n + 230 to 250, or about 5.7k, or about 181k; the last two kinds
+    barely depend on n.  In 400 fresh attempts per n = 7..12, as many
+    succeeded within 2**n + 256 nodes as within 2**n + 512, so the cutoff
+    keeps the first two kinds and restarts every other attempt just after
+    its first pass: a fixed cutoff is the cheap restart policy (Luby,
+    Sinclair and Zuckerman, 1993).  Up to n = 6 the budget is the one the
+    pinned n = 5 and 6 corpora were drawn with; their largest attempts
+    take 51 and 5,720 nodes.  In the draws of seeds 0-99 at n = 11 and 12,
+    at most 39 and 68 attempts in a row were abandoned, well under
     ``MAX_CONSECUTIVE_FAILURES``.
     """
-    return (2 << n) + 8192
+    return (2 << n) + 8192 if n <= 6 else (1 << n) + 256
 
 
 def sample_cycles(n: int, seed: int, k: int) -> list[HamiltonianCycle]:
@@ -493,8 +497,9 @@ def sample_cycles(n: int, seed: int, k: int) -> list[HamiltonianCycle]:
     The sampling distribution is *not* uniform over Hamiltonian cycles:
     cycles reachable through luckier early branch choices are favored, and
     independent attempts may repeat a cycle.  Searches that exceed the node
-    budget ``attempt_budget(n)``, (2 << n) + 8192, are abandoned and
-    restarted with the next draws from the same generator;
+    budget ``attempt_budget(n)``, (1 << n) + 256 from n = 7 and
+    (2 << n) + 8192 below, are abandoned and restarted with the next
+    draws from the same generator;
     ``MAX_CONSECUTIVE_FAILURES`` abandoned attempts in a row mean the budget
     is too small and raise RuntimeError instead of looping forever.
 

@@ -47,6 +47,18 @@ from .cycles import HamiltonianCycle, positions_by_dim
 
 # the sort key of a square row: where its earlier rim starts
 _EARLIER_START = itemgetter(1)
+# find_squares holds every row of a cycle, about 112 B per square, and a
+# Gray cycle has (n - 2)·2**(n - 1) + 2: `qube squares` on one peaks at
+# 72, 135 and 265 MB and takes 0.6-0.9, 1.3-1.8 and 3.7-4.3 s at n = 16,
+# 17 and 18, doubling per dimension, so n = 20 would need about 1.1 GB
+SQUARES_MAX_DIM = 18
+
+
+def check_squares_dim(n: int) -> None:
+    """Raise ValueError unless ``find_squares`` lists the squares of an
+    n-cube's cycle, n <= ``SQUARES_MAX_DIM``."""
+    if n > SQUARES_MAX_DIM:
+        raise ValueError(f"squares are listed only for n <= {SQUARES_MAX_DIM}, got n={n}")
 
 
 def _rim_scan(h: HamiltonianCycle, starts: Iterable[int] | None = None) -> bool:
@@ -83,9 +95,11 @@ def find_squares(h: HamiltonianCycle) -> list[tuple[int, int, int, str, int]]:
     i clear).  Rows go to one list per rim dimension in the order of their
     later rims, so a stable sort on the earlier start orders each list.
     (A closed walk that reads an i-edge twice keeps its latest start, so a
-    later rim pairs with that reading only.)"""
-    seq = h.seq
+    later rim pairs with that reading only.)  A cycle of a cube above
+    ``SQUARES_MAX_DIM`` is refused before any row is built."""
     n = h.n
+    check_squares_dim(n)
+    seq = h.seq
     rays = [(1 << j, j) for j in range(n)]
     starts = [{} for _ in range(n)]
     by_dim = [[] for _ in range(n)]

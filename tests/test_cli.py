@@ -385,6 +385,18 @@ class TestSquares:
             "rim_dim": 0, "kind": "straight", "rim_indexes": [0, 2], "ray_dim": 1,
         }
 
+    def test_a_cube_above_the_cap_exits_2_before_any_line(self, capsys, monkeypatch, tmp_path):
+        # the Q3 cycle comes first, so writing its line before the Q19
+        # cycle is checked fails the test, and so does listing a square
+        def no_listing(h):
+            raise AssertionError("a listing started")
+
+        monkeypatch.setattr("qube.cli.find_squares", no_listing)
+        corpus = write_cycles(tmp_path / "g3-g19.jsonl", [gray_cycle(3), gray_cycle(19)])
+        code, out, err = run(capsys, "squares", "--in", corpus)
+        assert (code, out) == (2, "")
+        assert "listed only for n <= 18, got n=19" in err
+
     def test_a_line_is_written_in_slices(self, monkeypatch, tmp_path):
         # the 9,218 squares of the Gray Q11 line reach stdout at most 4,096
         # at a time, so no whole line is built

@@ -842,12 +842,14 @@ PINNED_CORPUS_SHA256 = {
 # push leaves a unit vector unvisited, so the push that fills the path
 # takes one and closes the cycle.  The runs at n = 8 and 10, whose masks
 # span several machine words, abandon one, one, none, one and four
-# attempts.  The last three runs, at the default budget, are draws that
-# abandoned a 500,000-node attempt before the budget became
-# attempt_budget(n); they abandon two, one and two attempts of it.
+# attempts.  (7, 22, 1, 8448), (7, 26, 1, 8448) and (8, 9, 1, 8704) ran
+# at the per-cube budget of (2 << n) + 8192 nodes, and abandon two, one and
+# two attempts of it.  The runs of DEFAULT_BUDGET_RUNS, at the default
+# budget, abandon one, one, two, seven and five attempts of it.
 DEFAULT_BUDGET_RUNS = [
     (7, 22, 1, attempt_budget(7)), (7, 26, 1, attempt_budget(7)),
-    (8, 9, 1, attempt_budget(8)),
+    (8, 9, 1, attempt_budget(8)), (8, 0, 1, attempt_budget(8)),
+    (10, 5, 1, attempt_budget(10)),
 ]
 SAMPLER_RUNS = [
     (2, 0, 3, 500_000), (3, 2, 5, 500_000), (4, 1, 8, 500_000),
@@ -859,7 +861,8 @@ SAMPLER_RUNS = [
     (4, 9, 5, 16), (5, 8, 5, 40), (6, 0, 5, 100), (6, 2, 5, 200),
     (7, 1, 10, 20_000), (6, 5, 50, 2000), (7, 2, 3, 3000),
     (8, 3, 1, 600), (8, 1, 1, 400), (10, 0, 1, 500_000), (10, 6, 1, 1100),
-    (10, 4, 1, 1100), *DEFAULT_BUDGET_RUNS,
+    (10, 4, 1, 1100), (7, 22, 1, 8448), (7, 26, 1, 8448), (8, 9, 1, 8704),
+    *DEFAULT_BUDGET_RUNS,
 ]
 
 
@@ -1009,7 +1012,9 @@ class TestSampling:
          (5, 4, 1, 38, 1), (6, 15, 1, 75, 1), (6, 15, 1, 76, 2),
          (7, 1, 10, 20_000, 2), (6, 5, 50, 2000, 1), (8, 3, 1, 600, 1),
          (10, 0, 1, 500_000, 0), (10, 4, 1, 1100, 4),
-         (8, 9, 1, attempt_budget(8), 2)],
+         (8, 9, 1, 8704, 2), (7, 22, 1, attempt_budget(7), 1),
+         (7, 26, 1, attempt_budget(7), 1), (8, 9, 1, attempt_budget(8), 2),
+         (8, 0, 1, attempt_budget(8), 7), (10, 5, 1, attempt_budget(10), 5)],
     )
     def test_small_budgets_abandon_attempts(self, n, seed, k, budget, abandoned):
         assert reference_sample(n, seed, k, budget)[1] == abandoned
@@ -1022,4 +1027,23 @@ class TestSampling:
     def test_the_default_budget_keeps_the_pinned_q6_attempts(self):
         # n = 6 stays at or above 5,720, the longest attempt of the pinned
         # corpus
-        assert [attempt_budget(n) for n in (6, 7, 8, 12)] == [8320, 8448, 8704, 16384]
+        assert [attempt_budget(n) for n in (6, 7, 8, 12)] == [8320, 384, 512, 4352]
+        assert attempt_budget(6) >= 5720
+
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_the_default_budget_keeps_a_success_just_past_the_first_pass(
+        self, monkeypatch, seed
+    ):
+        # The first attempts of seeds 0 and 6 at n = 7 succeed after 356 and
+        # 375 nodes, 2**7 + 228 and + 247: the kind of success that ends
+        # about 240 nodes after the first pass, which a budget of 2**7 + 128
+        # abandons.  The default budget must keep them, so the draw
+        # abandons nothing.
+        assert reference_sample(7, seed, 1, (1 << 7) + 128)[1] >= 1
+        search, attempts = enumeration._random_cycle, []
+        monkeypatch.setattr(
+            enumeration, "_random_cycle", lambda *args: attempts.append(args) or search(*args)
+        )
+        seqs = [h.seq for h in sample_cycles(7, seed, 1)]
+        assert len(attempts) == 1
+        assert seqs == reference_sample(7, seed, 1, 500_000)[0]

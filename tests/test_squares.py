@@ -22,8 +22,14 @@ from qube.cycles import (
 )
 from qube.enumeration import sample_cycles
 from qube.graphs import hypercube_bipartite, is_balanced, is_independent
-from qube.hypercube import near_table
-from qube.squares import ThresholdReport, check_threshold_implication, find_squares, has_square
+from qube.hypercube import MAX_DIM, gray_code, near_table
+from qube.squares import (
+    SQUARES_MAX_DIM,
+    ThresholdReport,
+    check_threshold_implication,
+    find_squares,
+    has_square,
+)
 
 
 def brute_force_squares(h: HamiltonianCycle) -> set[tuple]:
@@ -123,6 +129,25 @@ class TestFindSquares:
         assert len(find_squares(h)) == (n - 2) * 2 ** (n - 1) + 2
         if n <= 6:
             assert_listings_match_the_oracle(h)
+
+    def test_cubes_above_the_cap_are_refused_before_any_row(self):
+        class Unreadable:
+            """A cycle of the first cube above the cap whose vertices
+            cannot be read, so any scan before the check fails the test."""
+
+            n = SQUARES_MAX_DIM + 1
+
+            @property
+            def seq(self):
+                raise AssertionError("the scan started")
+
+        assert SQUARES_MAX_DIM == 18 < MAX_DIM
+        with pytest.raises(ValueError, match=r"listed only for n <= 18, got n=19"):
+            find_squares(Unreadable())
+
+    def test_has_square_keeps_no_cap(self):
+        n = SQUARES_MAX_DIM + 1
+        assert has_square(HamiltonianCycle(n, tuple(gray_code(n))))
 
     def test_output_is_sorted(self, q4_cycles):
         for h in q4_cycles[:50]:
