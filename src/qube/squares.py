@@ -47,16 +47,15 @@ from .cycles import HamiltonianCycle, positions_by_dim
 
 # the sort key of a square row: where its earlier rim starts
 _EARLIER_START = itemgetter(1)
-# find_squares holds every row of a cycle, about 112 B per square, and a
-# Gray cycle has (n - 2)·2**(n - 1) + 2: `qube squares` on one peaks at
-# 72, 135 and 265 MB and takes 0.6-0.9, 1.3-1.8 and 3.7-4.3 s at n = 16,
-# 17 and 18, doubling per dimension, so n = 20 would need about 1.1 GB
+# find_squares holds every row of a cycle, about 112 B per square: `qube
+# squares` on a Gray cycle peaks at 72, 135 and 265 MB and takes about 1, 2
+# and 4 s at n = 16, 17 and 18, doubling per dimension
 SQUARES_MAX_DIM = 18
 
 
 def check_squares_dim(n: int) -> None:
-    """Raise ValueError unless ``find_squares`` lists the squares of an
-    n-cube's cycle, n <= ``SQUARES_MAX_DIM``."""
+    """Raise ValueError unless n <= ``SQUARES_MAX_DIM``, the cubes whose
+    squares ``find_squares`` lists."""
     if n > SQUARES_MAX_DIM:
         raise ValueError(f"squares are listed only for n <= {SQUARES_MAX_DIM}, got n={n}")
 
