@@ -7,17 +7,13 @@ tree can be partitioned into fixed-depth path prefixes for splitting work
 across runs or machines; the union of the per-prefix emissions equals the
 sequential stream.
 
-Four sound rules are applied, all or none as :class:`PruneConfig` says
+Three sound rules are applied, all or none as :class:`PruneConfig` says
 (the emitted set never changes, only the work).  They count *addable*
 edges: an edge is addable while it is unused, neither endpoint is strict
 interior of the path (visited, but not vertex 0 and not the path end),
 and it is not a closing edge that the canonical form rules out; an edge
 that stops being addable never becomes addable again below that node.
 
-- *Balance feasibility* abandons a partial path when some dimension's
-  class imbalance already exceeds the addable edges that could restore
-  it.  By the parity-balance theorem every cycle splits each dimension's
-  edges evenly between the two classes, so no completion is lost.
 - *Free edges* abandons a partial path when an unvisited vertex has fewer
   than two addable edges, or vertex 0 has no addable edge left to close
   the cycle: a cycle through the path uses two edges at each unvisited
@@ -37,24 +33,22 @@ that stops being addable never becomes addable again below that node.
   free-edges rule one push later.
 
 The search is one iterative loop over an explicit stack.  It reads the
-cube's :func:`~qube.hypercube.edge_rows`, and never writes them: for each
-vertex, its neighbours in dimension order together with each edge's
-*slot* ``2*i + class``; the used and addable edge counts are two flat lists
-indexed by slot, and a third list counts each vertex's free edges.  A
-step changes at most one slot per dimension and only the free counts of
-the open neighbours of the vertex it makes interior, and the node it
-extends passed the prunes, so only what the step changed is re-checked.
-Every push takes this check, the steps of a prefix too, so a prefix is
-cut at its first push that breaks a rule.  While the first step, in
-dimension f, keeps {0, e_j} with j < f retired, the retire and restore
-loops skip the edge from such an e_j (e_j < 2^f) to vertex 0, so no
-later step retires or restores it twice.  The stack keeps, for each
-depth, the candidate steps not yet tried and the slot of the edge into
-that path vertex, so the path depth 2^n meets no recursion limit.  The
-rows are kept per process up to ``NEAR_TABLE_MAX_DIM`` = 12 dimensions,
-so a search of another prefix of such a cube builds nothing, and are
-built at each call above: n·2^n entries, about 104 MB and 0.4 s at
-n = 16, so enumeration supports 2 <= n <= ``MAX_ENUMERATION_DIM`` = 16.
+cube's :func:`~qube.hypercube.edge_rows`, each vertex's neighbours in
+dimension order, and never writes them; one flat list counts each
+vertex's free edges, those on the path or addable.  A step changes only
+the free counts of the open neighbours of the vertex it makes interior,
+and the node it extends passed the prunes, so only what the step changed
+is re-checked.  Every push takes this check, the steps of a prefix too,
+so a prefix is cut at its first push that breaks a rule.  While the
+first step, in dimension f, keeps {0, e_j} with j < f retired, the
+retire and restore loops skip the edge from such an e_j (e_j < 2^f) to
+vertex 0, so no later step retires or restores it twice.  The stack
+keeps, for each depth, the candidate steps not yet tried, so the path
+depth 2^n meets no recursion limit.  The rows are kept per process up to
+``NEAR_TABLE_MAX_DIM`` = 12 dimensions, so a search of another prefix of
+such a cube builds nothing, and are built at each call above: n·2^n
+entries, about 41 MB and 0.1 s at n = 16, so enumeration supports
+2 <= n <= ``MAX_ENUMERATION_DIM`` = 16.
 
 The stream keeps a *completion memo* on cubes of at most
 ``MEMO_MAX_DIM`` = 6 dimensions, where a visited set fits a 64-bit mask
@@ -79,8 +73,8 @@ dimension word brings in new dimensions in the order 0, 1, 2, ....  The
 kernel keeps, per depth, how many dimensions the path uses, and a step
 may take only those and the next one: the first part of the vertex's
 row.  It counts every closing path, builds no cycle, and the count is
-n!·words/2.  Balance feasibility, free edges and the forced step do not
-depend on the coordinate labels, so they stay sound there; the first
+n!·words/2.  Free edges and the forced step do not depend on the
+coordinate labels, so they stay sound there; the first
 step is in dimension 0, so the closing-edge rule retires nothing and the
 leaf's canonical test passes every closing path.  The count shares the
 memo: a first-use path has used the dimensions below its largest vertex's
@@ -116,8 +110,8 @@ NO_CYCLES = (0, 0)  # the memo's shared range for the many states without a cycl
 @dataclass(frozen=True)
 class PruneConfig:
     """Whether enumeration applies its sound search-space reductions:
-    balance feasibility, free edges, the canonical closing edge and the
-    forced step, all or none."""
+    free edges, the canonical closing edge and the forced step, all or
+    none."""
 
     enabled: bool = True
 
@@ -193,31 +187,25 @@ def _search(
     check_search_args(n, steps)
     prune = (PruneConfig() if prunes is None else prunes).enabled
     table = edge_rows(n)
-    # moves[k]: the table entry of the prefix step from depth k to k + 1
-    moves = [table[u][(u ^ v).bit_length() - 1] for u, v in zip(steps, steps[1:])]
+    moves = steps[1:]  # moves[k]: the prefix step from depth k to k + 1
 
     size = 1 << n
     base = len(moves)
-    # used[s] / addable[s]: edges of slot s on the path / still addable.  An
-    # edge is addable while it is unused, neither endpoint is strict
-    # interior of the path (visited, but not vertex 0 and not the path end),
-    # and, under the prunes, it is not a closing edge {0, e_j} below the
-    # first step's dimension.
-    used = [0] * (2 * n)
-    addable = [1 << (n - 2)] * (2 * n)
-    # free[w]: edges at w that are on the path or addable.  For an open
-    # vertex (unvisited, or vertex 0) only the retire loop and the first
-    # step lower it, and a cycle through the path needs two of them: the
-    # free-edges prune.
+    # free[w]: edges at w that are on the path or addable.  An edge is
+    # addable while it is unused, neither endpoint is strict interior of the
+    # path (visited, but not vertex 0 and not the path end), and, under the
+    # prunes, it is not a closing edge {0, e_j} below the first step's
+    # dimension.  For an open vertex (unvisited, or vertex 0) only the
+    # retire loop and the first step lower it, and a cycle through the path
+    # needs two of them: the free-edges prune.
     free = [n] * size
     path = [0] * size
-    into = [0] * size  # into[k]: slot of the edge from path[k - 1] to path[k]
     seen = bytearray(size)
     seen[0] = 1
     # tries[k] yields the candidate steps from path[k] not yet tried: the
     # prefix step within the prefix, unless a push broke a rule, and the
     # neighbours in order beyond.
-    tries: list[Iterator[tuple[int, int]] | None] = [None] * size
+    tries: list[Iterator[int] | None] = [None] * size
     tries[0] = iter(moves[:1]) if moves else iter(table[0][:1] if first_use else table[0])
     # width[k]: how many dimensions path[0..k] uses, kept in first-use
     # mode, where a step from path[k] may take only a used dimension or
@@ -245,7 +233,7 @@ def _search(
     start = [0] * slots
     k = 0
     while True:
-        for v, s in tries[k]:
+        for v in tries[k]:
             if not seen[v]:
                 if memo is None:
                     break
@@ -255,6 +243,7 @@ def _search(
                 # the state was searched before: its count, or its
                 # completions again, behind this path, in the same order
                 a, b = got
+                count += b - a
                 if first_use:
                     yield b - a
                 else:
@@ -263,16 +252,15 @@ def _search(
                         seq = head + seq[k + 1 :]
                         emitted.append(seq)
                         yield HamiltonianCycle(n, seq)
-                count += b - a
-                if len(memo) + len(emitted) > cap:
-                    memo.clear()
-                    emitted.clear()
-                    count = 0
-                    start[: k + 1] = [-1] * (k + 1)
+                    if len(memo) + len(emitted) > cap:
+                        memo.clear()
+                        emitted.clear()
+                        count = 0
+                        start[: k + 1] = [-1] * (k + 1)
         else:
             if k == 0:
                 return
-            v, s = path[k], into[k]
+            v = path[k]
             if memo is not None:
                 if k == 1:
                     # the next first step changes the canonical test at the
@@ -295,70 +283,57 @@ def _search(
             k -= 1
             u = path[k]
             seen[v] = 0
-            used[s] -= 1
-            addable[s] += 1
             if u:
                 pred = path[k - 1]
-                for w, t in table[u]:
+                for w in table[u]:
                     if w != v and w != pred and (not seen[w] or not w and u >= lim):
-                        addable[t] += 1
                         free[w] += 1
             elif prune:
                 # back at vertex 0: the closing edges the first step retired
                 # return
-                f = s >> 1
+                f = v.bit_length() - 1
                 lim = 0
                 for j in range(f):
-                    addable[2 * j] += 1
                     free[1 << j] += 1
                 free[0] += f
             continue
 
         u = path[k]
-        used[s] += 1
-        addable[s] -= 1
-        # The node before this push passed the prunes, and a push changes
-        # the tallies of each dimension at most once (u has one edge per
-        # dimension), so re-checking just what it changed gives the same
-        # verdict as a check over every dimension.  The pushed edge can only
-        # break its dimension's balance the one way; a retired edge can only
-        # lower its own class's addable count and its open end's free count.
-        ok = not prune or used[s] - used[s ^ 1] <= addable[s ^ 1]
+        # The node before this push passed the prunes, and a push lowers
+        # only the free counts of the open ends of the edges it retires, so
+        # re-checking just those gives the same verdict as a check of every
+        # vertex.
+        ok = True
         if u:
             # u becomes interior: its unused edges to open vertices retire
             pred = path[k - 1]
-            for w, t in table[u]:
+            for w in table[u]:
                 if w != v and w != pred and (not seen[w] or not w and u >= lim):
-                    left = addable[t] - 1
-                    addable[t] = left
                     rest = free[w] - 1
                     free[w] = rest
-                    if prune and (used[t ^ 1] - used[t] > left or rest < 2):
+                    if prune and rest < 2:
                         ok = False
         elif prune:
             # The first step fixes f.  A canonical cycle closes through some
-            # {e_j, 0} with j > f, so the edges {0, e_j} with j < f (slot 2j:
-            # class 0 at both ends) retire until the pop back to vertex 0,
-            # and ``lim`` keeps the retire loop off them.  Slot 2j + 1 is
-            # unused and e_j keeps n - 1 free edges, fewer than two only
+            # {e_j, 0} with j > f, so the edges {0, e_j} with j < f retire
+            # until the pop back to vertex 0, and ``lim`` keeps the retire
+            # loop off them.  e_j keeps n - 1 free edges, fewer than two only
             # when n = 2 and f = 1, so vertex 0, left with n - f, decides.
-            f = s >> 1
+            f = v.bit_length() - 1
             lim = 1 << f
             for j in range(f):
-                addable[2 * j] -= 1
                 free[1 << j] -= 1
             free[0] -= f
-            ok = ok and free[0] >= 2
+            ok = free[0] >= 2
         k += 1
         path[k] = v
-        into[k] = s
         seen[v] = 1
         if memo is not None:
             keys[k] = keys[k - 1] | 64 << v
             start[k] = count
         if first_use:
             w = width[k - 1]
-            width[k] = w + (s >> 1 == w)
+            width[k] = w + (u ^ v == 1 << w)
         if k < base:
             tries[k] = iter(moves[k : k + 1] if ok else ())
             continue
@@ -385,11 +360,10 @@ def _search(
             # edge left.  Two such neighbours leave no step.  Vertex 0 is
             # seen, so it is never forced.
             tight = 0
-            for e in cands:
-                x = e[0]
+            for x in cands:
                 if free[x] == 2 and not seen[x]:
                     tight += 1
-                    forced = e
+                    forced = x
             if tight:
                 cands = (forced,) if tight == 1 else ()
         if first_use:
@@ -522,9 +496,9 @@ def sample_cycles(n: int, seed: int, k: int) -> list[HamiltonianCycle]:
     kept (2 MB at n = 12), and refuses a larger n before any draw: the
     table grows fourfold per dimension, to 512 MB at n = 16.  The rows of
     neighbours in dimension order, which order each candidate list, are
-    the search's :func:`~qube.hypercube.edge_rows`, read without their
-    slots and kept for the process too (0.05 MB at n = 7, 4.7 MB at
-    n = 12), so a draw does no set-up of its own.
+    the search's :func:`~qube.hypercube.edge_rows`, kept for the process
+    too (0.02 MB at n = 7, 1.9 MB at n = 12), so a draw does no set-up of
+    its own.
     """
     check_dimension(n)
     if not 2 <= n <= NEAR_TABLE_MAX_DIM:
@@ -565,7 +539,7 @@ _SHUFFLE_STEPS = tuple(
 
 
 def _random_cycle(
-    n: int, rows: Sequence[tuple[tuple[int, int], ...]], rng: random.Random, budget: int
+    n: int, rows: Sequence[tuple[int, ...]], rng: random.Random, budget: int
 ) -> HamiltonianCycle | None:
     """One search from vertex 0, or None once it passes ``budget`` nodes.
 
@@ -599,7 +573,7 @@ def _random_cycle(
     def free_count(w: int) -> int:
         return (near[w] & unseen).bit_count()
 
-    cands = [w for w, _ in rows[0]]
+    cands = list(rows[0])
     for i, k in steps[n]:
         j = getrandbits(k)
         while j > i:
@@ -644,7 +618,7 @@ def _random_cycle(
                 # a plain loop, cheaper here than a comprehension, which
                 # is a function call of its own in CPython 3.11
                 c = []
-                for w, _ in rows[v]:
+                for w in rows[v]:
                     if free >> w & 1:
                         c.append(w)
                 if len(c) == 2:

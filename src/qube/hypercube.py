@@ -15,10 +15,9 @@ machine word and per-dimension tables stay small.
 A vertex's neighbours are also one integer, the mask with bit ``v ^ 1 << i``
 set for each i (``near_table``): the sampler tests a set of vertices for
 a neighbour of v with one AND, and ``graphs.hypercube_graph`` takes the
-masks as the cube's rows.  The neighbours are also one row of
-``edge_rows``, each with its edge's dimension and class, which the
-search and the sampler walk.  A process keeps both tables for
-n <= ``NEAR_TABLE_MAX_DIM`` only.
+masks as the cube's rows.  The neighbours, in increasing i, are also
+one row of ``edge_rows``, which the search and the sampler walk.  A
+process keeps both tables for n <= ``NEAR_TABLE_MAX_DIM`` only.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from functools import cache
 
 MAX_DIM = 24
 # Cubes up to this dimension keep both tables per process: the masks take
-# 4**n / 8 bytes (2 MB at n = 12, 512 MB at n = 16), the rows 4.7 MB at 12.
+# 4**n / 8 bytes (2 MB at n = 12, 512 MB at n = 16), the rows 1.9 MB at 12.
 NEAR_TABLE_MAX_DIM = 12
 # 11-14 s at n = 18, four to six times as long per two dimensions more
 ISOMORPHISM_MAX_DIM = 18
@@ -138,17 +137,14 @@ def near_table(n: int) -> tuple[int, ...]:
     return tuple([sum(1 << (v ^ s) for s in steps) for v in range(1 << n)])
 
 
-def edge_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each vertex u of the n-cube, its ``(u ^ 1 << i, 2*i + c)`` pairs
-    in increasing i, where c is the class of the i-edge at u
-    (:func:`parity_excluding`, in closed form).  Built once per process
-    for n <= ``NEAR_TABLE_MAX_DIM``, and at each call above."""
+def edge_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each vertex u of the n-cube, its neighbours ``u ^ 1 << i`` in
+    increasing i.  Built once per process for n <= ``NEAR_TABLE_MAX_DIM``,
+    and at each call above."""
     return _edge_rows(n) if n <= NEAR_TABLE_MAX_DIM else _edge_rows.__wrapped__(n)
 
 
 @cache
-def _edge_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    return tuple([
-        tuple([(u ^ 1 << i, 2 * i + ((u.bit_count() ^ u >> i) & 1)) for i in range(n)])
-        for u in range(1 << n)
-    ])
+def _edge_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    steps = [1 << i for i in range(n)]
+    return tuple([tuple(map(u.__xor__, steps)) for u in range(1 << n)])

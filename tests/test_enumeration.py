@@ -210,10 +210,10 @@ class TestPrefixSplitting:
 
     @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
     def test_prefix_that_fails_a_prune_at_once(self, cfg):
-        # Both 0-edges of the path, {0,1} and {7,6}, are class 0.  Of the two
-        # class-1 0-edges, {2,3} touches the interior vertex 3, so only {4,5}
-        # could still restore the balance: balance feasibility rejects the
-        # prefix before any search, and it has no completion either way.
+        # The push of 6 makes 7 interior and leaves vertex 5 one free edge,
+        # {5, 4}, as 1 is interior too: the free-edges rule rejects the
+        # prefix at its last step, before any search, and it has no
+        # completion either way.
         assert list(enumerate_cycles(3, cfg, prefix=[0, 1, 3, 7, 6])) == []
 
     def test_checkpoint_roundtrip(self):
@@ -239,9 +239,9 @@ def cube_edges(n: int) -> list[tuple[int, int, int]]:
 def tallies_from_scratch(
     n: int, edges: list[tuple[int, int, int]], path: list[int]
 ) -> tuple[list[int], list[int], set[int], list[int]]:
-    """The kernel's used and addable edge counts per slot, rebuilt from the
-    path alone, the dimensions whose edge at vertex 0 is addable, and the
-    addable edges at each vertex.  An edge is addable while it is unused
+    """The used and addable edge counts per slot ``2*i + class``, rebuilt
+    from the path alone, the dimensions whose edge at vertex 0 is addable,
+    and the addable edges at each vertex.  An edge is addable while it is unused
     and neither endpoint is strict interior (visited, but not vertex 0 and
     not the path end)."""
     on_path = {(a & b, a | b) for a, b in zip(path, path[1:])}
@@ -261,11 +261,10 @@ def tallies_from_scratch(
 
 
 class TestNoDimensionRunsOutOfEdges:
-    """The search needs no dimension-liveness prune beside balance
-    feasibility and free edges, because no path can leave a dimension with
-    neither a used nor an addable edge: while dimension i is unused the
-    path keeps bit i clear, so e_i is unvisited and the edge {0, e_i}
-    stays addable."""
+    """The search needs no dimension-liveness prune beside the free-edges
+    rule, because no path can leave a dimension with neither a used nor an
+    addable edge: while dimension i is unused the path keeps bit i clear,
+    so e_i is unvisited and the edge {0, e_i} stays addable."""
 
     @pytest.mark.parametrize("n,max_depth", [(4, 15), (5, 6)])
     def test_every_simple_path_from_vertex_0(self, n, max_depth):
@@ -298,11 +297,12 @@ class TestFreeEdges:
                         assert at_vertex[w] >= 2, (path, w)
 
     def test_the_prune_cuts_the_q4_search(self, monkeypatch):
-        # with all four rules the Q4 search reads 15,157 rows (a node that
+        # with all three rules the Q4 search reads 15,395 rows (a node that
         # the prunes keep reads its row twice, once for the forced step);
-        # without the forced step it reads 16,392, without the free-edges
-        # checks, which the forced step reads too, 31,621, and with no prune
-        # 80,089
+        # without the forced step it reads 17,046, without the closing-edge
+        # rule 27,101, without the free-edges checks 20,791, and without
+        # them and the forced step, which leaves the closing-edge rule
+        # nothing to act through, 80,089, as with no prune
         assert rows_read(monkeypatch, 4, PruneConfig.all())[1] < 31_621
 
     def test_a_prefix_is_cut_at_the_push_that_breaks_the_rule(self, monkeypatch):
@@ -410,11 +410,12 @@ class TestCanonicalClosingEdge:
         assert len(pruned) == (1344, 1344, 1344, 672, 0)[f]
 
 
-def rows_from_scratch(n: int) -> list[tuple[tuple[int, int], ...]]:
-    """Each vertex's neighbours in increasing dimension, each with the slot
-    ``2*i + class`` of its edge."""
+def rows_from_scratch(n: int) -> list[tuple[int, ...]]:
+    """Each vertex's neighbours in increasing dimension: flipping entry i
+    adds 2**i to a vertex whose entry i is 0 and takes it from one whose
+    entry i is 1."""
     return [
-        tuple((u ^ 1 << i, 2 * i + parity_excluding(u, i)) for i in range(n))
+        tuple(u - 2**i if u // 2**i % 2 else u + 2**i for i in range(n))
         for u in range(1 << n)
     ]
 
@@ -547,17 +548,17 @@ class TestFirstUseCount:
 
     def test_q4_push_counts(self, monkeypatch):
         # the rows are cut to the used dimensions and the next one, and the
-        # completion memo adds a state's count of words: the words take 494
-        # pushes with the prunes and 1,891 without (978 and 3,780 without
-        # the memo), where the canonical stream takes 4,430 and 26,708 with
-        # its memo (12,570 and 90,676 without)
+        # completion memo adds a state's count of words: the words take 498
+        # pushes with the prunes and 1,891 without (982 and 3,780 without
+        # the memo), where the canonical stream takes 4,474 and 26,708 with
+        # its memo (12,626 and 90,676 without)
         found = [pushes(monkeypatch, lambda: words(4, cfg)) for cfg in ALL_PRUNE_CONFIGS]
-        assert found == [(112, 494), (112, 1_891)]
+        assert found == [(112, 498), (112, 1_891)]
         stream = [
             pushes(monkeypatch, lambda: len(list(enumerate_cycles(4, cfg))))
             for cfg in ALL_PRUNE_CONFIGS
         ]
-        assert stream == [(1344, 4_430), (1344, 26_708)]
+        assert stream == [(1344, 4_474), (1344, 26_708)]
 
     @pytest.mark.parametrize("n,depth", [(3, 3), (4, 4), (4, 8), (5, 4)])
     def test_first_use_prefixes(self, n, depth):
@@ -680,8 +681,8 @@ class TestCompletionMemo:
 
     @pytest.mark.parametrize(
         "max_dim,cap,pruned,unpruned",
-        [(3, 1 << 16, 12_570, 90_676), (4, 0, 12_570, 90_676),
-         (4, 50, 10_136, 85_099), (4, 1000, 5_652, 54_146)],
+        [(3, 1 << 16, 12_626, 90_676), (4, 0, 12_626, 90_676),
+         (4, 50, 10_205, 85_099), (4, 1000, 5_737, 54_146)],
         ids=["no-memo", "dropped-at-once", "cap-50", "cap-1000"],
     )
     def test_q4_stream_under_every_cap(self, monkeypatch, max_dim, cap, pruned, unpruned):
@@ -697,8 +698,8 @@ class TestCompletionMemo:
 
     @pytest.mark.parametrize(
         "max_dim,cap,pruned,unpruned",
-        [(3, 1 << 16, 978, 3_780), (4, 0, 978, 3_780), (4, 50, 793, 3_560),
-         (4, 1 << 16, 494, 1_891)],
+        [(3, 1 << 16, 982, 3_780), (4, 0, 982, 3_780), (4, 50, 796, 3_560),
+         (4, 1 << 16, 498, 1_891)],
         ids=["no-memo", "dropped-at-once", "cap-50", "default-cap"],
     )
     def test_q4_words_under_every_cap(self, monkeypatch, max_dim, cap, pruned, unpruned):
