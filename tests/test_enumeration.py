@@ -241,9 +241,9 @@ def tallies_from_scratch(
 ) -> tuple[list[int], list[int], set[int], list[int]]:
     """The used and addable edge counts per slot ``2*i + class``, rebuilt
     from the path alone, the dimensions whose edge at vertex 0 is addable,
-    and the addable edges at each vertex.  An edge is addable while it is unused
-    and neither endpoint is strict interior (visited, but not vertex 0 and
-    not the path end)."""
+    and the addable edges at each vertex.  An edge is addable while it is
+    unused and neither endpoint is strict interior (visited, but not vertex
+    0 and not the path end)."""
     on_path = {(a & b, a | b) for a, b in zip(path, path[1:])}
     interior = set(path[1:-1])
     used, addable, open_at_0 = [0] * (2 * n), [0] * (2 * n), set()
