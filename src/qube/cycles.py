@@ -62,7 +62,7 @@ class DimensionUnused(ValueError):
     """The requested dimension does not occur in the cycle."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HamiltonianCycle:
     """A Hamiltonian cycle of the n-cube; build a checked one with
     :func:`validate_cycle`."""

@@ -39,10 +39,12 @@ vertex's free edges, those on the path or addable.  A step changes only
 the free counts of the open neighbours of the vertex it makes interior,
 and the node it extends passed the prunes, so only what the step changed
 is re-checked.  Every push takes this check, the steps of a prefix too,
-so a prefix is cut at its first push that breaks a rule.  While the
-first step, in dimension f, keeps {0, e_j} with j < f retired, the
-retire and restore loops skip the edge from such an e_j (e_j < 2^f) to
-vertex 0, so no later step retires or restores it twice.  The stack
+so a prefix is cut at its first push that breaks a rule.  The first
+step, to e_f, retires {0, e_j} with j < f, and the new path end is seen
+before the retire loop and until after the restore loop, so both loops
+test a neighbour w only for being unvisited, or vertex 0 with
+u > e_f: the end, the vertex before u, interior vertices and closing
+edges the first step holds or retired all fail it.  The stack
 keeps, for each depth, the candidate steps not yet tried, so the path
 depth 2^n meets no recursion limit.  The rows are kept per process up to
 ``NEAR_TABLE_MAX_DIM`` = 12 dimensions, so a search of another prefix of
@@ -193,11 +195,11 @@ def _search(
     base = len(moves)
     # free[w]: edges at w that are on the path or addable.  An edge is
     # addable while it is unused, neither endpoint is strict interior of the
-    # path (visited, but not vertex 0 and not the path end), and, under the
-    # prunes, it is not a closing edge {0, e_j} below the first step's
-    # dimension.  For an open vertex (unvisited, or vertex 0) only the
-    # retire loop and the first step lower it, and a cycle through the path
-    # needs two of them: the free-edges prune.
+    # path (visited, but not vertex 0 and not the path end), and it is not
+    # a closing edge {0, e_j} below the first step's dimension.  For an open
+    # vertex (unvisited, or vertex 0) only the retire loop and the first
+    # step lower it, and a cycle through the path needs two of them: the
+    # free-edges prune, the one reader of these counts.
     free = [n] * size
     path = [0] * size
     seen = bytearray(size)
@@ -211,9 +213,9 @@ def _search(
     # mode, where a step from path[k] may take only a used dimension or
     # dimension width[k], the next one
     width = [0] * size
-    # lim: 1 << f while the first step, in dimension f, keeps the closing
-    # edges {0, e_j} with j < f retired, else 0.  The edge from such an e_j,
-    # e_j < lim, to vertex 0 is then neither retired nor restored again.
+    # lim: e_f, the first step.  The edge from a vertex u to vertex 0 is
+    # addable only when u > lim: {0, e_f} is on the path and the first step
+    # retires {0, e_j} with j < f, so the loops retire and restore neither.
     lim = 0
     # The completion memo on small cubes: memo[mask << 6 | v] is the range
     # (a, b) of the running count ``count`` of closing paths that the search
@@ -282,20 +284,18 @@ def _search(
                             start[:k] = [-1] * k
             k -= 1
             u = path[k]
-            seen[v] = 0
             if u:
-                pred = path[k - 1]
                 for w in table[u]:
-                    if w != v and w != pred and (not seen[w] or not w and u >= lim):
+                    if not seen[w] or not w and u > lim:
                         free[w] += 1
-            elif prune:
+            else:
                 # back at vertex 0: the closing edges the first step retired
                 # return
                 f = v.bit_length() - 1
-                lim = 0
                 for j in range(f):
                     free[1 << j] += 1
                 free[0] += f
+            seen[v] = 0
             continue
 
         u = path[k]
@@ -304,30 +304,31 @@ def _search(
         # re-checking just those gives the same verdict as a check of every
         # vertex.
         ok = True
+        seen[v] = 1
         if u:
-            # u becomes interior: its unused edges to open vertices retire
-            pred = path[k - 1]
+            # u becomes interior: its unused edges to open vertices retire;
+            # v is seen, so the test skips the edge the path just took
             for w in table[u]:
-                if w != v and w != pred and (not seen[w] or not w and u >= lim):
+                if not seen[w] or not w and u > lim:
                     rest = free[w] - 1
                     free[w] = rest
                     if prune and rest < 2:
                         ok = False
-        elif prune:
+        else:
             # The first step fixes f.  A canonical cycle closes through some
             # {e_j, 0} with j > f, so the edges {0, e_j} with j < f retire
             # until the pop back to vertex 0, and ``lim`` keeps the retire
             # loop off them.  e_j keeps n - 1 free edges, fewer than two only
-            # when n = 2 and f = 1, so vertex 0, left with n - f, decides.
+            # when n = 2 and f = 1, so vertex 0, left with n - f, decides
+            # under the prunes.
             f = v.bit_length() - 1
-            lim = 1 << f
+            lim = v
             for j in range(f):
                 free[1 << j] -= 1
             free[0] -= f
-            ok = free[0] >= 2
+            ok = not prune or free[0] >= 2
         k += 1
         path[k] = v
-        seen[v] = 1
         if memo is not None:
             keys[k] = keys[k - 1] | 64 << v
             start[k] = count

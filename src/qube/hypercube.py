@@ -146,5 +146,8 @@ def edge_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 @cache
 def _edge_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    # every row reads its entries from one vertex list, so the rows share
+    # one int object per vertex
     steps = [1 << i for i in range(n)]
-    return tuple([tuple(map(u.__xor__, steps)) for u in range(1 << n)])
+    vertices = list(range(1 << n))
+    return tuple([tuple([vertices[u ^ s] for s in steps]) for u in vertices])

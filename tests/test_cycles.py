@@ -1,5 +1,8 @@
 """Cycle validation and the per-dimension analysis operators."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -117,6 +120,28 @@ class TestCycleObject:
     def test_to_dict_roundtrip(self):
         h = gray_cycle(3)
         assert HamiltonianCycle.from_dict(h.to_dict()) == h
+
+    def test_a_cycle_is_slotted_and_frozen(self):
+        # the search builds one cycle per emitted or replayed completion, so
+        # a cycle carries no instance dict and its fields cannot be set
+        h = gray_cycle(3)
+        assert not hasattr(h, "__dict__")
+        for name, value in (("n", 4), ("seq", h.seq[::-1])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(h, name, value)
+        assert h == gray_cycle(3)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda h: pickle.loads(pickle.dumps(h)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_a_cycle_survives_pickle_and_copy(self, clone):
+        h = gray_cycle(4).rotated(5)
+        twin = clone(h)
+        assert type(twin) is HamiltonianCycle
+        assert twin == h and hash(twin) == hash(h)
+        assert (twin.n, twin.seq) == (4, h.seq)
 
 
 class TestColoring:

@@ -303,7 +303,7 @@ class TestFreeEdges:
         # rule 27,101, without the free-edges checks 20,791, and without
         # them and the forced step, which leaves the closing-edge rule
         # nothing to act through, 80,089, as with no prune
-        assert rows_read(monkeypatch, 4, PruneConfig.all())[1] < 31_621
+        assert rows_read(monkeypatch, 4, PruneConfig.all())[1] == 15_395
 
     def test_a_prefix_is_cut_at_the_push_that_breaks_the_rule(self, monkeypatch):
         # the push of 12 makes 4 interior and leaves vertex 5 one addable
@@ -438,6 +438,16 @@ class TestNeighbourTable:
         table = hypercube.edge_rows(n)
         assert table is hypercube.edge_rows(n)
         assert list(table) == rows_from_scratch(n)
+
+    @pytest.mark.parametrize("n", [9, 13])
+    def test_rows_share_one_int_per_vertex(self, n):
+        # a vertex above 256, where CPython keeps no shared small int, is
+        # one object in every row that holds it
+        table = hypercube.edge_rows(n)
+        for v in (257, 300, (1 << n) - 1):
+            held = [row[i] for i, row in ((i, table[v ^ 1 << i]) for i in range(n))]
+            assert held == [v] * n
+            assert len(set(map(id, held))) == 1
 
     @pytest.mark.parametrize("n", range(2, hypercube.NEAR_TABLE_MAX_DIM + 1))
     def test_the_search_and_the_sampler_read_one_table(self, monkeypatch, n):
