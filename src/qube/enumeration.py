@@ -49,7 +49,7 @@ keeps, for each depth, the candidate steps not yet tried, so the path
 depth 2^n meets no recursion limit.  The rows are kept per process up to
 ``NEAR_TABLE_MAX_DIM`` = 12 dimensions, so a search of another prefix of
 such a cube builds nothing, and are built at each call above: n·2^n
-entries, about 41 MB and 0.1 s at n = 16, so enumeration supports
+entries, about 13 MB and 0.06 s at n = 16, so enumeration supports
 2 <= n <= ``MAX_ENUMERATION_DIM`` = 16.
 
 The stream keeps a *completion memo* on cubes of at most
@@ -498,7 +498,7 @@ def sample_cycles(n: int, seed: int, k: int) -> list[HamiltonianCycle]:
     table grows fourfold per dimension, to 512 MB at n = 16.  The rows of
     neighbours in dimension order, which order each candidate list, are
     the search's :func:`~qube.hypercube.edge_rows`, kept for the process
-    too (0.02 MB at n = 7, 1.9 MB at n = 12), so a draw does no set-up of
+    too (0.02 MB at n = 7, 0.7 MB at n = 12), so a draw does no set-up of
     its own.
     """
     check_dimension(n)

@@ -26,7 +26,7 @@ from functools import cache
 
 MAX_DIM = 24
 # Cubes up to this dimension keep both tables per process: the masks take
-# 4**n / 8 bytes (2 MB at n = 12, 512 MB at n = 16), the rows 1.9 MB at 12.
+# 4**n / 8 bytes (2 MB at n = 12, 512 MB at n = 16), the rows 0.7 MB at 12.
 NEAR_TABLE_MAX_DIM = 12
 # 11-14 s at n = 18, four to six times as long per two dimensions more
 ISOMORPHISM_MAX_DIM = 18

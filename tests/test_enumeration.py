@@ -445,7 +445,7 @@ class TestNeighbourTable:
         # one object in every row that holds it
         table = hypercube.edge_rows(n)
         for v in (257, 300, (1 << n) - 1):
-            held = [row[i] for i, row in ((i, table[v ^ 1 << i]) for i in range(n))]
+            held = [table[v ^ 1 << i][i] for i in range(n)]
             assert held == [v] * n
             assert len(set(map(id, held))) == 1
 
