@@ -199,7 +199,7 @@ def _search(
     # a closing edge {0, e_j} below the first step's dimension.  For an open
     # vertex (unvisited, or vertex 0) only the retire loop and the first
     # step lower it, and a cycle through the path needs two of them: the
-    # free-edges prune, the one reader of these counts.
+    # free-edges prune.  Only the prunes read these counts.
     free = [n] * size
     path = [0] * size
     seen = bytearray(size)
