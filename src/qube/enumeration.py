@@ -225,11 +225,13 @@ def _search(
     # path[k] to v has the key keys[k] | v, and start[k] is ``count`` when
     # path[k] was pushed, or -1 when the stream's memo was dropped since,
     # and path[k] is not recorded then.  Only the pops grow the memo of a
-    # count, so only they drop it.
+    # count, so only they drop it.  ``room`` is ``MEMO_CAP`` less the
+    # states and cycles the memo holds, lowered wherever either grows, and
+    # the memo is dropped when it goes below 0.
     memo = None if n > MEMO_MAX_DIM else {}
     emitted: list[tuple[int, ...]] = []
     count = 0
-    cap = MEMO_CAP
+    cap = room = MEMO_CAP
     slots = size if memo is not None else 0  # a larger cube keeps neither list
     keys = [64] * slots
     start = [0] * slots
@@ -254,10 +256,12 @@ def _search(
                         seq = head + seq[k + 1 :]
                         emitted.append(seq)
                         yield HamiltonianCycle(n, seq)
-                    if len(memo) + len(emitted) > cap:
+                    room -= b - a
+                    if room < 0:
                         memo.clear()
                         emitted.clear()
                         count = 0
+                        room = cap
                         start[: k + 1] = [-1] * (k + 1)
         else:
             if k == 0:
@@ -270,12 +274,15 @@ def _search(
                     memo.clear()
                     emitted.clear()
                     count = 0
+                    room = cap
                 else:
                     a = start[k]
                     if a >= 0:
                         memo[keys[k - 1] | v] = (a, count) if a < count else NO_CYCLES
-                    if len(memo) + len(emitted) > cap:
+                        room -= 1
+                    if room < 0:
                         memo.clear()
+                        room = cap
                         if not first_use:
                             # the stream's ranges index ``emitted``, which
                             # restarts; a count of words runs on
@@ -348,6 +355,7 @@ def _search(
                     seq = tuple(path)
                     if memo is not None:
                         emitted.append(seq)
+                        room -= 1
                     yield HamiltonianCycle(n, seq)
                 count += 1
             ok = False
