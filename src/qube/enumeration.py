@@ -22,31 +22,36 @@ that stops being addable never becomes addable again below that node.
   at the first step, whose dimension is f: a canonical cycle closes
   through some {e_j, 0} with j > f, so the search no longer walks the
   orientation that the canonical-form test at the leaf would discard
-  (canonical augmentation, McKay 1998).  When f = n - 1 vertex 0 keeps
-  no free edge to close with and the free-edges rule stops the branch at
-  once; when f = n - 2 it dies as soon as e_(n-1) becomes interior.
+  (canonical augmentation, McKay 1998).  When f = n - 1 vertex 0 would
+  keep no free edge to close with, so the free-edges rule does not take
+  that first step; when f = n - 2 the branch dies as soon as e_(n-1)
+  would become interior.
 - *Forced step* takes the path end's one unvisited neighbour with exactly
   two addable edges as its only next step, and abandons the path when
   there are two: such a neighbour needs both edges, one of them to the
   end, and the end has one edge left (the degree-2 rule of Vandegriend
-  and Culberson, JAIR 9, 1998).  A wrong step would only fail the
-  free-edges rule one push later.
+  and Culberson, JAIR 9, 1998).  It is what the free-edges test at the
+  end's expansion (below) leaves when one unvisited neighbour falls.
 
 The search is one iterative loop over an explicit stack.  It reads the
 cube's :func:`~qube.hypercube.edge_rows`, each vertex's neighbours in
 dimension order, and never writes them; one flat list counts each
-vertex's free edges, those on the path or addable.  A step changes only
-the free counts of the open neighbours of the vertex it makes interior,
-and the node it extends passed the prunes, so only what the step changed
-is re-checked.  Every push takes this check, the steps of a prefix too,
-so a prefix is cut at its first push that breaks a rule.  The first
-step, to e_f, retires {0, e_j} with j < f, and the new path end is seen
-before the retire loop and until after the restore loop, so both loops
-test a neighbour w only for being unvisited, or vertex 0 with
-u > e_f: the end, the vertex before u, interior vertices and closing
-edges the first step holds or retired all fail it.  The stack
-keeps, for each depth, the candidate steps not yet tried, so the path
-depth 2^n meets no recursion limit.  The rows are kept per process up to
+vertex's free edges, those on the path or addable.  Any step from the
+path end v makes v interior, so when v is expanded its edges to open
+vertices retire at once, in one pass over its row; a child hands its own
+edge back while it is on the path, and the pop of v restores the rest.
+v passed the prunes and only those counts fell, so the open vertices
+that the pass leaves with fewer than two free edges decide every child:
+with none, every step passes; one unvisited neighbour is the only step,
+the forced step; vertex 0, or two vertices, leave none.  So no step that
+breaks a rule is pushed, the steps of a prefix included: a prefix is cut
+before its first step that breaks one.  The first step, to e_f, retires
+{0, e_j} with j < f and leaves vertex 0 n - f free edges, so the prunes
+take f <= n - 2 at the root.  Both passes test a neighbour w only for
+being unvisited, or vertex 0 with v > e_f: the vertex before v, interior
+vertices and closing edges the first step holds or retired all fail it.
+The stack keeps, for each depth, the candidate steps not yet tried, so
+the path depth 2^n meets no recursion limit.  The rows are kept per process up to
 ``NEAR_TABLE_MAX_DIM`` = 12 dimensions, so a search of another prefix of
 such a cube builds nothing, and are built at each call above: n·2^n
 entries, about 13 MB and 0.06 s at n = 16, so enumeration supports
@@ -197,25 +202,33 @@ def _search(
     # addable while it is unused, neither endpoint is strict interior of the
     # path (visited, but not vertex 0 and not the path end), and it is not
     # a closing edge {0, e_j} below the first step's dimension.  For an open
-    # vertex (unvisited, or vertex 0) only the retire loop and the first
-    # step lower it, and a cycle through the path needs two of them: the
-    # free-edges prune.  Only the prunes read these counts.
+    # vertex (unvisited, or vertex 0) only the expansion of a neighbour and
+    # the first step lower it, and a cycle through the path needs two of
+    # them: the free-edges prune.  Only the prunes read these counts.
     free = [n] * size
     path = [0] * size
     seen = bytearray(size)
     seen[0] = 1
+    last = size - 1  # the depth of a full path, which is not expanded
     # tries[k] yields the candidate steps from path[k] not yet tried: the
-    # prefix step within the prefix, unless a push broke a rule, and the
-    # neighbours in order beyond.
+    # prefix step within the prefix, unless it breaks a rule, and the
+    # neighbours in order beyond.  A first step in dimension f leaves
+    # vertex 0 n - f free edges, so the prunes take f <= n - 2.
+    roots = table[0][: n - 1 if prune else n]
+    if first_use:
+        roots = roots[:1]
+    if moves:
+        roots = moves[:1] if moves[0] in roots else ()
     tries: list[Iterator[int] | None] = [None] * size
-    tries[0] = iter(moves[:1]) if moves else iter(table[0][:1] if first_use else table[0])
+    tries[0] = iter(roots)
     # width[k]: how many dimensions path[0..k] uses, kept in first-use
     # mode, where a step from path[k] may take only a used dimension or
     # dimension width[k], the next one
     width = [0] * size
     # lim: e_f, the first step.  The edge from a vertex u to vertex 0 is
     # addable only when u > lim: {0, e_f} is on the path and the first step
-    # retires {0, e_j} with j < f, so the loops retire and restore neither.
+    # retires {0, e_j} with j < f, so the expansion and the restore at its
+    # pop retire and restore neither.
     lim = 0
     # The completion memo on small cubes: memo[mask << 6 | v] is the range
     # (a, b) of the running count ``count`` of closing paths that the search
@@ -289,12 +302,15 @@ def _search(
                             emitted.clear()
                             count = 0
                             start[:k] = [-1] * k
-            k -= 1
-            u = path[k]
-            if u:
-                for w in table[u]:
-                    if not seen[w] or not w and u > lim:
+            if k != last:
+                # the edges that v's expansion retired return
+                for w in table[v]:
+                    if not seen[w] or not w and v > lim:
                         free[w] += 1
+            k -= 1
+            if path[k]:
+                # the edge to v is retired again, for the next sibling
+                free[v] -= 1
             else:
                 # back at vertex 0: the closing edges the first step retired
                 # return
@@ -306,34 +322,22 @@ def _search(
             continue
 
         u = path[k]
-        # The node before this push passed the prunes, and a push lowers
-        # only the free counts of the open ends of the edges it retires, so
-        # re-checking just those gives the same verdict as a check of every
-        # vertex.
-        ok = True
         seen[v] = 1
         if u:
-            # u becomes interior: its unused edges to open vertices retire;
-            # v is seen, so the test skips the edge the path just took
-            for w in table[u]:
-                if not seen[w] or not w and u > lim:
-                    rest = free[w] - 1
-                    free[w] = rest
-                    if prune and rest < 2:
-                        ok = False
+            # u's expansion retired its edges to open vertices; the one to v
+            # is on the path now
+            free[v] += 1
         else:
             # The first step fixes f.  A canonical cycle closes through some
             # {e_j, 0} with j > f, so the edges {0, e_j} with j < f retire
-            # until the pop back to vertex 0, and ``lim`` keeps the retire
-            # loop off them.  e_j keeps n - 1 free edges, fewer than two only
-            # when n = 2 and f = 1, so vertex 0, left with n - f, decides
-            # under the prunes.
+            # until the pop back to vertex 0, and ``lim`` keeps the
+            # expansions off them.  e_j keeps n - 1 >= 2 free edges, as the
+            # prunes take f = 0 at n = 2; vertex 0 keeps n - f (``roots``).
             f = v.bit_length() - 1
             lim = v
             for j in range(f):
                 free[1 << j] -= 1
             free[0] -= f
-            ok = not prune or free[0] >= 2
         k += 1
         path[k] = v
         if memo is not None:
@@ -342,10 +346,7 @@ def _search(
         if first_use:
             w = width[k - 1]
             width[k] = w + (u ^ v == 1 << w)
-        if k < base:
-            tries[k] = iter(moves[k : k + 1] if ok else ())
-            continue
-        if ok and k == size - 1:
+        if k == last:
             # a full path closes to vertex 0 when v is a unit vector, and is
             # canonical when its first dimension is below its last
             if v & (v - 1) == 0 and path[1] < v:
@@ -358,31 +359,38 @@ def _search(
                         room -= 1
                     yield HamiltonianCycle(n, seq)
                 count += 1
-            ok = False
-        if not ok:
             tries[k] = iter(())
             continue
+        # The expansion of v.  Any step from v makes it interior, so its
+        # edges to open vertices retire here, once, and each child hands its
+        # own edge back while it is on the path.  This node passed the
+        # prunes and only these counts fall, so the open vertices that fall
+        # below two free edges decide the children: with none every step
+        # passes; an unvisited one needs both its edges, one of them to v,
+        # so it is the only step (the forced step); vertex 0, or two of
+        # them, leave none.
         cands = table[v]
-        if prune:
-            # Forced step: an unvisited neighbour x with two free edges
-            # needs both, so {v, x} is in every completion, and v has one
-            # edge left.  Two such neighbours leave no step.  Vertex 0 is
-            # seen, so it is never forced.
-            tight = 0
-            for x in cands:
-                if free[x] == 2 and not seen[x]:
-                    tight += 1
-                    forced = x
-            if tight:
-                cands = (forced,) if tight == 1 else ()
-        if first_use:
+        fell = 0
+        for w in cands:
+            if not seen[w] or not w and v > lim:
+                rest = free[w] - 1
+                free[w] = rest
+                if rest < 2:
+                    fell += 1
+                    low = w
+        if fell and prune:
+            cands = (low,) if fell == 1 and low else ()
+        if k < base:
+            tries[k] = iter(moves[k : k + 1] if moves[k] in cands else ())
+        elif first_use:
             # rows run in increasing dimension, so the steps in the used
             # dimensions and the next one are a prefix of v's row.  A forced
             # step is one of them: the path stays in the subcube of the used
             # dimensions, a neighbour outside it keeps all n of its edges,
             # and at n = 2 the one such neighbour is in the next dimension.
-            cands = cands[: width[k] + 1]
-        tries[k] = iter(cands)
+            tries[k] = iter(cands[: width[k] + 1])
+        else:
+            tries[k] = iter(cands)
 
 
 def count_cycles(n: int, prunes: PruneConfig | None = None) -> int:

@@ -167,7 +167,7 @@ class TestPrefixSplitting:
     def test_every_q4_prefix_has_the_same_stream_under_every_prune_config(
         self, depth
     ):
-        # a prefix step takes the same check as any other push, so a prefix
+        # a prefix step takes the same test as any other step, so a prefix
         # is cut where the prunes find it dead, and never loses a cycle
         for p in path_prefixes(4, depth):
             pruned = [h.seq for h in enumerate_cycles(4, PruneConfig.all(), p)]
@@ -210,7 +210,7 @@ class TestPrefixSplitting:
 
     @pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS)
     def test_prefix_that_fails_a_prune_at_once(self, cfg):
-        # The push of 6 makes 7 interior and leaves vertex 5 one free edge,
+        # The step to 6 makes 7 interior and leaves vertex 5 one free edge,
         # {5, 4}, as 1 is interior too: the free-edges rule rejects the
         # prefix at its last step, before any search, and it has no
         # completion either way.
@@ -297,19 +297,20 @@ class TestFreeEdges:
                         assert at_vertex[w] >= 2, (path, w)
 
     def test_the_prune_cuts_the_q4_search(self, monkeypatch):
-        # with all three rules the Q4 search reads 15,395 rows (a node that
-        # the prunes keep reads its row twice, once for the forced step);
-        # without the forced step it reads 17,046, without the closing-edge
-        # rule 27,101, without the free-edges checks 20,791, and without
-        # them and the forced step, which leaves the closing-edge rule
-        # nothing to act through, 80,089, as with no prune
-        assert rows_read(monkeypatch, 4, PruneConfig.all())[1] == 15_395
+        # with all three rules the Q4 search reads 10,550 rows.  It reads
+        # 31,860 when a lone open vertex that falls below two free edges
+        # leaves v's whole row instead of the forced step, 19,020 without
+        # the closing-edge rule, 14,824 when vertex 0 falling cuts nothing
+        # and the first step may take the last dimension, and 80,040, as
+        # with no prune, when no fall decides the children, which leaves
+        # the closing-edge rule nothing to act through
+        assert rows_read(monkeypatch, 4, PruneConfig.all())[1] == 10_550
 
-    def test_a_prefix_is_cut_at_the_push_that_breaks_the_rule(self, monkeypatch):
-        # the push of 12 makes 4 interior and leaves vertex 5 one addable
-        # edge, {5, 13}, so the prefix step 12 -> 14 is never taken.  Each
-        # push and pop from a vertex other than 0 reads its row once: the
-        # five pushes from 1, 3, 7, 6 and 4 and their pops read 10 rows.
+    def test_a_prefix_is_cut_at_the_step_that_breaks_the_rule(self, monkeypatch):
+        # a step from 12 would make 4 interior and leave vertex 5 one
+        # addable edge, {5, 13}, so the expansion of 4 offers no step and
+        # 12 is never pushed.  The expansions of 1, 3, 7, 6 and 4 read
+        # their rows, and their pops read them again to restore the counts.
         prefix = [0, 1, 3, 7, 6, 4, 12, 14]
         found = rows_read(monkeypatch, 4, PruneConfig.all(), prefix)
         assert found == ([], 2 * (prefix.index(12) - 1))
@@ -317,13 +318,50 @@ class TestFreeEdges:
     def test_a_prefix_that_walks_into_a_dead_vertex_is_not_searched(
         self, monkeypatch
     ):
-        # the push of 13 makes 5 interior and leaves vertex 1 one addable
-        # edge, {1, 9}: {0, 1} is retired by the first step in dimension 1.
-        # The prefix then walks into 1 through that edge, so a check of the
-        # open vertices after the prefix would pass and search below 1.
-        # The four pushes from 2, 3, 7 and 5 and their pops read 8 rows.
+        # a step from 13 would make 5 interior and leave vertex 1 one
+        # addable edge, {1, 9}: {0, 1} is retired by the first step in
+        # dimension 1.  The prefix then walks into 1 through that edge, so
+        # a check of the open vertices after the prefix would pass and
+        # search below 1.  The expansions of 2, 3, 7 and 5 and their pops
+        # read 8 rows.
         prefix = [0, 2, 3, 7, 5, 13, 9, 1]
         assert rows_read(monkeypatch, 4, PruneConfig.all(), prefix) == ([], 8)
+
+    @pytest.mark.parametrize("depth,cut", [
+        (2, 3), (3, 9), (4, 26), (5, 84), (6, 262), (7, 818), (8, 2_070),
+    ])
+    def test_a_prefix_step_that_breaks_the_rule_is_never_pushed(
+        self, monkeypatch, depth, cut
+    ):
+        # a prefix step takes the test of its parent's expansion, so the
+        # search pushes the steps before the first one that leaves an open
+        # vertex with fewer than two free edges, and not that one; ``cut``
+        # prefixes of the depth have such a step
+        found = 0
+        for p in path_prefixes(4, depth):
+            broken = [j for j in range(1, depth + 1) if breaks_free_edges(4, p[: j + 1])]
+            if broken:
+                found += 1
+                search = lambda: list(enumerate_cycles(4, PruneConfig.all(), p))
+                assert pushes(monkeypatch, search) == ([], broken[0] - 1), p
+        assert found == cut
+
+
+def breaks_free_edges(n: int, path: list[int]) -> bool:
+    """Whether ``path`` leaves an open vertex (unvisited, or vertex 0) with
+    fewer than two edges that are on the path or addable, counted from the
+    path alone.  The closing-edge rule is included: {0, e_j} with j below
+    the first step's dimension is not addable."""
+    on_path = {(a & b, a | b) for a, b in zip(path, path[1:])}
+    interior = set(path[1:-1])
+    f = edge_dim(path[0], path[1])
+    free = [0] * (1 << n)
+    for u, w, s in cube_edges(n):
+        retired = u == 0 and s >> 1 < f
+        if (u, w) in on_path or not (u in interior or w in interior or retired):
+            free[u] += 1
+            free[w] += 1
+    return any(free[w] < 2 for w in range(1 << n) if w == 0 or w not in path)
 
 
 class TestForcedStep:
@@ -396,8 +434,8 @@ class TestCanonicalClosingEdge:
     def test_a_first_step_in_the_last_dimension_is_cut_at_once(
         self, monkeypatch, prefix
     ):
-        # vertex 0 keeps only the edge it leaves by, so the first push is
-        # cut: it and its pop are steps from vertex 0, which read no row
+        # vertex 0 would keep only the edge it leaves by, so the first step
+        # is not taken, and the search reads no row
         found = rows_read(monkeypatch, 5, PruneConfig.all(), prefix)
         assert found == ([], 0)
 
@@ -526,7 +564,9 @@ def words(n: int, cfg: PruneConfig, prefix=None) -> int:
 def pushes(monkeypatch, search, limit=None) -> tuple[object, int]:
     """What ``search()`` returns and how many vertices the kernel pushes
     meanwhile: it makes one ``iter`` call for the candidate steps of the
-    root and one per push.  A push past ``limit`` fails the test."""
+    root and one per push.  A step that breaks a rule is not pushed, as
+    the expansion of its parent does not offer it.  A push past ``limit``
+    fails the test."""
     count = [0]
 
     def counted_iter(steps):
@@ -558,17 +598,17 @@ class TestFirstUseCount:
 
     def test_q4_push_counts(self, monkeypatch):
         # the rows are cut to the used dimensions and the next one, and the
-        # completion memo adds a state's count of words: the words take 498
-        # pushes with the prunes and 1,891 without (982 and 3,780 without
-        # the memo), where the canonical stream takes 4,474 and 26,708 with
-        # its memo (12,626 and 90,676 without)
+        # completion memo adds a state's count of words: the words take 485
+        # pushes with the prunes and 1,891 without (966 and 3,780 without
+        # the memo), where the canonical stream takes 4,269 and 26,708 with
+        # its memo (12,235 and 90,676 without)
         found = [pushes(monkeypatch, lambda: words(4, cfg)) for cfg in ALL_PRUNE_CONFIGS]
-        assert found == [(112, 498), (112, 1_891)]
+        assert found == [(112, 485), (112, 1_891)]
         stream = [
             pushes(monkeypatch, lambda: len(list(enumerate_cycles(4, cfg))))
             for cfg in ALL_PRUNE_CONFIGS
         ]
-        assert stream == [(1344, 4_474), (1344, 26_708)]
+        assert stream == [(1344, 4_269), (1344, 26_708)]
 
     @pytest.mark.parametrize("n,depth", [(3, 3), (4, 4), (4, 8), (5, 4)])
     def test_first_use_prefixes(self, n, depth):
@@ -609,9 +649,11 @@ class TestFirstUseCount:
 
 def rows_read(monkeypatch, n, cfg, prefix=None) -> tuple[list, int]:
     """The seqs ``enumerate_cycles`` emits and how many times it reads a
-    neighbour row: once to extend each node the prunes keep, once per push
-    that makes a vertex interior, and once per pop that makes it the path
-    end again."""
+    neighbour row: once to expand each node short of a full path, once
+    more when every step from it passes and the row is its candidates, and
+    once when that node is popped, to restore its neighbours' counts.  A
+    forced step and a prefix step are not read from the row, and neither
+    is the first step from vertex 0."""
     count = [0]
 
     class CountedRow(tuple):
@@ -691,8 +733,8 @@ class TestCompletionMemo:
 
     @pytest.mark.parametrize(
         "max_dim,cap,pruned,unpruned",
-        [(3, 1 << 16, 12_626, 90_676), (4, 0, 12_626, 90_676),
-         (4, 50, 10_205, 85_099), (4, 1000, 5_737, 54_146)],
+        [(3, 1 << 16, 12_235, 90_676), (4, 0, 12_235, 90_676),
+         (4, 50, 9_805, 85_099), (4, 1000, 5_364, 54_146)],
         ids=["no-memo", "dropped-at-once", "cap-50", "cap-1000"],
     )
     def test_q4_stream_under_every_cap(self, monkeypatch, max_dim, cap, pruned, unpruned):
@@ -708,8 +750,8 @@ class TestCompletionMemo:
 
     @pytest.mark.parametrize(
         "max_dim,cap,pruned,unpruned",
-        [(3, 1 << 16, 982, 3_780), (4, 0, 982, 3_780), (4, 50, 796, 3_560),
-         (4, 1 << 16, 498, 1_891)],
+        [(3, 1 << 16, 966, 3_780), (4, 0, 966, 3_780), (4, 50, 788, 3_560),
+         (4, 1 << 16, 485, 1_891)],
         ids=["no-memo", "dropped-at-once", "cap-50", "default-cap"],
     )
     def test_q4_words_under_every_cap(self, monkeypatch, max_dim, cap, pruned, unpruned):
