@@ -38,6 +38,7 @@ The threshold check reads its per-dimension usage threshold from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter, xor
 from typing import Iterable
 
@@ -130,11 +131,17 @@ def has_square(h: HamiltonianCycle) -> bool:
     full ``_rim_scan``.  The probe assumes the walk never steps straight
     back (``seq[k+2] == seq[k]``), which holds for every closed walk
     through distinct vertices and so for every validated cycle; a walk
-    that does would read as a U-turn.  ``seq[3:] + seq[:3]`` is the
-    rotation by 3 for every walk of length at least 3, and leaves the
-    2-position walk of Q1 unrotated, so that walk reads no U-turn."""
+    that does would read as a U-turn.  The pairs that do not wrap are read
+    against ``islice(seq, 3, None)``, and the three across the end pair
+    ``seq[-3:]`` with ``seq[:3]``, so no rotated copy is built; the
+    2-position walk of Q1 pairs each vertex with itself and reads no
+    U-turn."""
     seq = h.seq
-    return 1 in map(int.bit_count, map(xor, seq, seq[3:] + seq[:3])) or _rim_scan(h)
+    return (
+        1 in map(int.bit_count, map(xor, seq, islice(seq, 3, None)))
+        or 1 in map(int.bit_count, map(xor, seq[-3:], seq[:3]))
+        or _rim_scan(h)
+    )
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,9 @@ def u_turns(seq: tuple[int, ...]) -> list[int]:
     return [k for k in range(size) if (seq[k] ^ seq[(k + 3) % size]).bit_count() == 1]
 
 
+# Vertices of even weight, so no two of them differ in one bit.
+EVEN_WALK = (0, 3, 5, 6, 9, 10, 12)
+
 # A valid Q5 cycle without a U-turn, found by a U-turn-avoiding search: it
 # has 16 squares of both kinds and chromatic vector (8, 6, 6, 6, 6), so it
 # is a second witness that Q5's fewest squares is 16 (ROADMAP item 12).
@@ -272,6 +275,20 @@ class TestHasSquare:
         assert not brute_force_squares(h)
         assert not has_square(h)
         assert not find_squares(h)
+
+    @pytest.mark.parametrize("gap,u_turn", [(2, False), (3, True), (4, False)])
+    def test_the_probe_reads_the_pairs_across_the_end(self, monkeypatch, gap, u_turn):
+        # hand-built walks, not cycles: EVEN_WALK's vertices have even
+        # weight and no bit 4, and the last vertex is the one ``gap``
+        # positions on, across the end, with bit 4 set, so that pair is the
+        # walk's one unit XOR.  With the scan gone the probe answers alone,
+        # for every rotation, and the Q1 walk pairs each vertex with itself.
+        monkeypatch.setattr(squares, "_rim_scan", lambda h, starts=None: False)
+        seq = EVEN_WALK + (EVEN_WALK[gap - 1] | 16,)
+        assert u_turns(seq) == ([len(seq) - 1] if u_turn else [])
+        for k in range(len(seq)):
+            assert has_square(HamiltonianCycle(5, seq[k:] + seq[:k])) == u_turn, k
+        assert not has_square(HamiltonianCycle(1, (0, 1)))
 
     def test_large_cubes_build_no_neighbour_table(self):
         # a table for n = 16 takes about 4 s and 512 MB to build
