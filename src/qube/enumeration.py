@@ -213,10 +213,9 @@ def _search(
     # tries[k] yields the candidate steps from path[k] not yet tried: the
     # prefix step within the prefix, unless it breaks a rule, and the
     # neighbours in order beyond.  A first step in dimension f leaves
-    # vertex 0 n - f free edges, so the prunes take f <= n - 2.
-    roots = table[0][: n - 1 if prune else n]
-    if first_use:
-        roots = roots[:1]
+    # vertex 0 n - f free edges, so the prunes take f <= n - 2; first-use
+    # mode takes dimension 0 alone.
+    roots = table[0][: 1 if first_use else n - 1 if prune else n]
     if moves:
         roots = moves[:1] if moves[0] in roots else ()
     tries: list[Iterator[int] | None] = [None] * size
@@ -381,16 +380,15 @@ def _search(
         if fell and prune:
             cands = (low,) if fell == 1 and low else ()
         if k < base:
-            tries[k] = iter(moves[k : k + 1] if moves[k] in cands else ())
+            cands = moves[k : k + 1] if moves[k] in cands else ()
         elif first_use:
             # rows run in increasing dimension, so the steps in the used
             # dimensions and the next one are a prefix of v's row.  A forced
             # step is one of them: the path stays in the subcube of the used
             # dimensions, a neighbour outside it keeps all n of its edges,
             # and at n = 2 the one such neighbour is in the next dimension.
-            tries[k] = iter(cands[: width[k] + 1])
-        else:
-            tries[k] = iter(cands)
+            cands = cands[: width[k] + 1]
+        tries[k] = iter(cands)
 
 
 def count_cycles(n: int, prunes: PruneConfig | None = None) -> int:
