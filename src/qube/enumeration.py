@@ -51,11 +51,11 @@ take f <= n - 2 at the root.  Both passes test a neighbour w only for
 being unvisited, or vertex 0 with v > e_f: the vertex before v, interior
 vertices and closing edges the first step holds or retired all fail it.
 The stack keeps, for each depth, the candidate steps not yet tried, so
-the path depth 2^n meets no recursion limit.  The rows are kept per process up to
-``NEAR_TABLE_MAX_DIM`` = 12 dimensions, so a search of another prefix of
-such a cube builds nothing, and are built at each call above: n·2^n
-entries, about 13 MB and 0.06 s at n = 16, so enumeration supports
-2 <= n <= ``MAX_ENUMERATION_DIM`` = 16.
+the path depth 2^n meets no recursion limit.  The rows are kept per
+process up to ``NEAR_TABLE_MAX_DIM`` = 12 dimensions, so a search of
+another prefix of such a cube builds nothing, and are built at each call
+above: n·2^n entries, about 13 MB and 0.06 s at n = 16, so enumeration
+supports 2 <= n <= ``MAX_ENUMERATION_DIM`` = 16.
 
 The stream keeps a *completion memo* on cubes of at most
 ``MEMO_MAX_DIM`` = 6 dimensions, where a visited set fits a 64-bit mask
