@@ -120,12 +120,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.mode is not None and prop != "threshold":
         raise ValueError("--mode goes only with --property threshold")
     mode = args.mode or "equi"
-    named_table = {}
-    if prop == "threshold":
-        # no stored value: a usage error before any cycle is drawn
-        named_table = {
-            "threshold": rim_threshold(n, mode), "alpha_table": THRESHOLD_ALPHA_TABLE[mode],
-        }
+    # no stored value: a usage error before any cycle is drawn
+    threshold = rim_threshold(n, mode) if prop == "threshold" else None
+    named_table = {} if threshold is None else {
+        "threshold": threshold, "alpha_table": THRESHOLD_ALPHA_TABLE[mode],
+    }
 
     if prop == "isomorphism":
         # it checks every dimension graph of the n-cube, which is what
@@ -139,15 +138,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.exhaustive:
             corpus = "exhaustive"
-            tally = sweep_exhaustive(n, (prop,), mode)[prop]
+            tally = sweep_exhaustive(n, (prop,), threshold)[prop]
         elif args.sample is not None:
             if args.seed is None:
                 raise ValueError("--sample requires --seed")
             corpus = f"sample(seed={args.seed}, k={args.sample})"
-            tally = sweep((prop,), sample_cycles(n, args.seed, args.sample), mode)[prop]
+            tally = sweep((prop,), sample_cycles(n, args.seed, args.sample), threshold)[prop]
         elif args.infile is not None:
             corpus = f"file:{args.infile}"
-            tally = sweep((prop,), _of_dimension(n, read_cycles(args.infile)), mode)[prop]
+            tally = sweep((prop,), _of_dimension(n, read_cycles(args.infile)), threshold)[prop]
             if not tally.checked:
                 # a verdict on no cycles would hold vacuously, like --sample 0
                 raise ValueError(f"{args.infile} holds no cycles")

@@ -31,8 +31,9 @@ code whose bit runs all have length at least 3 (Goddyn and Gvozdjak,
 "Binary Gray codes with long bit runs", Electron. J. Combin. 10 (2003)
 #R27); every cycle of Q4 has a U-turn.
 
-The threshold check reads its per-dimension usage threshold from
-:func:`qube.bounds.rim_threshold`.
+The threshold check takes its per-dimension usage count from its caller
+as a number, and so reads no table of balanced-independence numbers; the
+CLI passes the count :func:`qube.bounds.rim_threshold` looks up.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from itertools import islice
 from operator import itemgetter, xor
 from typing import Iterable
 
-from .bounds import rim_threshold
 from .cycles import HamiltonianCycle, positions_by_dim
 
 
@@ -149,7 +149,6 @@ class ThresholdReport:
     """Which dimensions exceed the square-forcing threshold, and which of
     those (none, when the theory holds) lack a square with that rim."""
 
-    mode: str
     threshold: int
     obligated_dims: tuple[int, ...]
     violations: tuple[int, ...]
@@ -159,14 +158,12 @@ class ThresholdReport:
         return not self.violations
 
 
-def check_threshold_implication(
-    h: HamiltonianCycle, mode: str = "equi"
-) -> ThresholdReport:
-    """For every dimension used more than the threshold, confirm that some
-    inscribed square has that rim dimension: one early-exit pass over
-    that dimension's edges, without listing the squares."""
-    thr = rim_threshold(h.n, mode)
+def check_threshold_implication(h: HamiltonianCycle, threshold: int) -> ThresholdReport:
+    """For every dimension the cycle uses more than ``threshold`` times,
+    confirm that some inscribed square has that rim dimension: one
+    early-exit pass over that dimension's edges, without listing the
+    squares."""
     positions = positions_by_dim(h)
-    obligated = tuple(i for i, ks in enumerate(positions) if len(ks) > thr)
+    obligated = tuple(i for i, ks in enumerate(positions) if len(ks) > threshold)
     violations = tuple(i for i in obligated if not _rim_scan(h, positions[i]))
-    return ThresholdReport(mode, thr, obligated, violations)
+    return ThresholdReport(threshold, obligated, violations)

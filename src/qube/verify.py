@@ -6,7 +6,9 @@ iterable of cycles, which it reads one cycle at a time; it returns one
 share one :func:`~qube.cycles.dimension_profiles` list per cycle, built only
 when one of them is asked for.  :func:`sweep_exhaustive` checks every
 Hamiltonian cycle of the n-cube in one pass over
-:func:`~qube.enumeration.enumerate_cycles`, in this process.
+:func:`~qube.enumeration.enumerate_cycles`, in this process.  The
+``threshold`` property reads the usage count its caller passes; no sweep
+chooses a table of balanced-independence numbers.
 """
 
 from __future__ import annotations
@@ -33,24 +35,24 @@ SQUARE_FREE_FILE = "square_free_counterexamples_n{n}.jsonl"
 
 def _per_dimension(holds):
     """A check that records each dimension whose profile fails ``holds``."""
-    return lambda cyc, profiles, mode: [{"dim": p.dim} for p in profiles if not holds(p)]
+    return lambda cyc, profiles, threshold: [{"dim": p.dim} for p in profiles if not holds(p)]
 
 
-def _chromatic(cyc: HamiltonianCycle, profiles, mode: str) -> list[dict]:
+def _chromatic(cyc: HamiltonianCycle, profiles, threshold: int | None) -> list[dict]:
     failed = check_chromatic_conditions(chromatic_vector(cyc), cyc.n).failures()
     return [{"failed": failed}] if failed else []
 
 
-# the per-cycle properties: (cycle, its dimension profiles, threshold mode)
-# -> violation records, an empty list when the property holds
+# the per-cycle properties: (cycle, its dimension profiles, the threshold
+# count) -> violation records, an empty list when the property holds
 CHECKS = {
     "balance": _per_dimension(lambda p: p.balanced),
     "segments": _per_dimension(lambda p: p.segment_sums_ok),
     "recurrence": _per_dimension(lambda p: p.parity_list == p.parity_direct),
     "chromatic": _chromatic,
-    "squares": lambda cyc, profiles, mode: [] if has_square(cyc) else [{"square_free": True}],
-    "threshold": lambda cyc, profiles, mode: [
-        {"dim": i} for i in check_threshold_implication(cyc, mode).violations
+    "squares": lambda cyc, profiles, threshold: [] if has_square(cyc) else [{"square_free": True}],
+    "threshold": lambda cyc, profiles, threshold: [
+        {"dim": i} for i in check_threshold_implication(cyc, threshold).violations
     ],
 }
 PROFILED = ("balance", "segments", "recurrence")
@@ -76,11 +78,13 @@ class Tally:
 
 
 def sweep(
-    props: Iterable[str], cycles: Iterable[HamiltonianCycle], mode: str = "equi"
+    props: Iterable[str], cycles: Iterable[HamiltonianCycle], threshold: int | None = None
 ) -> dict[str, Tally]:
     """Check every property of ``props`` on each cycle, in one pass, and
-    return each property's tally; ``mode`` is the threshold flavour of the
-    ``threshold`` property (see :func:`~qube.bounds.rim_threshold`)."""
+    return each property's tally.  ``threshold`` is the usage count above
+    which the ``threshold`` property obligates a dimension (the CLI passes
+    :func:`~qube.bounds.rim_threshold`); that property without one is
+    refused, like an unknown name, before any cycle is read."""
     names = () if isinstance(props, str) else tuple(props)  # read a generator once
     if not names:
         raise ValueError(f"props must be a non-empty tuple of property names, got {props!r}")
@@ -90,13 +94,15 @@ def sweep(
                 "isomorphism is a property of the cube, not a per-cycle property"
                 if prop == "isomorphism" else f"unknown property {prop!r}"
             )
+    if threshold is None and "threshold" in names:
+        raise ValueError("the threshold property needs a threshold count")
     tallies = {prop: Tally() for prop in names}
     profiled = any(prop in PROFILED for prop in names)
     for cyc in cycles:
         profiles = dimension_profiles(cyc) if profiled else None
         for prop, tally in tallies.items():
             tally.checked += 1
-            records = CHECKS[prop](cyc, profiles, mode)
+            records = CHECKS[prop](cyc, profiles, threshold)
             if not records:
                 continue
             tally.violations += len(records)
@@ -107,12 +113,14 @@ def sweep(
     return tallies
 
 
-def sweep_exhaustive(n: int, props: Iterable[str], mode: str = "equi") -> dict[str, Tally]:
+def sweep_exhaustive(
+    n: int, props: Iterable[str], threshold: int | None = None
+) -> dict[str, Tally]:
     """:func:`sweep` over every Hamiltonian cycle of the n-cube, in one pass
     over :func:`~qube.enumeration.enumerate_cycles`.  Cubes above
     ``MAX_WHOLE_CUBE_DIM`` dimensions are refused before any search."""
     check_whole_cube(n)
-    return sweep(props, enumerate_cycles(n), mode)
+    return sweep(props, enumerate_cycles(n), threshold)
 
 
 def persist_square_free(n: int, cycles: list[dict]) -> str | None:

@@ -18,7 +18,13 @@ import time
 
 import pytest
 
-from qube.bounds import ALPHA_EQUI_HYPERCUBE, lower_bound_set, pigeonhole_report, table1_rows
+from qube.bounds import (
+    ALPHA_EQUI_HYPERCUBE,
+    lower_bound_set,
+    pigeonhole_report,
+    rim_threshold,
+    table1_rows,
+)
 from qube.cycles import check_chromatic_conditions, chromatic_vector, permute_dims
 from qube.enumeration import PruneConfig, count_cycles, enumerate_cycles
 from qube.graphs import (
@@ -259,7 +265,7 @@ def test_criterion_09_threshold_implication(q4_cycles):
     violations = 0
     threshold = None
     for h in q4_cycles:
-        rep = check_threshold_implication(h, mode="equi")
+        rep = check_threshold_implication(h, rim_threshold(4, "equi"))
         threshold = rep.threshold
         obligated += len(rep.obligated_dims)
         violations += len(rep.violations)

@@ -239,12 +239,11 @@ class TestHasSquare:
         monkeypatch.setattr(squares, "_rim_scan", lambda h, starts=None: False)
         assert has_square(h) is False
 
-    def test_each_dimension_scanned_alone(self, monkeypatch, q3_cycles, q4_cycles):
-        # with no threshold the check scans each used dimension's edges on
+    def test_each_dimension_scanned_alone(self, q3_cycles, q4_cycles):
+        # with threshold 0 the check scans each used dimension's edges on
         # their own
-        monkeypatch.setattr(squares, "rim_threshold", lambda n, mode: 0)
         for h in q3_cycles + q4_cycles + sample_cycles(5, seed=7, k=25):
-            assert check_threshold_implication(h) == report_from_the_square_list(h, "equi", 0)
+            assert check_threshold_implication(h, 0) == report_from_the_square_list(h, 0)
 
     def test_reflected_code_of_the_seven_cube(self):
         assert has_square(gray_cycle(7))
@@ -296,7 +295,7 @@ class TestHasSquare:
         start = time.perf_counter()
         h = gray_cycle(16)
         assert has_square(h)
-        assert check_threshold_implication(h, "independence").ok
+        assert check_threshold_implication(h, rim_threshold(16, "independence")).ok
         assert time.perf_counter() - start < 1.0
         assert near_table.cache_info() == before
 
@@ -359,11 +358,11 @@ class TestThresholdImplication:
     def test_reflected_code_obligations(self):
         h = gray_cycle(4)
         assert chromatic_vector(h) == (8, 4, 2, 2)
-        equi = check_threshold_implication(h, "equi")
+        equi = check_threshold_implication(h, rim_threshold(4, "equi"))
         assert equi.threshold == 2
         assert equi.obligated_dims == (0, 1)
         assert equi.ok
-        indep = check_threshold_implication(h, "independence")
+        indep = check_threshold_implication(h, rim_threshold(4, "independence"))
         assert indep.threshold == 4
         assert indep.obligated_dims == (0,)
         assert indep.ok
@@ -372,16 +371,16 @@ class TestThresholdImplication:
         # every 3-cube cycle has one dimension used 4 > 2 times, so the
         # independence threshold obligates it; the square must be there
         for h in q3_cycles:
-            report = check_threshold_implication(h, "independence")
+            report = check_threshold_implication(h, rim_threshold(3, "independence"))
             assert report.obligated_dims
             assert report.ok
 
 
-def report_from_the_square_list(h: HamiltonianCycle, mode: str, thr: int) -> ThresholdReport:
+def report_from_the_square_list(h: HamiltonianCycle, thr: int) -> ThresholdReport:
     """The threshold report derived from the brute-force list of squares."""
     obligated = tuple(i for i, c in enumerate(chromatic_vector(h)) if c > thr)
     rim_dims = {s[0] for s in brute_force_squares(h)}
-    return ThresholdReport(mode, thr, obligated, tuple(i for i in obligated if i not in rim_dims))
+    return ThresholdReport(thr, obligated, tuple(i for i in obligated if i not in rim_dims))
 
 
 class TestThresholdAgainstTheSquareList:
@@ -393,21 +392,20 @@ class TestThresholdAgainstTheSquareList:
     def test_every_q4_cycle(self, mode, q4_cycles):
         thr = rim_threshold(4, mode)
         for h in q4_cycles:
-            assert check_threshold_implication(h, mode) == report_from_the_square_list(h, mode, thr)
+            assert check_threshold_implication(h, thr) == report_from_the_square_list(h, thr)
 
     @pytest.mark.parametrize("mode", ["equi", "independence"])
     def test_seeded_samples_of_q6_and_q7(self, mode, q6_samples):
         for h in q6_samples[:300] + sample_cycles(7, 3, 8):
             thr = rim_threshold(h.n, mode)
-            report = check_threshold_implication(h, mode)
-            assert report == report_from_the_square_list(h, mode, thr)
+            report = check_threshold_implication(h, thr)
+            assert report == report_from_the_square_list(h, thr)
 
-    def test_dimensions_without_a_square_are_reported(self, monkeypatch, q4_cycles):
-        # with no threshold every used dimension is obligated, so a dimension
+    def test_dimensions_without_a_square_are_reported(self, q4_cycles):
+        # with threshold 0 every used dimension is obligated, so a dimension
         # whose edges are no two rims of a square is a violation
-        monkeypatch.setattr(squares, "rim_threshold", lambda n, mode: 0)
-        reports = [check_threshold_implication(h) for h in q4_cycles]
-        assert reports == [report_from_the_square_list(h, "equi", 0) for h in q4_cycles]
+        reports = [check_threshold_implication(h, 0) for h in q4_cycles]
+        assert reports == [report_from_the_square_list(h, 0) for h in q4_cycles]
         assert sum(1 for r in reports if r.violations) == 528
 
 

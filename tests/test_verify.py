@@ -4,6 +4,7 @@ property, and the exhaustive sweep's refusals and inputs."""
 import pytest
 
 from qube import verify
+from qube.bounds import rim_threshold
 from qube.enumeration import enumerate_cycles
 from qube.verify import CHECKS, sweep, sweep_exhaustive
 
@@ -17,10 +18,11 @@ def outcome(tally):
 def test_one_pass_equals_one_pass_per_property(monkeypatch, q4_cycles):
     # every cycle square-free, so one property has a violation per cycle
     monkeypatch.setattr("qube.verify.has_square", lambda cyc: False)
-    together = sweep(ALL, q4_cycles)
+    thr = rim_threshold(4, "equi")
+    together = sweep(ALL, q4_cycles, thr)
     assert set(together) == set(ALL)
     for prop in ALL:
-        assert outcome(together[prop]) == outcome(sweep((prop,), q4_cycles)[prop]), prop
+        assert outcome(together[prop]) == outcome(sweep((prop,), q4_cycles, thr)[prop]), prop
     assert together["squares"].violations == 1344
     assert together["balance"].checked == 1344
 
@@ -29,8 +31,9 @@ def test_sweep_exhaustive_equals_one_sequential_pass(monkeypatch):
     # every cycle a violation, so the first counterexample and the order
     # of the square-free list are compared over all 1344 cycles
     monkeypatch.setattr("qube.verify.has_square", lambda cyc: False)
-    exhaustive = sweep_exhaustive(4, ALL)
-    sequential = sweep(ALL, enumerate_cycles(4))
+    thr = rim_threshold(4, "equi")
+    exhaustive = sweep_exhaustive(4, ALL, thr)
+    sequential = sweep(ALL, enumerate_cycles(4), thr)
     assert exhaustive.keys() == sequential.keys() == set(ALL)
     for prop in ALL:
         assert outcome(exhaustive[prop]) == outcome(sequential[prop]), prop
@@ -80,7 +83,7 @@ def test_one_profile_list_per_cycle_and_only_when_asked(monkeypatch, props, call
 
     real = verify.dimension_profiles
     monkeypatch.setattr("qube.verify.dimension_profiles", counted)
-    assert sweep(props, enumerate_cycles(3))[props[0]].checked == 6
+    assert sweep(props, enumerate_cycles(3), rim_threshold(3, "equi"))[props[0]].checked == 6
     assert len(made) == calls
 
 
@@ -118,6 +121,22 @@ def test_a_generator_of_properties_is_read_once(q4_cycles):
     tallies = sweep((prop for prop in ("balance", "squares")), q4_cycles)
     assert list(tallies) == ["balance", "squares"]
     assert [t.checked for t in tallies.values()] == [len(q4_cycles)] * 2
+
+
+def test_the_threshold_property_needs_a_count():
+    # the count is the caller's choice of table; a sweep has no default
+    with pytest.raises(ValueError, match="needs a threshold count"):
+        sweep(("threshold",), unread())
+
+
+def test_sweep_exhaustive_needs_a_count_before_any_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a whole-cube search was started")
+
+    monkeypatch.setattr("qube.enumeration._search", no_search)
+    monkeypatch.setattr("qube.verify.enumerate_cycles", lambda *args, **kw: unread())
+    with pytest.raises(ValueError, match="needs a threshold count"):
+        sweep_exhaustive(4, ("threshold",))
 
 
 def test_sweep_exhaustive_takes_a_generator_of_properties():
