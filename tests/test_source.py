@@ -194,6 +194,10 @@ def qube_imports(source: str) -> list[tuple[str, str | None]]:
 
 ALPHA_TABLES = {"ALPHA_EQUI_HYPERCUBE", "ALPHA_EQUI_COMPUTED"}
 BOUNDS_NAMES = ALPHA_TABLES | {"EquiValueUnavailable"}
+# the modules of cycles, squares, search and sweeps, and the graph modules
+# they must not read: a threshold reaches them as a number
+CYCLE_LAYER = {"hypercube.py", "cycles.py", "squares.py", "enumeration.py", "verify.py"}
+GRAPH_LAYER = {"bounds", "graphs", "independence"}
 
 
 def layering_faults(sources: dict[str, str]) -> list[str]:
@@ -206,6 +210,8 @@ def layering_faults(sources: dict[str, str]) -> list[str]:
       bounds' readers living in ``bounds.py`` itself;
     * ``independence.py`` imports from ``squares`` or ``bounds``, the two
       modules built on it;
+    * a module of the cycle layer imports from ``bounds``, ``graphs`` or
+      ``independence``, so that no cycle check chooses an alpha table;
     * a module imports a private name from another module of the package.
     """
     faults = []
@@ -219,6 +225,8 @@ def layering_faults(sources: dict[str, str]) -> list[str]:
             if name in ALPHA_TABLES and file != "__init__.py":
                 faults.append(f"{file} imports {name}")
             if file == "independence.py" and module in ("squares", "bounds"):
+                faults.append(f"{file} imports from {module}")
+            if file in CYCLE_LAYER and module in GRAPH_LAYER:
                 faults.append(f"{file} imports from {module}")
             if name is not None and is_private(name):
                 faults.append(f"{file} imports {name} from {module}")
@@ -242,6 +250,7 @@ class TestLayering:
             "cli.py": "from .bounds import EquiValueUnavailable\n",
             "squares.py": (
                 "from .bounds import ALPHA_EQUI_HYPERCUBE\n"
+                "from .bounds import rim_threshold\n"
                 "ALPHA_EQUI_COMPUTED: dict = {}\n"
             ),
             "independence.py": (
@@ -261,6 +270,8 @@ class TestLayering:
             "independence.py imports from bounds",
             "squares.py binds ALPHA_EQUI_COMPUTED",
             "squares.py imports ALPHA_EQUI_HYPERCUBE",
+            "squares.py imports from bounds",
+            "squares.py imports from bounds",
             "verify.py imports _rim_scan from squares",
             "verify.py imports EquiValueUnavailable from cli",
         ]
