@@ -18,7 +18,12 @@ from dataclasses import asdict, dataclass
 
 from .graphs import SizeLimitExceeded, hypercube_bipartite
 from .hypercube import check_dimension, parity
-from .independence import check_hypercube_caps, cube_pair_graph_size, equi_independence
+from .independence import (
+    DIRECT_MAX_N,
+    check_hypercube_caps,
+    cube_pair_graph_size,
+    equi_independence,
+)
 
 
 class EquiValueUnavailable(ValueError):
@@ -51,11 +56,6 @@ ALPHA_EQUI_COMPUTED: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 20, 7: 
 # the pair construction itself (|class0| * |class1| - edges = 832); the
 # table1 report computes the true value and flags the difference.
 REFERENCE_REDUCED_VERTICES = {3: 4, 4: 32, 5: 176, 6: 882, 7: 3648}
-
-# The largest n-cube table 1 solves: on a 2-core Intel Xeon VM the direct
-# solve of the 7-cube takes about 3.5 minutes, while no solve of the
-# 8-cube has finished.
-TABLE1_SOLVE_MAX_N = 7
 
 
 def _stored_alpha(table: dict[int, int], m: int) -> int:
@@ -159,7 +159,7 @@ def table1_rows(
     reports fast, since the exact solve grows steeply with n.  Skipped
     rows carry ``None`` in the solver-derived fields but still show the
     bundled reference value.  A solve that is out of reach is refused
-    before any row is computed: any from n = ``TABLE1_SOLVE_MAX_N`` + 1,
+    before any row is computed: any from n = ``DIRECT_MAX_N`` + 1,
     where none has finished, and the reduction's from n =
     ``REDUCTION_MAX_N`` + 1, where it takes more than half a minute.
     """
@@ -168,11 +168,11 @@ def table1_rows(
     if alpha_max_n is None:
         alpha_max_n = max_n
     solved = min(max_n, alpha_max_n)
-    if solved > TABLE1_SOLVE_MAX_N:
+    if solved > DIRECT_MAX_N:
         raise SizeLimitExceeded(
-            f"table1 solves alpha_equi only for n <= {TABLE1_SOLVE_MAX_N} (no solve of "
-            f"the {TABLE1_SOLVE_MAX_N + 1}-cube has finished); set alpha_max_n "
-            f"(--alpha-max-n) to at most {TABLE1_SOLVE_MAX_N}"
+            f"table1 solves alpha_equi only for n <= {DIRECT_MAX_N} (no solve of "
+            f"the {DIRECT_MAX_N + 1}-cube has finished); set alpha_max_n "
+            f"(--alpha-max-n) to at most {DIRECT_MAX_N}"
         )
     if method == "reduction" and solved >= 3:
         check_hypercube_caps(solved, method)

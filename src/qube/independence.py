@@ -80,6 +80,10 @@ BRUTE_FORCE_LIMIT = 20
 # it solves the 6-cube in 34-38 s, where the direct route takes 0.03 s,
 # and it has not been run on the 7-cube's 3,648-vertex pair graph.
 REDUCTION_MAX_N = 5
+# The largest n-cube the direct route is run on: on the same VM it solves
+# the 7-cube in about 3.5 minutes, while no solve of the 8-cube has
+# finished.
+DIRECT_MAX_N = 7
 
 
 def _check_oracle_cap(n: int) -> None:
@@ -524,13 +528,20 @@ def equi_independence(b: BipartiteGraph, method: str = "direct") -> tuple[int, l
 def check_hypercube_caps(n: int, method: str) -> None:
     """Refuse, before the n-cube is built, a route whose input would exceed
     its cap: the pair graph's vertices (``cube_pair_graph_size``) for
-    ``reduction``, the 2**n vertices for ``oracle``.  The reduction is
-    also refused above ``REDUCTION_MAX_N``: it takes more than half a
-    minute on the 6-cube and has not been run on the 7-cube.
-    ``direct`` needs no check here: ``hypercube_graph`` refuses a cube
-    above the solver cap before it builds a row."""
+    ``reduction``, the 2**n vertices for ``oracle`` and ``direct``.  The
+    reduction is also refused above ``REDUCTION_MAX_N``: it takes more
+    than half a minute on the 6-cube and has not been run on the 7-cube.
+    The direct route is refused above ``DIRECT_MAX_N``, where no solve has
+    finished."""
     check_dimension(n)
-    if method == "reduction":
+    if method == "direct":
+        check_solver_cap(1 << n)
+        if n > DIRECT_MAX_N:
+            raise SizeLimitExceeded(
+                f"the direct route solves the n-cube only for n <= {DIRECT_MAX_N} "
+                f"(no solve of the {DIRECT_MAX_N + 1}-cube has finished)"
+            )
+    elif method == "reduction":
         check_solver_cap(cube_pair_graph_size(n)[0])
         if n > REDUCTION_MAX_N:
             raise SizeLimitExceeded(
@@ -540,7 +551,7 @@ def check_hypercube_caps(n: int, method: str) -> None:
             )
     elif method == "oracle":
         _check_oracle_cap(1 << n)
-    elif method != "direct":
+    else:
         raise ValueError(f"unknown method {method!r}")
 
 

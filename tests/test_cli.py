@@ -836,6 +836,22 @@ class TestEquiind:
         assert (code, out) == (2, "")
         assert "error: the reduction solves the n-cube only for n <= 5" in err
 
+    @pytest.mark.parametrize("n", ["8", "12"])
+    def test_direct_refuses_the_cubes_above_n7_before_building_them(
+        self, capsys, monkeypatch, n
+    ):
+        # they are under the solver cap, but no direct solve of the 8-cube
+        # has finished
+        def no_build(n):
+            raise AssertionError("the cube was built")
+
+        monkeypatch.setattr("qube.cli.hypercube_bipartite", no_build)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "equiind", "--hypercube", n)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "error: the direct route solves the n-cube only for n <= 7" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "equiind", "--graph", "missing.bip")
         assert code == 2
