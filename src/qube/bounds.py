@@ -3,13 +3,14 @@ n-cube, the bundled reference values and the ones this package computes,
 and what reads them.
 
 ``rim_threshold`` is the dimension-usage count above which an inscribed
-square with that rim dimension is forced; ``pigeonhole_report`` is the
-counting argument that forces one in every Hamiltonian cycle of small
-cubes; ``lower_bound_set`` builds a balanced maximal independent set of
+square with that rim dimension is forced, and the one reader of the
+computed table; ``pigeonhole_report`` is the counting argument that
+forces one in every Hamiltonian cycle of small cubes, on the count it is
+given; ``lower_bound_set`` builds a balanced maximal independent set of
 size 2**(n-2); ``table1_rows`` reproduces the reference table of
-balanced-independence numbers and pair-graph sizes.  It takes the sizes
-from ``cube_pair_graph_size``, a closed form in n, and builds the cube
-only for the rows it solves.
+balanced-independence numbers and pair-graph sizes, the one reader of
+the reference table.  It takes the sizes from ``cube_pair_graph_size``,
+a closed form in n, and builds the cube only for the rows it solves.
 """
 
 from __future__ import annotations
@@ -40,15 +41,17 @@ class EquiValueUnavailable(ValueError):
 # in the test suite, shows 20 for n = 6 with no solver: the bases of those
 # edges are a balanced independent set of the 6-cube, and a pinned Q8 cycle
 # does the same for 44 at n = 7.  The table is kept verbatim so the paper's
-# own statements can be reproduced: ``pigeonhole_report`` reads it, and
-# ``table1`` output flags the disagreement wherever a computed value is
-# available.
+# own statements can be reproduced (``pigeonhole_report`` evaluates the
+# counting argument on any count it is handed), and only ``table1`` reads
+# it: its output shows each entry beside the computed value and flags the
+# disagreement.  No verdict rests on it.
 ALPHA_EQUI_HYPERCUBE: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 16, 7: 40}
 
 # Balanced-independence numbers actually computed by this package's solvers
 # (direct branch-and-bound, cross-checked by the pair-graph reduction for
 # n <= 5, and for n = 6 in an opt-in test, and by explicit layered
-# witnesses for n = 6, 7); ``rim_threshold`` reads these.
+# witnesses for n = 6, 7); ``rim_threshold`` reads these, for the threshold
+# check and the counting argument alike.
 ALPHA_EQUI_COMPUTED: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 20, 7: 44}
 
 # Reference column of reduced-graph vertex counts as printed alongside the
@@ -56,16 +59,6 @@ ALPHA_EQUI_COMPUTED: dict[int, int] = {1: 0, 2: 0, 3: 2, 4: 4, 5: 10, 6: 20, 7: 
 # the pair construction itself (|class0| * |class1| - edges = 832); the
 # table1 report computes the true value and flags the difference.
 REFERENCE_REDUCED_VERTICES = {3: 4, 4: 32, 5: 176, 6: 882, 7: 3648}
-
-
-def _stored_alpha(table: dict[int, int], m: int) -> int:
-    """The balanced-independence number of the m-cube in ``table``."""
-    try:
-        return table[m]
-    except KeyError:
-        raise EquiValueUnavailable(
-            f"no stored balanced-independence number for dimension {m}"
-        ) from None
 
 
 # the table of balanced-independence numbers each threshold mode reads, as
@@ -86,7 +79,12 @@ def rim_threshold(n: int, mode: str = "equi") -> int:
     if mode == "independence":
         return 1 << (n - 2)
     if mode == "equi":
-        return _stored_alpha(ALPHA_EQUI_COMPUTED, n - 1)
+        try:
+            return ALPHA_EQUI_COMPUTED[n - 1]
+        except KeyError:
+            raise EquiValueUnavailable(
+                f"no stored balanced-independence number for dimension {n - 1}"
+            ) from None
     raise ValueError(f"unknown threshold mode {mode!r}")
 
 
@@ -106,28 +104,14 @@ class PigeonholeReport:
     def forced(self) -> bool:
         return self.product < self.order
 
-    @property
-    def caveat(self) -> str:
-        """Why a forced verdict does not hold under the package's own value
-        of the (n-1)-cube in ALPHA_EQUI_COMPUTED, or "" where it holds."""
-        alpha = ALPHA_EQUI_COMPUTED[self.n - 1]
-        if not self.forced or self.n * alpha < self.order:
-            return ""
-        return (
-            f"this rests on the reference table: the computed value {alpha} gives "
-            f"{self.n * alpha} >= {self.order}, so the counting argument does not "
-            f"decide n={self.n}"
-        )
-
     def to_dict(self) -> dict:
-        return {**asdict(self), "forced": self.forced, "alpha_table": "reference"}
+        return {**asdict(self), "forced": self.forced}
 
 
-def pigeonhole_report(n: int) -> PigeonholeReport:
-    """The counting argument at dimension n as the paper states it, with
-    the next cube down's value in ALPHA_EQUI_HYPERCUBE."""
-    alpha = _stored_alpha(ALPHA_EQUI_HYPERCUBE, n - 1)
-    return PigeonholeReport(n, alpha, n * alpha, 1 << n)
+def pigeonhole_report(n: int, threshold: int) -> PigeonholeReport:
+    """The counting argument at dimension n, with ``threshold`` the
+    balanced-independence number of the (n-1)-cube."""
+    return PigeonholeReport(n, threshold, n * threshold, 1 << n)
 
 
 def lower_bound_set(n: int) -> list[int]:

@@ -363,14 +363,13 @@ def cmd_pigeonhole(args: argparse.Namespace) -> int:
     if args.max_n < 2:
         raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
     # every report is built before the first is written, so a dimension
-    # without a stored value leaves stdout empty
-    reports = [pigeonhole_report(n) for n in range(2, args.max_n + 1)]
+    # without a stored value leaves stdout empty; each reads the count that
+    # ``verify --property threshold`` reads
+    reports = [pigeonhole_report(n, rim_threshold(n)) for n in range(2, args.max_n + 1)]
     for report in reports:
-        _emit(report.to_dict(), sys.stdout)
+        _emit({**report.to_dict(), "alpha_table": THRESHOLD_ALPHA_TABLE["equi"]}, sys.stdout)
         relation = "<" if report.forced else ">="
         outcome = "squares forced in every Hamiltonian cycle" if report.forced else "not decided by counting"
-        if report.caveat:
-            outcome += f"; {report.caveat}"
         print(
             f"n={report.n}: {report.n} * {report.threshold} = {report.product} {relation} "
             f"{report.order} -> {outcome}",

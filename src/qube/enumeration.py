@@ -204,8 +204,11 @@ def _search(
     # a closing edge {0, e_j} below the first step's dimension.  For an open
     # vertex (unvisited, or vertex 0) only the expansion of a neighbour and
     # the first step lower it, and a cycle through the path needs two of
-    # them: the free-edges prune.  Only the prunes read these counts.
+    # them: the free-edges prune.  Only the prunes read these counts, so
+    # without them the expansions and their pops walk the empty rows of
+    # ``retire``, and no count falls to decide the children.
     free = [n] * size
+    retire = table if prune else ((),) * size
     path = [0] * size
     seen = bytearray(size)
     seen[0] = 1
@@ -303,7 +306,7 @@ def _search(
                             start[:k] = [-1] * k
             if k != last:
                 # the edges that v's expansion retired return
-                for w in table[v]:
+                for w in retire[v]:
                     if not seen[w] or not w and v > lim:
                         free[w] += 1
             k -= 1
@@ -370,14 +373,14 @@ def _search(
         # them, leave none.
         cands = table[v]
         fell = 0
-        for w in cands:
+        for w in retire[v]:
             if not seen[w] or not w and v > lim:
                 rest = free[w] - 1
                 free[w] = rest
                 if rest < 2:
                     fell += 1
                     low = w
-        if fell and prune:
+        if fell:
             cands = (low,) if fell == 1 and low else ()
         if k < base:
             cands = moves[k : k + 1] if moves[k] in cands else ()

@@ -370,7 +370,7 @@ def test_criterion_12_enumeration_counts_and_prunes():
 def test_criterion_13_counting_argument():
     """n times the stored balanced-independence number of the next cube
     down stays under 2^n for every 2 <= n <= 7, so squares are forced."""
-    reports = {n: pigeonhole_report(n) for n in range(2, 8)}
+    reports = {n: pigeonhole_report(n, ALPHA_EQUI_HYPERCUBE[n - 1]) for n in range(2, 8)}
     exact = all(
         r.product == n * ALPHA_EQUI_HYPERCUBE[n - 1] and r.order == 1 << n
         for n, r in reports.items()

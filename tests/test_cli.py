@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from qube import enumeration, hypercube
+from qube.bounds import rim_threshold
 from qube.cli import build_parser, main
 from qube.cycles import DimensionProfile, gray_cycle, validate_cycle
 from qube.enumeration import enumerate_cycles, sample_cycles
@@ -1050,35 +1051,49 @@ class TestPigeonhole:
         docs = json_lines(out)
         assert code == 0
         assert [d["n"] for d in docs] == [2, 3, 4, 5, 6, 7]
-        assert all(d["forced"] for d in docs)
+        assert [d["forced"] for d in docs] == [True] * 5 + [False]
         last = docs[-1]
         assert last == {
-            "n": 7, "threshold": 16, "product": 112, "order": 128, "forced": True,
-            "alpha_table": "reference",
+            "n": 7, "threshold": 20, "product": 140, "order": 128, "forced": False,
+            "alpha_table": "computed",
         }
-        assert "112 < 128" in err
+        assert "140 >= 128" in err
 
     def test_eight_cube_is_not_decided_by_counting(self, capsys):
         code, out, err = run(capsys, "pigeonhole", "--max-n", "8")
         docs = json_lines(out)
         assert code == 0
         assert docs[-1] == {
-            "n": 8, "threshold": 40, "product": 320, "order": 256, "forced": False,
-            "alpha_table": "reference",
+            "n": 8, "threshold": 44, "product": 352, "order": 256, "forced": False,
+            "alpha_table": "computed",
         }
         assert "not decided by counting" in err
 
-    def test_only_the_verdict_the_computed_table_overturns_names_the_table(self, capsys):
+    def test_no_line_names_a_table(self, capsys):
+        # the rows read the computed table, so no verdict needs a caveat
         code, _, err = run(capsys, "pigeonhole", "--max-n", "8")
         lines = err.splitlines()
         assert code == 0
         assert [line.split(":")[0] for line in lines] == [f"n={n}" for n in range(2, 9)]
-        assert lines[5] == (
-            "n=7: 7 * 16 = 112 < 128 -> squares forced in every Hamiltonian cycle; "
-            "this rests on the reference table: the computed value 20 gives 140 >= 128, "
-            "so the counting argument does not decide n=7"
-        )
-        assert not any("table" in line for line in lines[:5] + lines[6:])
+        assert lines[5] == "n=7: 7 * 20 = 140 >= 128 -> not decided by counting"
+        assert not any("table" in line for line in lines)
+
+    def test_the_counting_argument_and_the_threshold_check_read_one_number(
+        self, capsys, tmp_path
+    ):
+        code, out, _ = run(capsys, "pigeonhole", "--max-n", "8")
+        assert code == 0
+        rows = {doc["n"]: doc for doc in json_lines(out)}
+        for n in range(3, 9):
+            corpus = write_cycles(tmp_path / f"g{n}.jsonl", [gray_cycle(n)])
+            code, out, _ = run(
+                capsys, "verify", "--n", str(n), "--property", "threshold", "--in", corpus
+            )
+            doc = json.loads(out)
+            assert code == 0
+            named = (doc["threshold"], doc["alpha_table"])
+            assert (rows[n]["threshold"], rows[n]["alpha_table"]) == named
+            assert named == (rim_threshold(n), "computed")
 
     def test_nine_cube_needs_a_stored_value(self, capsys):
         code, out, err = run(capsys, "pigeonhole", "--max-n", "9")

@@ -301,10 +301,16 @@ class TestFreeEdges:
         # 31,860 when a lone open vertex that falls below two free edges
         # leaves v's whole row instead of the forced step, 19,020 without
         # the closing-edge rule, 14,824 when vertex 0 falling cuts nothing
-        # and the first step may take the last dimension, and 80,040, as
-        # with no prune, when no fall decides the children, which leaves
-        # the closing-edge rule nothing to act through
+        # and the first step may take the last dimension, and 80,040 when
+        # no fall decides the children, which leaves the closing-edge rule
+        # nothing to act through
         assert rows_read(monkeypatch, 4, PruneConfig.all())[1] == 10_550
+
+    def test_the_unpruned_search_keeps_no_counts(self, monkeypatch):
+        # without the prunes nothing reads the free-edge counts, so no
+        # expansion or pop walks a row to keep them: each node short of a
+        # full path reads its row once, as its candidates
+        assert rows_read(monkeypatch, 4, PruneConfig.none())[1] == 26_680
 
     def test_a_prefix_is_cut_at_the_step_that_breaks_the_rule(self, monkeypatch):
         # a step from 12 would make 4 interior and leave vertex 5 one
@@ -649,11 +655,11 @@ class TestFirstUseCount:
 
 def rows_read(monkeypatch, n, cfg, prefix=None) -> tuple[list, int]:
     """The seqs ``enumerate_cycles`` emits and how many times it reads a
-    neighbour row: once to expand each node short of a full path, once
-    more when every step from it passes and the row is its candidates, and
-    once when that node is popped, to restore its neighbours' counts.  A
-    forced step and a prefix step are not read from the row, and neither
-    is the first step from vertex 0."""
+    neighbour row: once when every step from a node short of a full path
+    passes and the row is its candidates, and, under the prunes, once to
+    expand that node and once when it is popped, to restore its
+    neighbours' counts.  A forced step and a prefix step are not read from
+    the row, and neither is the first step from vertex 0."""
     count = [0]
 
     class CountedRow(tuple):

@@ -276,3 +276,47 @@ class TestLayering:
             "verify.py imports EquiValueUnavailable from cli",
         ]
         assert qube_imports(sources["verify.py"])[0] == ("cycles", None)
+
+
+def table_readers(source: str) -> dict[str, set[str]]:
+    """The alpha tables each top-level ``def`` or ``class`` of ``source``
+    loads by name, keyed by its name, and those the other top-level
+    statements load, keyed by ``"<module>"``; only readers are listed."""
+    readers: dict[str, set[str]] = {}
+    for node in ast.parse(source).body:
+        key = getattr(node, "name", "<module>")
+        for name in ast.walk(node):
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load):
+                if name.id in ALPHA_TABLES:
+                    readers.setdefault(key, set()).add(name.id)
+    return readers
+
+
+class TestAlphaTableReaders:
+    def test_each_table_has_one_reader(self):
+        # every verdict reads the computed table through ``rim_threshold``;
+        # the reference table is table 1's comparison column
+        readers = {
+            f"{p.name}:{key}": tables
+            for p in sorted(PACKAGE.glob("*.py"))
+            for key, tables in table_readers(p.read_text(encoding="utf-8")).items()
+        }
+        assert readers == {
+            "bounds.py:rim_threshold": {"ALPHA_EQUI_COMPUTED"},
+            "bounds.py:table1_rows": {"ALPHA_EQUI_HYPERCUBE"},
+        }
+
+    def test_the_check_finds_each_reader(self):
+        source = (
+            "ALPHA_EQUI_COMPUTED: dict = {}\n"
+            "class Report:\n"
+            "    def caveat(self):\n"
+            "        return ALPHA_EQUI_COMPUTED[self.n]\n"
+            "def rows():\n"
+            "    return 1\n"
+            "TABLE = ALPHA_EQUI_HYPERCUBE\n"
+        )
+        assert table_readers(source) == {
+            "Report": {"ALPHA_EQUI_COMPUTED"},
+            "<module>": {"ALPHA_EQUI_HYPERCUBE"},
+        }

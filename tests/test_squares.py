@@ -9,6 +9,7 @@ from qube.bounds import (
     ALPHA_EQUI_COMPUTED,
     ALPHA_EQUI_HYPERCUBE,
     EquiValueUnavailable,
+    PigeonholeReport,
     pigeonhole_report,
     rim_threshold,
 )
@@ -344,14 +345,16 @@ class TestRimThreshold:
         assert issubclass(EquiValueUnavailable, ValueError)
         with pytest.raises(ValueError, match="for dimension 8$"):
             rim_threshold(9, "equi")
-        with pytest.raises(ValueError, match="for dimension 8$"):
-            pigeonhole_report(9)
 
-    def test_thresholds_read_the_computed_table_and_counting_the_reference(self):
-        # the counting argument is reproduced as the paper states it
+    def test_the_counting_argument_reads_the_count_of_the_threshold_check(self):
+        # with the computed table it forces a square for n <= 6 and decides
+        # nothing from n = 7 on
         for n in range(2, 9):
-            assert rim_threshold(n, "equi") == ALPHA_EQUI_COMPUTED[n - 1]
-            assert pigeonhole_report(n).threshold == ALPHA_EQUI_HYPERCUBE[n - 1]
+            thr = rim_threshold(n, "equi")
+            assert thr == ALPHA_EQUI_COMPUTED[n - 1]
+            report = pigeonhole_report(n, thr)
+            assert report == PigeonholeReport(n, thr, n * thr, 1 << n)
+            assert report.forced == (n <= 6)
 
 
 class TestThresholdImplication:
